@@ -8,6 +8,7 @@ and must not overlap.  Writes go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -52,15 +53,39 @@ def save(path: str, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes, found {len(raw)}")
+    return raw
+
+
+def _entry_fields(entry) -> tuple:
+    try:
+        name, shape = str(entry["name"]), tuple(int(n) for n in entry["shape"])
+        offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed manifest entry {entry!r}") from exc
+    if offset < 0 or any(n < 0 for n in shape):
+        raise CheckpointError(f"tensor {name!r}: negative offset or extent")
+    return name, shape, offset, nbytes
+
+
 def load(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+        if _read_exact(f, 4, "magic") != MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint container")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode())
+        (mlen,) = struct.unpack("<Q", _read_exact(f, 8, "manifest length"))
+        raw = _read_exact(f, mlen, "manifest")
+        try:
+            manifest = json.loads(raw.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt manifest: {exc}") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+            raise CheckpointError("manifest has no tensor list")
         if manifest.get("endianness") != "little":
             raise CheckpointError("unsupported endianness tag")
         blob = f.read()
@@ -68,17 +93,16 @@ def load(path: str) -> dict[str, np.ndarray]:
     spans = []
     out = {}
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = entry["nbytes"]
-        expect = 8 * int(np.prod(shape)) if shape else 8
+        name, shape, lo, nbytes = _entry_fields(entry)
+        expect = 8 * math.prod(shape)
         if nbytes != expect:
-            raise CheckpointError(f"tensor {entry['name']!r}: byte length {nbytes} != 8*prod{shape}")
-        lo, hi = entry["offset"], entry["offset"] + nbytes
+            raise CheckpointError(f"tensor {name!r}: byte length {nbytes} != 8*prod{shape}")
+        hi = lo + nbytes
         for (a, b, other) in spans:
             if lo < b and a < hi:
-                raise CheckpointError(f"tensors {entry['name']!r} and {other!r} overlap")
-        spans.append((lo, hi, entry["name"]))
+                raise CheckpointError(f"tensors {name!r} and {other!r} overlap")
+        spans.append((lo, hi, name))
         if hi > len(blob):
-            raise CheckpointError(f"tensor {entry['name']!r} extends past end of file")
-        out[entry["name"]] = np.frombuffer(blob[lo:hi], dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"tensor {name!r} extends past end of file")
+        out[name] = np.frombuffer(blob[lo:hi], dtype="<f8").reshape(shape).copy()
     return out

@@ -8,15 +8,20 @@ reading each memory at the value vector, then update every adaptive memory.
 
 Chunked processing freezes the memories "as of the chunk start" for all
 element computations (keys, values, gates, targets, outputs, and the gradient
-terms), which makes within-chunk element work order-independent; only the
-decay recurrence is folded sequentially.  A chunk of 1 recovers exact
+terms).  Each chunk therefore does its element work as (d,C) matrix ops over
+the chunk's C columns, which makes it order-independent, and then advances
+each fast weight with one `tensor.decay_scan` node that folds the decay
+recurrence over the columns in token order.  A chunk of 1 recovers exact
 token-by-token stepping.
 
 Linear-memory update with the retention factor (objective `l2`):
     M_t = M_{t-1} (a_t I - e_t k_t k_t^T) - e_t (M_b k_t - vhat_t) k_t^T
-where M_b is the chunk-boundary state.  Without retention the update is a
-plain decay-plus-gradient step.  MLP memories always use the weight-space
-variant of the same objective.
+where M_b is the chunk-boundary state, i.e. a decay_scan with residuals
+U = M_b K - Vhat.  Without retention the update is a plain decay-plus-gradient
+step.  The `dot` objective scans U = -Vhat.  MLP memories always use the
+weight-space variant of the same objective: W1 scans the residual R against
+the hidden keys H = silu(W2_b K), W2 scans (W1_b^T R) * silu'(W2_b K) against
+K, both without retention.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .memory import LINEAR, MLP2, Memory, UnsupportedCombination
+from .memory import LINEAR, MLP2, Memory, UnsupportedCombination, read_node
 from .tensor import Node, Tape, Tensor
 
 SLOTS = ("k", "v", "eta", "alpha", "mem")
@@ -110,50 +115,54 @@ def reset(state: SrtState) -> SrtState:
     return replace(state, weights={slot: tuple(w.copy() for w in ws) for slot, ws in state.inits.items()})
 
 
-def _read(weights: Sequence[Node], kind: str, x: Node) -> Node:
+def _permute(x: Node, order: Sequence[int]) -> Node:
+    return T.concat_columns([T.slice_columns(x, i, i + 1) for i in order])
+
+
+def _elements(cfg: SrtConfig, boundary: dict, wq: Node, x: Node, xkv: Node, slots: Sequence[str]) -> dict:
+    """Element work of one chunk as (d,C) matrices, every read against the boundary memories.
+
+    Holds the output `y`, the key `k`, the gate reads `eta`/`alpha` (unless
+    fixed) and one self-generated target `vhat.<slot>` per updated slot.
+    """
+
+    def read(slot: str, cols: Node) -> Node:
+        return read_node(boundary[slot], cols, cfg.kinds[slot])
+
+    def norm(cols: Node, on: bool) -> Node:
+        return T.l2_normalize_columns_safe(cols) if on else cols
+
+    q = norm(T.matmul(wq, x), cfg.normalize_q)
+    v = norm(read("v", xkv), cfg.normalize_v)
+    out = {"y": read("mem", q), "k": norm(read("k", xkv), cfg.normalize_k)}
+    if cfg.fixed_eta is None:
+        out["eta"] = read("eta", x)
+    if cfg.fixed_alpha is None:
+        out["alpha"] = read("alpha", x)
+    for slot in slots:
+        out["vhat." + slot] = read(slot, v) if cfg.self_values else v
+    return out
+
+
+def _gate(tape: Tape, fixed: Optional[float], reads: Optional[Node], bias: float, squash, n: int) -> Node:
+    if fixed is not None:
+        return tape.constant(np.full(n, fixed))
+    return squash(T.add(T.mean_axis0(reads), bias))
+
+
+def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k: Node, vhat: Node, eta: Node, alpha: Node) -> tuple:
+    """One chunk's update of a memory: one decay_scan per weight, from the boundary state."""
     if kind == LINEAR:
-        return T.matmul(weights[0], x)
-    w1, w2 = weights
-    return T.add(x, T.matmul(w1, T.silu(T.matmul(w2, x))))
-
-
-def _safe_normalize(v: Node) -> Node:
-    # a zero read stays zero (degenerate null-memory case); nonzero goes to unit norm
-    if np.linalg.norm(v.value) == 0.0:
-        return v
-    return T.l2_normalize(v)
-
-
-def _update_linear(cfg: SrtConfig, cur: Node, boundary: Node, k: Node, vhat: Node, eta: Node, alpha: Node) -> Node:
-    if cfg.objective == "l2":
-        resid = T.sub(T.matmul(boundary, k), vhat)
-        if cfg.retention:
-            # a*M - e*(M k + (M_b k - vhat)) k^T  ==  M(a I - e k k^T) - e grad
-            w = T.add(T.matmul(cur, k), resid)
-        else:
-            w = resid
-        return T.sub(T.mul(alpha, cur), T.mul(eta, T.outer(w, k)))
-    # dot objective: gradient is -vhat k^T
-    if cfg.retention:
-        w = T.sub(T.matmul(cur, k), vhat)
-        return T.sub(T.mul(alpha, cur), T.mul(eta, T.outer(w, k)))
-    return T.add(T.mul(alpha, cur), T.mul(eta, T.outer(vhat, k)))
-
-
-def _update_mlp2(cfg: SrtConfig, cur: tuple, boundary: tuple, k: Node, vhat: Node, eta: Node, alpha: Node) -> tuple:
-    w1c, w2c = cur
-    w1b, w2b = boundary
-    z = T.matmul(w2b, k)
+        (m,) = boundary
+        u = T.sub(T.matmul(m, k), vhat) if cfg.objective == "l2" else T.neg(vhat)
+        return (T.decay_scan(m, k, u, eta, alpha, cfg.retention),)
+    # weight-space gradient of the residual MLP read, no retention factor
+    w1, w2 = boundary
+    z = T.matmul(w2, k)
     h = T.silu(z)
-    if cfg.objective == "l2":
-        r = T.sub(T.add(k, T.matmul(w1b, h)), vhat)
-    else:
-        r = T.neg(vhat)
-    g1 = T.outer(r, h)
-    g2 = T.outer(T.mul(T.matmul(T.transpose(w1b), r), T.silu_grad(z)), k)
-    new_w1 = T.sub(T.mul(alpha, w1c), T.mul(eta, g1))
-    new_w2 = T.sub(T.mul(alpha, w2c), T.mul(eta, g2))
-    return (new_w1, new_w2)
+    r = T.sub(T.add(k, T.matmul(w1, h)), vhat) if cfg.objective == "l2" else T.neg(vhat)
+    u2 = T.mul(T.matmul(T.transpose(w1), r), T.silu_grad(z))
+    return (T.decay_scan(w1, h, r, eta, alpha, False), T.decay_scan(w2, k, u2, eta, alpha, False))
 
 
 def srt_forward_nodes(
@@ -170,8 +179,9 @@ def srt_forward_nodes(
 
     `weights` maps slot -> tuple of weight nodes (params for meta-training,
     constants for plain evaluation).  Returns (Y node, final weight nodes).
-    `element_order` permutes the within-chunk element computations; outputs are
-    positional, so any order must give identical results.
+    `element_order` permutes the columns of each chunk before the element work
+    and restores them after it; outputs are positional, so any order must give
+    identical results.
     """
     d, L = x.value.shape
     if d != cfg.dim:
@@ -181,58 +191,27 @@ def srt_forward_nodes(
         raise ValueError(f"chunk size must be >= 1, got {chunk}")
 
     xkv = T.causal_depthwise_conv(x, conv_kernel) if conv_kernel is not None else x
+    slots = [slot for slot in SLOTS if slot in cfg.update_slots]
     cur = dict(weights)
-    outputs: list = [None] * L
-
+    outputs = []
     for start in range(0, L, chunk):
-        stop = min(start + chunk, L)
-        boundary = dict(cur)
-        idx = list(range(start, stop))
-        order = idx if element_order is None else [idx[i] for i in element_order[: stop - start]]
-
-        elems: dict[int, dict] = {}
-        for t in order:
-            x_t = T.column(x, t)
-            xkv_t = T.column(xkv, t) if conv_kernel is not None else x_t
-            q_t = T.matmul(wq, x_t)
-            if cfg.normalize_q:
-                q_t = _safe_normalize(q_t)
-            k_t = _read(boundary["k"], cfg.kinds["k"], xkv_t)
-            if cfg.normalize_k:
-                k_t = _safe_normalize(k_t)
-            v_t = _read(boundary["v"], cfg.kinds["v"], xkv_t)
-            if cfg.normalize_v:
-                v_t = _safe_normalize(v_t)
-            if cfg.fixed_eta is not None:
-                eta_t = tape.constant(cfg.fixed_eta)
-            else:
-                eta_t = T.softplus(T.add(T.mean_all(_read(boundary["eta"], cfg.kinds["eta"], x_t)), cfg.eta_bias))
-            if cfg.fixed_alpha is not None:
-                alpha_t = tape.constant(cfg.fixed_alpha)
-            else:
-                alpha_t = T.sigmoid(T.add(T.mean_all(_read(boundary["alpha"], cfg.kinds["alpha"], x_t)), cfg.alpha_bias))
-            y_t = _read(boundary["mem"], cfg.kinds["mem"], q_t)
-            vhat = {}
-            for slot in SLOTS:
-                if slot not in cfg.update_slots:
-                    continue
-                vhat[slot] = _read(boundary[slot], cfg.kinds[slot], v_t) if cfg.self_values else v_t
-            elems[t] = dict(k=k_t, vhat=vhat, eta=eta_t, alpha=alpha_t)
-            outputs[t] = y_t
-
-        for t in idx:  # decay recurrence folds in token order regardless of element order
-            e = elems[t]
-            for slot in SLOTS:
-                if slot not in cfg.update_slots:
-                    continue
-                if cfg.kinds[slot] == LINEAR:
-                    cur[slot] = (
-                        _update_linear(cfg, cur[slot][0], boundary[slot][0], e["k"], e["vhat"][slot], e["eta"], e["alpha"]),
-                    )
-                else:
-                    cur[slot] = _update_mlp2(cfg, cur[slot], boundary[slot], e["k"], e["vhat"][slot], e["eta"], e["alpha"])
-
-    return T.stack_columns(outputs), cur
+        n = min(start + chunk, L) - start
+        xc = T.slice_columns(x, start, start + n)
+        xkvc = T.slice_columns(xkv, start, start + n) if conv_kernel is not None else xc
+        if element_order is None:
+            e = _elements(cfg, cur, wq, xc, xkvc, slots)
+        else:
+            order = [i for i in element_order if i < n]
+            xp = _permute(xc, order)
+            xkvp = _permute(xkvc, order) if conv_kernel is not None else xp
+            inverse = np.argsort(order)
+            e = {name: _permute(m, inverse) for name, m in _elements(cfg, cur, wq, xp, xkvp, slots).items()}
+        eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n)
+        alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n)
+        for slot in slots:
+            cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha)
+        outputs.append(e["y"])
+    return T.concat_columns(outputs), cur
 
 
 def _as_nodes(tape: Tape, state: SrtState):

@@ -505,6 +505,30 @@ def l2_normalize_columns(x: Node) -> Node:
     )
 
 
+def _safe_column_norms(v: np.ndarray) -> np.ndarray:
+    # one dot product per column, the sum np.linalg.norm forms for a vector;
+    # a zero column divides by 1
+    cols = np.ascontiguousarray(v.T)
+    norms = np.sqrt((cols[:, None, :] @ cols[:, :, None])[:, 0, 0])
+    return np.where(norms == 0.0, 1.0, norms)
+
+
+def l2_normalize_columns_safe(x: Node) -> Node:
+    """Each column scaled to unit norm exactly as `l2_normalize` scales a vector,
+    bit for bit; a zero column stays zero and passes its gradient through."""
+    if x.value.ndim != 2:
+        raise ShapeError(f"l2_normalize_columns_safe: need a matrix, got {x.value.shape}")
+    norms = _safe_column_norms(x.value)
+    out = x.value / norms
+
+    def vjp(g):
+        return ((g - out * (out * g).sum(axis=0)) / norms,)
+
+    return x.tape._record(
+        out, (x,), vjp, lambda vals: vals[0] / _safe_column_norms(vals[0]), "l2_normalize_columns_safe"
+    )
+
+
 def softmax(v: Node) -> Node:
     if v.value.ndim != 1:
         raise ShapeError(f"softmax: need a vector, got {v.value.shape}")
@@ -651,6 +675,65 @@ def scale_rows(x: Node, s) -> Node:
         return (g * s.value[:, None], (g * x.value).sum(axis=1))
 
     return t._record(out, (x, s), vjp, lambda vals: vals[0] * vals[1][:, None], "scale_rows")
+
+
+def _decay_scan(m0, keys, u, eta, alpha, retention):
+    """Final state plus every state and residual the backward pass reads."""
+    ks = np.ascontiguousarray(keys.T)  # row j = key j, read contiguously
+    m, states, resid = m0, [], []
+    for j, k in enumerate(ks):
+        w = m @ k + u[:, j] if retention else u[:, j]
+        states.append(m)
+        resid.append(w)
+        m = alpha[j] * m - eta[j] * (w[:, None] * k)
+    return m, ks, states, resid
+
+
+def decay_scan(m0, keys, u, eta, alpha, retention: bool) -> Node:
+    """Final state of a decaying rank-one recurrence over the columns of a chunk.
+
+        M_j = alpha_j M_{j-1} - eta_j w_j k_j^T,  w_j = u_j + M_{j-1} k_j  (retention)
+                                                   w_j = u_j                (otherwise)
+
+    for a (p,n) start state M_0, (n,C) keys, (p,C) residuals u and (C,) gates.
+    Only M_C is recorded: the backward pass loops over the stored states in
+    numpy instead of recording per-column nodes.
+    """
+    t = _tape_of(m0, keys, u, eta, alpha)
+    m0, keys, u, eta, alpha = (_lift(t, a) for a in (m0, keys, u, eta, alpha))
+    vm, vk, vu, ve, va = m0.value, keys.value, u.value, eta.value, alpha.value
+    shapes = (vm.shape, vk.shape, vu.shape, ve.shape, va.shape)
+    n_cols = vk.shape[1] if vk.ndim == 2 else -1
+    if vm.ndim != 2 or shapes[1:] != ((vm.shape[1], n_cols), (vm.shape[0], n_cols), (n_cols,), (n_cols,)):
+        raise ShapeError(f"decay_scan: need (p,n), (n,C), (p,C), (C,), (C,) operands, got {shapes}")
+    for arr, what in ((vm, "state"), (vk, "keys"), (vu, "residuals"), (ve, "eta"), (va, "alpha")):
+        _check_finite(arr, f"decay_scan {what}")
+    out, ks, states, resid = _decay_scan(vm, vk, vu, ve, va, retention)
+
+    def vjp(g):
+        gk, gu = np.empty_like(vk), np.empty_like(vu)
+        ge, ga = np.empty_like(ve), np.empty_like(va)
+        for j in reversed(range(n_cols)):
+            m, w, k = states[j], resid[j], ks[j]
+            gmk = g @ k
+            gw = -ve[j] * gmk
+            ga[j] = np.vdot(g, m)
+            ge[j] = -(w @ gmk)
+            gu[:, j] = gw
+            gk[:, j] = -ve[j] * (g.T @ w)
+            g = va[j] * g
+            if retention:
+                gk[:, j] += m.T @ gw
+                g = g + gw[:, None] * k
+        # a tape runs one backward pass: free the saved states now rather than
+        # when the tape's reference cycle is collected
+        states.clear()
+        resid.clear()
+        return (g, gk, gu, ge, ga)
+
+    return t._record(
+        out, (m0, keys, u, eta, alpha), vjp, lambda vals: _decay_scan(*vals, retention)[0], "decay_scan"
+    )
 
 
 def embedding(table: Node, ids: Sequence[int]) -> Node:

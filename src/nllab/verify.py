@@ -276,6 +276,73 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
     return CheckResult("cms-frequency-and-sgd", passed, worst, f"C=1 vs SGD err={worst:.2e}, off-boundary bit-frozen={bitfrozen}")
 
 
+_SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
+
+
+def _decay_scan_oracle(m, keys, u, eta, alpha, retention):
+    """The per-token graph that `decay_scan` replaces: the SRT linear-memory update."""
+    for j in range(keys.value.shape[1]):
+        k, w = T.column(keys, j), T.column(u, j)
+        if retention:
+            w = T.add(T.matmul(m, k), w)
+        m = T.sub(T.mul(T.element(alpha, j), m), T.mul(T.element(eta, j), T.outer(w, k)))
+    return m
+
+
+def _decay_scan_inputs(rng, d: int, n: int) -> dict:
+    keys = rng.normal(size=(d, n))
+    return {
+        "m0": rng.normal(size=(d, d)),
+        "keys": keys / np.linalg.norm(keys, axis=0),
+        "u": rng.normal(size=(d, n)),
+        "eta": rng.uniform(0.0, 0.5, size=n),
+        "alpha": rng.uniform(0.5, 1.0, size=n),
+    }
+
+
+def _decay_scan_run(scan, vals: dict, retention: bool, probe: np.ndarray):
+    """Final state and the gradients of <M_C, probe> for every scan input."""
+    tape = Tape()
+    out = scan(*(tape.param(name, vals[name]) for name in _SCAN_INPUTS), retention)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    return out.value, {name: grads[name].data for name in _SCAN_INPUTS}
+
+
+@register("srt-decay-scan")
+def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
+    worst = 0.0  # fused primitive vs per-token graph: forward and every VJP, d=6
+    fd_worst = 0.0  # fused VJP vs central differences, relative, d=3 and C=3
+    for retention in (True, False):
+        for n in (1, 3, 8):
+            rng = np.random.default_rng(10 * n + retention)
+            vals = _decay_scan_inputs(rng, 6, n)
+            probe = rng.normal(size=(6, 6))
+            fast, g_fast = _decay_scan_run(T.decay_scan, vals, retention, probe)
+            slow, g_slow = _decay_scan_run(_decay_scan_oracle, vals, retention, probe)
+            worst = max(worst, float(np.abs(fast - slow).max()))
+            for name in _SCAN_INPUTS:
+                worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
+
+        rng = np.random.default_rng(retention)
+        vals = _decay_scan_inputs(rng, 3, 3)
+        probe = rng.normal(size=(3, 3))
+        _, grads = _decay_scan_run(T.decay_scan, vals, retention, probe)
+        for name in _SCAN_INPUTS:
+
+            def f(x, name=name):
+                tape = Tape()
+                args = [tape.constant(x.data if other == name else vals[other]) for other in _SCAN_INPUTS]
+                return float((T.decay_scan(*args, retention).value * probe).sum())
+
+            fd = T.finite_diff_grad(f, Tensor(vals[name])).data
+            scale = max(np.abs(fd).max(), np.abs(grads[name]).max(), 1e-12)
+            fd_worst = max(fd_worst, float(np.abs(fd - grads[name]).max()) / scale)
+    passed = worst <= 1e-12 and fd_worst < 1e-6
+    return CheckResult(
+        "srt-decay-scan", passed, worst, f"fused vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}"
+    )
+
+
 @register("srt-chunked-sequential")
 def check_srt_chunked(faults=frozenset(), out_dir=None) -> CheckResult:
     worst = 0.0

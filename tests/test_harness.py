@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -43,6 +44,36 @@ def test_checkpoint_rejects_corruption(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load(str(p))
+
+
+def _container(manifest: bytes) -> bytes:
+    return checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + struct.pack("<Q", len(manifest)) + manifest
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"NLCK\x01\x00",  # 6 bytes: the version field is cut short
+        _container(b'{"version": 1, "tens'),  # corrupt manifest JSON
+        _container(b'{"version": 1, "endianness": "little"}'),  # no tensor list
+        _container(b'{"version": 1, "endianness": "little", "tensors": [{"name": "x"}]}'),  # entry without fields
+    ],
+    ids=["truncated", "corrupt-manifest", "no-tensors", "bad-entry"],
+)
+def test_checkpoint_bad_input_raises_checkpoint_error(tmp_path, raw):
+    p = tmp_path / "bad.nlck"
+    p.write_bytes(raw)
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.load(str(p))
+
+
+def test_cli_eval_truncated_checkpoint_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": {"kind": "parity"}, "model": {"dim": 8}, "out_dir": str(tmp_path / "run")}))
+    bad = tmp_path / "truncated.nlck"
+    bad.write_bytes(b"NLCK\x01\x00")
+    assert main(["eval", str(cfg_path), "--checkpoint", str(bad)]) == 2
+    assert "truncated checkpoint" in capsys.readouterr().err
 
 
 def test_config_defaults_and_unknown_keys(tmp_path):

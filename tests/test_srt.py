@@ -32,6 +32,15 @@ def test_null_memory_outputs_zero_and_pure_decay():
         alpha = 1.0 / (1.0 + np.exp(-cfg2.alpha_bias))
         assert np.abs(new2.weights[slot][0] - alpha * zeroed[slot][0]).max() < 1e-12
 
+    # chunk 4 over a ragged 6-token stream: every key, value and output column
+    # reads zero, stays zero through the normalizations, and the memories only decay
+    xs = Tensor(np.random.default_rng(1).normal(size=(d, 6)))
+    for st in (state, state2):
+        y4, new4 = srt_chunked_forward(st, xs, chunk=4)
+        assert np.array_equal(y4.data, np.zeros((d, 6)))
+        for slot in S.SLOTS:
+            assert np.array_equal(new4.weights[slot][0], np.zeros((d, d)))
+
 
 def test_forced_zero_eta_gives_decay_only():
     d = 5
@@ -73,6 +82,60 @@ def test_linear_update_matches_oracle_composition():
         retain = m.matrix.data @ (alpha * np.eye(d) - eta * np.outer(k, k))
         expect = retain + eta * grad_step
         assert np.abs(new_state.weights[slot][0] - expect).max() < 1e-12
+
+
+def _unit(v):
+    n = np.linalg.norm(v)
+    return v / n if n else v
+
+
+def reference_linear_chunked(cfg, weights, wq, xs, chunk):
+    """Value-level all-linear chunked forward: every element read at the chunk
+    boundary, tokens folded one by one with the closed-form recurrence."""
+    d, L = xs.shape
+    cur = {slot: weights[slot][0] for slot in S.SLOTS}
+    ys = np.zeros((d, L))
+    for start in range(0, L, chunk):
+        b = dict(cur)
+        for t in range(start, min(start + chunk, L)):
+            x = xs[:, t]
+            q, k, v = _unit(wq @ x), _unit(b["k"] @ x), _unit(b["v"] @ x)
+            eta, alpha = cfg.fixed_eta, cfg.fixed_alpha
+            if eta is None:
+                eta = np.logaddexp(0.0, (b["eta"] @ x).mean() + cfg.eta_bias)
+            if alpha is None:
+                alpha = 1.0 / (1.0 + np.exp(-((b["alpha"] @ x).mean() + cfg.alpha_bias)))
+            ys[:, t] = b["mem"] @ q
+            for slot in S.SLOTS:
+                vhat = b[slot] @ v
+                # the l2 gradient is taken at the boundary: (M_b k - vhat) k^T
+                target = vhat - b[slot] @ k if cfg.objective == "l2" else vhat
+                if cfg.retention:
+                    # M (a I - e k k^T) + e target k^T is the dot-objective closed form
+                    step = srt_linear_recurrence("dot", Memory.linear(cur[slot]), Tensor(k), Tensor(target), eta, alpha)
+                    cur[slot] = step.matrix.data
+                else:
+                    cur[slot] = alpha * cur[slot] + eta * np.outer(target, k)
+    return ys, cur
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_chunk_form_matches_value_level_reference(chunk):
+    d, L = 5, 20
+    rng = np.random.default_rng(30 + chunk)
+    xs = rng.normal(size=(d, L))
+    for objective in ("l2", "dot"):
+        for retention in (True, False):
+            for gates in ({}, {"fixed_eta": 0.3, "fixed_alpha": 0.9}):
+                cfg = all_linear_config(d, objective=objective, retention=retention, **gates)
+                state = init_srt(cfg, seed=31)
+                weights = {slot: (0.5 * rng.normal(size=(d, d)) / np.sqrt(d) + np.eye(d) * (slot in ("k", "v")),) for slot in S.SLOTS}
+                state = S.replace(state, weights=weights)
+                y, after = srt_chunked_forward(state, Tensor(xs), chunk=chunk)
+                y_ref, w_ref = reference_linear_chunked(cfg, weights, state.wq, xs, chunk)
+                assert np.abs(y.data - y_ref).max() < 1e-12
+                for slot in S.SLOTS:
+                    assert np.abs(after.weights[slot][0] - w_ref[slot]).max() < 1e-12
 
 
 def test_chunked_c1_equals_token_stepping():

@@ -413,6 +413,24 @@ def test_stack_concat_l2_columns_gradients():
     assert np.array_equal(grads["b0"].data, wc[:, :2])
 
 
+def test_l2_normalize_columns_safe_matches_vector_form_and_keeps_zero_columns():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(5, 7))
+    x[:, 3] = 0.0
+    w = rng.normal(size=(5, 7))
+    tape = Tape()
+    out = T.l2_normalize_columns_safe(tape.param("x", x))
+    grads = tape.backward(T.dot(out, tape.constant(w)))
+    for j in range(7):
+        if j == 3:
+            # a zero column stays zero and passes its gradient through
+            assert np.array_equal(out.value[:, j], np.zeros(5))
+            assert np.array_equal(grads["x"].data[:, j], w[:, j])
+        else:
+            t = Tape()
+            assert np.array_equal(out.value[:, j], T.l2_normalize(t.constant(x[:, j])).value)
+
+
 def test_replay_reproduces_forward_bit_identically():
     rng = np.random.default_rng(21)
     tape = Tape()
@@ -422,6 +440,63 @@ def test_replay_reproduces_forward_bit_identically():
     out = T.softmax(h)
     T.mse(out, tape.constant(np.ones(4) / 4))
     assert tape.replay() is True
+
+
+def _decay_scan_inputs(rng, d=4, n=3):
+    keys = rng.normal(size=(d, n))
+    return [
+        rng.normal(size=(d, d)),
+        keys / np.linalg.norm(keys, axis=0),
+        rng.normal(size=(d, n)),
+        rng.uniform(0.0, 0.5, size=n),
+        rng.uniform(0.5, 1.0, size=n),
+    ]
+
+
+@pytest.mark.parametrize("retention", [True, False])
+def test_decay_scan_gradients_match_finite_differences(retention):
+    rng = np.random.default_rng(23)
+    vals = _decay_scan_inputs(rng)
+    probe = rng.normal(size=(4, 4))
+    tape = Tape()
+    names = ["m0", "keys", "u", "eta", "alpha"]
+    out = T.decay_scan(*(tape.param(n, v) for n, v in zip(names, vals)), retention)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    for i, name in enumerate(names):
+
+        def f(x):
+            args = [x.data if j == i else v for j, v in enumerate(vals)]
+            t = Tape()
+            return float((T.decay_scan(*(t.constant(a) for a in args), retention).value * probe).sum())
+
+        fd = finite_diff_grad(f, Tensor(vals[i]))
+        assert rel_err(grads[name].data, fd.data) < 1e-7
+
+
+def test_decay_scan_replays_bit_identically_and_rejects_bad_input():
+    rng = np.random.default_rng(24)
+    vals = _decay_scan_inputs(rng, n=5)
+    tape = Tape()
+    nodes = [tape.param(f"p{i}", v) for i, v in enumerate(vals)]
+    T.sum_all(T.matmul(T.decay_scan(*nodes, True), T.decay_scan(*nodes, False)))
+    assert tape.replay() is True
+
+    for i in range(len(vals)):
+        bad = list(vals)
+        bad[i] = vals[i].copy()
+        bad[i].flat[0] = np.nan
+        tape = Tape()
+        prev = T.set_checked(False)
+        try:
+            nodes = [tape.constant(v) for v in bad]  # constants skip the check unchecked
+        finally:
+            T.set_checked(prev)
+        with pytest.raises(T.NonFiniteError):
+            T.decay_scan(*nodes, True)
+
+    tape = Tape()
+    with pytest.raises(T.ShapeError):
+        T.decay_scan(*(tape.constant(v) for v in vals[:3]), tape.constant(vals[3][:-1]), tape.constant(vals[4]), True)
 
 
 def test_layer_trace_matches_weight_gradient_exactly():
