@@ -8,10 +8,10 @@ outputs are plain CSV series.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
+from .fileio import write_atomic
 from .optim import contribution_curve, init_state, step
 from .tasks import forgetting_metric, orthogonal_task_stream, psi, stream_task_loss
 from .tensor import Tensor
@@ -35,14 +35,7 @@ ORTHO_SAMPLES = 32
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "".join(line + "\n" for line in [header, *rows]))
 
 
 def psi_trajectory(kind: str, hp: dict, max_steps: int = PSI_MAX_STEPS, threshold: float = PSI_THRESHOLD):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import tempfile
 
 import numpy as np
+
+from .fileio import write_atomic
 
 MAGIC = b"NLCK"
 VERSION = 1
@@ -34,23 +34,8 @@ def save(path: str, tensors: dict[str, np.ndarray]) -> None:
         blobs.append(raw)
         offset += len(raw)
     manifest = json.dumps({"version": VERSION, "endianness": "little", "tensors": entries}).encode()
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(manifest)))
-            f.write(manifest)
-            for raw in blobs:
-                f.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(manifest))
+    write_atomic(path, b"".join([header, manifest, *blobs]))
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

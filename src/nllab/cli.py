@@ -15,58 +15,53 @@ from .hope import DivergenceError, HopeConfig, HopeModel, train
 from .runlog import emit_plot_series, read_runlog, write_runlog
 from .seeding import derive_seed
 from .tasks import LANGUAGE_KINDS, RECALL_KINDS, TaskSpec, evaluate, generate, vocabulary
+from .tensor import ShapeError
 
 
-def build_task_spec(cfg: dict, seed_name: str = "data") -> TaskSpec:
+def build_task_data(cfg: dict, seed: int, params: dict, n: int) -> list[dict]:
+    """`n` samples of the config's task at `seed` with `params`; a bad task config raises ConfigError."""
     task = cfg["task"]
-    return TaskSpec(
-        task["kind"],
-        seed=derive_seed(cfg["seed"], seed_name, task["seed"]),
-        bin0=tuple(task["bin0"]),
-        bin1=tuple(task["bin1"]),
-        params=dict(task["params"]),
-    )
+    try:
+        spec = TaskSpec(task["kind"], seed=seed, bin0=tuple(task["bin0"]), bin1=tuple(task["bin1"]), params=dict(params))
+        return generate(spec, n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid task config at $.task: {exc}") from exc
+
+
+def build_eval_data(cfg: dict) -> list[dict]:
+    """The held-out samples: own seed, own share of length-bin-1 samples."""
+    train = cfg["train"]
+    params = {**cfg["task"]["params"], "bin1_fraction": train["eval_bin1_fraction"]}
+    return build_task_data(cfg, train["eval_seed"], params, train["eval_samples"])
 
 
 def build_model(cfg: dict) -> HopeModel:
+    """HopeModel from the resolved config; a bad model config raises ConfigError."""
     task_kind = cfg["task"]["kind"]
     m = cfg["model"]
-    vocab = m["vocab"] or len(vocabulary(task_kind))
-    if task_kind in LANGUAGE_KINDS:
-        num_classes = m["num_classes"] or 2
-    elif task_kind in RECALL_KINDS:
-        num_classes = m["num_classes"] or vocab
-    else:
-        num_classes = m["num_classes"]
-    hope_cfg = HopeConfig(
-        vocab=vocab,
-        dim=m["dim"],
-        blocks=m["blocks"],
-        num_classes=num_classes,
-        core=m["core"],
-        objective=m["objective"],
-        chunk=m["chunk"],
-        mem_hidden=m["mem_hidden"],
-        retention=m["retention"],
-        frozen_slots=tuple(m["frozen_slots"]),
-        conv=m["conv"],
-        use_cms=m["use_cms"],
-        cms_chunks=tuple(m["cms_chunks"]),
-        cms_variant=m["cms_variant"],
-        cms_hidden=m["cms_hidden"],
-        cms_lr=m["cms_lr"],
-        cms_optimizer=m["cms_optimizer"],
-        eta_bias=m["eta_bias"],
-        alpha_bias=m["alpha_bias"],
-        fixed_eta=m["fixed_eta"],
-        fixed_alpha=m["fixed_alpha"],
-        fast_weight_penalty=m["fast_weight_penalty"],
-        tie_readout=m["tie_readout"],
-    )
-    return HopeModel(hope_cfg, seed=derive_seed(cfg["seed"], "init"))
+    try:
+        vocab = m["vocab"] or len(vocabulary(task_kind))
+        if task_kind in LANGUAGE_KINDS:
+            num_classes = m["num_classes"] or 2
+        elif task_kind in RECALL_KINDS:
+            num_classes = m["num_classes"] or vocab
+        else:
+            num_classes = m["num_classes"]
+        hope_cfg = HopeConfig(
+            **{
+                **m,
+                "vocab": vocab,
+                "num_classes": num_classes,
+                "frozen_slots": tuple(m["frozen_slots"]),
+                "cms_chunks": tuple(m["cms_chunks"]),
+            }
+        )
+        return HopeModel(hope_cfg, seed=derive_seed(cfg["seed"], "init"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model config at $.model: {exc}") from exc
 
 
-def _eval_metrics(model: HopeModel, cfg: dict, eval_data) -> dict:
+def _eval_metrics(model: HopeModel, eval_data) -> dict:
     if model.config.num_classes:
         metrics = evaluate(model, eval_data)
         return {k: v for k, v in metrics.items() if not (isinstance(v, float) and np.isnan(v))}
@@ -76,22 +71,14 @@ def _eval_metrics(model: HopeModel, cfg: dict, eval_data) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    task_seed = derive_seed(cfg["seed"], "data", cfg["task"]["seed"])
+    train_data = build_task_data(cfg, task_seed, cfg["task"]["params"], cfg["train"]["train_samples"])
+    eval_data = build_eval_data(cfg)
+    model = build_model(cfg)
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     write_json_atomic(os.path.join(out_dir, "config.json"), cfg)
 
-    train_data = generate(build_task_spec(cfg, "data"), cfg["train"]["train_samples"])
-    eval_spec = TaskSpec(
-        cfg["task"]["kind"],
-        seed=cfg["train"]["eval_seed"],
-        bin0=tuple(cfg["task"]["bin0"]),
-        bin1=tuple(cfg["task"]["bin1"]),
-        params={**cfg["task"]["params"], "bin1_fraction": cfg["train"]["eval_bin1_fraction"]},
-    )
-    eval_data = generate(eval_spec, cfg["train"]["eval_samples"])
-    model = build_model(cfg)
-
-    records = [{"step": 0, **_eval_metrics(model, cfg, eval_data)}]
+    records = [{"step": 0, **_eval_metrics(model, eval_data)}]
     try:
         log = train(
             model,
@@ -101,7 +88,7 @@ def cmd_train(args) -> int:
             seed=derive_seed(cfg["seed"], "shuffle"),
             batch_size=cfg["train"]["batch_size"],
             eval_every=cfg["train"]["eval_every"],
-            eval_fn=lambda m: _eval_metrics(m, cfg, eval_data),
+            eval_fn=lambda m: _eval_metrics(m, eval_data),
             opt_hp=cfg["train"]["opt_hp"],
             clip_norm=cfg["train"]["clip_norm"],
         )
@@ -121,17 +108,18 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
     tensors = checkpoint.load(args.checkpoint)
-    for name, value in tensors.items():
-        model.set_parameter(name, value)
-    eval_spec = TaskSpec(
-        cfg["task"]["kind"],
-        seed=cfg["train"]["eval_seed"],
-        bin0=tuple(cfg["task"]["bin0"]),
-        bin1=tuple(cfg["task"]["bin1"]),
-        params={**cfg["task"]["params"], "bin1_fraction": cfg["train"]["eval_bin1_fraction"]},
-    )
-    eval_data = generate(eval_spec, cfg["train"]["eval_samples"])
-    print(json.dumps(_eval_metrics(model, cfg, eval_data), indent=2, sort_keys=True))
+    missing = sorted(set(model.named_parameters()) - set(tensors))
+    if missing:
+        raise checkpoint.CheckpointError(f"{args.checkpoint} lacks the config's tensors {missing}")
+    nonfinite = sorted(name for name, value in tensors.items() if not np.isfinite(value).all())
+    if nonfinite:
+        raise checkpoint.CheckpointError(f"{args.checkpoint} holds non-finite values in {nonfinite}")
+    try:
+        for name, value in tensors.items():
+            model.set_parameter(name, value)
+    except (KeyError, ShapeError) as exc:
+        raise checkpoint.CheckpointError(f"{args.checkpoint} does not fit the config: {exc.args[0]}") from exc
+    print(json.dumps(_eval_metrics(model, build_eval_data(cfg)), indent=2, sort_keys=True))
     return 0
 
 

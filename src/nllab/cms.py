@@ -79,7 +79,7 @@ class CmsChain:
             if agg_weights is None:
                 agg_weights = np.ones(len(levels)) / len(levels)
             agg_weights = np.asarray(agg_weights, dtype=float)
-            if agg_weights.shape != (len(levels),) or not np.all(np.isfinite(agg_weights)):
+            if agg_weights.shape != (len(levels),) or not np.isfinite(agg_weights).all():
                 raise ValueError("aggregation weights must be one finite scalar per level")
         self.agg_weights = agg_weights
         self.last_step = 0
@@ -123,28 +123,16 @@ def cms_forward(chain: CmsChain, x) -> Tensor:
     return Tensor(v)
 
 
-def forward_nodes(chain: CmsChain, tape: Tape, x, prefix: str = "cms."):
-    """Tape-graph forward registering every level's weights (and aggregation
-    weights) as named parameters, so one backward yields all per-level
-    gradients."""
-    x = x if isinstance(x, T.Node) else tape.constant(T.as_array(x))
-    reads = []
-    cur = x
-    for i, lv in enumerate(chain.levels):
-        w1 = tape.param(f"{prefix}level{i}.w1", lv.w1)
-        w2 = tape.param(f"{prefix}level{i}.w2", lv.w2)
-        src = x if chain.variant == "independent" else cur
-        read = T.add(src, T.matmul(w1, T.silu(T.matmul(w2, src))))
-        reads.append(read)
-        cur = read
-    if chain.variant != "independent":
-        return cur
-    agg = tape.param(f"{prefix}agg", chain.agg_weights)
-    out = None
-    for i, read in enumerate(reads):
-        term = T.mul(T.element(agg, i), read)
-        out = term if out is None else T.add(out, term)
-    return out
+def register_nodes(chain: CmsChain, tape: Tape, prefix: str = "cms.") -> tuple[list[tuple], T.Node | None]:
+    """Register every level's weights (then the aggregation weights of an
+    independent chain) as named tape parameters, so one backward yields all
+    per-level gradients.  Returns (level_nodes, agg_node) for `forward_with_nodes`."""
+    level_nodes = [
+        (tape.param(f"{prefix}level{i}.w1", lv.w1), tape.param(f"{prefix}level{i}.w2", lv.w2))
+        for i, lv in enumerate(chain.levels)
+    ]
+    agg_node = tape.param(f"{prefix}agg", chain.agg_weights) if chain.variant == "independent" else None
+    return level_nodes, agg_node
 
 
 def forward_with_nodes(chain: CmsChain, level_nodes: list[tuple], x, agg_node=None):
@@ -216,6 +204,15 @@ def state_dict(chain: CmsChain) -> dict[str, Tensor]:
     if chain.variant == "independent":
         out["agg"] = Tensor(chain.agg_weights)
     return out
+
+
+def set_tensor(chain: CmsChain, key: str, value: np.ndarray) -> None:
+    """Replace the weight `state_dict` names `key`; snapshots are left alone."""
+    if key == "agg":
+        chain.agg_weights = value
+        return
+    level, attr = key.split(".")
+    setattr(chain.levels[int(level.removeprefix("level"))], attr, value)
 
 
 def init_cms_from_checkpoint(chain: CmsChain, named: dict[str, Tensor]) -> CmsChain:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any
 
+from .fileio import write_atomic
 from .hope import CORES
 from .tasks import KINDS as TASK_KINDS
 from . import optim
@@ -126,15 +126,4 @@ def load_config(path: str) -> dict:
 
 
 def write_json_atomic(path: str, payload: Any) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -151,16 +151,12 @@ class HopeModel:
     # ------------------------------------------------------------------
     # graph construction
 
-    def _register(self, tape: Tape) -> dict[str, Node]:
+    def _register(self, tape: Tape) -> dict:
+        """Parameter nodes by name, plus each chain's (level_nodes, agg_node) under "b{b}.cms"."""
         nodes = {name: tape.param(name, value) for name, value in self.params.items()}
         for b, chain in enumerate(self.chains):
-            if chain is None:
-                continue
-            for i, lv in enumerate(chain.levels):
-                nodes[f"b{b}.cms.level{i}.w1"] = tape.param(f"b{b}.cms.level{i}.w1", lv.w1)
-                nodes[f"b{b}.cms.level{i}.w2"] = tape.param(f"b{b}.cms.level{i}.w2", lv.w2)
-            if chain.variant == "independent":
-                nodes[f"b{b}.cms.agg"] = tape.param(f"b{b}.cms.agg", chain.agg_weights)
+            if chain is not None:
+                nodes[f"b{b}.cms"] = cms_mod.register_nodes(chain, tape, f"b{b}.cms.")
         return nodes
 
     def _rms(self, x: Node, gain: Node) -> Node:
@@ -204,12 +200,9 @@ class HopeModel:
             out = T.stack_columns(cols)
         if not cfg.use_cms:
             return out
-        chain = self.chains[b]
         on = self._rms(out, nodes[f"b{b}.norm2"])
-        level_nodes = [
-            (nodes[f"b{b}.cms.level{i}.w1"], nodes[f"b{b}.cms.level{i}.w2"]) for i in range(len(chain.levels))
-        ]
-        return cms_mod.forward_with_nodes(chain, level_nodes, on, agg_node=nodes.get(f"b{b}.cms.agg"))
+        level_nodes, agg_node = nodes[f"b{b}.cms"]
+        return cms_mod.forward_with_nodes(self.chains[b], level_nodes, on, agg_node=agg_node)
 
     def _sequence_logits(self, tape: Tape, nodes: dict, tokens: Sequence[int], collect_penalty=None) -> Node:
         x = T.embedding(nodes["emb"], list(tokens))
@@ -286,24 +279,21 @@ class HopeModel:
         return out
 
     def set_parameter(self, name: str, value: np.ndarray) -> None:
+        """Replace one tensor of `named_parameters()`; name and shape must match.
+
+        A chain level's init snapshot is left alone.
+        """
         value = np.asarray(value, dtype=float)
+        current = self.named_parameters()
+        if name not in current:
+            raise KeyError(f"unknown parameter {name!r}")
+        if value.shape != current[name].shape:
+            raise T.ShapeError(f"parameter {name!r} has shape {current[name].shape}, got {value.shape}")
         if name in self.params:
-            if value.shape != self.params[name].shape:
-                raise T.ShapeError(f"parameter {name!r} has shape {self.params[name].shape}, got {value.shape}")
             self.params[name] = value.copy()
             return
-        for b, chain in enumerate(self.chains):
-            prefix = f"b{b}.cms."
-            if chain is not None and name.startswith(prefix):
-                key = name[len(prefix) :]
-                if key == "agg":
-                    chain.agg_weights = value.copy()
-                    return
-                level, attr = key.split(".")
-                idx = int(level.removeprefix("level"))
-                setattr(chain.levels[idx], attr, value.copy())
-                return
-        raise KeyError(f"unknown parameter {name!r}")
+        block, key = name.split(".cms.", 1)
+        cms_mod.set_tensor(self.chains[int(block.removeprefix("b"))], key, value.copy())
 
 
 def hope_block_forward(model: HopeModel, x: Tensor, block: int = 0) -> Tensor:

@@ -124,7 +124,7 @@ def init_state(kind: str, param_shape: tuple, **hp) -> OptimizerState:
 def _check_grad(param: Tensor, grad: Tensor) -> None:
     if param.shape != grad.shape:
         raise T.ShapeError(f"grad shape {grad.shape} does not match param shape {param.shape}")
-    if T.checked() and not np.all(np.isfinite(grad.data)):
+    if T.checked() and not np.isfinite(grad.data).all():
         raise T.NonFiniteError("non-finite gradient passed to optimizer step")
 
 

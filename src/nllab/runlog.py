@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+
+from .fileio import write_atomic
 
 
 class RunlogError(ValueError):
@@ -21,17 +22,7 @@ def write_runlog(path: str, records: list[dict]) -> None:
             raise RunlogError(f"steps must strictly increase, got {rec['step']} after {last}")
         last = rec["step"]
         lines.append(json.dumps({"version": 1, **rec}, sort_keys=True))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def read_runlog(path: str) -> list[dict]:
@@ -64,12 +55,7 @@ def emit_plot_series(records: list[dict], out_dir: str) -> list[str]:
     written = []
     for metric in metrics:
         path = os.path.join(out_dir, f"{metric}.csv")
-        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write("step,value\n")
-            for rec in records:
-                if metric in rec and isinstance(rec[metric], (int, float)):
-                    f.write(f"{rec['step']},{rec[metric]}\n")
-        os.replace(tmp, path)
+        rows = [f"{rec['step']},{rec[metric]}\n" for rec in records if isinstance(rec.get(metric), (int, float))]
+        write_atomic(path, "step,value\n" + "".join(rows))
         written.append(path)
     return written

@@ -55,7 +55,7 @@ def default_dtype():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if _CHECKED and not np.all(np.isfinite(arr)):
+    if _CHECKED and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -67,7 +67,7 @@ class Tensor:
     def __init__(self, data, dtype=None):
         arr = np.array(data, dtype=dtype or _DEFAULT_DTYPE, order="C")
         if _CHECKED:
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFiniteError("non-finite values in Tensor construction")
             if any(n <= 0 for n in arr.shape):
                 raise ShapeError(f"tensor extents must be positive, got {arr.shape}")

@@ -251,7 +251,8 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         tape = Tape()
-        out = cms_mod.forward_nodes(chain, tape, x)
+        level_nodes, _ = cms_mod.register_nodes(chain, tape)
+        out = cms_mod.forward_with_nodes(chain, level_nodes, tape.constant(x))
         grads = tape.backward(T.mse(out, tape.constant(y)))
         cms_mod.cms_accumulate(chain, [(grads["cms.level0.w1"].data, grads["cms.level0.w2"].data)])
         cms_mod.cms_tick(chain, i)

@@ -3,8 +3,14 @@ import pytest
 
 from nllab import cms as C
 from nllab import tensor as T
-from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_forward, cms_tick, forward_nodes, make_chain
+from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_forward, cms_tick, make_chain
 from nllab.tensor import Tape, Tensor
+
+
+def forward_nodes(chain, tape, x):
+    """Register the chain's weights on `tape`, then run the graph forward on constant `x`."""
+    level_nodes, agg_node = C.register_nodes(chain, tape)
+    return C.forward_with_nodes(chain, level_nodes, tape.constant(x), agg_node)
 
 
 def loss_and_grads(chain, x, target):
@@ -223,3 +229,4 @@ def test_forward_nodes_matches_value_forward():
         tape = Tape()
         node = forward_nodes(chain, tape, x)
         assert np.array_equal(node.value, cms_forward(chain, x).data)
+        assert list(tape.params) == [f"cms.{key}" for key in C.state_dict(chain)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -5,9 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from nllab import checkpoint
-from nllab.cli import main
+from nllab import bench, checkpoint, config
+from nllab.cli import build_model, main
 from nllab.config import ConfigError, load_config, resolve, write_json_atomic
+from nllab.fileio import write_atomic
+from nllab.hope import HopeConfig
+from nllab.tasks import LANGUAGE_KINDS, RECALL_KINDS, vocabulary
 from nllab.runlog import RunlogError, emit_plot_series, read_runlog, write_runlog
 from nllab.seeding import derive_seed, rng_for
 
@@ -176,6 +180,121 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     assert main(["train", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "$.task.oops" in err
+
+    # values the schema accepts but the model or task constructors reject
+    cases = [
+        ({"model": {"cms_chunks": [4, 1]}}, "$.model", "ascending"),
+        ({"model": {"dim": "16"}}, "$.model", ""),
+        ({"task": {"kind": "parity", "bin0": [2, 40], "bin1": [30, 80]}}, "$.task", "bin1"),
+        ({"task": {"kind": "toy_psi"}}, "$.task", "not a token-dataset task"),
+    ]
+    for i, (raw, path, detail) in enumerate(cases):
+        out_dir = tmp_path / f"run{i}"
+        bad.write_text(json.dumps({"out_dir": str(out_dir), "train": {"train_samples": 4, "eval_samples": 4}, **raw}))
+        assert main(["train", str(bad)]) == 2, raw
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and detail in err, err
+        assert "Traceback" not in err
+        assert not (out_dir / "config.json").exists()
+
+
+def _eval_checkpoint(tmp_path, edit) -> tuple[int, str]:
+    cfg = {"task": {"kind": "parity"}, "model": {"dim": 8}, "train": {"eval_samples": 4}, "out_dir": str(tmp_path / "run")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    tensors = build_model(resolve(cfg)).named_parameters()
+    edit(tensors)
+    ckpt = tmp_path / "edited.nlck"
+    checkpoint.save(str(ckpt), tensors)
+    return main(["eval", str(cfg_path), "--checkpoint", str(ckpt)])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.update({"b0.norm1": np.ones(3)}),
+        lambda t: t.update({"b0.cms.level0.w1": np.ones((7, 7))}),
+        lambda t: t.update({"zzz": np.ones(2)}),
+        lambda t: t.pop("readout"),
+        lambda t: t.update({"b0.cms.level0.w1": np.full_like(t["b0.cms.level0.w1"], np.nan)}),
+    ],
+    ids=["param-shape", "cms-shape", "unknown-name", "missing-tensor", "non-finite"],
+)
+def test_cli_eval_mismatched_checkpoint_exits_2(tmp_path, capsys, edit):
+    assert _eval_checkpoint(tmp_path, edit) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cli_eval_fitting_checkpoint_exits_0(tmp_path, capsys):
+    assert _eval_checkpoint(tmp_path, lambda t: None) == 0
+    assert "accuracy" in capsys.readouterr().out
+
+
+def test_model_defaults_cover_every_model_field():
+    assert set(config._MODEL_DEFAULTS) == {f.name for f in dataclasses.fields(HopeConfig)}
+
+
+def _hand_copied_config(cfg: dict) -> HopeConfig:
+    """The field-by-field copy `build_model` used to make; the derived config must equal it."""
+    task_kind, m = cfg["task"]["kind"], cfg["model"]
+    vocab = m["vocab"] or len(vocabulary(task_kind))
+    if task_kind in LANGUAGE_KINDS:
+        num_classes = m["num_classes"] or 2
+    elif task_kind in RECALL_KINDS:
+        num_classes = m["num_classes"] or vocab
+    else:
+        num_classes = m["num_classes"]
+    return HopeConfig(
+        vocab=vocab, dim=m["dim"], blocks=m["blocks"], num_classes=num_classes, core=m["core"],
+        objective=m["objective"], chunk=m["chunk"], mem_hidden=m["mem_hidden"], retention=m["retention"],
+        frozen_slots=tuple(m["frozen_slots"]), conv=m["conv"], use_cms=m["use_cms"],
+        cms_chunks=tuple(m["cms_chunks"]), cms_variant=m["cms_variant"], cms_hidden=m["cms_hidden"],
+        cms_lr=m["cms_lr"], cms_optimizer=m["cms_optimizer"], eta_bias=m["eta_bias"],
+        alpha_bias=m["alpha_bias"], fixed_eta=m["fixed_eta"], fixed_alpha=m["fixed_alpha"],
+        fast_weight_penalty=m["fast_weight_penalty"], tie_readout=m["tie_readout"],
+    )
+
+
+@pytest.mark.parametrize("kind", ["parity", "copy_recall", "char_lm"])
+def test_build_model_config_matches_hand_copy(kind):
+    cfg = resolve({"task": {"kind": kind}, "model": {"frozen_slots": ["q"]}})
+    built = build_model(cfg).config
+    expect = _hand_copied_config(cfg)
+    for f in dataclasses.fields(HopeConfig):
+        assert getattr(built, f.name) == getattr(expect, f.name), f.name
+    assert type(built.cms_chunks) is tuple and type(built.frozen_slots) is tuple
+
+
+def _fail_replace(src, dst):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize(
+    "write, target",
+    [
+        (lambda d: write_atomic(str(d / "out.bin"), b"new bytes"), "out.bin"),
+        (lambda d: write_atomic(str(d / "out.txt"), "new text"), "out.txt"),
+        (lambda d: emit_plot_series([{"step": 1, "loss": 0.5}], str(d)), "loss.csv"),
+        (lambda d: bench.run_contribution_report(str(d)), "contribution_curve.csv"),
+    ],
+    ids=["bytes", "text", "emit-plots", "bench-csv"],
+)
+def test_failed_atomic_write_leaves_no_temp_and_keeps_target(tmp_path, monkeypatch, write, target):
+    (tmp_path / target).write_text("old\n")
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path)
+    assert (tmp_path / target).read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_atomic_creates_directory_and_round_trips(tmp_path):
+    path = tmp_path / "a" / "b" / "blob"
+    write_atomic(str(path), b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
+    write_atomic(str(path), "text\n")
+    assert path.read_text() == "text\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["blob"]
 
 
 def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):

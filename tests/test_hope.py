@@ -206,3 +206,36 @@ def test_tied_readout_head():
     assert model.predict(tokens) == int(np.argmax(logits))
     with pytest.raises(ValueError):
         HopeModel(tiny_lm_config(tie_readout=True, num_classes=2), seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("b0.cms.level0.w1", np.zeros((7, 7)), T.ShapeError),  # wrong shape for a level weight
+        ("b0.cms.level0.eta", np.array(0.5), KeyError),  # a level field that is not a parameter
+        ("b0.cms.level5.w1", np.zeros((8, 4)), KeyError),  # a level the chain does not have
+        ("zzz", np.zeros(3), KeyError),
+        ("b0.norm1", np.zeros(3), T.ShapeError),
+    ],
+    ids=["cms-shape", "cms-eta", "cms-level-range", "unknown", "param-shape"],
+)
+def test_set_parameter_rejects_names_and_shapes_the_model_lacks(name, value, error):
+    model = HopeModel(tiny_lm_config(), seed=0)
+    before = {k: v.copy() for k, v in model.named_parameters().items()}
+    eta = model.chains[0].levels[0].eta
+    with pytest.raises(error):
+        model.set_parameter(name, value)
+    assert model.chains[0].levels[0].eta == eta
+    for key, arr in model.named_parameters().items():
+        assert np.array_equal(arr, before[key]), key
+
+
+def test_set_parameter_replaces_chain_weights_but_not_snapshots():
+    model = HopeModel(tiny_lm_config(cms_variant="independent"), seed=0)
+    level = model.chains[0].levels[1]
+    snap1 = level.snap1.copy()
+    model.set_parameter("b0.cms.level1.w1", np.full(level.w1.shape, 0.25))
+    model.set_parameter("b0.cms.agg", np.array([0.75, 0.25]))
+    assert np.array_equal(level.w1, np.full(level.w1.shape, 0.25))
+    assert np.array_equal(model.chains[0].agg_weights, [0.75, 0.25])
+    assert np.array_equal(level.snap1, snap1)
