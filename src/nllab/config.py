@@ -8,6 +8,7 @@ directory is self-describing.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -73,8 +74,24 @@ _TOP_DEFAULTS = {
 }
 
 
+# lower bound of each integer $.train field, and the range of each real one
+_TRAIN_INTS = {"steps": 0, "batch_size": 1, "eval_every": 0, "train_samples": 1, "eval_samples": 1, "eval_seed": 0}
+_TRAIN_REALS = {"eval_bin1_fraction": (0.0, 1.0), "clip_norm": (0.0, math.inf)}
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _check_train(train: dict) -> None:
+    for key, low in _TRAIN_INTS.items():
+        value = train[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"$.train.{key} must be an integer >= {low}, got {value!r}")
+    for key, (low, high) in _TRAIN_REALS.items():
+        value = train[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value <= high:
+            raise ConfigError(f"$.train.{key} must be a number in [{low}, {high}], got {value!r}")
 
 
 def _merge(defaults: dict, given: dict, path: str) -> dict:
@@ -106,8 +123,7 @@ def resolve(raw: dict) -> dict:
         raise ConfigError(f"unknown core {cfg['model']['core']!r} at $.model.core")
     if cfg["train"]["optimizer"] not in optim.KINDS:
         raise ConfigError(f"unknown optimizer {cfg['train']['optimizer']!r} at $.train.optimizer")
-    if cfg["train"]["steps"] < 0:
-        raise ConfigError("$.train.steps must be >= 0")
+    _check_train(cfg["train"])
     env_seed = os.environ.get("NLLAB_SEED")
     if env_seed is not None:
         cfg["seed"] = int(env_seed)

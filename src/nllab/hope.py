@@ -188,16 +188,17 @@ class HopeModel:
             v = T.matmul(nodes[f"b{b}.wv"], xn)
             scores = T.mul(T.matmul(T.transpose(k), q), math.sqrt(cfg.dim))
             out = T.matmul(v, T.causal_softmax_columns(scores))
-        else:  # linear attention baseline: prefix-sum fast weight, post-update read
+        else:
+            # linear attention baseline: M_t = M_{t-1} + v_t k_t^T read after the
+            # update as y_t = M_t q_t / (t+1), i.e. V (triu(K^T Q) / (t+1)) in
+            # closed form; verify's linear-attention-closed-form check holds it
+            # to the per-token prefix-sum graph
             q = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wq"], xn))
             k = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wk"], xn))
             v = T.matmul(nodes[f"b{b}.wv"], xn)
-            mem = tape.constant(np.zeros((cfg.dim, cfg.dim)))
-            cols = []
-            for t in range(xn.value.shape[1]):
-                mem = T.add(mem, T.outer(T.column(v, t), T.column(k, t)))
-                cols.append(T.mul(1.0 / (t + 1), T.matmul(mem, T.column(q, t))))
-            out = T.stack_columns(cols)
+            n = xn.value.shape[1]
+            mask = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+            out = T.matmul(v, T.mul(T.matmul(T.transpose(k), q), tape.constant(mask)))
         if not cfg.use_cms:
             return out
         on = self._rms(out, nodes[f"b{b}.norm2"])

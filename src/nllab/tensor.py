@@ -10,6 +10,7 @@ can verify every primitive's backward rule.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,9 +168,16 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitive applications; one backward pass allowed."""
+    """Ordered record of primitive applications; one backward pass allowed.
+
+    Nodes refer to their tape through a weak proxy, so a finished tape is
+    freed by reference counting alone, without waiting for the cyclic garbage
+    collector.  The caller keeps the tape alive while it records and runs
+    backward: a node whose tape is gone raises ReferenceError when used.
+    """
 
     def __init__(self):
+        self._proxy = weakref.proxy(self)
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
         self.layer_traces: list[LayerTrace] = []
@@ -178,7 +186,7 @@ class Tape:
     def _record(self, value, parents, vjp, fwd, op, param_name=None) -> Node:
         if not isinstance(value, np.ndarray):
             value = np.asarray(value, dtype=_DEFAULT_DTYPE)
-        node = Node(self, len(self.nodes), value, parents, vjp, fwd, op, param_name)
+        node = Node(self._proxy, len(self.nodes), value, parents, vjp, fwd, op, param_name)
         self.nodes.append(node)
         return node
 
@@ -205,7 +213,7 @@ class Tape:
         """
         if self._backward_done:
             raise TapeError("backward already run once on this tape")
-        if loss.tape is not self:
+        if loss.tape is not self._proxy:
             raise TapeError("loss node belongs to a different tape")
         if loss.value.shape != ():
             raise TapeError(f"backward requires a scalar loss, got shape {loss.value.shape}")
@@ -726,7 +734,7 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool) -> Node:
                 gk[:, j] += m.T @ gw
                 g = g + gw[:, None] * k
         # a tape runs one backward pass: free the saved states now rather than
-        # when the tape's reference cycle is collected
+        # when the caller drops the tape
         states.clear()
         resid.clear()
         return (g, gk, gu, ge, ga)

@@ -394,6 +394,75 @@ def check_linear_attention(faults=frozenset(), out_dir=None) -> CheckResult:
     return CheckResult("linear-attention-recovery", err < 1e-12, err, "degenerate block vs prefix-sum oracle")
 
 
+_LA_INPUTS = ("x", "b0.norm1", "b0.wq", "b0.wk", "b0.wv")
+
+
+def _linear_attention_oracle(model: HopeModel, tape: Tape, nodes: dict, x):
+    """The per-token graph that the closed-form linear-attention block replaces:
+    M_t = M_{t-1} + v_t k_t^T, read after the update as y_t = M_t q_t / (t+1)."""
+    xn = model._rms(x, nodes["b0.norm1"])
+    q = T.l2_normalize_columns(T.matmul(nodes["b0.wq"], xn))
+    k = T.l2_normalize_columns(T.matmul(nodes["b0.wk"], xn))
+    v = T.matmul(nodes["b0.wv"], xn)
+    mem = tape.constant(np.zeros((model.config.dim, model.config.dim)))
+    cols = []
+    for t in range(xn.value.shape[1]):
+        mem = T.add(mem, T.outer(T.column(v, t), T.column(k, t)))
+        cols.append(T.mul(1.0 / (t + 1), T.matmul(mem, T.column(q, t))))
+    return T.stack_columns(cols)
+
+
+def _linear_attention_run(block, model: HopeModel, vals: dict, probe: np.ndarray):
+    """Block output and the gradients of <output, probe> for the block input and weights."""
+    tape = Tape()
+    nodes = {name: tape.param(name, vals[name]) for name in _LA_INPUTS}
+    out = block(model, tape, nodes, nodes["x"])
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    return out.value, {name: grads[name].data for name in _LA_INPUTS}
+
+
+def _linear_attention_block(model: HopeModel, tape: Tape, nodes: dict, x):
+    return model._block(tape, nodes, 0, x)
+
+
+@register("linear-attention-closed-form")
+def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> CheckResult:
+    d = 6
+    model = HopeModel(HopeConfig(vocab=2, dim=d, core="linear_attention", use_cms=False), seed=0)
+    worst = 0.0  # closed-form block vs per-token graph: output and every gradient
+    fd_worst = 0.0  # directional derivatives vs central differences, relative
+    for n in (1, 2, 7):
+        rng = np.random.default_rng(20 + n)
+        vals = {name: rng.normal(size=(d, d)) for name in ("b0.wq", "b0.wk", "b0.wv")}
+        vals["x"] = rng.normal(size=(d, n))
+        vals["b0.norm1"] = rng.uniform(0.5, 1.5, size=d)
+        probe = rng.normal(size=(d, n))
+        fast, g_fast = _linear_attention_run(_linear_attention_block, model, vals, probe)
+        slow, g_slow = _linear_attention_run(_linear_attention_oracle, model, vals, probe)
+        worst = max(worst, float(np.abs(fast - slow).max()))
+        for name in _LA_INPUTS:
+            worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
+            # one random direction per input keeps the check to two forwards each
+            direction = rng.normal(size=vals[name].shape)
+
+            def f(s, name=name, direction=direction):
+                tape = Tape()
+                nodes = {other: tape.constant(vals[other]) for other in _LA_INPUTS}
+                nodes[name] = tape.constant(vals[name] + s.data[0] * direction)
+                return float((_linear_attention_block(model, tape, nodes, nodes["x"]).value * probe).sum())
+
+            fd = float(T.finite_diff_grad(f, Tensor([0.0])).data[0])
+            analytic = float((g_fast[name] * direction).sum())
+            fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
+    passed = worst <= 1e-12 and fd_worst < 1e-6
+    return CheckResult(
+        "linear-attention-closed-form",
+        passed,
+        worst,
+        f"closed form vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}",
+    )
+
+
 @register("hope-gradient-integrity")
 def check_hope_gradients(faults=frozenset(), out_dir=None) -> CheckResult:
     cfg = HopeConfig(vocab=10, dim=8, blocks=1, chunk=2, cms_chunks=(1, 2), cms_hidden=4, mem_hidden=8)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from nllab import bench, checkpoint, config
+from nllab import bench, checkpoint, config, verify
 from nllab.cli import build_model, main
 from nllab.config import ConfigError, load_config, resolve, write_json_atomic
 from nllab.fileio import write_atomic
@@ -187,6 +187,18 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         ({"model": {"dim": "16"}}, "$.model", ""),
         ({"task": {"kind": "parity", "bin0": [2, 40], "bin1": [30, 80]}}, "$.task", "bin1"),
         ({"task": {"kind": "toy_psi"}}, "$.task", "not a token-dataset task"),
+        # $.train values of the wrong type or range
+        ({"train": {"steps": "3"}}, "$.train.steps", "integer"),
+        ({"train": {"batch_size": "2"}}, "$.train.batch_size", "integer"),
+        ({"train": {"batch_size": 0}}, "$.train.batch_size", ">= 1"),
+        ({"train": {"eval_every": 2.5}}, "$.train.eval_every", "integer"),
+        ({"train": {"train_samples": True}}, "$.train.train_samples", "integer"),
+        ({"train": {"eval_samples": -1}}, "$.train.eval_samples", ">= 1"),
+        ({"train": {"eval_samples": 0}}, "$.train.eval_samples", ">= 1"),
+        ({"train": {"eval_seed": None}}, "$.train.eval_seed", "integer"),
+        ({"train": {"eval_bin1_fraction": 1.5}}, "$.train.eval_bin1_fraction", "[0.0, 1.0]"),
+        ({"train": {"clip_norm": -1.0}}, "$.train.clip_norm", "number"),
+        ({"train": {"clip_norm": "1"}}, "$.train.clip_norm", "number"),
     ]
     for i, (raw, path, detail) in enumerate(cases):
         out_dir = tmp_path / f"run{i}"
@@ -305,6 +317,12 @@ def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):
     assert main(["verify", "--filter", "hebbian", "--out", str(tmp_path), "--inject-fault", "hebbian-sign"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("name", [name for name, slow in verify.registered_checks() if not slow])
+def test_every_fast_verify_check_passes(tmp_path, name):
+    (result,) = [r for r in verify.run_checks(pattern=name, out_dir=str(tmp_path)) if r.name == name]
+    assert result.passed, result
 
 
 def test_cli_bench_optim_psi(tmp_path, capsys):

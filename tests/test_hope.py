@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -88,6 +90,49 @@ def test_attention_core_matches_hand_composed_pipeline():
     lv = model.chains[0].levels[0]
     expect = on + lv.w1 @ (T._silu(lv.w2 @ on))
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_linear_attention_core_matches_prefix_sum_reference(length):
+    model = HopeModel(tiny_lm_config(core="linear_attention", use_cms=False), seed=8)
+    x = np.random.default_rng(length).normal(size=(8, length))
+    got = hope_block_forward(model, Tensor(x)).data
+
+    xn = x / np.sqrt((x * x).mean(axis=0) + 1e-6) * model.params["b0.norm1"][:, None]
+    q = model.params["b0.wq"] @ xn
+    k = model.params["b0.wk"] @ xn
+    q, k = q / np.linalg.norm(q, axis=0), k / np.linalg.norm(k, axis=0)
+    v = model.params["b0.wv"] @ xn
+    mem = np.zeros((8, 8))
+    expect = np.empty_like(x)
+    for t in range(length):
+        mem += np.outer(v[:, t], k[:, t])
+        expect[:, t] = mem @ q[:, t] / (t + 1)
+    assert np.abs(got - expect).max() <= 1e-12
+
+
+def test_linear_attention_loss_tape_replays_bit_identically():
+    model = HopeModel(tiny_lm_config(core="linear_attention"), seed=9)
+    tape = Tape()
+    model.build_loss(tape, [{"tokens": [0, 5, 2, 9, 1, 7], "label": None}, {"tokens": [3, 4], "label": None}])
+    assert tape.replay() is True
+
+
+@pytest.mark.parametrize("core", ["srt", "attention", "linear_attention"])
+def test_finished_tape_is_freed_without_the_cyclic_collector(core):
+    model = HopeModel(tiny_lm_config(core=core), seed=10)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = Tape()
+        loss = model.build_loss(tape, [{"tokens": [0, 5, 2, 9, 1, 7], "label": None}], with_penalty=True)
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_training_is_deterministic_given_seed():
