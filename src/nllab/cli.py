@@ -9,13 +9,13 @@ import sys
 
 import numpy as np
 
-from . import bench, checkpoint, verify
+from . import bench, checkpoint, optim, verify
 from .config import ConfigError, load_config, write_json_atomic
-from .hope import DivergenceError, HopeConfig, HopeModel, train
+from .hope import DivergenceError, HopeConfig, HopeModel, outer_optimizer_states, train
 from .runlog import emit_plot_series, read_runlog, write_runlog
 from .seeding import derive_seed
 from .tasks import LANGUAGE_KINDS, RECALL_KINDS, TaskSpec, evaluate, generate, vocabulary
-from .tensor import ShapeError
+from .tensor import ShapeError, Tensor
 
 
 def build_task_data(cfg: dict, seed: int, params: dict, n: int) -> list[dict]:
@@ -61,6 +61,28 @@ def build_model(cfg: dict) -> HopeModel:
         raise ConfigError(f"invalid model config at $.model: {exc}") from exc
 
 
+def check_optimizers(cfg: dict, model: HopeModel) -> None:
+    """Build every optimizer state train() builds and take one zero-gradient step with each.
+
+    A kind, shape or hyperparameter an optimizer rejects raises ConfigError naming its key.
+    """
+    kind, hp = cfg["train"]["optimizer"], cfg["train"]["opt_hp"]
+    values = model.named_parameters()
+    try:
+        for name, state in outer_optimizer_states(model, kind, hp).items():
+            optim.step(kind, state, Tensor(values[name]), Tensor(np.zeros_like(values[name])))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        key = "optimizer" if not hp or isinstance(exc, (optim.UnsupportedShape, optim.MissingTrace)) else "opt_hp"
+        raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
+    try:
+        for chain, states in zip(model.chains, model.cms_opt_states):
+            for i, (st1, st2) in enumerate(states):
+                for state, w in ((st1, chain.levels[i].w1), (st2, chain.levels[i].w2)):
+                    optim.step(model.config.cms_optimizer, state, Tensor(w), Tensor(np.zeros_like(w)))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid level optimizer at $.model.cms_optimizer: {exc}") from exc
+
+
 def _eval_metrics(model: HopeModel, eval_data) -> dict:
     if model.config.num_classes:
         metrics = evaluate(model, eval_data)
@@ -75,6 +97,7 @@ def cmd_train(args) -> int:
     train_data = build_task_data(cfg, task_seed, cfg["task"]["params"], cfg["train"]["train_samples"])
     eval_data = build_eval_data(cfg)
     model = build_model(cfg)
+    check_optimizers(cfg, model)
     out_dir = cfg["out_dir"]
     write_json_atomic(os.path.join(out_dir, "config.json"), cfg)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .memory import MLP2, read_node
 from .tensor import Tape, Tensor
 
 VARIANTS = ("sequential", "nested", "independent")
@@ -141,7 +142,7 @@ def forward_with_nodes(chain: CmsChain, level_nodes: list[tuple], x, agg_node=No
     cur = x
     for (w1, w2) in level_nodes:
         src = x if chain.variant == "independent" else cur
-        read = T.add(src, T.matmul(w1, T.silu(T.matmul(w2, src))))
+        read = read_node((w1, w2), src, MLP2)
         reads.append(read)
         cur = read
     if chain.variant != "independent":

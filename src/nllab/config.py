@@ -84,6 +84,8 @@ class ConfigError(ValueError):
 
 
 def _check_train(train: dict) -> None:
+    if not isinstance(train["opt_hp"], dict):
+        raise ConfigError(f"$.train.opt_hp must be an object, got {train['opt_hp']!r}")
     for key, low in _TRAIN_INTS.items():
         value = train[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -124,9 +126,16 @@ def resolve(raw: dict) -> dict:
     if cfg["train"]["optimizer"] not in optim.KINDS:
         raise ConfigError(f"unknown optimizer {cfg['train']['optimizer']!r} at $.train.optimizer")
     _check_train(cfg["train"])
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+        raise ConfigError(f"$.seed must be an integer, got {cfg['seed']!r}")
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigError(f"$.out_dir must be a string, got {cfg['out_dir']!r}")
     env_seed = os.environ.get("NLLAB_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"NLLAB_SEED must be an integer, got {env_seed!r}") from None
     return cfg
 
 

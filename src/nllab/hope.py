@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,8 @@ class HopeConfig:
 
 
 class HopeModel:
-    """Parameter dict + per-block chain state; all methods deterministic."""
+    """Parameter dict + per-block chain state; all methods deterministic.  `build_loss`
+    records on the caller's tape; each value-level head (`score` included) records one forward."""
 
     def __init__(self, config: HopeConfig, seed: int = 0):
         self.config = config
@@ -152,8 +154,9 @@ class HopeModel:
     # graph construction
 
     def _register(self, tape: Tape) -> dict:
-        """Parameter nodes by name, plus each chain's (level_nodes, agg_node) under "b{b}.cms"."""
+        """Parameter nodes by name, the head's again as "head", each chain's (level_nodes, agg_node) as "b{b}.cms"."""
         nodes = {name: tape.param(name, value) for name, value in self.params.items()}
+        nodes["head"] = nodes["emb"] if self.config.tie_readout else nodes["readout"]
         for b, chain in enumerate(self.chains):
             if chain is not None:
                 nodes[f"b{b}.cms"] = cms_mod.register_nodes(chain, tape, f"b{b}.cms.")
@@ -209,7 +212,21 @@ class HopeModel:
         x = T.embedding(nodes["emb"], list(tokens))
         for b in range(self.config.blocks):
             x = self._block(tape, nodes, b, x, collect_penalty=collect_penalty)
-        return x  # hidden states; readout applied by the loss/predict heads
+        return x  # hidden states; readout applied by the heads
+
+    def _sample_loss(self, nodes: dict, h: Node, sample: dict) -> Node:
+        """One sample's loss from its hidden states `h`: next-token, per-prefix or last-token head."""
+        tokens = sample["tokens"]
+        head = nodes["head"]
+        if not self.config.num_classes:
+            if len(tokens) < 2:
+                raise ValueError("next-token loss needs sequences of length >= 2")
+            logits = T.matmul(head, T.slice_columns(h, 0, len(tokens) - 1))
+            return T.cross_entropy_columns(logits, list(tokens[1:]))
+        prefix = sample.get("prefix_labels")
+        if prefix is not None:
+            return T.cross_entropy_columns(T.matmul(head, h), [int(p) for p in prefix])
+        return T.cross_entropy(T.matmul(head, T.column(h, len(tokens) - 1)), int(sample["label"]))
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
         """Mean loss over a batch of samples ({"tokens", "label"} dicts).
@@ -221,51 +238,36 @@ class HopeModel:
         losses = []
         penalties = [] if (with_penalty and self.config.core == "srt" and self.config.fast_weight_penalty > 0) else None
         for sample in batch:
-            tokens = sample["tokens"]
-            h = self._sequence_logits(tape, nodes, tokens, collect_penalty=penalties)
-            if self.config.num_classes:
-                prefix = sample.get("prefix_labels")
-                if prefix is not None:
-                    logits = T.matmul(nodes["readout"], h)
-                    losses.append(T.cross_entropy_columns(logits, [int(p) for p in prefix]))
-                else:
-                    logits = T.matmul(nodes["readout"], T.column(h, len(tokens) - 1))
-                    losses.append(T.cross_entropy(logits, int(sample["label"])))
-            else:
-                if len(tokens) < 2:
-                    raise ValueError("next-token loss needs sequences of length >= 2")
-                head = nodes["emb"] if self.config.tie_readout else nodes["readout"]
-                logits = T.matmul(head, T.slice_columns(h, 0, len(tokens) - 1))
-                losses.append(T.cross_entropy_columns(logits, list(tokens[1:])))
-        total = losses[0]
-        for extra in losses[1:]:
-            total = T.add(total, extra)
-        total = T.mul(1.0 / len(losses), total)
+            h = self._sequence_logits(tape, nodes, sample["tokens"], collect_penalty=penalties)
+            losses.append(self._sample_loss(nodes, h, sample))
+        total = T.mul(1.0 / len(losses), reduce(T.add, losses))
         if penalties:
-            reg = penalties[0]
-            for extra in penalties[1:]:
-                reg = T.add(reg, extra)
-            total = T.add(total, T.mul(self.config.fast_weight_penalty / len(penalties), reg))
+            total = T.add(total, T.mul(self.config.fast_weight_penalty / len(penalties), reduce(T.add, penalties)))
         return total
 
     # ------------------------------------------------------------------
-    # value-level heads
+    # value-level heads: each records one forward on its own tape
 
-    def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
+    def _forward(self, tokens: Sequence[int]) -> tuple:
+        """(tape, nodes, hidden states, head argmax at the last position); nodes hold only a weak proxy to the tape."""
         tape = Tape()
         nodes = self._register(tape)
-        return self._sequence_logits(tape, nodes, tokens).value
+        h = self._sequence_logits(tape, nodes, tokens)
+        return tape, nodes, h, int(np.argmax(nodes["head"].value @ h.value[:, -1]))
+
+    def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
+        return self._forward(tokens)[2].value
 
     def predict(self, tokens: Sequence[int]) -> int:
-        h = self.hidden_states(tokens)
-        head = self.params["emb"] if self.config.tie_readout else self.params["readout"]
-        logits = head @ h[:, -1]
-        return int(np.argmax(logits))
+        return self._forward(tokens)[3]
+
+    def score(self, tokens: Sequence[int], label=None) -> tuple[int, float]:
+        """(predicted label or next token, loss) from one forward."""
+        _, nodes, h, prediction = self._forward(tokens)
+        return prediction, float(self._sample_loss(nodes, h, {"tokens": tokens, "label": label}).value)
 
     def loss(self, tokens: Sequence[int], label=None) -> float:
-        tape = Tape()
-        sample = {"tokens": tokens, "label": label}
-        return float(self.build_loss(tape, [sample]).value)
+        return self.score(tokens, label)[1]
 
     # ------------------------------------------------------------------
     # parameter access (checkpointing, finite differences)
@@ -304,13 +306,8 @@ def hope_block_forward(model: HopeModel, x: Tensor, block: int = 0) -> Tensor:
     return Tensor(model._block(tape, nodes, block, tape.constant(x.data)).value)
 
 
-def model_loss(model: HopeModel, tokens: Sequence[int]) -> float:
-    """Mean next-token cross-entropy over positions 1..L-1."""
-    if model.config.num_classes:
-        raise ValueError("model_loss is the next-token head; this model is a classifier")
-    if any(t < 0 or t >= model.config.vocab for t in tokens):
-        raise ValueError("token id out of range")
-    return model.loss(tokens)
+# train()'s outer Adam hyperparameters when the caller gives none
+ADAM_HP = dict(eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8, ema=True, bias_correction=True, weight_decay=0.01)
 
 
 def _global_grad_norm(grads: dict) -> float:
@@ -318,6 +315,16 @@ def _global_grad_norm(grads: dict) -> float:
     for g in grads.values():
         total += float((g.data * g.data).sum())
     return math.sqrt(total)
+
+
+def outer_optimizer_states(model: HopeModel, opt_kind: str, opt_hp: Optional[dict] = None) -> dict:
+    """Fresh outer optimizer state, keyed as in `named_parameters()`, for every array train() steps with it."""
+    hp = opt_hp or (ADAM_HP if opt_kind == "adam" else {})
+    shapes = {name: value.shape for name, value in model.params.items()}
+    for b, chain in enumerate(model.chains):
+        if chain is not None and chain.variant == "independent":
+            shapes[f"b{b}.cms.agg"] = chain.agg_weights.shape
+    return {name: optim.init_state(opt_kind, shape, **hp) for name, shape in shapes.items()}
 
 
 def train(
@@ -338,11 +345,8 @@ def train(
     follow the buffered-frequency rule: their directions accumulate and apply
     only at token-counter boundaries.
     """
-    opt_hp = dict(opt_hp or {})
-    if opt_kind == "adam" and not opt_hp:
-        opt_hp = dict(eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8, ema=True, bias_correction=True, weight_decay=0.01)
     rng = np.random.default_rng(seed)
-    opt_states: dict[str, optim.OptimizerState] = {}
+    opt_states = outer_optimizer_states(model, opt_kind, opt_hp)
     log: list[dict] = []
     clip = clip_norm if clip_norm and clip_norm > 0 else None
 
@@ -366,10 +370,7 @@ def train(
             grads = {k: Tensor(v.data * scale) for k, v in grads.items()}
 
         for name in sorted(model.params):
-            g = grads[name]
-            if name not in opt_states:
-                opt_states[name] = optim.init_state(opt_kind, model.params[name].shape, **opt_hp)
-            new_p, opt_states[name] = optim.step(opt_kind, opt_states[name], Tensor(model.params[name]), g)
+            new_p, opt_states[name] = optim.step(opt_kind, opt_states[name], Tensor(model.params[name]), grads[name])
             model.params[name] = new_p.data
 
         tokens_used = sum(len(s["tokens"]) for s in batch)
@@ -390,12 +391,8 @@ def train(
                     pairs.append((lv.w1 - p1.data, lv.w2 - p2.data))
             cms_accumulate(chain, pairs)
             if chain.variant == "independent":
-                gagg = grads[f"b{b}.cms.agg"]
-                if "cms_agg" + str(b) not in opt_states:
-                    opt_states["cms_agg" + str(b)] = optim.init_state(opt_kind, chain.agg_weights.shape, **opt_hp)
-                new_agg, opt_states["cms_agg" + str(b)] = optim.step(
-                    opt_kind, opt_states["cms_agg" + str(b)], Tensor(chain.agg_weights), gagg
-                )
+                key = f"b{b}.cms.agg"
+                new_agg, opt_states[key] = optim.step(opt_kind, opt_states[key], Tensor(chain.agg_weights), grads[key])
                 chain.agg_weights = new_agg.data
 
         for tick in range(model.token_count + 1, model.token_count + tokens_used + 1):

@@ -312,20 +312,22 @@ def forgetting_metric(losses_before: Sequence[float], losses_after: Sequence[flo
 
 
 def evaluate(model, dataset: Sequence[dict]) -> dict:
-    """Accuracy per length bin plus mean loss for a predict/loss model.
+    """Accuracy per length bin plus mean loss, one model call per sample.
 
-    `model` exposes predict(tokens) -> label and, optionally,
-    loss(tokens, label) -> float.
+    `model` exposes score(tokens, label) -> (label, loss), which gives both
+    from one forward, or only predict(tokens) -> label (no loss, reported as nan).
     """
     if not dataset:
         raise ValueError("empty dataset")
     hits = {0: [], 1: []}
     losses = []
     for sample in dataset:
-        pred = model.predict(sample["tokens"])
+        if hasattr(model, "score"):
+            pred, loss = model.score(sample["tokens"], sample["label"])
+            losses.append(loss)
+        else:
+            pred = model.predict(sample["tokens"])
         hits[sample["bin"]].append(float(pred == sample["label"]))
-        if hasattr(model, "loss"):
-            losses.append(model.loss(sample["tokens"], sample["label"]))
     out = {
         "accuracy": float(np.mean(hits[0] + hits[1])),
         "accuracy_bin0": float(np.mean(hits[0])) if hits[0] else float("nan"),

@@ -43,18 +43,6 @@ def checked() -> bool:
     return _CHECKED
 
 
-def set_default_dtype(dtype) -> None:
-    """Working precision switch (float64 default, float32 optional)."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if _CHECKED and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
@@ -65,8 +53,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.array(data, dtype=dtype or _DEFAULT_DTYPE, order="C")
+    def __init__(self, data):
+        arr = np.array(data, dtype=_DEFAULT_DTYPE, order="C")
         if _CHECKED:
             if not np.isfinite(arr).all():
                 raise NonFiniteError("non-finite values in Tensor construction")
@@ -87,18 +75,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
-
-
-def tensor(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype)
 
 
 def zeros(*shape) -> Tensor:
@@ -162,9 +140,6 @@ class Node:
     @property
     def shape(self) -> tuple:
         return self.value.shape
-
-    def to_tensor(self) -> Tensor:
-        return Tensor(self.value)
 
 
 class Tape:

@@ -174,7 +174,7 @@ def test_cli_train_zero_steps_writes_initial_state(tmp_path):
     assert "emb" in tensors
 
 
-def test_cli_rejects_invalid_config(tmp_path, capsys):
+def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"task": {"kind": "parity", "oops": True}}))
     assert main(["train", str(bad)]) == 2
@@ -199,15 +199,37 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
         ({"train": {"eval_bin1_fraction": 1.5}}, "$.train.eval_bin1_fraction", "[0.0, 1.0]"),
         ({"train": {"clip_norm": -1.0}}, "$.train.clip_norm", "number"),
         ({"train": {"clip_norm": "1"}}, "$.train.clip_norm", "number"),
+        # optimizer settings train() would fail on at its first step
+        ({"train": {"optimizer": "muon"}}, "$.train.optimizer", "matrix-shaped"),
+        ({"train": {"optimizer": "m3"}}, "$.train.optimizer", "matrix-shaped"),
+        ({"train": {"optimizer": "dgd_trainer"}}, "$.train.optimizer", "LayerTrace"),
+        ({"train": {"optimizer": "adagrad_m"}}, "$.train.optimizer", "> 64"),
+        ({"model": {"cms_optimizer": "dgd_trainer"}}, "$.model.cms_optimizer", "LayerTrace"),
+        ({"train": {"opt_hp": 5}}, "$.train.opt_hp", "object"),
+        ({"train": {"opt_hp": {"foo": 1}}}, "$.train.opt_hp", "foo"),
+        ({"train": {"opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
+        ({"train": {"optimizer": "sgd", "opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
+        # top-level values of the wrong type
+        ({"seed": "x"}, "$.seed", "integer"),
+        ({"seed": 1.5}, "$.seed", "integer"),
+        ({"seed": True}, "$.seed", "integer"),
+        ({"out_dir": 5}, "$.out_dir", "string"),
     ]
-    for i, (raw, path, detail) in enumerate(cases):
+    env_cases = [("x", "NLLAB_SEED", "integer"), ("1.5", "NLLAB_SEED", "integer")]
+    for i, (raw, path, detail) in enumerate(cases + env_cases):
         out_dir = tmp_path / f"run{i}"
-        bad.write_text(json.dumps({"out_dir": str(out_dir), "train": {"train_samples": 4, "eval_samples": 4}, **raw}))
+        sizes = {"train_samples": 4, "eval_samples": 4}
+        if isinstance(raw, str):
+            monkeypatch.setenv("NLLAB_SEED", raw)
+            raw = {}
+        raw = {**raw, "train": {**sizes, **raw.get("train", {})}}
+        bad.write_text(json.dumps({"out_dir": str(out_dir), **raw}))
         assert main(["train", str(bad)]) == 2, raw
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err and detail in err, err
         assert "Traceback" not in err
         assert not (out_dir / "config.json").exists()
+    assert not (tmp_path / "5").exists() and not os.path.exists("5")
 
 
 def _eval_checkpoint(tmp_path, edit) -> tuple[int, str]:

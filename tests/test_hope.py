@@ -7,7 +7,7 @@ import pytest
 
 from nllab import tasks
 from nllab import tensor as T
-from nllab.hope import HopeConfig, HopeModel, hope_block_forward, model_loss, train
+from nllab.hope import HopeConfig, HopeModel, hope_block_forward, train
 from nllab.tensor import Tape, Tensor, finite_diff_grad
 
 
@@ -21,27 +21,65 @@ def test_uniform_logits_loss_is_log_vocab():
     # zero-initialized readout gives exactly uniform logits
     model = HopeModel(tiny_lm_config(), seed=0)
     tokens = [1, 2, 3, 4, 5]
-    assert abs(model_loss(model, tokens) - math.log(12)) < 1e-12
+    assert abs(model.loss(tokens) - math.log(12)) < 1e-12
 
 
 def test_model_loss_rejects_bad_tokens_and_short_sequences():
     model = HopeModel(tiny_lm_config(), seed=0)
     with pytest.raises(ValueError):
-        model_loss(model, [0, 99])
+        model.loss([0, 99])
     with pytest.raises(ValueError):
-        model_loss(model, [3])
+        model.loss([3])
 
 
 def test_loss_matches_primitive_recomputation():
     model = HopeModel(tiny_lm_config(), seed=3)
     tokens = [0, 5, 2, 9, 1, 7]
-    got = model_loss(model, tokens)
+    got = model.loss(tokens)
     h = model.hidden_states(tokens)
     logits = model.params["readout"] @ h[:, :-1]
     z = logits - logits.max(axis=0)
     ls = z - np.log(np.exp(z).sum(axis=0))
     expect = float(-ls[tokens[1:], np.arange(len(tokens) - 1)].mean())
     assert abs(got - expect) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        HopeConfig(vocab=2, dim=8, num_classes=2, chunk=1, cms_chunks=(1, 4), cms_hidden=4),
+        HopeConfig(vocab=17, dim=8, num_classes=17, chunk=4, cms_chunks=(1, 4), cms_hidden=4, cms_variant="independent"),
+        tiny_lm_config(core="attention"),
+        tiny_lm_config(core="linear_attention", tie_readout=True),
+    ],
+    ids=["classifier", "classifier-17-independent", "next-token-attention", "tied-linear-attention"],
+)
+def test_score_is_predict_and_loss_from_one_forward(cfg):
+    model = HopeModel(cfg, seed=15)
+    rng = np.random.default_rng(16)
+    if "readout" in model.params:
+        # a random readout, so neither predictions nor losses are those of all-zero logits
+        model.set_parameter("readout", rng.normal(size=model.params["readout"].shape))
+    head = model.params["emb"] if cfg.tie_readout else model.params["readout"]
+    for length in (2, 3, 9):
+        tokens = [int(t) for t in rng.integers(0, cfg.vocab, size=length)]
+        label = int(rng.integers(0, cfg.num_classes)) if cfg.num_classes else None
+        prediction, loss = model.score(tokens, label)
+        assert prediction == model.predict(tokens) == int(np.argmax(head @ model.hidden_states(tokens)[:, -1]))
+        # bit for bit the loss of a one-sample training tape
+        assert loss == model.loss(tokens, label) == float(model.build_loss(Tape(), [{"tokens": tokens, "label": label}]).value)
+
+
+def test_evaluate_records_one_tape_per_sample(monkeypatch):
+    cfg = HopeConfig(vocab=2, dim=8, num_classes=2, chunk=1, cms_chunks=(1, 4), cms_hidden=4)
+    model = HopeModel(cfg, seed=17)
+    data = tasks.generate(tasks.TaskSpec("parity", seed=18, bin0=(2, 6), bin1=(7, 9)), 6)
+    registered = []
+    register = HopeModel._register
+    monkeypatch.setattr(HopeModel, "_register", lambda self, tape: registered.append(tape) or register(self, tape))
+    out = tasks.evaluate(model, data)
+    assert len(registered) == len(data)
+    assert out["loss"] == np.mean([model.loss(s["tokens"], s["label"]) for s in data])
 
 
 def test_block_forward_pure_under_repeat():
@@ -244,7 +282,7 @@ def test_tied_readout_head():
     model = HopeModel(cfg, seed=14)
     assert "readout" not in model.params
     tokens = [1, 2, 3, 4]
-    loss = model_loss(model, tokens)
+    loss = model.loss(tokens)
     assert math.isfinite(loss)
     h = model.hidden_states(tokens)
     logits = model.params["emb"] @ h[:, -1]

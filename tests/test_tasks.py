@@ -177,6 +177,11 @@ def test_evaluate_with_recognizer_and_constant_models():
     # labels alternate positive/negative, so a constant predictor sits at exactly one half
     constant = evaluate(ConstantModel(1), data)
     assert constant["accuracy"] == 0.5
+    # models with predict only report no loss
+    assert set(perfect) == set(constant) == {"accuracy", "accuracy_bin0", "accuracy_bin1", "loss"}
+    assert np.isnan(perfect["loss"]) and np.isnan(constant["loss"])
+    hits1 = [s["label"] == 1 for s in data if s["bin"] == 1]
+    assert constant["accuracy_bin1"] == np.mean(hits1)
 
 
 def test_forgetting_metric_zero_for_untouched_model():
