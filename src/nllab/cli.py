@@ -62,7 +62,8 @@ def build_model(cfg: dict) -> HopeModel:
 
 
 def check_optimizers(cfg: dict, model: HopeModel) -> None:
-    """Build every optimizer state train() builds and take one zero-gradient step with each.
+    """Build every optimizer state train() builds and take one step with each, on a
+    gradient of ones: some settings are read only when the gradient is non-zero.
 
     A kind, shape or hyperparameter an optimizer rejects raises ConfigError naming its key.
     """
@@ -70,7 +71,7 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
     values = model.named_parameters()
     try:
         for name, state in outer_optimizer_states(model, kind, hp).items():
-            optim.step(kind, state, Tensor(values[name]), Tensor(np.zeros_like(values[name])))
+            optim.step(kind, state, Tensor(values[name]), Tensor(np.ones_like(values[name])))
     except (TypeError, ValueError, ArithmeticError) as exc:
         key = "optimizer" if not hp or isinstance(exc, (optim.UnsupportedShape, optim.MissingTrace)) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
@@ -78,7 +79,7 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
         for chain, states in zip(model.chains, model.cms_opt_states):
             for i, (st1, st2) in enumerate(states):
                 for state, w in ((st1, chain.levels[i].w1), (st2, chain.levels[i].w2)):
-                    optim.step(model.config.cms_optimizer, state, Tensor(w), Tensor(np.zeros_like(w)))
+                    optim.step(model.config.cms_optimizer, state, Tensor(w), Tensor(np.ones_like(w)))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid level optimizer at $.model.cms_optimizer: {exc}") from exc
 

@@ -168,23 +168,30 @@ def cms_accumulate(chain: CmsChain, grads: list[tuple]) -> None:
         lv.acc2 = lv.acc2 + lv.eta * g2
 
 
-def cms_tick(chain: CmsChain, i: int) -> list[int]:
-    """Apply buffered updates for every level whose boundary divides step i.
+def cms_tick(chain: CmsChain, i: int, n: int = 1) -> list[int]:
+    """Tick steps i, ..., i+n-1: apply buffered updates for every level whose
+    boundary divides one of them.
 
-    Returns the indices of levels that applied.  Nested chains then restore
-    each level to its snapshot whenever the next-slower level applied.
+    Returns the indices of levels that applied at least once.  Nested chains
+    then restore each level to its snapshot whenever the next-slower level
+    applied.  The result is bit-identical to n single-step ticks: the
+    accumulators are zero after a level's first application, so later ones in
+    the range subtract nothing and only raise its `applied` count.
     """
     if i <= chain.last_step:
         raise ValueError(f"tick steps must strictly increase, got {i} after {chain.last_step}")
-    chain.last_step = i
+    if n < 1:
+        raise ValueError(f"tick count must be >= 1, got {n}")
+    chain.last_step = i + n - 1
     applied = []
     for idx, lv in enumerate(chain.levels):
-        if lv.chunk is not None and i % lv.chunk == 0:
+        boundaries = 0 if lv.chunk is None else (i + n - 1) // lv.chunk - (i - 1) // lv.chunk
+        if boundaries:
             lv.w1 = lv.w1 - lv.acc1
             lv.w2 = lv.w2 - lv.acc2
             lv.acc1 = np.zeros_like(lv.acc1)
             lv.acc2 = np.zeros_like(lv.acc2)
-            lv.applied += 1
+            lv.applied += boundaries
             applied.append(idx)
     if chain.variant == "nested":
         for idx in range(len(chain.levels) - 1):

@@ -167,8 +167,10 @@ class HopeModel:
         r = T.reciprocal(T.sqrt(T.add(m, 1e-6)))
         return T.scale_rows(T.scale_columns(x, r), gain)
 
-    def _block(self, tape: Tape, nodes: dict, b: int, x: Node, collect_penalty=None) -> Node:
+    def _block(self, tape: Tape, nodes: dict, b: int, x: Node, lengths: Sequence[int], collect_penalty=None) -> Node:
+        """Block `b` over time-major (d, L*B) columns of B sequences of the given lengths."""
         cfg = self.config
+        batch = len(lengths)
         xn = self._rms(x, nodes[f"b{b}.norm1"])
         if cfg.core == "srt":
             weights = {
@@ -180,66 +182,73 @@ class HopeModel:
                 for slot in SLOTS
             }
             kernel = nodes.get(f"b{b}.conv")
-            out, final = srt_forward_nodes(tape, self.srt_cfg, weights, nodes[f"b{b}.wq"], xn, conv_kernel=kernel)
+            out, final = srt_forward_nodes(
+                tape, self.srt_cfg, weights, nodes[f"b{b}.wq"], xn, conv_kernel=kernel, lengths=lengths
+            )
             if collect_penalty is not None:
+                # the mean over a (B,p,n) stack is the mean of the B samples' own means
                 for ws in final.values():
                     for w in ws:
                         collect_penalty.append(T.mean_all(T.mul(w, w)))
-        elif cfg.core == "attention":
-            q = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wq"], xn))
-            k = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wk"], xn))
-            v = T.matmul(nodes[f"b{b}.wv"], xn)
-            scores = T.mul(T.matmul(T.transpose(k), q), math.sqrt(cfg.dim))
-            out = T.matmul(v, T.causal_softmax_columns(scores))
         else:
-            # linear attention baseline: M_t = M_{t-1} + v_t k_t^T read after the
-            # update as y_t = M_t q_t / (t+1), i.e. V (triu(K^T Q) / (t+1)) in
-            # closed form; verify's linear-attention-closed-form check holds it
-            # to the per-token prefix-sum graph
-            q = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wq"], xn))
-            k = T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wk"], xn))
-            v = T.matmul(nodes[f"b{b}.wv"], xn)
-            n = xn.value.shape[1]
-            mask = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
-            out = T.matmul(v, T.mul(T.matmul(T.transpose(k), q), tape.constant(mask)))
+            # the attention cores form one (d, L) matrix per sample, so each
+            # sample sees only its own tokens
+            q = T.sample_stack(T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wq"], xn)), batch)
+            k = T.sample_stack(T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wk"], xn)), batch)
+            v = T.sample_stack(T.matmul(nodes[f"b{b}.wv"], xn), batch)
+            scores = T.matmul(T.transpose(k), q)
+            if cfg.core == "attention":
+                mix = T.causal_softmax_columns(T.mul(scores, math.sqrt(cfg.dim)))
+            else:
+                # linear attention baseline: M_t = M_{t-1} + v_t k_t^T read after
+                # the update as y_t = M_t q_t / (t+1), i.e. V (triu(K^T Q) / (t+1))
+                # in closed form; verify's linear-attention-closed-form check
+                # holds it to the per-token prefix-sum graph
+                n = scores.value.shape[-1]
+                mask = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+                mix = T.mul(scores, tape.constant(np.broadcast_to(mask, scores.value.shape)))
+            out = T.time_major(T.matmul(v, mix))
         if not cfg.use_cms:
             return out
         on = self._rms(out, nodes[f"b{b}.norm2"])
         level_nodes, agg_node = nodes[f"b{b}.cms"]
         return cms_mod.forward_with_nodes(self.chains[b], level_nodes, on, agg_node=agg_node)
 
-    def _sequence_logits(self, tape: Tape, nodes: dict, tokens: Sequence[int], collect_penalty=None) -> Node:
-        x = T.embedding(nodes["emb"], list(tokens))
+    def _hidden(self, tape: Tape, nodes: dict, sequences: Sequence[Sequence[int]], collect_penalty=None) -> Node:
+        """Hidden states of B sequences as time-major (d, L*B) columns, shorter ones padded with token 0."""
+        lengths = [len(tokens) for tokens in sequences]
+        ids = [tokens[t] if t < len(tokens) else 0 for t in range(max(lengths)) for tokens in sequences]
+        x = T.embedding(nodes["emb"], ids)
         for b in range(self.config.blocks):
-            x = self._block(tape, nodes, b, x, collect_penalty=collect_penalty)
-        return x  # hidden states; readout applied by the heads
+            x = self._block(tape, nodes, b, x, lengths, collect_penalty=collect_penalty)
+        return x  # readout applied by the heads
 
-    def _sample_loss(self, nodes: dict, h: Node, sample: dict) -> Node:
-        """One sample's loss from its hidden states `h`: next-token, per-prefix or last-token head."""
+    def _sample_loss(self, nodes: dict, h: Node, sample: dict, b: int = 0, batch: int = 1) -> Node:
+        """Loss of sample `b` of a time-major batch from its real columns of `h`:
+        next-token, per-prefix or last-token head."""
         tokens = sample["tokens"]
         head = nodes["head"]
         if not self.config.num_classes:
             if len(tokens) < 2:
                 raise ValueError("next-token loss needs sequences of length >= 2")
-            logits = T.matmul(head, T.slice_columns(h, 0, len(tokens) - 1))
+            logits = T.matmul(head, T.slice_columns(h, b, (len(tokens) - 1) * batch, batch))
             return T.cross_entropy_columns(logits, list(tokens[1:]))
         prefix = sample.get("prefix_labels")
         if prefix is not None:
-            return T.cross_entropy_columns(T.matmul(head, h), [int(p) for p in prefix])
-        return T.cross_entropy(T.matmul(head, T.column(h, len(tokens) - 1)), int(sample["label"]))
+            logits = T.matmul(head, T.slice_columns(h, b, len(tokens) * batch, batch))
+            return T.cross_entropy_columns(logits, [int(p) for p in prefix])
+        return T.cross_entropy(T.matmul(head, T.column(h, (len(tokens) - 1) * batch + b)), int(sample["label"]))
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
-        """Mean loss over a batch of samples ({"tokens", "label"} dicts).
+        """Mean loss over a batch of samples ({"tokens", "label"} dicts), from one forward graph.
 
         `with_penalty` adds the fast-weight norm regularizer (training only;
         the plain loss surface stays the task loss).
         """
         nodes = self._register(tape)
-        losses = []
         penalties = [] if (with_penalty and self.config.core == "srt" and self.config.fast_weight_penalty > 0) else None
-        for sample in batch:
-            h = self._sequence_logits(tape, nodes, sample["tokens"], collect_penalty=penalties)
-            losses.append(self._sample_loss(nodes, h, sample))
+        h = self._hidden(tape, nodes, [sample["tokens"] for sample in batch], collect_penalty=penalties)
+        losses = [self._sample_loss(nodes, h, sample, b, len(batch)) for b, sample in enumerate(batch)]
         total = T.mul(1.0 / len(losses), reduce(T.add, losses))
         if penalties:
             total = T.add(total, T.mul(self.config.fast_weight_penalty / len(penalties), reduce(T.add, penalties)))
@@ -252,7 +261,7 @@ class HopeModel:
         """(tape, nodes, hidden states, head argmax at the last position); nodes hold only a weak proxy to the tape."""
         tape = Tape()
         nodes = self._register(tape)
-        h = self._sequence_logits(tape, nodes, tokens)
+        h = self._hidden(tape, nodes, [tokens])
         return tape, nodes, h, int(np.argmax(nodes["head"].value @ h.value[:, -1]))
 
     def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
@@ -303,7 +312,7 @@ def hope_block_forward(model: HopeModel, x: Tensor, block: int = 0) -> Tensor:
     """One block applied to explicit (d,L) token representations; pure read."""
     tape = Tape()
     nodes = model._register(tape)
-    return Tensor(model._block(tape, nodes, block, tape.constant(x.data)).value)
+    return Tensor(model._block(tape, nodes, block, tape.constant(x.data), [x.shape[1]]).value)
 
 
 # train()'s outer Adam hyperparameters when the caller gives none
@@ -395,10 +404,9 @@ def train(
                 new_agg, opt_states[key] = optim.step(opt_kind, opt_states[key], Tensor(chain.agg_weights), grads[key])
                 chain.agg_weights = new_agg.data
 
-        for tick in range(model.token_count + 1, model.token_count + tokens_used + 1):
-            for chain in model.chains:
-                if chain is not None:
-                    cms_tick(chain, tick)
+        for chain in model.chains:
+            if chain is not None:
+                cms_tick(chain, model.token_count + 1, tokens_used)
         model.token_count += tokens_used
 
         record = {"step": step_idx, "loss": loss, "grad_norm": gnorm}

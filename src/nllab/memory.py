@@ -89,15 +89,22 @@ def read(memory: Memory, q: Tensor) -> Tensor:
     return Tensor(qv + w1 @ T._silu(w2 @ qv))
 
 
-def read_node(weights, q, kind: str):
+def read_node(weights, q, kind: str, widths=None):
     """Tape-graph version of `read`; weights are nodes, q is a node.
 
-    Accepts a vector (one query) or a matrix of column queries.
+    Accepts a vector (one query) or a matrix of column queries.  Weights with a
+    leading batch axis (B,p,n) read time-major batch columns with
+    `tensor.bmatmul`, over the real columns `widths` names.
     """
+    if weights[0].value.ndim == 3:
+        def mm(w, x):
+            return T.bmatmul(w, x, widths)
+    else:
+        mm = T.matmul
     if kind == LINEAR:
-        return T.matmul(weights[0], q)
+        return mm(weights[0], q)
     w1, w2 = weights
-    return T.add(q, T.matmul(w1, T.silu(T.matmul(w2, q))))
+    return T.add(q, mm(w1, T.silu(mm(w2, q))))
 
 
 def _check_gates(eta: float, alpha: float) -> None:

@@ -14,6 +14,15 @@ each fast weight with one `tensor.decay_scan` node that folds the decay
 recurrence over the columns in token order.  A chunk of 1 recovers exact
 token-by-token stepping.
 
+A batch of B sequences runs as one time-major (d, L*B) matrix (column t*B + b
+holds token t of sample b; see `tensor`), so a chunk is a (d, C*B) slice.
+Each snapshot is broadcast once to a (B,p,n) fast weight that every read
+multiplies sample by sample (`tensor.bmatmul`).  Shorter samples are padded
+at their end.  Their padded columns reach no real column, and `decay_scan`
+pins the gates there to eta = 0, alpha = 1, so each sample's fast weights end
+bit-identical to those of its own run on the same input.  B = 1 is a plain
+sequence.
+
 Linear-memory update with the retention factor (objective `l2`):
     M_t = M_{t-1} (a_t I - e_t k_t k_t^T) - e_t (M_b k_t - vhat_t) k_t^T
 where M_b is the chunk-boundary state, i.e. a decay_scan with residuals
@@ -115,19 +124,19 @@ def reset(state: SrtState) -> SrtState:
     return replace(state, weights={slot: tuple(w.copy() for w in ws) for slot, ws in state.inits.items()})
 
 
-def _permute(x: Node, order: Sequence[int]) -> Node:
-    return T.concat_columns([T.slice_columns(x, i, i + 1) for i in order])
+def _permute(x: Node, order: Sequence[int], batch: int) -> Node:
+    return T.concat_columns([T.slice_columns(x, i * batch, (i + 1) * batch) for i in order])
 
 
-def _elements(cfg: SrtConfig, boundary: dict, wq: Node, x: Node, xkv: Node, slots: Sequence[str]) -> dict:
-    """Element work of one chunk as (d,C) matrices, every read against the boundary memories.
+def _elements(cfg: SrtConfig, boundary: dict, wq: Node, x: Node, xkv: Node, slots: Sequence[str], widths) -> dict:
+    """Element work of one chunk as (d, C*B) matrices, every read against the boundary memories.
 
     Holds the output `y`, the key `k`, the gate reads `eta`/`alpha` (unless
     fixed) and one self-generated target `vhat.<slot>` per updated slot.
     """
 
     def read(slot: str, cols: Node) -> Node:
-        return read_node(boundary[slot], cols, cfg.kinds[slot])
+        return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
 
     def norm(cols: Node, on: bool) -> Node:
         return T.l2_normalize_columns_safe(cols) if on else cols
@@ -150,19 +159,19 @@ def _gate(tape: Tape, fixed: Optional[float], reads: Optional[Node], bias: float
     return squash(T.add(T.mean_axis0(reads), bias))
 
 
-def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k: Node, vhat: Node, eta: Node, alpha: Node) -> tuple:
+def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k: Node, vhat: Node, eta: Node, alpha: Node, widths) -> tuple:
     """One chunk's update of a memory: one decay_scan per weight, from the boundary state."""
     if kind == LINEAR:
         (m,) = boundary
-        u = T.sub(T.matmul(m, k), vhat) if cfg.objective == "l2" else T.neg(vhat)
-        return (T.decay_scan(m, k, u, eta, alpha, cfg.retention),)
+        u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.neg(vhat)
+        return (T.decay_scan(m, k, u, eta, alpha, cfg.retention, widths),)
     # weight-space gradient of the residual MLP read, no retention factor
     w1, w2 = boundary
-    z = T.matmul(w2, k)
+    z = T.bmatmul(w2, k, widths)
     h = T.silu(z)
-    r = T.sub(T.add(k, T.matmul(w1, h)), vhat) if cfg.objective == "l2" else T.neg(vhat)
-    u2 = T.mul(T.matmul(T.transpose(w1), r), T.silu_grad(z))
-    return (T.decay_scan(w1, h, r, eta, alpha, False), T.decay_scan(w2, k, u2, eta, alpha, False))
+    r = T.sub(T.add(k, T.bmatmul(w1, h, widths)), vhat) if cfg.objective == "l2" else T.neg(vhat)
+    u2 = T.mul(T.bmatmul(T.transpose(w1), r, widths), T.silu_grad(z))
+    return (T.decay_scan(w1, h, r, eta, alpha, False, widths), T.decay_scan(w2, k, u2, eta, alpha, False, widths))
 
 
 def srt_forward_nodes(
@@ -174,42 +183,53 @@ def srt_forward_nodes(
     chunk: Optional[int] = None,
     conv_kernel: Optional[Node] = None,
     element_order: Optional[Sequence[int]] = None,
+    lengths: Optional[Sequence[int]] = None,
 ):
-    """Graph-level forward over a (d,L) token matrix.
+    """Graph-level forward over a (d,L) token matrix, or over a time-major
+    (d, L*B) batch of B sequences of the given `lengths` (each at most L).
 
-    `weights` maps slot -> tuple of weight nodes (params for meta-training,
-    constants for plain evaluation).  Returns (Y node, final weight nodes).
-    `element_order` permutes the columns of each chunk before the element work
-    and restores them after it; outputs are positional, so any order must give
-    identical results.
+    `weights` maps slot -> tuple of snapshot nodes (params for meta-training,
+    constants for plain evaluation).  Returns (Y node, final (B,p,n) weight
+    nodes).  `element_order` permutes the tokens of each chunk before the
+    element work and restores them after it; outputs are positional, so any
+    order must give identical results.
     """
-    d, L = x.value.shape
+    d, width = x.value.shape
     if d != cfg.dim:
         raise T.ShapeError(f"token width {d} does not match configured width {cfg.dim}")
     chunk = chunk or cfg.chunk
     if chunk < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    lengths = [width] if lengths is None else [int(n) for n in lengths]
+    batch = len(lengths)
+    L = width // batch
+    if width % batch or min(lengths) < 1 or max(lengths) > L:
+        raise T.ShapeError(f"{width} columns do not hold {batch} sequences of lengths {lengths}")
+    padded = min(lengths) < L
+    if padded and element_order is not None:
+        raise ValueError("element_order applies to unpadded sequences only")
 
-    xkv = T.causal_depthwise_conv(x, conv_kernel) if conv_kernel is not None else x
+    xkv = T.causal_depthwise_conv(x, conv_kernel, batch) if conv_kernel is not None else x
     slots = [slot for slot in SLOTS if slot in cfg.update_slots]
-    cur = dict(weights)
+    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
     outputs = []
     for start in range(0, L, chunk):
         n = min(start + chunk, L) - start
-        xc = T.slice_columns(x, start, start + n)
-        xkvc = T.slice_columns(xkv, start, start + n) if conv_kernel is not None else xc
+        widths = [min(max(length - start, 0), n) for length in lengths] if padded else None  # real columns
+        xc = T.slice_columns(x, start * batch, (start + n) * batch)
+        xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
         if element_order is None:
-            e = _elements(cfg, cur, wq, xc, xkvc, slots)
+            e = _elements(cfg, cur, wq, xc, xkvc, slots, widths)
         else:
             order = [i for i in element_order if i < n]
-            xp = _permute(xc, order)
-            xkvp = _permute(xkvc, order) if conv_kernel is not None else xp
+            xp = _permute(xc, order, batch)
+            xkvp = _permute(xkvc, order, batch) if conv_kernel is not None else xp
             inverse = np.argsort(order)
-            e = {name: _permute(m, inverse) for name, m in _elements(cfg, cur, wq, xp, xkvp, slots).items()}
-        eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n)
-        alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n)
+            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, wq, xp, xkvp, slots, None).items()}
+        eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n * batch)
+        alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n * batch)
         for slot in slots:
-            cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha)
+            cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
         outputs.append(e["y"])
     return T.concat_columns(outputs), cur
 
@@ -222,7 +242,7 @@ def _as_nodes(tape: Tape, state: SrtState):
 
 
 def _extract(state: SrtState, nodes: dict) -> SrtState:
-    return replace(state, weights={slot: tuple(np.array(n.value) for n in ns) for slot, ns in nodes.items()})
+    return replace(state, weights={slot: tuple(np.array(n.value[0]) for n in ns) for slot, ns in nodes.items()})
 
 
 def srt_step(state: SrtState, x: Tensor):

@@ -326,13 +326,17 @@ def neg(a: Node) -> Node:
 
 
 def matmul(a, b) -> Node:
-    """Matrix product: (m,n)@(n,k) -> (m,k) or (m,n)@(n,) -> (m,)."""
+    """Matrix product: (m,n)@(n,k) -> (m,k) or (m,n)@(n,) -> (m,); or, for a pair of
+    (B,m,n) and (B,n,k) stacks, their B products as a (B,m,k) stack."""
     t = _tape_of(a, b)
     a, b = _lift(t, a), _lift(t, b)
     va, vb = a.value, b.value
-    if va.ndim != 2 or vb.ndim not in (1, 2):
+    if va.ndim == 3:
+        if vb.ndim != 3 or va.shape[0] != vb.shape[0]:
+            raise ShapeError(f"matmul: need two stacks of one batch size, got {va.shape} @ {vb.shape}")
+    elif va.ndim != 2 or vb.ndim not in (1, 2):
         raise ShapeError(f"matmul: need 2-d lhs and 1- or 2-d rhs, got {va.shape} @ {vb.shape}")
-    if va.shape[1] != vb.shape[0]:
+    if va.shape[-1] != vb.shape[-2 if vb.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dims differ, {va.shape} @ {vb.shape}")
     _check_finite(va, "matmul lhs"), _check_finite(vb, "matmul rhs")
     out = va @ vb
@@ -345,7 +349,7 @@ def matmul(a, b) -> Node:
     else:
 
         def vjp(g):
-            return (g @ vb.T, va.T @ g)
+            return (g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g)
 
     return t._record(out, (a, b), vjp, lambda vals: vals[0] @ vals[1], "matmul")
 
@@ -365,14 +369,15 @@ def outer(u, v) -> Node:
 
 
 def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose: need a matrix, got shape {a.value.shape}")
-    out = a.value.T.copy()
+    """Matrix transpose; a (B,p,n) stack transposes each of its B matrices."""
+    if a.value.ndim not in (2, 3):
+        raise ShapeError(f"transpose: need a matrix or a stack of matrices, got shape {a.value.shape}")
+    out = np.swapaxes(a.value, -1, -2).copy()
 
     def vjp(g):
-        return (g.T,)
+        return (np.swapaxes(g, -1, -2),)
 
-    return a.tape._record(out, (a,), vjp, lambda vals: vals[0].T.copy(), "transpose")
+    return a.tape._record(out, (a,), vjp, lambda vals: np.swapaxes(vals[0], -1, -2).copy(), "transpose")
 
 
 def sum_all(a: Node) -> Node:
@@ -419,12 +424,10 @@ def reciprocal(a: Node) -> Node:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp of a non-positive argument never overflows: 1/(1+e^-v) for v >= 0,
+    # e^v/(1+e^v) otherwise
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Node) -> Node:
@@ -531,27 +534,27 @@ def softmax(v: Node) -> Node:
 
 
 def causal_softmax_columns(s: Node) -> Node:
-    """Column-wise softmax of an (L,L) score matrix with rows i > j masked out.
+    """Column-wise softmax of an (L,L) score matrix, or of each matrix of a
+    (B,L,L) stack, with rows i > j masked out.
 
     Row index = key position, column index = query position; each query only
     sees keys at or before it.
     """
     v = s.value
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError(f"causal_softmax_columns: need a square matrix, got {v.shape}")
-    n = v.shape[0]
-    mask = np.tril(np.ones((n, n), dtype=bool))  # [i, j] valid iff i <= j after transpose
+    if v.ndim not in (2, 3) or v.shape[-1] != v.shape[-2]:
+        raise ShapeError(f"causal_softmax_columns: need square matrices, got {v.shape}")
+    mask = np.triu(np.ones(v.shape[-2:], dtype=bool))  # [i, j] valid iff i <= j
 
     def compute(vals):
-        m = np.where(mask.T, vals, -np.inf)
-        m = m - m.max(axis=0)
+        m = np.where(mask, vals, -np.inf)
+        m = m - m.max(axis=-2, keepdims=True)
         e = np.exp(m)
-        return e / e.sum(axis=0)
+        return e / e.sum(axis=-2, keepdims=True)
 
     out = compute(v)
 
     def vjp(g):
-        return (out * (g - (out * g).sum(axis=0)),)
+        return (out * (g - (out * g).sum(axis=-2, keepdims=True)),)
 
     return s.tape._record(out, (s,), vjp, lambda vals: compute(vals[0]), "causal_softmax_columns")
 
@@ -588,17 +591,19 @@ def element(v: Node, i: int) -> Node:
     return v.tape._record(out, (v,), vjp, lambda vals: np.asarray(vals[0][i]), "element")
 
 
-def slice_columns(x: Node, start: int, stop: int) -> Node:
+def slice_columns(x: Node, start: int, stop: int, step: int = 1) -> Node:
+    """Columns start, start+step, ... before stop; a step of B picks one sample of a time-major batch."""
     if x.value.ndim != 2:
         raise ShapeError(f"slice_columns: need a matrix, got {x.value.shape}")
-    out = x.value[:, start:stop].copy()
+    cols = slice(start, stop, step)
+    out = x.value[:, cols].copy()
 
     def vjp(g):
         full = np.zeros_like(x.value)
-        full[:, start:stop] = g
+        full[:, cols] = g
         return (full,)
 
-    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][:, start:stop].copy(), "slice_columns")
+    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][:, cols].copy(), "slice_columns")
 
 
 def stack_columns(cols: Sequence[Node]) -> Node:
@@ -660,63 +665,208 @@ def scale_rows(x: Node, s) -> Node:
     return t._record(out, (x, s), vjp, lambda vals: vals[0] * vals[1][:, None], "scale_rows")
 
 
-def _decay_scan(m0, keys, u, eta, alpha, retention):
-    """Final state plus every state and residual the backward pass reads."""
-    ks = np.ascontiguousarray(keys.T)  # row j = key j, read contiguously
+# ---------------------------------------------------------------------------
+# batches
+#
+# A batch of B sequences is one time-major (d, L*B) matrix: column t*B + b
+# holds token t of sample b, so a chunk of C tokens is one contiguous (d, C*B)
+# slice and B = 1 is a plain sequence.  Samples shorter than L are padded at
+# their end.  Fast weights carry a leading batch axis, (B,p,n).  Within a
+# chunk, `widths[b]` counts the leading columns of sample b that are real
+# tokens; None means all of them.
+
+
+def _batch_major(x: np.ndarray, batch: int) -> np.ndarray:
+    """(n, C*B) time-major columns as a contiguous (B, n, C) stack, sample by sample."""
+    if batch == 1:
+        return np.ascontiguousarray(x)[None]
+    n, width = x.shape
+    return np.ascontiguousarray(x.reshape(n, width // batch, batch).transpose(2, 0, 1))
+
+
+def _time_major(y: np.ndarray) -> np.ndarray:
+    """Inverse of `_batch_major`: a (B, p, C) stack as (p, C*B) time-major columns."""
+    b, p, c = y.shape
+    return y[0] if b == 1 else y.transpose(1, 2, 0).reshape(p, c * b)
+
+
+def sample_stack(x: Node, batch: int) -> Node:
+    """Time-major (d, L*B) columns as a (B, d, L) stack: one matrix per sample."""
+    v = x.value
+    if v.ndim != 2 or v.shape[1] % batch:
+        raise ShapeError(f"sample_stack: {v.shape} is not a time-major batch of {batch}")
+
+    def vjp(g):
+        return (_time_major(g),)
+
+    return x.tape._record(_batch_major(v, batch), (x,), vjp, lambda vals: _batch_major(vals[0], batch), "sample_stack")
+
+
+def time_major(x: Node) -> Node:
+    """Inverse of `sample_stack`: a (B, d, L) stack as time-major (d, L*B) columns."""
+    v = x.value
+    if v.ndim != 3:
+        raise ShapeError(f"time_major: need a (B, d, L) stack, got {v.shape}")
+    batch = v.shape[0]
+
+    def vjp(g):
+        return (_batch_major(g, batch),)
+
+    return x.tape._record(_time_major(v), (x,), vjp, lambda vals: _time_major(vals[0]), "time_major")
+
+
+def _live_columns(widths, batch: int, cols: int):
+    """Time-major (C*B,) mask of the real columns; None when every column is real."""
+    if widths is None or min(widths) >= cols:
+        return None
+    if len(widths) != batch:
+        raise ShapeError(f"{len(widths)} widths for a batch of {batch}")
+    return (np.arange(cols)[:, None] < np.asarray(widths)[None, :]).reshape(-1)
+
+
+def _pinned(eta: np.ndarray, alpha: np.ndarray, live) -> tuple:
+    """The gates with eta = 0 and alpha = 1 at the columns `live` marks as padding."""
+    if live is None:
+        return eta, alpha
+    return np.where(live, eta, 0.0), np.where(live, alpha, 1.0)
+
+
+def broadcast_batch(w: Node, batch: int) -> Node:
+    """A (p,n) weight repeated along a leading batch axis as (B,p,n); the VJP sums over B."""
+    out = np.broadcast_to(w.value, (batch,) + w.value.shape).copy()
+
+    def vjp(g):
+        return (g.sum(axis=0),)
+
+    return w.tape._record(
+        out, (w,), vjp, lambda vals: np.broadcast_to(vals[0], (batch,) + vals[0].shape).copy(), "broadcast_batch"
+    )
+
+
+def _bmm(vw: np.ndarray, vx: np.ndarray, partial) -> np.ndarray:
+    """Values of `bmatmul`; `partial` lists (sample, width) for the samples whose
+    real columns end inside the chunk."""
+    xb = _batch_major(vx, vw.shape[0])
+    out = vw @ xb
+    for b, n in partial:
+        out[b, :, :n] = vw[b] @ xb[b, :, :n]
+    return _time_major(out)
+
+
+def bmatmul(w, x, widths=None) -> Node:
+    """Per-sample product of (B,p,n) weights with time-major (n, C*B) columns -> (p, C*B).
+
+    Column t*B + b is w[b] @ x[:, t*B + b].  With `widths`, a sample whose real
+    columns end inside the chunk gets them from one more product of exactly
+    that width, the one the sample alone would form (BLAS rounding depends on
+    the width); its padded columns hold finite values that no real column
+    reads, and they must receive a zero gradient.
+    """
+    t = _tape_of(w, x)
+    w, x = _lift(t, w), _lift(t, x)
+    vw, vx = w.value, x.value
+    if vw.ndim != 3 or vx.ndim != 2 or vx.shape[0] != vw.shape[2] or vx.shape[1] % vw.shape[0]:
+        raise ShapeError(f"bmatmul: need (B,p,n) weights and (n, C*B) columns, got {vw.shape} @ {vx.shape}")
+    _check_finite(vw, "bmatmul lhs"), _check_finite(vx, "bmatmul rhs")
+    cols = vx.shape[1] // vw.shape[0]
+    partial = () if widths is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
+
+    # the closures capture little: every object they keep alive is one more
+    # object per tape node for the cyclic garbage collector to scan
+    def vjp(g):
+        batch = vw.shape[0]
+        gb, xb = _batch_major(g, batch), _batch_major(vx, batch)
+        return (gb @ np.swapaxes(xb, 1, 2), _time_major(np.swapaxes(vw, 1, 2) @ gb))
+
+    return t._record(_bmm(vw, vx, partial), (w, x), vjp, lambda vals, partial=partial: _bmm(*vals, partial), "bmatmul")
+
+
+def _decay_scan(m0, keys, u, es, als, retention):
+    """Final (B,p,n) state plus the per-column key rows, states and residuals the backward pass reads.
+
+    Column j of sample b is keys[:, j*B + b]; per column, keys are (B,1,n)
+    rows `kr` or (B,n,1) columns `kc`, residuals (B,p,1) and the gates
+    `es`, `als` (B,1,1).
+    """
+    batch, p, n = m0.shape
+    kr = keys.T.reshape(-1, batch, 1, n)
+    kc = kr.reshape(-1, batch, n, 1)
+    us = u.T.reshape(-1, batch, p, 1)
     m, states, resid = m0, [], []
-    for j, k in enumerate(ks):
-        w = m @ k + u[:, j] if retention else u[:, j]
+    for j in range(len(us)):
+        w = m @ kc[j] + us[j] if retention else us[j]
         states.append(m)
         resid.append(w)
-        m = alpha[j] * m - eta[j] * (w[:, None] * k)
-    return m, ks, states, resid
+        m = als[j] * m - es[j] * (w * kr[j])
+    return m, kr, states, resid
 
 
-def decay_scan(m0, keys, u, eta, alpha, retention: bool) -> Node:
+def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
     """Final state of a decaying rank-one recurrence over the columns of a chunk.
 
         M_j = alpha_j M_{j-1} - eta_j w_j k_j^T,  w_j = u_j + M_{j-1} k_j  (retention)
                                                    w_j = u_j                (otherwise)
 
-    for a (p,n) start state M_0, (n,C) keys, (p,C) residuals u and (C,) gates.
-    Only M_C is recorded: the backward pass loops over the stored states in
-    numpy instead of recording per-column nodes.
+    for a (p,n) start state M_0, (n,C) keys, (p,C) residuals u and (C,) gates;
+    or for B states (B,p,n) over a time-major batch chunk of C*B columns, each
+    state scanning its own sample's columns.  At padded columns (see `widths`)
+    the gates are pinned to eta = 0, alpha = 1, so 1*M - 0*(w k^T) leaves the
+    state bit-identical.  Only M_C is recorded: the backward pass loops over the
+    stored states in numpy instead of recording per-column nodes.
     """
     t = _tape_of(m0, keys, u, eta, alpha)
     m0, keys, u, eta, alpha = (_lift(t, a) for a in (m0, keys, u, eta, alpha))
     vm, vk, vu, ve, va = m0.value, keys.value, u.value, eta.value, alpha.value
+    stacked = vm.ndim == 3
+    batch = vm.shape[0] if stacked else 1
     shapes = (vm.shape, vk.shape, vu.shape, ve.shape, va.shape)
     n_cols = vk.shape[1] if vk.ndim == 2 else -1
-    if vm.ndim != 2 or shapes[1:] != ((vm.shape[1], n_cols), (vm.shape[0], n_cols), (n_cols,), (n_cols,)):
-        raise ShapeError(f"decay_scan: need (p,n), (n,C), (p,C), (C,), (C,) operands, got {shapes}")
+    if vm.ndim not in (2, 3) or n_cols % batch or shapes[1:] != (
+        (vm.shape[-1], n_cols), (vm.shape[-2], n_cols), (n_cols,), (n_cols,)
+    ):
+        raise ShapeError(f"decay_scan: need (p,n) or (B,p,n), (n,C*B), (p,C*B), (C*B,), (C*B,) operands, got {shapes}")
     for arr, what in ((vm, "state"), (vk, "keys"), (vu, "residuals"), (ve, "eta"), (va, "alpha")):
         _check_finite(arr, f"decay_scan {what}")
-    out, ks, states, resid = _decay_scan(vm, vk, vu, ve, va, retention)
+    live = _live_columns(widths, batch, n_cols // batch)
+    es, als = (gate.reshape(-1, batch, 1, 1) for gate in _pinned(ve, va, live))
+    out, kr, states, resid = _decay_scan(vm if stacked else vm[None], vk, vu, es, als, retention)
 
+    # the closures capture little: every object they keep alive is one more
+    # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
-        gk, gu = np.empty_like(vk), np.empty_like(vu)
-        ge, ga = np.empty_like(ve), np.empty_like(va)
-        for j in reversed(range(n_cols)):
-            m, w, k = states[j], resid[j], ks[j]
-            gmk = g @ k
-            gw = -ve[j] * gmk
-            ga[j] = np.vdot(g, m)
-            ge[j] = -(w @ gmk)
-            gu[:, j] = gw
-            gk[:, j] = -ve[j] * (g.T @ w)
-            g = va[j] * g
+        g = g if stacked else g[None]
+        cols, batch, _, n = kr.shape
+        kc = kr.reshape(cols, batch, n, 1)
+        gk, gu = np.empty((cols, batch, 1, n)), np.empty((cols, batch, g.shape[1], 1))
+        ge, ga = np.empty((cols, batch, 1, 1)), np.empty((cols, batch, 1, 1))
+        for j in reversed(range(cols)):
+            m, w, wt = states[j], resid[j], np.swapaxes(resid[j], 1, 2)
+            gmk = g @ kc[j]
+            gw = -es[j] * gmk
+            ga[j] = g.reshape(batch, 1, -1) @ m.reshape(batch, -1, 1)
+            ge[j] = -(wt @ gmk)
+            gu[j] = gw
+            gk[j] = -es[j] * (wt @ g)
+            g = als[j] * g
             if retention:
-                gk[:, j] += m.T @ gw
-                g = g + gw[:, None] * k
+                gk[j] += np.swapaxes(gw, 1, 2) @ m
+                g = g + gw * kr[j]
         # a tape runs one backward pass: free the saved states now rather than
         # when the caller drops the tape
         states.clear()
         resid.clear()
-        return (g, gk, gu, ge, ga)
+        ge, ga = ge.reshape(-1), ga.reshape(-1)
+        if live is not None:  # pinned gates take no gradient
+            ge, ga = np.where(live, ge, 0.0), np.where(live, ga, 0.0)
+        return (g if stacked else g[0], gk.reshape(cols * batch, -1).T, gu.reshape(cols * batch, -1).T, ge, ga)
 
-    return t._record(
-        out, (m0, keys, u, eta, alpha), vjp, lambda vals: _decay_scan(*vals, retention)[0], "decay_scan"
-    )
+    def fwd(vals):
+        m0 = vals[0] if stacked else vals[0][None]
+        gates = (gate.reshape(-1, len(m0), 1, 1) for gate in _pinned(*vals[3:], live))
+        m = _decay_scan(m0, *vals[1:3], *gates, retention)[0]
+        return m if stacked else m[0]
+
+    return t._record(out if stacked else out[0], (m0, keys, u, eta, alpha), vjp, fwd, "decay_scan")
 
 
 def embedding(table: Node, ids: Sequence[int]) -> Node:
@@ -737,35 +887,36 @@ def embedding(table: Node, ids: Sequence[int]) -> Node:
     return table.tape._record(out, (table,), vjp, lambda vals: vals[0][ids].T.copy(), "embedding")
 
 
-def causal_depthwise_conv(x: Node, kernel) -> Node:
-    """Per-channel causal convolution of a (d,L) sequence with a (d,w) kernel."""
+def causal_depthwise_conv(x: Node, kernel, batch: int = 1) -> Node:
+    """Per-channel causal convolution of a (d,L) sequence, or a time-major (d, L*B)
+    batch, with a (d,w) kernel."""
     t = _tape_of(x, kernel)
     x, kernel = _lift(t, x), _lift(t, kernel)
     v, k = x.value, kernel.value
-    if v.ndim != 2 or k.ndim != 2 or v.shape[0] != k.shape[0]:
-        raise ShapeError(f"causal_depthwise_conv: got {v.shape} and kernel {k.shape}")
+    if v.ndim != 2 or k.ndim != 2 or v.shape[0] != k.shape[0] or v.shape[1] % batch:
+        raise ShapeError(f"causal_depthwise_conv: got {v.shape} and kernel {k.shape} for batch {batch}")
     w = k.shape[1]
+    lag = (w - 1) * batch  # one token back is one batch of columns back
 
     def compute(vals):
         vv, kk = vals
-        padded = np.concatenate([np.zeros((vv.shape[0], w - 1), dtype=vv.dtype), vv], axis=1)
+        padded = np.concatenate([np.zeros((vv.shape[0], lag), dtype=vv.dtype), vv], axis=1)
         o = np.zeros_like(vv)
         for i in range(w):
-            o += kk[:, i : i + 1] * padded[:, i : i + vv.shape[1]]
+            o += kk[:, i : i + 1] * padded[:, i * batch : i * batch + vv.shape[1]]
         return o
 
     out = compute((v, k))
 
     def vjp(g):
-        gx = np.zeros_like(v)
         gk = np.zeros_like(k)
-        padded = np.concatenate([np.zeros((v.shape[0], w - 1), dtype=v.dtype), v], axis=1)
+        padded = np.concatenate([np.zeros((v.shape[0], lag), dtype=v.dtype), v], axis=1)
         gpad = np.zeros_like(padded)
         for i in range(w):
-            gk[:, i] = (g * padded[:, i : i + v.shape[1]]).sum(axis=1)
-            gpad[:, i : i + v.shape[1]] += k[:, i : i + 1] * g
-        gx = gpad[:, w - 1 :]
-        return (gx, gk)
+            cols = slice(i * batch, i * batch + v.shape[1])
+            gk[:, i] = (g * padded[:, cols]).sum(axis=1)
+            gpad[:, cols] += k[:, i : i + 1] * g
+        return (gpad[:, lag:], gk)
 
     return t._record(out, (x, kernel), vjp, compute, "causal_depthwise_conv")
 

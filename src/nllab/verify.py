@@ -21,7 +21,7 @@ from . import tensor as T
 from .hope import HopeConfig, HopeModel, train
 from .memory import Memory, RuleKind, dgd_proximal_step, gd_oracle_step, rule_step
 from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
-from .srt import SLOTS, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_step
+from .srt import SLOTS, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
 from .tasks import TaskSpec, evaluate, generate, vocabulary
 from .tensor import Tape, Tensor
 
@@ -422,7 +422,7 @@ def _linear_attention_run(block, model: HopeModel, vals: dict, probe: np.ndarray
 
 
 def _linear_attention_block(model: HopeModel, tape: Tape, nodes: dict, x):
-    return model._block(tape, nodes, 0, x)
+    return model._block(tape, nodes, 0, x, [x.value.shape[1]])
 
 
 @register("linear-attention-closed-form")
@@ -494,6 +494,73 @@ def check_hope_gradients(faults=frozenset(), out_dir=None) -> CheckResult:
         denom = max(abs(analytic), abs(float(fd.data[0])), 1e-8)
         worst = max(worst, abs(analytic - float(fd.data[0])) / denom)
     return CheckResult("hope-gradient-integrity", worst < 1e-4, worst, "full-model gradient vs central differences, 20 parameters")
+
+
+_BATCH_LENGTHS = (4, 2, 3)
+
+
+def _batch_loss_and_grads(model: HopeModel, batch: list) -> tuple:
+    tape = Tape()
+    loss = model.build_loss(tape, batch, with_penalty=True)
+    return float(loss.value), {name: g.data for name, g in tape.backward(loss).items()}
+
+
+@register("batched-build-loss")
+def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
+    worst = 0.0  # one ragged batch vs the mean of one-sample calls: loss and every gradient
+    fd_worst = 0.0  # batched directional derivative vs central differences, relative
+    rng = np.random.default_rng(9)
+    for core in ("srt", "attention", "linear_attention"):
+        cfg = HopeConfig(vocab=5, dim=4, chunk=3, core=core, cms_chunks=(1, 2), cms_hidden=3, mem_hidden=4)
+        model = HopeModel(cfg, seed=10)
+        model.set_parameter("readout", rng.normal(size=model.params["readout"].shape))
+        batch = [{"tokens": [int(t) for t in rng.integers(0, 5, size=n)], "label": None} for n in _BATCH_LENGTHS]
+        loss, grads = _batch_loss_and_grads(model, batch)
+        singles = [_batch_loss_and_grads(model, [sample]) for sample in batch]
+        worst = max(worst, abs(loss - float(np.mean([s[0] for s in singles]))))
+        for name, g in grads.items():
+            worst = max(worst, float(np.abs(g - np.mean([s[1][name] for s in singles], axis=0)).max()))
+
+        base = {name: value.copy() for name, value in model.named_parameters().items()}
+        direction = {name: rng.normal(size=value.shape) for name, value in base.items()}
+
+        def f(s):
+            for name, value in base.items():
+                model.set_parameter(name, value + s.data[0] * direction[name])
+            out = float(model.build_loss(Tape(), batch, with_penalty=True).value)
+            for name, value in base.items():
+                model.set_parameter(name, value)
+            return out
+
+        fd = float(T.finite_diff_grad(f, Tensor([0.0])).data[0])
+        analytic = sum(float((grads[name] * direction[name]).sum()) for name in base)
+        fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
+
+    # padded columns leave each sample's fast weights bit-identical to its own run
+    cfg = SrtConfig(dim=4, chunk=3, hidden=4)
+    state = init_srt(cfg, seed=11)
+    xs = [rng.normal(size=(4, n)) for n in _BATCH_LENGTHS]
+    width = max(_BATCH_LENGTHS)
+    x = rng.normal(size=(4, width * len(xs)))  # arbitrary values at the padded columns
+    for b, xb in enumerate(xs):
+        x[:, b :: len(xs)][:, : xb.shape[1]] = xb
+    tape = Tape()
+    snapshots = {slot: tuple(tape.constant(w) for w in ws) for slot, ws in state.weights.items()}
+    _, final = srt_forward_nodes(tape, cfg, snapshots, tape.constant(state.wq), tape.constant(x), lengths=_BATCH_LENGTHS)
+    bit_exact = True
+    for b, xb in enumerate(xs):
+        _, alone = srt_chunked_forward(state, Tensor(xb))
+        for slot in SLOTS:
+            for w_batch, w_alone in zip(final[slot], alone.weights[slot]):
+                bit_exact = bit_exact and np.array_equal(w_batch.value[b], w_alone)
+    passed = worst <= 1e-12 and fd_worst < 1e-6 and bit_exact
+    return CheckResult(
+        "batched-build-loss",
+        passed,
+        worst,
+        f"ragged batch vs one-sample calls err={worst:.2e}, vs finite differences rel={fd_worst:.2e}, "
+        f"padded fast weights bit-exact={bit_exact}",
+    )
 
 
 # ---------------------------------------------------------------------------

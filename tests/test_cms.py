@@ -230,3 +230,28 @@ def test_forward_nodes_matches_value_forward():
         node = forward_nodes(chain, tape, x)
         assert np.array_equal(node.value, cms_forward(chain, x).data)
         assert list(tape.params) == [f"cms.{key}" for key in C.state_dict(chain)]
+
+
+@pytest.mark.parametrize("variant", ["sequential", "nested", "independent"])
+def test_range_tick_equals_single_ticks_bit_for_bit(variant):
+    rng = np.random.default_rng(40)
+    one = make_chain(3, 2, [1, 4, 8, None], variant=variant, seed=41)
+    many = make_chain(3, 2, [1, 4, 8, None], variant=variant, seed=41)
+    step = 0
+    for _ in range(30):
+        grads = [(rng.normal(size=(3, 2)), rng.normal(size=(2, 3))) for _ in range(4)]
+        cms_accumulate(one, grads)
+        cms_accumulate(many, grads)
+        n = int(rng.integers(1, 13))
+        applied = set()
+        for i in range(step + 1, step + n + 1):
+            applied.update(cms_tick(one, i))
+        assert cms_tick(many, step + 1, n) == sorted(applied)
+        step += n
+        assert many.last_step == one.last_step == step
+        for a, b in zip(one.levels, many.levels):
+            assert a.applied == b.applied
+            for attr in ("w1", "w2", "acc1", "acc2"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+    with pytest.raises(ValueError):
+        cms_tick(many, step + 1, 0)

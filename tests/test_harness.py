@@ -209,6 +209,8 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"train": {"opt_hp": {"foo": 1}}}, "$.train.opt_hp", "foo"),
         ({"train": {"opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
         ({"train": {"optimizer": "sgd", "opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
+        # read only when the gradient is non-zero
+        ({"train": {"optimizer": "delta_momentum", "opt_hp": {"eta_inner": "x"}}}, "$.train.opt_hp", ""),
         # top-level values of the wrong type
         ({"seed": "x"}, "$.seed", "integer"),
         ({"seed": 1.5}, "$.seed", "integer"),

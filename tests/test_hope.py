@@ -322,3 +322,72 @@ def test_set_parameter_replaces_chain_weights_but_not_snapshots():
     assert np.array_equal(level.w1, np.full(level.w1.shape, 0.25))
     assert np.array_equal(model.chains[0].agg_weights, [0.75, 0.25])
     assert np.array_equal(level.snap1, snap1)
+
+
+def _loss_and_grads(model, batch):
+    tape = Tape()
+    loss = model.build_loss(tape, batch, with_penalty=True)
+    return float(loss.value), {name: g.data for name, g in tape.backward(loss).items()}
+
+
+def _ragged_batch(cfg, head, seed):
+    rng = np.random.default_rng(seed)
+    lengths = (5, 2, 3) if head == "next-token" else (5, 1, 3)
+    batch = []
+    for n in lengths:
+        sample = {"tokens": [int(t) for t in rng.integers(0, cfg.vocab, size=n)], "label": None}
+        if head == "last-token":
+            sample["label"] = int(rng.integers(0, cfg.num_classes))
+        elif head == "per-prefix":
+            sample["prefix_labels"] = [int(p) for p in rng.integers(0, cfg.num_classes, size=n)]
+        batch.append(sample)
+    return batch
+
+
+@pytest.mark.parametrize("head", ["next-token", "per-prefix", "last-token"])
+@pytest.mark.parametrize(
+    "core, extra",
+    [("srt", dict(chunk=1)), ("srt", dict(chunk=3, conv=True)), ("attention", {}), ("linear_attention", {})],
+    ids=["srt-chunk1", "srt-chunk3-conv", "attention", "linear_attention"],
+)
+def test_ragged_batch_equals_mean_of_one_sample_calls(core, extra, head):
+    classes = 0 if head == "next-token" else 3
+    cfg = tiny_lm_config(core=core, num_classes=classes, vocab=12, **extra)
+    model = HopeModel(cfg, seed=18)
+    model.set_parameter("readout", np.random.default_rng(19).normal(size=model.params["readout"].shape))
+    batch = _ragged_batch(cfg, head, seed=20)
+    loss, grads = _loss_and_grads(model, batch)
+    singles = [_loss_and_grads(model, [sample]) for sample in batch]
+    assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
+    assert set(grads) == set(singles[0][1])
+    for name, g in grads.items():
+        assert np.abs(g - np.mean([s[1][name] for s in singles], axis=0)).max() <= 1e-12, name
+
+
+def test_batch_tape_is_the_longest_samples_tape_plus_a_head_per_sample():
+    cfg = HopeConfig(vocab=2, dim=8, num_classes=2, chunk=1, cms_chunks=(1, 4), cms_hidden=4, mem_hidden=8)
+    model = HopeModel(cfg, seed=21)
+    rng = np.random.default_rng(22)
+    batch = [{"tokens": [int(t) for t in rng.integers(0, 2, size=n)], "label": 1} for n in (29, 9, 5, 3)]
+    counts = []
+    for samples in (batch, batch[:1]):
+        tape = Tape()
+        model.build_loss(tape, samples)
+        counts.append(len(tape.nodes))
+    # per extra sample: its head's column, matmul, cross entropy and one add into the total
+    assert counts[0] <= counts[1] + 4 * (len(batch) - 1)
+
+
+def test_train_ticks_each_chain_once_per_step(monkeypatch):
+    from nllab import hope
+
+    calls = []
+    tick = hope.cms_tick
+    monkeypatch.setattr(hope, "cms_tick", lambda chain, i, n=1: calls.append((i, n)) or tick(chain, i, n))
+    data = tasks.generate(tasks.TaskSpec("parity", seed=23, bin0=(2, 6), bin1=(7, 9)), 8)
+    cfg = HopeConfig(vocab=2, dim=8, num_classes=2, chunk=2, cms_chunks=(1, 4), cms_hidden=4)
+    model = HopeModel(cfg, seed=24)
+    train(model, data, steps=3, seed=25, batch_size=2)
+    assert len(calls) == 3
+    assert [i for i, _ in calls] == [1, 1 + calls[0][1], 1 + calls[0][1] + calls[1][1]]
+    assert sum(n for _, n in calls) == model.token_count == model.chains[0].last_step

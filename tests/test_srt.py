@@ -300,3 +300,43 @@ def test_conv_flag_identity_at_init():
     y_conv, _ = srt_chunked_forward(state_conv, xs)
     y_plain, _ = srt_chunked_forward(state_plain, xs)
     assert np.abs(y_conv.data - y_plain.data).max() < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("d", [6, 16])
+@pytest.mark.parametrize(
+    "extra", [{}, {"conv": True}, {"retention": False, "objective": "dot"}], ids=["default", "conv", "dot-no-retention"]
+)
+def test_padded_samples_keep_their_own_fast_weights_bit_for_bit(chunk, d, extra):
+    cfg = SrtConfig(dim=d, chunk=chunk, **extra)
+    state = init_srt(cfg, seed=25)
+    rng = np.random.default_rng(26)
+    lengths = [11, 1, 5, 8]
+    batch, width = len(lengths), max(lengths)
+    xs = [rng.normal(size=(d, n)) for n in lengths]
+    x = rng.normal(size=(d, width * batch))  # arbitrary values at the padded columns
+    for b, xb in enumerate(xs):
+        x[:, b : lengths[b] * batch : batch] = xb
+    tape = T.Tape()
+    weights, wq, kernel = S._as_nodes(tape, state)
+    y, final = S.srt_forward_nodes(tape, cfg, weights, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
+    assert tape.replay() is True
+    for b, xb in enumerate(xs):
+        y_alone, alone = srt_chunked_forward(state, Tensor(xb))
+        for slot in S.SLOTS:
+            for w_batch, w_alone in zip(final[slot], alone.weights[slot]):
+                assert np.array_equal(w_batch.value[b], w_alone), slot
+        assert np.abs(y.value[:, b : lengths[b] * batch : batch] - y_alone.data).max() < 1e-12
+
+
+def test_batch_lengths_must_fit_the_columns():
+    cfg = SrtConfig(dim=4, chunk=2)
+    state = init_srt(cfg, seed=27)
+    tape = T.Tape()
+    weights, wq, _ = S._as_nodes(tape, state)
+    x = tape.constant(np.ones((4, 6)))
+    for lengths in ([3, 4], [3, 0], [2, 2, 2, 2]):
+        with pytest.raises(T.ShapeError):
+            S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=lengths)
+    with pytest.raises(ValueError):
+        S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])

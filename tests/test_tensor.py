@@ -523,3 +523,96 @@ def test_finite_diff_quadratic_and_constant():
     assert np.array_equal(fd.data, np.zeros(3))
     with pytest.raises(ValueError):
         finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=0.0)
+
+
+def _sigmoid_masked(v):
+    # the boolean-mask formulation `_sigmoid` replaced
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, tiny, -tiny, tiny / 2**10, -tiny / 2**10, 5e-324, -5e-324, 1e3, -1e3, 1e-300, 40.0, -40.0])
+    rng = np.random.default_rng(25)
+    for v in (special, rng.normal(size=1000), 30 * rng.normal(size=(20, 50)), np.array(0.7), np.array(-0.0)):
+        new, old = T._sigmoid(v), _sigmoid_masked(v)
+        assert new.shape == old.shape
+        assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def _time_major(per_sample, width):
+    """Stack (n, L_b) matrices as time-major (n, width*B) columns, padding with random values."""
+    batch = len(per_sample)
+    out = np.random.default_rng(26).normal(size=(per_sample[0].shape[0], width * batch))
+    for b, x in enumerate(per_sample):
+        out[:, b : x.shape[1] * batch : batch] = x
+    return out
+
+
+def test_bmatmul_is_the_per_sample_product_and_its_gradients_match_finite_differences():
+    rng = np.random.default_rng(27)
+    w = rng.normal(size=(3, 4, 5))
+    widths = [4, 1, 2]
+    xs = [rng.normal(size=(5, n)) for n in widths]
+    tape = Tape()
+    out = T.bmatmul(tape.constant(w), tape.constant(_time_major(xs, 4)), widths)
+    for b, x in enumerate(xs):
+        # real columns bit for bit the 2-d product of the sample's own width
+        assert np.array_equal(out.value[:, b : x.shape[1] * 3 : 3], w[b] @ x)
+
+    base = rng.normal(size=(4, 5))
+    x = rng.normal(size=(5, 12))
+    probe = rng.normal(size=(4, 12))
+    tape = Tape()
+    y = T.bmatmul(T.broadcast_batch(tape.param("w", base), 3), tape.param("x", x))
+    grads = tape.backward(T.dot(y, tape.constant(probe)))
+
+    def f_w(wt):
+        t = Tape()
+        return float((T.bmatmul(T.broadcast_batch(t.constant(wt.data), 3), t.constant(x)).value * probe).sum())
+
+    def f_x(xt):
+        t = Tape()
+        return float((T.bmatmul(T.broadcast_batch(t.constant(base), 3), t.constant(xt.data)).value * probe).sum())
+
+    assert rel_err(grads["w"].data, finite_diff_grad(f_w, Tensor(base)).data) < 1e-7
+    assert rel_err(grads["x"].data, finite_diff_grad(f_x, Tensor(x)).data) < 1e-7
+    with pytest.raises(T.ShapeError):
+        T.bmatmul(tape.constant(w), tape.constant(rng.normal(size=(5, 4))))
+
+
+@pytest.mark.parametrize("retention", [True, False])
+def test_batched_decay_scan_is_each_samples_own_scan(retention):
+    rng = np.random.default_rng(28)
+    widths = [3, 1, 2, 0]
+    cols = 3
+    per_sample = [_decay_scan_inputs(rng, n=cols) for _ in widths]
+    m0 = np.stack([v[0] for v in per_sample])
+    keys, u = (_time_major([v[i] for v in per_sample], cols) for i in (1, 2))
+    eta, alpha = (_time_major([v[i][None, :] for v in per_sample], cols)[0] for i in (3, 4))
+    tape = Tape()
+    names = ["m0", "keys", "u", "eta", "alpha"]
+    params = [tape.param(n, v) for n, v in zip(names, (m0, keys, u, eta, alpha))]
+    out = T.decay_scan(*params, retention, widths)
+    probe = rng.normal(size=out.value.shape)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    for b, (vals, n) in enumerate(zip(per_sample, widths)):
+        t = Tape()
+        if n == 0:
+            # every column padded: the state passes through untouched
+            assert np.array_equal(out.value[b], vals[0])
+            continue
+        args = [t.param("m0", vals[0])] + [t.param(name, v[..., :n]) for name, v in zip(names[1:], vals[1:])]
+        alone = T.decay_scan(*args, retention)
+        assert np.array_equal(out.value[b], alone.value)
+        g_alone = t.backward(T.dot(alone, t.constant(probe[b])))
+        assert np.abs(grads["m0"].data[b] - g_alone["m0"].data).max() < 1e-12
+        for name in names[1:]:
+            g = grads[name].data[..., b::4]
+            assert np.abs(g[..., :n] - g_alone[name].data).max() < 1e-12
+            assert not np.any(g[..., n:]), name  # padded columns receive no gradient
