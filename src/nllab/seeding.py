@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, *names) -> int:
     h = hashlib.sha256()
@@ -18,7 +16,3 @@ def derive_seed(root: int, *names) -> int:
         h.update(b"\x1f")
         h.update(str(name).encode())
     return int.from_bytes(h.digest()[:8], "little") >> 1
-
-
-def rng_for(root: int, *names) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, *names))

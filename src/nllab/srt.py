@@ -12,16 +12,19 @@ terms).  Each chunk therefore does its element work as (d,C) matrix ops over
 the chunk's C columns, which makes it order-independent, and then advances
 each fast weight with one `tensor.decay_scan` node that folds the decay
 recurrence over the columns in token order.  A chunk of 1 recovers exact
-token-by-token stepping.
+token-by-token stepping.  The S updated linear slots share keys, gates and
+objective, and the rule acts on each row alone, so they run as one row-stacked
+(S*d, d) fast weight in SLOTS order: per chunk one read per distinct input
+(row slices for single-slot reads), one residual and one scan, bit-identical
+to S separate ones.  MLP2 and frozen slots keep their own weights.
 
 A batch of B sequences runs as one time-major (d, L*B) matrix (column t*B + b
 holds token t of sample b; see `tensor`), so a chunk is a (d, C*B) slice.
-Each snapshot is broadcast once to a (B,p,n) fast weight that every read
-multiplies sample by sample (`tensor.bmatmul`).  Shorter samples are padded
-at their end.  Their padded columns reach no real column, and `decay_scan`
-pins the gates there to eta = 0, alpha = 1, so each sample's fast weights end
-bit-identical to those of its own run on the same input.  B = 1 is a plain
-sequence.
+Each snapshot or stack is broadcast once to a (B,p,n) fast weight that every
+read multiplies sample by sample (`tensor.bmatmul`).  Padded columns at the
+end of shorter samples reach no real column, and `decay_scan` pins the gates
+there to eta = 0, alpha = 1, so each sample's fast weights end bit-identical
+to those of its own run on the same input.  B = 1 is a plain sequence.
 
 Linear-memory update with the retention factor (objective `l2`):
     M_t = M_{t-1} (a_t I - e_t k_t k_t^T) - e_t (M_b k_t - vhat_t) k_t^T
@@ -45,6 +48,7 @@ from .memory import LINEAR, MLP2, Memory, UnsupportedCombination, read_node
 from .tensor import Node, Tape, Tensor
 
 SLOTS = ("k", "v", "eta", "alpha", "mem")
+STACK = "stack"  # key of the row-stacked fast weight of the updated linear slots
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,8 @@ def init_srt(config: SrtConfig, seed: int = 0) -> SrtState:
     weights = {}
     for slot in SLOTS:
         kind = config.kinds[slot]
-        if kind == LINEAR:
-            if slot in ("eta", "alpha", "mem"):
-                weights[slot] = (np.zeros((d, d)),)  # gates at their bias points, storage empty
-            else:
-                weights[slot] = (np.eye(d),)
+        if kind == LINEAR:  # gates at their bias points, storage empty
+            weights[slot] = (np.eye(d) if slot in ("k", "v") else np.zeros((d, d)),)
         elif kind == MLP2:
             w1 = 0.1 * rng.normal(size=(d, h)) / np.sqrt(h)
             w2 = rng.normal(size=(h, d)) / np.sqrt(d)
@@ -128,15 +129,27 @@ def _permute(x: Node, order: Sequence[int], batch: int) -> Node:
     return T.concat_columns([T.slice_columns(x, i * batch, (i + 1) * batch) for i in order])
 
 
-def _elements(cfg: SrtConfig, boundary: dict, wq: Node, x: Node, xkv: Node, slots: Sequence[str], widths) -> dict:
+def _rows(stack: Node, i: int, d: int, count: int) -> Node:
+    """Rows of the i-th of `count` d-row blocks of `stack`; the stack itself when it holds one."""
+    return stack if count == 1 else T.slice_rows(stack, i * d, (i + 1) * d)
+
+
+def _elements(cfg: SrtConfig, boundary: dict, stacked: list, wq: Node, x: Node, xkv: Node, slots: Sequence[str], widths) -> dict:
     """Element work of one chunk as (d, C*B) matrices, every read against the boundary memories.
 
-    Holds the output `y`, the key `k`, the gate reads `eta`/`alpha` (unless
-    fixed) and one self-generated target `vhat.<slot>` per updated slot.
+    The `stacked` slots read through one product of their row-stacked fast
+    weight `boundary[STACK]` per distinct input.  Holds the output `y`, the key
+    `k`, the gate reads `eta`/`alpha` (unless fixed) and one self-generated
+    target `vhat.<slot>` per updated slot or STACK.
     """
+    products = {}  # input node -> its product with the stacked fast weight
 
     def read(slot: str, cols: Node) -> Node:
-        return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
+        if slot not in stacked:
+            return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
+        if cols not in products:
+            products[cols] = T.bmatmul(boundary[STACK][0], cols, widths)
+        return _rows(products[cols], stacked.index(slot), cfg.dim, len(stacked))
 
     def norm(cols: Node, on: bool) -> Node:
         return T.l2_normalize_columns_safe(cols) if on else cols
@@ -149,7 +162,10 @@ def _elements(cfg: SrtConfig, boundary: dict, wq: Node, x: Node, xkv: Node, slot
     if cfg.fixed_alpha is None:
         out["alpha"] = read("alpha", x)
     for slot in slots:
-        out["vhat." + slot] = read(slot, v) if cfg.self_values else v
+        if slot == STACK:
+            out["vhat." + slot] = T.bmatmul(boundary[STACK][0], v, widths) if cfg.self_values else T.concat_rows([v] * len(stacked))
+        else:
+            out["vhat." + slot] = read(slot, v) if cfg.self_values else v
     return out
 
 
@@ -160,7 +176,7 @@ def _gate(tape: Tape, fixed: Optional[float], reads: Optional[Node], bias: float
 
 
 def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k: Node, vhat: Node, eta: Node, alpha: Node, widths) -> tuple:
-    """One chunk's update of a memory: one decay_scan per weight, from the boundary state."""
+    """One chunk's update of a memory or of the linear stack: one decay_scan per weight, from the boundary state."""
     if kind == LINEAR:
         (m,) = boundary
         u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.neg(vhat)
@@ -190,9 +206,9 @@ def srt_forward_nodes(
 
     `weights` maps slot -> tuple of snapshot nodes (params for meta-training,
     constants for plain evaluation).  Returns (Y node, final (B,p,n) weight
-    nodes).  `element_order` permutes the tokens of each chunk before the
-    element work and restores them after it; outputs are positional, so any
-    order must give identical results.
+    nodes per slot).  `element_order` permutes the tokens of each chunk before
+    the element work and restores them after it; outputs are positional, so
+    any order must give identical results.
     """
     d, width = x.value.shape
     if d != cfg.dim:
@@ -210,8 +226,11 @@ def srt_forward_nodes(
         raise ValueError("element_order applies to unpadded sequences only")
 
     xkv = T.causal_depthwise_conv(x, conv_kernel, batch) if conv_kernel is not None else x
-    slots = [slot for slot in SLOTS if slot in cfg.update_slots]
-    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
+    stacked = [slot for slot in SLOTS if slot in cfg.update_slots and cfg.kinds[slot] == LINEAR]
+    slots = [STACK] * bool(stacked) + [slot for slot in SLOTS if slot in cfg.update_slots and slot not in stacked]
+    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items() if slot not in stacked}
+    if stacked:
+        cur[STACK] = (T.broadcast_batch(T.concat_rows([weights[slot][0] for slot in stacked]), batch),)
     outputs = []
     for start in range(0, L, chunk):
         n = min(start + chunk, L) - start
@@ -219,19 +238,21 @@ def srt_forward_nodes(
         xc = T.slice_columns(x, start * batch, (start + n) * batch)
         xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
         if element_order is None:
-            e = _elements(cfg, cur, wq, xc, xkvc, slots, widths)
+            e = _elements(cfg, cur, stacked, wq, xc, xkvc, slots, widths)
         else:
             order = [i for i in element_order if i < n]
             xp = _permute(xc, order, batch)
             xkvp = _permute(xkvc, order, batch) if conv_kernel is not None else xp
             inverse = np.argsort(order)
-            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, wq, xp, xkvp, slots, None).items()}
+            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, stacked, wq, xp, xkvp, slots, None).items()}
         eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n * batch)
         alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n * batch)
         for slot in slots:
-            cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
+            kind = LINEAR if slot == STACK else cfg.kinds[slot]
+            cur[slot] = _advance(cfg, kind, cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
         outputs.append(e["y"])
-    return T.concat_columns(outputs), cur
+    rows = {slot: (_rows(cur[STACK][0], i, d, len(stacked)),) for i, slot in enumerate(stacked)}
+    return T.concat_columns(outputs), {slot: rows.get(slot) or cur[slot] for slot in weights}
 
 
 def _as_nodes(tape: Tape, state: SrtState):

@@ -10,7 +10,6 @@ them against independently written recognizers.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -354,23 +353,6 @@ class ConstantModel:
 
     def predict(self, tokens):
         return self.label
-
-
-def write_dataset_jsonl(samples: Sequence[dict], path: str) -> None:
-    """One sample per line: {"tokens": [...], "label": ..., "bin": ...}."""
-    with open(path, "w") as f:
-        for s in samples:
-            f.write(json.dumps({"tokens": s["tokens"], "label": s["label"], "bin": s["bin"]}) + "\n")
-
-
-def read_dataset_jsonl(path: str) -> list[dict]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
 
 
 _CORPUS_CACHE = None

@@ -99,10 +99,10 @@ def as_array(x) -> np.ndarray:
 class LayerTrace:
     """Input activation and output-side gradient of one linear layer.
 
-    Recorded during backward for every matmul whose left operand is a named
-    parameter, so rank-structured trainer steps can be formed without re-running
-    backprop.  `weight_gradient()` rebuilds the weight gradient from the pair and
-    must equal the tape's own gradient exactly.
+    Recorded by `Tape.backward(loss, layer_traces=True)` for every matmul whose
+    left operand is a named parameter, so rank-structured trainer steps can be
+    formed without re-running backprop.  `weight_gradient()` rebuilds the
+    weight gradient from the pair and must equal the tape's own gradient exactly.
     """
 
     __slots__ = ("layer_id", "input", "delta")
@@ -179,12 +179,12 @@ class Tape:
         self.params[name] = node
         return node
 
-    def backward(self, loss: Node) -> dict[str, Tensor]:
+    def backward(self, loss: Node, layer_traces: bool = False) -> dict[str, Tensor]:
         """Gradients of a scalar loss for every registered parameter.
 
-        Also emits a LayerTrace for each matmul node whose left operand is a
-        parameter (linear layers), pairing the layer input with the gradient
-        arriving at the layer output.
+        With `layer_traces`, also emits a LayerTrace for each matmul node whose
+        left operand is a parameter (linear layers), pairing the layer input
+        with the gradient arriving at the layer output.
         """
         if self._backward_done:
             raise TapeError("backward already run once on this tape")
@@ -199,7 +199,7 @@ class Tape:
             g = grads.pop(node.idx, None)
             if g is None:
                 continue
-            if node.op == "matmul" and node.parents and node.parents[0].param_name:
+            if layer_traces and node.op == "matmul" and node.parents[0].param_name:
                 self.layer_traces.append(
                     LayerTrace(node.parents[0].param_name, Tensor(node.parents[1].value), Tensor(g))
                 )
@@ -563,47 +563,44 @@ def causal_softmax_columns(s: Node) -> Node:
 # structural ops
 
 
+def _take(x: Node, index: tuple, op: str) -> Node:
+    """x.value[index] as a new node; the VJP scatters the gradient back into zeros."""
+    out = x.value[index].copy()
+
+    def vjp(g):
+        full = np.zeros_like(x.value)
+        full[index] = g
+        return (full,)
+
+    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][index].copy(), op)
+
+
 def column(x: Node, j: int) -> Node:
     if x.value.ndim != 2:
         raise ShapeError(f"column: need a matrix, got {x.value.shape}")
     if not 0 <= j < x.value.shape[1]:
         raise ShapeError(f"column index {j} out of range for shape {x.value.shape}")
-    out = x.value[:, j].copy()
-
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[:, j] = g
-        return (full,)
-
-    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][:, j].copy(), "column")
+    return _take(x, (slice(None), j), "column")
 
 
 def element(v: Node, i: int) -> Node:
     if v.value.ndim != 1:
         raise ShapeError(f"element: need a vector, got {v.value.shape}")
-    out = np.asarray(v.value[i])
-
-    def vjp(g):
-        full = np.zeros_like(v.value)
-        full[i] = g
-        return (full,)
-
-    return v.tape._record(out, (v,), vjp, lambda vals: np.asarray(vals[0][i]), "element")
+    return _take(v, (i,), "element")
 
 
 def slice_columns(x: Node, start: int, stop: int, step: int = 1) -> Node:
     """Columns start, start+step, ... before stop; a step of B picks one sample of a time-major batch."""
     if x.value.ndim != 2:
         raise ShapeError(f"slice_columns: need a matrix, got {x.value.shape}")
-    cols = slice(start, stop, step)
-    out = x.value[:, cols].copy()
+    return _take(x, (slice(None), slice(start, stop, step)), "slice_columns")
 
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[:, cols] = g
-        return (full,)
 
-    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][:, cols].copy(), "slice_columns")
+def slice_rows(x: Node, start: int, stop: int) -> Node:
+    """Rows start..stop-1 of a matrix, or of each matrix of a (B,p,n) stack."""
+    if x.value.ndim not in (2, 3) or not 0 <= start < stop <= x.value.shape[-2]:
+        raise ShapeError(f"slice_rows: rows {start}:{stop} of shape {x.value.shape}")
+    return _take(x, (Ellipsis, slice(start, stop), slice(None)), "slice_rows")
 
 
 def stack_columns(cols: Sequence[Node]) -> Node:
@@ -619,22 +616,27 @@ def stack_columns(cols: Sequence[Node]) -> Node:
     return t._record(out, cols, vjp, lambda vals: np.stack(vals, axis=1), "stack_columns")
 
 
-def concat_columns(blocks: Sequence[Node]) -> Node:
+def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
     if not blocks:
-        raise ShapeError("concat_columns: empty block list")
+        raise ShapeError(f"{op}: empty block list")
     t = blocks[0].tape
     blocks = tuple(_lift(t, b) for b in blocks)
-    widths = [b.value.shape[1] for b in blocks]
-    out = np.concatenate([b.value for b in blocks], axis=1)
+    cuts = np.cumsum([b.value.shape[axis] for b in blocks])[:-1]
+    out = np.concatenate([b.value for b in blocks], axis=axis)
 
     def vjp(g):
-        outs, at = [], 0
-        for w in widths:
-            outs.append(g[:, at : at + w].copy())
-            at += w
-        return tuple(outs)
+        return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
 
-    return t._record(out, blocks, vjp, lambda vals: np.concatenate(vals, axis=1), "concat_columns")
+    return t._record(out, blocks, vjp, lambda vals: np.concatenate(vals, axis=axis), op)
+
+
+def concat_columns(blocks: Sequence[Node]) -> Node:
+    return _concat(blocks, 1, "concat_columns")
+
+
+def concat_rows(blocks: Sequence[Node]) -> Node:
+    """Matrices stacked along their rows: (p1,n), (p2,n), ... -> (p1+p2+..., n)."""
+    return _concat(blocks, 0, "concat_rows")
 
 
 def scale_columns(x: Node, s) -> Node:

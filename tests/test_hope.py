@@ -8,6 +8,7 @@ import pytest
 from nllab import tasks
 from nllab import tensor as T
 from nllab.hope import HopeConfig, HopeModel, hope_block_forward, train
+from nllab.srt import SLOTS
 from nllab.tensor import Tape, Tensor, finite_diff_grad
 
 
@@ -391,3 +392,18 @@ def test_train_ticks_each_chain_once_per_step(monkeypatch):
     assert len(calls) == 3
     assert [i for i, _ in calls] == [1, 1 + calls[0][1], 1 + calls[0][1] + calls[1][1]]
     assert sum(n for _, n in calls) == model.token_count == model.chains[0].last_step
+
+
+@pytest.mark.parametrize(
+    "frozen, per_chunk", [((), 3), (("mem",), 1), (("k", "v", "eta", "alpha"), 2), (("v", "mem"), 1), (tuple(SLOTS), 0)]
+)
+def test_build_loss_scans_the_linear_slots_once_per_chunk(frozen, per_chunk):
+    # one decay_scan for the stacked updated linear slots, two per updated MLP2 slot
+    cfg = tiny_lm_config(blocks=2, chunk=3, frozen_slots=frozen)
+    model = HopeModel(cfg, seed=26)
+    rng = np.random.default_rng(27)
+    batch = [{"tokens": [int(t) for t in rng.integers(0, cfg.vocab, size=n)], "label": None} for n in (7, 4)]
+    tape = Tape()
+    model.build_loss(tape, batch, with_penalty=True)
+    chunks = cfg.blocks * math.ceil(7 / cfg.chunk)
+    assert sum(node.op == "decay_scan" for node in tape.nodes) == per_chunk * chunks

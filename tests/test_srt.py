@@ -3,7 +3,7 @@ import pytest
 
 from nllab import srt as S
 from nllab import tensor as T
-from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step
+from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step, read_node
 from nllab.srt import SrtConfig, init_srt, linear_attention_config, reset, srt_chunked_forward, srt_linear_recurrence, srt_step
 from nllab.tensor import Tensor
 
@@ -340,3 +340,102 @@ def test_batch_lengths_must_fit_the_columns():
             S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=lengths)
     with pytest.raises(ValueError):
         S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])
+
+
+def _per_slot_forward(tape, cfg, weights, wq, x, kernel, lengths):
+    """The per-slot route the row-stacked fast weight replaces: every slot its
+    own (B,p,n) fast weight, every read by `read_node`, one decay_scan per
+    updated linear slot."""
+    width = x.value.shape[1]
+    batch = len(lengths)
+    L = width // batch
+    padded = min(lengths) < L
+    xkv = T.causal_depthwise_conv(x, kernel, batch) if kernel is not None else x
+    slots = [slot for slot in S.SLOTS if slot in cfg.update_slots]
+    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
+
+    def norm(cols, on):
+        return T.l2_normalize_columns_safe(cols) if on else cols
+
+    outputs = []
+    for start in range(0, L, cfg.chunk):
+        n = min(start + cfg.chunk, L) - start
+        widths = [min(max(length - start, 0), n) for length in lengths] if padded else None
+        xc = T.slice_columns(x, start * batch, (start + n) * batch)
+        xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch)
+        q = norm(T.matmul(wq, xc), cfg.normalize_q)
+        v = norm(read_node(cur["v"], xkvc, cfg.kinds["v"], widths), cfg.normalize_v)
+        k = norm(read_node(cur["k"], xkvc, cfg.kinds["k"], widths), cfg.normalize_k)
+        outputs.append(read_node(cur["mem"], q, cfg.kinds["mem"], widths))
+        gates = {slot: None if fixed is not None else read_node(cur[slot], xc, LINEAR, widths)
+                 for slot, fixed in (("eta", cfg.fixed_eta), ("alpha", cfg.fixed_alpha))}
+        eta = S._gate(tape, cfg.fixed_eta, gates["eta"], cfg.eta_bias, T.softplus, n * batch)
+        alpha = S._gate(tape, cfg.fixed_alpha, gates["alpha"], cfg.alpha_bias, T.sigmoid, n * batch)
+        vhat = {slot: read_node(cur[slot], v, cfg.kinds[slot], widths) if cfg.self_values else v for slot in slots}
+        for slot in slots:
+            if cfg.kinds[slot] == MLP2:
+                cur[slot] = S._advance(cfg, MLP2, cur[slot], k, vhat[slot], eta, alpha, widths)
+                continue
+            (m,) = cur[slot]
+            u = T.sub(T.bmatmul(m, k, widths), vhat[slot]) if cfg.objective == "l2" else T.neg(vhat[slot])
+            cur[slot] = (T.decay_scan(m, k, u, eta, alpha, cfg.retention, widths),)
+    return T.concat_columns(outputs), cur
+
+
+STACK_CONFIGS = {
+    "default": lambda d: SrtConfig(dim=d, chunk=3),
+    "all-linear": lambda d: all_linear_config(d, chunk=3),
+    "frozen-subset": lambda d: SrtConfig(dim=d, chunk=3, update_slots=("v", "alpha", "mem")),
+    "dot": lambda d: all_linear_config(d, chunk=3, objective="dot"),
+    "no-retention": lambda d: SrtConfig(dim=d, chunk=3, retention=False),
+    "no-self-values": lambda d: all_linear_config(d, chunk=3, self_values=False),
+    "conv": lambda d: SrtConfig(dim=d, chunk=3, conv=True),
+    "linear-attention": lambda d: S.replace(linear_attention_config(d), chunk=3),
+}
+
+
+@pytest.mark.parametrize("lengths", [[7], [7, 3, 5]], ids=["single", "ragged"])
+@pytest.mark.parametrize("d", [6, 16])
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
+    cfg = STACK_CONFIGS[name](d)
+    rng = np.random.default_rng(28)
+    state = init_srt(cfg, seed=29)
+    weights = {slot: tuple(w + 0.2 * rng.normal(size=w.shape) for w in ws) for slot, ws in state.weights.items()}
+    width = max(lengths) * len(lengths)
+    x = rng.normal(size=(d, width))
+    probes = [rng.normal(size=(d, width))] + [rng.normal(size=(len(lengths),) + w.shape) for ws in weights.values() for w in ws]
+    linear = [slot for slot in S.SLOTS if cfg.kinds[slot] == LINEAR]
+    direction = {slot: rng.normal(size=(d, d)) for slot in linear}
+
+    def run(route, shift=0.0):
+        tape = T.Tape()
+        snaps = {
+            slot: tuple(
+                tape.param(f"{slot}.{j}", w + shift * direction[slot] if slot in direction else w) for j, w in enumerate(ws)
+            )
+            for slot, ws in weights.items()
+        }
+        wq = tape.param("wq", state.wq)
+        kernel = tape.param("conv", state.conv_kernel) if cfg.conv else None
+        if route == "stacked":
+            y, final = S.srt_forward_nodes(tape, cfg, snaps, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
+        else:
+            y, final = _per_slot_forward(tape, cfg, snaps, wq, tape.constant(x), kernel, lengths)
+        outs = [y] + [w for slot in S.SLOTS for w in final[slot]]
+        loss = T.dot(y, probes[0])
+        for o, p in zip(outs[1:], probes[1:]):
+            loss = T.add(loss, T.dot(o, p))
+        return tape, outs, loss
+
+    tape, outs, loss = run("stacked")
+    oracle_tape, oracle_outs, oracle_loss = run("per-slot")
+    for a, b in zip(outs, oracle_outs):
+        assert np.array_equal(a.value, b.value)
+    assert tape.replay() is True
+    grads, oracle = tape.backward(loss), oracle_tape.backward(oracle_loss)
+    for pname, g in oracle.items():
+        assert np.abs(grads[pname].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), pname
+    along = sum(float((grads[f"{slot}.0"].data * direction[slot]).sum()) for slot in linear)
+    fd = T.finite_diff_grad(lambda t: float(run("stacked", float(t.data[0]))[2].value), Tensor([0.0]))
+    assert abs(fd.data[0] - along) <= 1e-6 * abs(along)

@@ -216,13 +216,3 @@ def test_invalid_specs_rejected():
         generate(TaskSpec("toy_psi"), 5)
     with pytest.raises(ValueError):
         evaluate(ConstantModel(0), [])
-
-
-def test_dataset_jsonl_roundtrip(tmp_path):
-    data = generate(TaskSpec("anbn", seed=13, bin0=(2, 10), bin1=(11, 14)), 12)
-    path = tmp_path / "ds.jsonl"
-    tasks.write_dataset_jsonl(data, str(path))
-    back = tasks.read_dataset_jsonl(str(path))
-    assert [s["tokens"] for s in back] == [s["tokens"] for s in data]
-    assert [s["label"] for s in back] == [s["label"] for s in data]
-    assert all(set(s) == {"tokens", "label", "bin"} for s in back)

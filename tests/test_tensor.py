@@ -261,6 +261,42 @@ def test_outer_transpose_column_element_gradients():
     assert np.array_equal(grads["x"].data, expect)
 
 
+SLICES_AND_CONCATS = {
+    "column": ([(3, 5)], lambda xs: T.column(xs[0], 3)),
+    "element": ([(4,)], lambda xs: T.element(xs[0], 2)),
+    "slice_columns-strided": ([(3, 8)], lambda xs: T.slice_columns(xs[0], 1, 7, 2)),
+    "slice_rows-matrix": ([(6, 4)], lambda xs: T.slice_rows(xs[0], 2, 5)),
+    "slice_rows-stack": ([(2, 6, 3)], lambda xs: T.slice_rows(xs[0], 3, 6)),
+    "concat_columns": ([(3, 2), (3, 4)], lambda xs: T.concat_columns(xs)),
+    "concat_rows": ([(2, 3), (4, 3), (1, 3)], lambda xs: T.concat_rows(xs)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICES_AND_CONCATS))
+def test_slice_and_concat_gradients_match_finite_differences_and_replay(name):
+    shapes, op = SLICES_AND_CONCATS[name]
+    rng = np.random.default_rng(24)
+    vals = [rng.normal(size=shape) for shape in shapes]
+    scratch = Tape()
+    probe = rng.normal(size=op([scratch.constant(v) for v in vals]).value.shape)
+
+    def loss(tape, xs):
+        return T.dot(T.silu(op(xs)), tape.constant(probe))
+
+    tape = Tape()
+    grads = tape.backward(loss(tape, [tape.param(f"x{i}", v) for i, v in enumerate(vals)]))
+    assert tape.replay() is True
+    for i, v in enumerate(vals):
+
+        def f(xt, i=i):
+            t = Tape()
+            return float(loss(t, [t.constant(xt.data if j == i else u) for j, u in enumerate(vals)]).value)
+
+        assert rel_err(grads[f"x{i}"].data, finite_diff_grad(f, Tensor(v)).data) < 1e-8
+    with pytest.raises(T.ShapeError):
+        T.slice_rows(scratch.constant(vals[0]), 0, 10)
+
+
 def test_scale_rows_columns_and_rms_composite_gradients():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 3))
@@ -509,11 +545,15 @@ def test_layer_trace_matches_weight_gradient_exactly():
         tape = Tape()
         h = T.silu(T.matmul(tape.param("w1", w1), tape.constant(x)))
         y = T.matmul(tape.param("w2", w2), h)
-        grads = tape.backward(T.mse(y, tape.constant(rng.normal(size=3))))
+        grads = tape.backward(T.mse(y, tape.constant(rng.normal(size=3))), layer_traces=True)
         traces = {tr.layer_id: tr for tr in tape.layer_traces}
         assert set(traces) == {"w1", "w2"}
         for name in ("w1", "w2"):
             assert np.array_equal(traces[name].weight_gradient().data, grads[name].data)
+    # without the flag no trace is built
+    tape = Tape()
+    tape.backward(T.sum_all(T.matmul(tape.param("w", w1), tape.constant(x))))
+    assert tape.layer_traces == []
 
 
 def test_finite_diff_quadratic_and_constant():
