@@ -9,6 +9,7 @@ can verify every primitive's backward rule.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from typing import Callable, Sequence
@@ -783,24 +784,133 @@ def bmatmul(w, x, widths=None) -> Node:
     return t._record(_bmm(vw, vx, partial), (w, x), vjp, lambda vals, partial=partial: _bmm(*vals, partial), "bmatmul")
 
 
-def _decay_scan(m0, keys, u, es, als, retention):
-    """Final (B,p,n) state plus the per-column key rows, states and residuals the backward pass reads.
+def _step(m, keys, u, es, als, retention):
+    """One column: M_1 = alpha M_0 - eta w k^T.  Keys are (B,1,n) rows `kr` or
+    (B,n,1) columns `kc`, residuals (B,p,1), gates (B,1,1)."""
+    batch, p, n = m.shape
+    kr = keys.T.reshape(batch, 1, n)
+    kc = kr.reshape(batch, n, 1)
+    e, a = es.reshape(batch, 1, 1), als.reshape(batch, 1, 1)
+    w = u.T.reshape(batch, p, 1)
+    if retention:
+        w = m @ kc + w
+    return a * m - e * (w * kr), [w, kr, kc, e, a]
 
-    Column j of sample b is keys[:, j*B + b]; per column, keys are (B,1,n)
-    rows `kr` or (B,n,1) columns `kc`, residuals (B,p,1) and the gates
-    `es`, `als` (B,1,1).
+
+def _step_vjp(g, m, saved, retention):
+    w, kr, kc, e, a = saved
+    batch, wt = len(m), np.swapaxes(w, 1, 2)
+    gmk = g @ kc
+    gw = -e * gmk
+    ga = g.reshape(batch, 1, -1) @ m.reshape(batch, -1, 1)
+    ge = -(wt @ gmk)
+    gk = -e * (wt @ g)
+    g = a * g
+    if retention:
+        gk += np.swapaxes(gw, 1, 2) @ m
+        g = g + gw * kr
+    return g, gk.reshape(batch, -1).T, gw.reshape(batch, -1).T, ge.reshape(-1), ga.reshape(-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _masks(cols: int) -> tuple:
+    """Constants of the closed form for C columns: `starts` (C+1,C), [s,m] = m >= s,
+    selects the gates of the segments starting at s; `upper` (C,C+1), [m,t] = t > m;
+    `lower` (C,C+1), [m,s] = s <= m; `strict` (C,C), [l,j] = l < j; and I."""
+    lower = np.tri(cols, cols + 1, dtype=bool)
+    upper = (~lower).astype(_DEFAULT_DTYPE)
+    masks = (np.ascontiguousarray(lower.T), upper, lower.astype(_DEFAULT_DTYPE), upper[:, :cols].copy(), np.eye(cols))
+    for mask in masks:  # shared by every caller
+        mask.setflags(write=False)
+    return masks
+
+
+def _segments(ab: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """E[b,s,t] = prod_{s<=m<t} ab[b,m] for 0 <= s <= t <= C, by one cumprod; 1 where t <= s."""
+    batch, cols = ab.shape
+    seg = np.empty((batch, cols + 1, cols + 1))
+    seg[:, :, 0] = 1.0
+    np.cumprod(np.where(starts, ab[:, None, :], 1.0), axis=2, out=seg[:, :, 1:])
+    return seg
+
+
+def _unit_upper_inverse(t: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """(I + T)^-1 for strictly upper triangular (B,C,C) T: (I - T)(I + T^2)(I + T^4)..., as T^C = 0."""
+    nil = -t
+    inv, span = eye + nil, 2
+    while span < len(eye):
+        nil = nil @ nil
+        inv = inv @ (eye + nil)
+        span *= 2
+    return inv
+
+
+def _closed(m, keys, u, es, als, retention):
+    """C > 1 columns in closed form.  Per sample, with A = prod alpha,
+    c_j = eta_j prod_{i>j} alpha_i and p_j = prod_{i<j} alpha_i:
+
+        M_C = A M_0 - W diag(c) K^T,   W = U                                (no retention)
+                                       W (I + T) = (M_0 K) diag(p) + U     (retention)
+
+    with T[l,j] = eta_l prod_{l<m<j} alpha_m k_l^T k_j for l < j (the UT/WY
+    form of the gated delta rule).  Every gate product is a segment product.
     """
-    batch, p, n = m0.shape
-    kr = keys.T.reshape(-1, batch, 1, n)
-    kc = kr.reshape(-1, batch, n, 1)
-    us = u.T.reshape(-1, batch, p, 1)
-    m, states, resid = m0, [], []
-    for j in range(len(us)):
-        w = m @ kc[j] + us[j] if retention else us[j]
-        states.append(m)
-        resid.append(w)
-        m = als[j] * m - es[j] * (w * kr[j])
-    return m, kr, states, resid
+    batch = len(m)
+    kb, w = _batch_major(keys, batch), _batch_major(u, batch)
+    cols = kb.shape[2]
+    starts, _, _, strict, eye = _masks(cols)
+    eb = es.reshape(cols, batch).T
+    seg = _segments(als.reshape(cols, batch).T, starts)
+    c = eb * seg[:, 1:, cols]
+    kt = kb.transpose(0, 2, 1)
+    q = None
+    if retention:
+        q = _unit_upper_inverse(eb[:, :, None] * seg[:, 1:, :cols] * strict * (kt @ kb), eye)
+        w = ((m @ kb) * seg[:, :1, :cols] + w) @ q
+    return seg[:, :1, cols, None] * m - (w * c[:, None, :]) @ kt, [kb, w, q, seg, eb, c]
+
+
+def _closed_vjp(g, m, saved, retention):
+    kb, w, q, seg, eb, c = saved
+    batch, _, cols = kb.shape
+    _, upper, lower, strict, _ = _masks(cols)
+    kt = kb.transpose(0, 2, 1)
+    gk = g @ kb
+    du = gk * -c[:, None, :]  # dW
+    dc = -(w * gk).sum(axis=1)
+    dk = (g.transpose(0, 2, 1) @ w) * -c[:, None, :]
+    dm = seg[:, :1, cols, None] * g
+    dseg = np.zeros_like(seg)
+    dseg[:, 0, cols] = (g.reshape(batch, 1, -1) @ m.reshape(batch, -1, 1)).reshape(batch)
+    dseg[:, 1:, cols] = dc * eb
+    de = dc * seg[:, 1:, cols]
+    if retention:
+        du = du @ q.transpose(0, 2, 1)  # dR, from dR (I + T)^T = dW
+        dt = (w.transpose(0, 2, 1) @ du) * -strict
+        dtg = dt * (kt @ kb)
+        dseg[:, 1:, :cols] = dtg * eb[:, :, None]
+        de += (dtg * seg[:, 1:, :cols]).sum(axis=2)
+        dg = dt * eb[:, :, None] * seg[:, 1:, :cols]
+        dk += kb @ (dg + dg.transpose(0, 2, 1))
+        x = m.transpose(0, 2, 1) @ du
+        dseg[:, 0, :cols] = (kb * x).sum(axis=1)
+        p = seg[:, :1, :cols]
+        dk += x * p
+        dm += (du * p) @ kt
+    # d prod_{s<=i<t} alpha_i / d alpha_m = E[s,m] E[m+1,t]: no division by alpha
+    da = ((seg.transpose(0, 2, 1)[:, :cols] * lower) @ dseg * seg[:, 1:] * upper).sum(axis=2)
+    return dm, _time_major(dk), _time_major(du), de.T.reshape(-1), da.T.reshape(-1)
+
+
+def _scan(m, keys, u, es, als, retention, partial=()):
+    """Final (B,p,n) state and the arrays the VJP reads; `partial` lists
+    (sample, width) for the samples recomputed alone at their own width."""
+    batch = len(m)
+    out, saved = (_step if keys.shape[1] == batch else _closed)(m, keys, u, es, als, retention)
+    for b, n in partial:
+        own = [np.ascontiguousarray(x[..., b::batch][..., :n]) for x in (keys, u, es, als)]
+        out[b] = _scan(m[b : b + 1], *own, retention)[0][0]
+    return out, saved
 
 
 def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
@@ -811,10 +921,12 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
 
     for a (p,n) start state M_0, (n,C) keys, (p,C) residuals u and (C,) gates;
     or for B states (B,p,n) over a time-major batch chunk of C*B columns, each
-    state scanning its own sample's columns.  At padded columns (see `widths`)
-    the gates are pinned to eta = 0, alpha = 1, so 1*M - 0*(w k^T) leaves the
-    state bit-identical.  Only M_C is recorded: the backward pass loops over the
-    stored states in numpy instead of recording per-column nodes.
+    state scanning its own sample's columns.  One column takes the step above;
+    more take its closed form (see `_closed`), forward and VJP, with no loop
+    over the columns.  At padded columns (see `widths`) the gates are pinned to
+    eta = 0, alpha = 1, so a fully padded sample keeps M_0 bit-identical, and a
+    sample whose real columns end inside the chunk is recomputed at its own
+    width, bit-identical to its own scan.  Only M_C is recorded.
     """
     t = _tape_of(m0, keys, u, eta, alpha)
     m0, keys, u, eta, alpha = (_lift(t, a) for a in (m0, keys, u, eta, alpha))
@@ -829,43 +941,27 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
         raise ShapeError(f"decay_scan: need (p,n) or (B,p,n), (n,C*B), (p,C*B), (C*B,), (C*B,) operands, got {shapes}")
     for arr, what in ((vm, "state"), (vk, "keys"), (vu, "residuals"), (ve, "eta"), (va, "alpha")):
         _check_finite(arr, f"decay_scan {what}")
-    live = _live_columns(widths, batch, n_cols // batch)
-    es, als = (gate.reshape(-1, batch, 1, 1) for gate in _pinned(ve, va, live))
-    out, kr, states, resid = _decay_scan(vm if stacked else vm[None], vk, vu, es, als, retention)
+    cols = n_cols // batch
+    live = _live_columns(widths, batch, cols)
+    partial = () if live is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
+    m = np.ascontiguousarray(vm if stacked else vm[None])  # samples recomputed alone see the same layout
+    out, saved = _scan(m, vk, vu, *_pinned(ve, va, live), retention, partial)
+    scan_vjp = _step_vjp if cols == 1 else _closed_vjp
 
     # the closures capture little: every object they keep alive is one more
     # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
-        g = g if stacked else g[None]
-        cols, batch, _, n = kr.shape
-        kc = kr.reshape(cols, batch, n, 1)
-        gk, gu = np.empty((cols, batch, 1, n)), np.empty((cols, batch, g.shape[1], 1))
-        ge, ga = np.empty((cols, batch, 1, 1)), np.empty((cols, batch, 1, 1))
-        for j in reversed(range(cols)):
-            m, w, wt = states[j], resid[j], np.swapaxes(resid[j], 1, 2)
-            gmk = g @ kc[j]
-            gw = -es[j] * gmk
-            ga[j] = g.reshape(batch, 1, -1) @ m.reshape(batch, -1, 1)
-            ge[j] = -(wt @ gmk)
-            gu[j] = gw
-            gk[j] = -es[j] * (wt @ g)
-            g = als[j] * g
-            if retention:
-                gk[j] += np.swapaxes(gw, 1, 2) @ m
-                g = g + gw * kr[j]
-        # a tape runs one backward pass: free the saved states now rather than
+        g, gk, gu, ge, ga = scan_vjp(g if stacked else g[None], m, saved, retention)
+        # a tape runs one backward pass: free the saved arrays now rather than
         # when the caller drops the tape
-        states.clear()
-        resid.clear()
-        ge, ga = ge.reshape(-1), ga.reshape(-1)
+        saved.clear()
         if live is not None:  # pinned gates take no gradient
             ge, ga = np.where(live, ge, 0.0), np.where(live, ga, 0.0)
-        return (g if stacked else g[0], gk.reshape(cols * batch, -1).T, gu.reshape(cols * batch, -1).T, ge, ga)
+        return (g if stacked else g[0], gk, gu, ge, ga)
 
     def fwd(vals):
-        m0 = vals[0] if stacked else vals[0][None]
-        gates = (gate.reshape(-1, len(m0), 1, 1) for gate in _pinned(*vals[3:], live))
-        m = _decay_scan(m0, *vals[1:3], *gates, retention)[0]
+        start = np.ascontiguousarray(vals[0] if stacked else vals[0][None])
+        m = _scan(start, *vals[1:3], *_pinned(*vals[3:], live), retention, partial)[0]
         return m if stacked else m[0]
 
     return t._record(out if stacked else out[0], (m0, keys, u, eta, alpha), vjp, fwd, "decay_scan")

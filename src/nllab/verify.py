@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,6 +33,7 @@ class CheckResult:
     passed: bool
     measured: float
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by run_checks
 
 
 _REGISTRY: list[tuple[str, Callable, bool]] = []
@@ -56,10 +58,13 @@ def run_checks(pattern: Optional[str] = None, faults: Optional[set] = None, out_
     for name, fn, _slow in _REGISTRY:
         if pattern and pattern not in name:
             continue
+        start = time.perf_counter()
         try:
-            results.append(fn(faults=faults, out_dir=out_dir))
+            result = fn(faults=faults, out_dir=out_dir)
         except Exception as exc:  # a crashing check is a failing check
-            results.append(CheckResult(name, False, float("nan"), f"raised {type(exc).__name__}: {exc}"))
+            result = CheckResult(name, False, float("nan"), f"raised {type(exc).__name__}: {exc}")
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results
 
 
@@ -309,9 +314,42 @@ def _decay_scan_run(scan, vals: dict, retention: bool, probe: np.ndarray):
     return out.value, {name: grads[name].data for name in _SCAN_INPUTS}
 
 
+def _batched_scan(rng, retention: bool, cols: int, widths: list) -> tuple:
+    """A ragged batch of d=3 states, alpha = 1 and 0 at two columns each, against
+    every sample's per-token graph on its real columns: the largest error of
+    the final state and the five gradients (padded columns must get none), and
+    whether each partly padded sample ends bit-identical to its own-width scan."""
+    batch = len(widths)
+    samples = [_decay_scan_inputs(rng, 3, cols) for _ in widths]
+    for vals in samples:
+        vals["alpha"][[0, -1]] = 1.0, 0.0
+    stacked = {name: np.stack([vals[name] for vals in samples], axis=-1) for name in _SCAN_INPUTS[1:]}
+    stacked = {name: v.reshape(*v.shape[:-2], -1) for name, v in stacked.items()}  # time-major columns
+    stacked["m0"] = np.stack([vals["m0"] for vals in samples])
+    probe = rng.normal(size=(batch, 3, 3))
+    tape = Tape()
+    out = T.decay_scan(*(tape.param(name, stacked[name]) for name in _SCAN_INPUTS), retention, widths)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    worst, exact = 0.0, True
+    for b, n in enumerate(widths):
+        own = {name: v if name == "m0" else v[..., :n] for name, v in samples[b].items()}
+        state, g_own = samples[b]["m0"], {"m0": probe[b]}
+        if n:
+            state, g_own = _decay_scan_run(_decay_scan_oracle, own, retention, probe[b])
+        if 0 < n < cols:
+            exact &= np.array_equal(out.value[b], _decay_scan_run(T.decay_scan, own, retention, probe[b])[0])
+        worst = max(worst, float(np.abs(out.value[b] - state).max()), float(np.abs(grads["m0"].data[b] - g_own["m0"]).max()))
+        for name in _SCAN_INPUTS[1:]:
+            g = grads[name].data[..., b::batch]
+            real = np.abs(g[..., :n] - g_own[name]).max() if n else 0.0
+            worst = max(worst, float(real), float(np.abs(g[..., n:]).max(initial=0.0)))
+    return worst, exact
+
+
 @register("srt-decay-scan")
 def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
-    worst = 0.0  # fused primitive vs per-token graph: forward and every VJP, d=6
+    worst = 0.0  # fused primitive vs per-token graph: forward and every VJP, d=6, and ragged batches at d=3
+    exact = True  # partly padded samples bit-identical to their own-width scans
     fd_worst = 0.0  # fused VJP vs central differences, relative, d=3 and C=3
     for retention in (True, False):
         for n in (1, 3, 8):
@@ -338,9 +376,17 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
             fd = T.finite_diff_grad(f, Tensor(vals[name])).data
             scale = max(np.abs(fd).max(), np.abs(grads[name]).max(), 1e-12)
             fd_worst = max(fd_worst, float(np.abs(fd - grads[name]).max()) / scale)
-    passed = worst <= 1e-12 and fd_worst < 1e-6
+        # ragged batches: full, one-column and empty samples; samples of C-1 and 2 columns
+        for cols, widths in ((16, [16, 1, 0]), (5, [5, 4, 2])) if retention else ((6, [6, 1, 0]),):
+            err, same = _batched_scan(rng, retention, cols, widths)
+            worst, exact = max(worst, err), exact and same
+    passed = worst <= 1e-12 and fd_worst < 1e-6 and exact
     return CheckResult(
-        "srt-decay-scan", passed, worst, f"fused vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}"
+        "srt-decay-scan",
+        passed,
+        worst,
+        f"fused vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}, "
+        f"partly padded samples bit-identical={exact}",
     )
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nllab import tensor as T
+from nllab.verify import _decay_scan_oracle
 from nllab.tensor import Tape, Tensor, finite_diff_grad
 
 
@@ -656,3 +659,52 @@ def test_batched_decay_scan_is_each_samples_own_scan(retention):
             g = grads[name].data[..., b::4]
             assert np.abs(g[..., :n] - g_alone[name].data).max() < 1e-12
             assert not np.any(g[..., n:]), name  # padded columns receive no gradient
+
+
+_GATE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _scan_cases(draw):
+    batch, p, n, cols = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    widths = draw(st.lists(st.integers(0, cols), min_size=batch, max_size=batch))
+    gates = [draw(st.lists(_GATE, min_size=cols * batch, max_size=cols * batch)) for _ in range(2)]
+    return widths, cols, p, n, draw(st.booleans()), np.array(gates), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_scan_cases())
+def test_decay_scan_matches_the_per_token_graph_on_random_batches(case):
+    widths, cols, p, n, retention, gates, seed = case
+    batch = len(widths)
+    rng = np.random.default_rng(seed)
+    keys = rng.normal(size=(n, cols * batch))
+    vals = [rng.normal(size=(batch, p, n)), keys / np.linalg.norm(keys, axis=0), rng.normal(size=(p, cols * batch)), *gates]
+    probe = rng.normal(size=(batch, p, n))
+
+    def scan(tape, shift=0.0, direction=None):
+        args = [tape.param(f"p{i}", v if direction is None else v + shift * direction[i]) for i, v in enumerate(vals)]
+        return T.decay_scan(*args, retention, widths)
+
+    tape = Tape()
+    out = scan(tape)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    out = out.value
+    for b, w in enumerate(widths):
+        state, g_own = vals[0][b], {"p0": probe[b]}
+        if w:
+            t = Tape()
+            own = [t.param("p0", vals[0][b])] + [t.param(f"p{i}", v[..., b::batch][..., :w]) for i, v in enumerate(vals) if i]
+            oracle = _decay_scan_oracle(*own, retention)
+            state, g_own = oracle.value, {k: g.data for k, g in t.backward(T.dot(oracle, t.constant(probe[b]))).items()}
+        for got, want in [(out[b], state), (grads["p0"].data[b], g_own["p0"])] + [
+            (grads[f"p{i}"].data[..., b::batch][..., :w], g_own.get(f"p{i}", 0.0)) for i in range(1, 5)
+        ]:
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(np.abs(want).max(initial=1.0), 1.0)
+        for i in range(1, 5):  # padded columns receive no gradient
+            assert not np.any(grads[f"p{i}"].data[..., b::batch][..., w:])
+
+    direction = [rng.normal(size=v.shape) for v in vals]
+    along = sum(float((grads[f"p{i}"].data * d).sum()) for i, d in enumerate(direction))
+    fd = finite_diff_grad(lambda s: float((scan(Tape(), float(s.data[0]), direction).value * probe).sum()), Tensor([0.0]))
+    assert abs(fd.data[0] - along) <= 1e-6 * max(abs(along), 1.0)
