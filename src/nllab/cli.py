@@ -182,16 +182,12 @@ def cmd_verify(args) -> int:
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2
-    failed = sum(not r.passed for r in results)
-    if args.json:  # one object per line; a non-finite measurement is null
-        for r in results:
-            measured = float(r.measured) if np.isfinite(r.measured) else None
-            print(json.dumps({"name": r.name, "passed": bool(r.passed), "measured": measured, "detail": r.detail, "seconds": r.seconds}))
-        return 0 if failed == 0 else 1
     width = max(len(r.name) for r in results)
+    failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  {r.detail}")
+        failed += 0 if r.passed else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -203,7 +199,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run registered oracle/invariant checks")
     p.add_argument("--filter", help="substring filter on check names")
     p.add_argument("--out", help="directory for emitted CSV artifacts")
-    p.add_argument("--json", action="store_true", help="one JSON object per check, with its elapsed seconds")
     p.add_argument(
         "--inject-fault",
         action="append",

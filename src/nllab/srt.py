@@ -16,9 +16,8 @@ retention factor one C x C unit-triangular solve) rather than column by
 column.  A chunk of 1 recovers exact token-by-token stepping.  The S updated
 linear slots share keys, gates and objective, and the rule acts on each row
 alone, so they run as one row-stacked (S*d, d) fast weight in SLOTS order: per
-chunk one read per distinct input, of the row block its readers span, one
-residual and one scan, bit-identical to S separate ones.  MLP2 and frozen
-slots keep their own weights.
+chunk one read per distinct input (row slices for single-slot reads), one
+residual and one scan, bit-identical to S separate ones.  MLP2 and frozen slots keep their own weights.
 
 A batch of B sequences runs as one time-major (d, L*B) matrix (column t*B + b
 holds token t of sample b; see `tensor`), so a chunk is a (d, C*B) slice.
@@ -139,37 +138,24 @@ def _rows(stack: Node, i: int, d: int, count: int) -> Node:
 def _elements(cfg: SrtConfig, boundary: dict, stacked: list, wq: Node, x: Node, xkv: Node, slots: Sequence[str], widths) -> dict:
     """Element work of one chunk as (d, C*B) matrices, every read against the boundary memories.
 
-    The `stacked` slots read through one product per distinct input, of the
-    rows of their row-stacked fast weight `boundary[STACK]` from the first to
-    the last slot reading that input.
-    Holds the output `y`, the key `k`, the gate reads `eta`/`alpha` (unless
-    fixed) and one self-generated target `vhat.<slot>` per updated slot or STACK.
+    The `stacked` slots read through one product of their row-stacked fast
+    weight `boundary[STACK]` per distinct input.  Holds the output `y`, the key
+    `k`, the gate reads `eta`/`alpha` (unless fixed) and one self-generated
+    target `vhat.<slot>` per updated slot or STACK.
     """
-    d = cfg.dim
+    products = {}  # input node -> its product with the stacked fast weight
+
+    def read(slot: str, cols: Node) -> Node:
+        if slot not in stacked:
+            return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
+        if cols not in products:
+            products[cols] = T.bmatmul(boundary[STACK][0], cols, widths)
+        return _rows(products[cols], stacked.index(slot), cfg.dim, len(stacked))
 
     def norm(cols: Node, on: bool) -> Node:
         return T.l2_normalize_columns_safe(cols) if on else cols
 
     q = norm(T.matmul(wq, x), cfg.normalize_q)
-    inputs = {"k": xkv, "v": xkv, "eta": x, "alpha": x, "mem": q}
-    fixed = {"eta": cfg.fixed_eta, "alpha": cfg.fixed_alpha}
-    blocks = {}  # input node -> first and last index in `stacked` of the slots reading it
-    for i, slot in enumerate(stacked):
-        if fixed.get(slot) is None:
-            blocks[inputs[slot]] = (blocks.get(inputs[slot], (i,))[0], i)
-    products = {}  # input node -> its product with its row block of the stack
-
-    def read(slot: str, cols: Node) -> Node:
-        if slot not in stacked:
-            return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
-        first, last = blocks[cols]
-        count = last + 1 - first
-        if cols not in products:
-            stack = boundary[STACK][0]
-            block = stack if count == len(stacked) else T.slice_rows(stack, first * d, (last + 1) * d)
-            products[cols] = T.bmatmul(block, cols, widths)
-        return _rows(products[cols], stacked.index(slot) - first, d, count)
-
     v = norm(read("v", xkv), cfg.normalize_v)
     out = {"y": read("mem", q), "k": norm(read("k", xkv), cfg.normalize_k)}
     if cfg.fixed_eta is None:

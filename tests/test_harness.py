@@ -339,19 +339,6 @@ def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_cli_verify_json_emits_one_object_per_check(tmp_path, capsys):
-    assert main(["verify", "--filter", "srt-decay", "--out", str(tmp_path), "--json"]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
-    record = json.loads(line)
-    assert set(record) == {"name", "passed", "measured", "detail", "seconds"}
-    assert record["name"] == "srt-decay-scan" and record["passed"] is True
-    assert 0.0 <= record["measured"] <= 1e-12 and record["seconds"] > 0.0
-
-    assert main(["verify", "--filter", "hebbian", "--out", str(tmp_path), "--inject-fault", "hebbian-sign", "--json"]) == 1
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["passed"] for r in records] == [False]
-
-
 @pytest.mark.parametrize("name", [name for name, slow in verify.registered_checks() if not slow])
 def test_every_fast_verify_check_passes(tmp_path, name):
     (result,) = [r for r in verify.run_checks(pattern=name, out_dir=str(tmp_path)) if r.name == name]

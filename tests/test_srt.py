@@ -439,21 +439,3 @@ def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
     along = sum(float((grads[f"{slot}.0"].data * direction[slot]).sum()) for slot in linear)
     fd = T.finite_diff_grad(lambda t: float(run("stacked", float(t.data[0]))[2].value), Tensor([0.0]))
     assert abs(fd.data[0] - along) <= 1e-6 * abs(along)
-
-
-@pytest.mark.parametrize("name", ["default", "conv", "all-linear"])
-def test_stacked_products_span_only_the_rows_their_readers_use(name):
-    cfg = STACK_CONFIGS[name](6)
-    state = init_srt(cfg, seed=30)
-    tape = T.Tape()
-    weights, wq, kernel = S._as_nodes(tape, state)
-    x = tape.constant(np.random.default_rng(31).normal(size=(6, 14)))
-    S.srt_forward_nodes(tape, cfg, weights, wq, x, conv_kernel=kernel, lengths=[7, 5])
-    readers = {}
-    for node in tape.nodes:
-        for parent in node.parents:
-            readers.setdefault(parent.idx, []).append(node)
-    for node in tape.nodes:
-        users = readers.get(node.idx, [])
-        if node.op == "bmatmul" and users and all(user.op == "slice_rows" for user in users):
-            assert sum(user.value.shape[0] for user in users) >= node.value.shape[0]
