@@ -12,7 +12,7 @@ import numpy as np
 from . import bench, checkpoint, optim, verify
 from .config import ConfigError, load_config, write_json_atomic
 from .hope import DivergenceError, HopeConfig, HopeModel, outer_optimizer_states, train
-from .runlog import emit_plot_series, read_runlog, write_runlog
+from .runlog import RunlogError, emit_plot_series, read_runlog, write_runlog
 from .seeding import derive_seed
 from .tasks import LANGUAGE_KINDS, RECALL_KINDS, TaskSpec, evaluate, generate, vocabulary
 from .tensor import ShapeError, Tensor
@@ -56,9 +56,24 @@ def build_model(cfg: dict) -> HopeModel:
                 "cms_chunks": tuple(m["cms_chunks"]),
             }
         )
-        return HopeModel(hope_cfg, seed=derive_seed(cfg["seed"], "init"))
+        model = HopeModel(hope_cfg, seed=derive_seed(cfg["seed"], "init"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model config at $.model: {exc}") from exc
+    _check_fits_task(task_kind, hope_cfg)
+    return model
+
+
+def _check_fits_task(kind: str, model_cfg: HopeConfig) -> None:
+    """A model with fewer token ids or classes than the task uses raises ConfigError naming the key."""
+    if kind not in LANGUAGE_KINDS + RECALL_KINDS + ("char_lm",):
+        return
+    tokens = len(vocabulary(kind))
+    # recall labels are value tokens, which all precede the final query token
+    labels = 2 if kind in LANGUAGE_KINDS else tokens - 1 if kind in RECALL_KINDS else 0
+    for key, need, what in (("vocab", tokens, "token ids"), ("num_classes", labels, "labels")):
+        have = getattr(model_cfg, key)
+        if have < need:
+            raise ConfigError(f"invalid model config at $.model.{key}: {have} is fewer than the {need} {what} of task {kind!r}")
 
 
 def check_optimizers(cfg: dict, model: HopeModel) -> None:
@@ -228,7 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, checkpoint.CheckpointError) as exc:
+    except (ConfigError, FileNotFoundError, checkpoint.CheckpointError, RunlogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,10 +37,14 @@ def read_runlog(path: str) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RunlogError(f"line {i + 1} is not valid JSON") from exc
+            if not isinstance(rec, dict):
+                raise RunlogError(f"line {i + 1} is not a JSON object")
             if rec.get("version") != 1:
                 raise RunlogError(f"line {i + 1} has unsupported version {rec.get('version')!r}")
             if "step" not in rec:
                 raise RunlogError(f"line {i + 1} is missing the step field")
+            if not isinstance(rec["step"], int) or isinstance(rec["step"], bool):
+                raise RunlogError(f"line {i + 1}: step must be an integer, got {rec['step']!r}")
             if last is not None and rec["step"] <= last:
                 raise RunlogError(f"line {i + 1}: steps must strictly increase")
             last = rec["step"]

@@ -124,7 +124,11 @@ class LayerTrace:
 
 
 class Node:
-    """One recorded value in a tape's computation graph."""
+    """One recorded value in a tape's computation graph.
+
+    `fwd` is the value function that made `value` from the parents' values
+    (None for leaves); `vjp` maps the value's gradient to one per parent.
+    """
 
     __slots__ = ("tape", "idx", "value", "parents", "vjp", "fwd", "op", "param_name")
 
@@ -143,6 +147,11 @@ class Node:
         return self.value.shape
 
 
+def _apply(fn: Callable, values: list) -> np.ndarray:
+    out = fn(*values)
+    return out if isinstance(out, np.ndarray) else np.asarray(out, dtype=_DEFAULT_DTYPE)
+
+
 class Tape:
     """Ordered record of primitive applications; one backward pass allowed.
 
@@ -159,25 +168,34 @@ class Tape:
         self.layer_traces: list[LayerTrace] = []
         self._backward_done = False
 
-    def _record(self, value, parents, vjp, fwd, op, param_name=None) -> Node:
-        if not isinstance(value, np.ndarray):
-            value = np.asarray(value, dtype=_DEFAULT_DTYPE)
-        node = Node(self._proxy, len(self.nodes), value, parents, vjp, fwd, op, param_name)
+    def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str) -> Node:
+        """Record one primitive.  Its value is `fn(*parent values)`, computed here
+        once and finite-checked in checked mode; `replay` calls the same `fn`.  A
+        `vjp` that needs the value reads it from the returned node or, with other
+        intermediates, from a list that `fn` fills."""
+        value = _apply(fn, [p.value for p in parents])
+        if _CHECKED and not np.isfinite(value).all():
+            raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)})")
+        node = Node(self._proxy, len(self.nodes), value, parents, vjp, fn, op)
+        self.nodes.append(node)
+        return node
+
+    def _leaf(self, x, param_name=None) -> Node:
+        # a C-order copy: BLAS-backed ops round strided operands differently
+        value = np.array(as_array(x), dtype=_DEFAULT_DTYPE, order="C")
+        _check_finite(value, "constant" if param_name is None else f"param {param_name!r}")
+        op = "const" if param_name is None else "param"
+        node = Node(self._proxy, len(self.nodes), value, (), None, None, op, param_name)
         self.nodes.append(node)
         return node
 
     def constant(self, x) -> Node:
-        arr = np.array(as_array(x), dtype=_DEFAULT_DTYPE)
-        _check_finite(arr, "constant")
-        return self._record(arr, (), None, None, "const")
+        return self._leaf(x)
 
     def param(self, name: str, x) -> Node:
         if name in self.params:
             raise TapeError(f"parameter {name!r} registered twice on one tape")
-        arr = np.array(as_array(x), dtype=_DEFAULT_DTYPE)
-        _check_finite(arr, f"param {name!r}")
-        node = self._record(arr, (), None, None, "param", param_name=name)
-        self.params[name] = node
+        node = self.params[name] = self._leaf(x, name)
         return node
 
     def backward(self, loss: Node, layer_traces: bool = False) -> dict[str, Tensor]:
@@ -227,14 +245,14 @@ class Tape:
 
     def replay(self) -> bool:
         """Re-execute recorded ops in order; True iff all values reproduce bit-identically."""
-        values: dict[int, np.ndarray] = {}
+        values: list = []
         ok = True
         for node in self.nodes:
             if node.fwd is None:
-                values[node.idx] = node.value
+                values.append(node.value)
                 continue
-            new = node.fwd(tuple(values[p.idx] for p in node.parents))
-            values[node.idx] = new
+            new = _apply(node.fwd, [values[p.idx] for p in node.parents])
+            values.append(new)
             if new.shape != node.value.shape or not np.array_equal(new, node.value):
                 ok = False
         return ok
@@ -257,18 +275,13 @@ def _tape_of(*args) -> Tape:
 
 def _unary(x: Node, f: Callable, df: Callable, op: str) -> Node:
     v = x.value
-    _check_finite(v, f"{op} input")
-    out = f(v)
 
     def vjp(g):
         return (g * df(v, out),)
 
-    return x.tape._record(out, (x,), vjp, lambda vals: f(vals[0]), op)
-
-
-def _check_elemwise(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ (only scalar-tensor mixing allowed)")
+    node = x.tape._record(f, (x,), vjp, op)
+    out = node.value  # the VJP reads the recorded value
+    return node
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -281,45 +294,33 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 # arithmetic primitives
 
 
-def add(a, b) -> Node:
+def _binary(a, b, fn: Callable, op: str) -> Node:
+    """add, sub or mul of two same-shaped operands, or of a scalar and anything."""
     t = _tape_of(a, b)
     a, b = _lift(t, a), _lift(t, b)
-    _check_elemwise(a.value, b.value, "add")
-    _check_finite(a.value, "add lhs"), _check_finite(b.value, "add rhs")
-    out = a.value + b.value
+    va, vb = a.value, b.value
+    if va.shape != vb.shape and va.shape != () and vb.shape != ():
+        raise ShapeError(f"{op}: shapes {va.shape} and {vb.shape} differ (only scalar-tensor mixing allowed)")
 
     def vjp(g):
-        return (_reduce_to(g, a.value.shape), _reduce_to(g, b.value.shape))
+        if op == "mul":
+            return (_reduce_to(g * vb, va.shape), _reduce_to(g * va, vb.shape))
+        return (_reduce_to(g, va.shape), _reduce_to(-g if op == "sub" else g, vb.shape))
 
-    return t._record(out, (a, b), vjp, lambda vals: vals[0] + vals[1], "add")
+    return t._record(fn, (a, b), vjp, op)
+
+
+def add(a, b) -> Node:
+    return _binary(a, b, np.add, "add")
 
 
 def sub(a, b) -> Node:
-    t = _tape_of(a, b)
-    a, b = _lift(t, a), _lift(t, b)
-    _check_elemwise(a.value, b.value, "sub")
-    _check_finite(a.value, "sub lhs"), _check_finite(b.value, "sub rhs")
-    out = a.value - b.value
-
-    def vjp(g):
-        return (_reduce_to(g, a.value.shape), _reduce_to(-g, b.value.shape))
-
-    return t._record(out, (a, b), vjp, lambda vals: vals[0] - vals[1], "sub")
+    return _binary(a, b, np.subtract, "sub")
 
 
 def mul(a, b) -> Node:
     """Elementwise product; either operand may be a scalar."""
-    t = _tape_of(a, b)
-    a, b = _lift(t, a), _lift(t, b)
-    va, vb = a.value, b.value
-    _check_elemwise(va, vb, "mul")
-    _check_finite(va, "mul lhs"), _check_finite(vb, "mul rhs")
-    out = va * vb
-
-    def vjp(g):
-        return (_reduce_to(g * vb, va.shape), _reduce_to(g * va, vb.shape))
-
-    return t._record(out, (a, b), vjp, lambda vals: vals[0] * vals[1], "mul")
+    return _binary(a, b, np.multiply, "mul")
 
 
 def neg(a: Node) -> Node:
@@ -339,8 +340,6 @@ def matmul(a, b) -> Node:
         raise ShapeError(f"matmul: need 2-d lhs and 1- or 2-d rhs, got {va.shape} @ {vb.shape}")
     if va.shape[-1] != vb.shape[-2 if vb.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dims differ, {va.shape} @ {vb.shape}")
-    _check_finite(va, "matmul lhs"), _check_finite(vb, "matmul rhs")
-    out = va @ vb
 
     if vb.ndim == 1:
 
@@ -352,64 +351,60 @@ def matmul(a, b) -> Node:
         def vjp(g):
             return (g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g)
 
-    return t._record(out, (a, b), vjp, lambda vals: vals[0] @ vals[1], "matmul")
+    return t._record(np.matmul, (a, b), vjp, "matmul")
 
 
 def outer(u, v) -> Node:
     t = _tape_of(u, v)
     u, v = _lift(t, u), _lift(t, v)
-    if u.value.ndim != 1 or v.value.ndim != 1:
-        raise ShapeError(f"outer: need two vectors, got {u.value.shape} and {v.value.shape}")
-    _check_finite(u.value, "outer lhs"), _check_finite(v.value, "outer rhs")
-    out = np.outer(u.value, v.value)
+    vu, vv = u.value, v.value
+    if vu.ndim != 1 or vv.ndim != 1:
+        raise ShapeError(f"outer: need two vectors, got {vu.shape} and {vv.shape}")
 
     def vjp(g):
-        return (g @ v.value, g.T @ u.value)
+        return (g @ vv, g.T @ vu)
 
-    return t._record(out, (u, v), vjp, lambda vals: np.outer(vals[0], vals[1]), "outer")
+    return t._record(np.outer, (u, v), vjp, "outer")
 
 
 def transpose(a: Node) -> Node:
     """Matrix transpose; a (B,p,n) stack transposes each of its B matrices."""
     if a.value.ndim not in (2, 3):
         raise ShapeError(f"transpose: need a matrix or a stack of matrices, got shape {a.value.shape}")
-    out = np.swapaxes(a.value, -1, -2).copy()
 
     def vjp(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return a.tape._record(out, (a,), vjp, lambda vals: np.swapaxes(vals[0], -1, -2).copy(), "transpose")
+    return a.tape._record(lambda v: np.swapaxes(v, -1, -2).copy(), (a,), vjp, "transpose")
 
 
 def sum_all(a: Node) -> Node:
-    out = a.value.sum()
+    v = a.value
 
     def vjp(g):
-        return (np.full_like(a.value, g),)
+        return (np.full_like(v, g),)
 
-    return a.tape._record(out, (a,), vjp, lambda vals: vals[0].sum(), "sum_all")
+    return a.tape._record(np.ndarray.sum, (a,), vjp, "sum_all")
 
 
 def mean_all(a: Node) -> Node:
-    n = a.value.size
-    out = a.value.mean()
+    v = a.value
 
     def vjp(g):
-        return (np.full_like(a.value, g / n),)
+        return (np.full_like(v, g / v.size),)
 
-    return a.tape._record(out, (a,), vjp, lambda vals: vals[0].mean(), "mean_all")
+    return a.tape._record(np.ndarray.mean, (a,), vjp, "mean_all")
 
 
 def mean_axis0(a: Node) -> Node:
     if a.value.ndim != 2:
         raise ShapeError(f"mean_axis0: need a matrix, got {a.value.shape}")
     n = a.value.shape[0]
-    out = a.value.mean(axis=0)
 
     def vjp(g):
         return (np.tile(g / n, (n, 1)),)
 
-    return a.tape._record(out, (a,), vjp, lambda vals: vals[0].mean(axis=0), "mean_axis0")
+    return a.tape._record(lambda v: v.mean(axis=0), (a,), vjp, "mean_axis0")
 
 
 def sqrt(a: Node) -> Node:
@@ -465,31 +460,50 @@ def silu_grad(a: Node) -> Node:
 def l2_normalize(v: Node) -> Node:
     if v.value.ndim != 1:
         raise ShapeError(f"l2_normalize: need a vector, got {v.value.shape}")
-    n = np.linalg.norm(v.value)
-    if n == 0.0:
-        raise ValueError("l2_normalize: zero vector")
-    out = v.value / n
+    saved = []  # the norm and the value, left by `unit` for the VJP
+
+    def unit(a):
+        n = np.linalg.norm(a)
+        if n == 0.0:
+            raise ValueError("l2_normalize: zero vector")
+        saved[:] = n, a / n
+        return saved[1]
 
     def vjp(g):
+        n, out = saved
+        # out @ g rounds differently from the column form's (out * g).sum(axis=0)
         return ((g - out * (out @ g)) / n,)
 
-    return v.tape._record(out, (v,), vjp, lambda vals: vals[0] / np.linalg.norm(vals[0]), "l2_normalize")
+    return v.tape._record(unit, (v,), vjp, "l2_normalize")
+
+
+def _normalize_columns(x: Node, norms_of: Callable, op: str) -> Node:
+    """Each column of a matrix divided by its entry of `norms_of(x)`."""
+    if x.value.ndim != 2:
+        raise ShapeError(f"{op}: need a matrix, got {x.value.shape}")
+    saved = []  # the norms and the value, left by `unit` for the VJP
+
+    def unit(a):
+        norms = norms_of(a)
+        saved[:] = norms, a / norms
+        return saved[1]
+
+    def vjp(g):
+        norms, out = saved
+        return ((g - out * (out * g).sum(axis=0)) / norms,)
+
+    return x.tape._record(unit, (x,), vjp, op)
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(v, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("l2_normalize_columns: zero column")
+    return norms
 
 
 def l2_normalize_columns(x: Node) -> Node:
-    if x.value.ndim != 2:
-        raise ShapeError(f"l2_normalize_columns: need a matrix, got {x.value.shape}")
-    norms = np.linalg.norm(x.value, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("l2_normalize_columns: zero column")
-    out = x.value / norms
-
-    def vjp(g):
-        return ((g - out * (out * g).sum(axis=0)) / norms,)
-
-    return x.tape._record(
-        out, (x,), vjp, lambda vals: vals[0] / np.linalg.norm(vals[0], axis=0), "l2_normalize_columns"
-    )
+    return _normalize_columns(x, _column_norms, "l2_normalize_columns")
 
 
 def _safe_column_norms(v: np.ndarray) -> np.ndarray:
@@ -503,35 +517,7 @@ def _safe_column_norms(v: np.ndarray) -> np.ndarray:
 def l2_normalize_columns_safe(x: Node) -> Node:
     """Each column scaled to unit norm exactly as `l2_normalize` scales a vector,
     bit for bit; a zero column stays zero and passes its gradient through."""
-    if x.value.ndim != 2:
-        raise ShapeError(f"l2_normalize_columns_safe: need a matrix, got {x.value.shape}")
-    norms = _safe_column_norms(x.value)
-    out = x.value / norms
-
-    def vjp(g):
-        return ((g - out * (out * g).sum(axis=0)) / norms,)
-
-    return x.tape._record(
-        out, (x,), vjp, lambda vals: vals[0] / _safe_column_norms(vals[0]), "l2_normalize_columns_safe"
-    )
-
-
-def softmax(v: Node) -> Node:
-    if v.value.ndim != 1:
-        raise ShapeError(f"softmax: need a vector, got {v.value.shape}")
-    z = v.value - v.value.max()
-    e = np.exp(z)
-    out = e / e.sum()
-
-    def vjp(g):
-        return (out * (g - out @ g),)
-
-    def fwd(vals):
-        z2 = vals[0] - vals[0].max()
-        e2 = np.exp(z2)
-        return e2 / e2.sum()
-
-    return v.tape._record(out, (v,), vjp, fwd, "softmax")
+    return _normalize_columns(x, _safe_column_norms, "l2_normalize_columns_safe")
 
 
 def causal_softmax_columns(s: Node) -> Node:
@@ -546,18 +532,18 @@ def causal_softmax_columns(s: Node) -> Node:
         raise ShapeError(f"causal_softmax_columns: need square matrices, got {v.shape}")
     mask = np.triu(np.ones(v.shape[-2:], dtype=bool))  # [i, j] valid iff i <= j
 
-    def compute(vals):
-        m = np.where(mask, vals, -np.inf)
+    def softmax(v):
+        m = np.where(mask, v, -np.inf)
         m = m - m.max(axis=-2, keepdims=True)
         e = np.exp(m)
         return e / e.sum(axis=-2, keepdims=True)
 
-    out = compute(v)
-
     def vjp(g):
         return (out * (g - (out * g).sum(axis=-2, keepdims=True)),)
 
-    return s.tape._record(out, (s,), vjp, lambda vals: compute(vals[0]), "causal_softmax_columns")
+    node = s.tape._record(softmax, (s,), vjp, "causal_softmax_columns")
+    out = node.value  # the VJP reads the recorded value
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +552,14 @@ def causal_softmax_columns(s: Node) -> Node:
 
 def _take(x: Node, index: tuple, op: str) -> Node:
     """x.value[index] as a new node; the VJP scatters the gradient back into zeros."""
-    out = x.value[index].copy()
+    v = x.value
 
     def vjp(g):
-        full = np.zeros_like(x.value)
+        full = np.zeros_like(v)
         full[index] = g
         return (full,)
 
-    return x.tape._record(out, (x,), vjp, lambda vals: vals[0][index].copy(), op)
+    return x.tape._record(lambda a: a[index].copy(), (x,), vjp, op)
 
 
 def column(x: Node, j: int) -> Node:
@@ -609,12 +595,11 @@ def stack_columns(cols: Sequence[Node]) -> Node:
         raise ShapeError("stack_columns: empty column list")
     t = cols[0].tape
     cols = tuple(_lift(t, c) for c in cols)
-    out = np.stack([c.value for c in cols], axis=1)
 
     def vjp(g):
         return tuple(g[:, j].copy() for j in range(g.shape[1]))
 
-    return t._record(out, cols, vjp, lambda vals: np.stack(vals, axis=1), "stack_columns")
+    return t._record(lambda *vals: np.stack(vals, axis=1), cols, vjp, "stack_columns")
 
 
 def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
@@ -623,12 +608,11 @@ def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
     t = blocks[0].tape
     blocks = tuple(_lift(t, b) for b in blocks)
     cuts = np.cumsum([b.value.shape[axis] for b in blocks])[:-1]
-    out = np.concatenate([b.value for b in blocks], axis=axis)
 
     def vjp(g):
         return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
 
-    return t._record(out, blocks, vjp, lambda vals: np.concatenate(vals, axis=axis), op)
+    return t._record(lambda *vals: np.concatenate(vals, axis=axis), blocks, vjp, op)
 
 
 def concat_columns(blocks: Sequence[Node]) -> Node:
@@ -644,28 +628,28 @@ def scale_columns(x: Node, s) -> Node:
     """x[:, j] * s[j] for a (d,L) matrix and an (L,) vector."""
     t = _tape_of(x, s)
     x, s = _lift(t, x), _lift(t, s)
-    if x.value.ndim != 2 or s.value.ndim != 1 or x.value.shape[1] != s.value.shape[0]:
-        raise ShapeError(f"scale_columns: got {x.value.shape} and {s.value.shape}")
-    out = x.value * s.value
+    vx, vs = x.value, s.value
+    if vx.ndim != 2 or vs.ndim != 1 or vx.shape[1] != vs.shape[0]:
+        raise ShapeError(f"scale_columns: got {vx.shape} and {vs.shape}")
 
     def vjp(g):
-        return (g * s.value, (g * x.value).sum(axis=0))
+        return (g * vs, (g * vx).sum(axis=0))
 
-    return t._record(out, (x, s), vjp, lambda vals: vals[0] * vals[1], "scale_columns")
+    return t._record(np.multiply, (x, s), vjp, "scale_columns")
 
 
 def scale_rows(x: Node, s) -> Node:
     """x[i, :] * s[i] for a (d,L) matrix and a (d,) vector."""
     t = _tape_of(x, s)
     x, s = _lift(t, x), _lift(t, s)
-    if x.value.ndim != 2 or s.value.ndim != 1 or x.value.shape[0] != s.value.shape[0]:
-        raise ShapeError(f"scale_rows: got {x.value.shape} and {s.value.shape}")
-    out = x.value * s.value[:, None]
+    vx, vs = x.value, s.value
+    if vx.ndim != 2 or vs.ndim != 1 or vx.shape[0] != vs.shape[0]:
+        raise ShapeError(f"scale_rows: got {vx.shape} and {vs.shape}")
 
     def vjp(g):
-        return (g * s.value[:, None], (g * x.value).sum(axis=1))
+        return (g * vs[:, None], (g * vx).sum(axis=1))
 
-    return t._record(out, (x, s), vjp, lambda vals: vals[0] * vals[1][:, None], "scale_rows")
+    return t._record(lambda a, b: a * b[:, None], (x, s), vjp, "scale_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +686,7 @@ def sample_stack(x: Node, batch: int) -> Node:
     def vjp(g):
         return (_time_major(g),)
 
-    return x.tape._record(_batch_major(v, batch), (x,), vjp, lambda vals: _batch_major(vals[0], batch), "sample_stack")
+    return x.tape._record(lambda a: _batch_major(a, batch), (x,), vjp, "sample_stack")
 
 
 def time_major(x: Node) -> Node:
@@ -715,7 +699,7 @@ def time_major(x: Node) -> Node:
     def vjp(g):
         return (_batch_major(g, batch),)
 
-    return x.tape._record(_time_major(v), (x,), vjp, lambda vals: _time_major(vals[0]), "time_major")
+    return x.tape._record(_time_major, (x,), vjp, "time_major")
 
 
 def _live_columns(widths, batch: int, cols: int):
@@ -736,14 +720,11 @@ def _pinned(eta: np.ndarray, alpha: np.ndarray, live) -> tuple:
 
 def broadcast_batch(w: Node, batch: int) -> Node:
     """A (p,n) weight repeated along a leading batch axis as (B,p,n); the VJP sums over B."""
-    out = np.broadcast_to(w.value, (batch,) + w.value.shape).copy()
 
     def vjp(g):
         return (g.sum(axis=0),)
 
-    return w.tape._record(
-        out, (w,), vjp, lambda vals: np.broadcast_to(vals[0], (batch,) + vals[0].shape).copy(), "broadcast_batch"
-    )
+    return w.tape._record(lambda a: np.broadcast_to(a, (batch,) + a.shape).copy(), (w,), vjp, "broadcast_batch")
 
 
 def _bmm(vw: np.ndarray, vx: np.ndarray, partial) -> np.ndarray:
@@ -770,7 +751,6 @@ def bmatmul(w, x, widths=None) -> Node:
     vw, vx = w.value, x.value
     if vw.ndim != 3 or vx.ndim != 2 or vx.shape[0] != vw.shape[2] or vx.shape[1] % vw.shape[0]:
         raise ShapeError(f"bmatmul: need (B,p,n) weights and (n, C*B) columns, got {vw.shape} @ {vx.shape}")
-    _check_finite(vw, "bmatmul lhs"), _check_finite(vx, "bmatmul rhs")
     cols = vx.shape[1] // vw.shape[0]
     partial = () if widths is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
 
@@ -781,7 +761,7 @@ def bmatmul(w, x, widths=None) -> Node:
         gb, xb = _batch_major(g, batch), _batch_major(vx, batch)
         return (gb @ np.swapaxes(xb, 1, 2), _time_major(np.swapaxes(vw, 1, 2) @ gb))
 
-    return t._record(_bmm(vw, vx, partial), (w, x), vjp, lambda vals, partial=partial: _bmm(*vals, partial), "bmatmul")
+    return t._record(lambda vw, vx, partial=partial: _bmm(vw, vx, partial), (w, x), vjp, "bmatmul")
 
 
 def _step(m, keys, u, es, als, retention):
@@ -939,32 +919,31 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
         (vm.shape[-1], n_cols), (vm.shape[-2], n_cols), (n_cols,), (n_cols,)
     ):
         raise ShapeError(f"decay_scan: need (p,n) or (B,p,n), (n,C*B), (p,C*B), (C*B,), (C*B,) operands, got {shapes}")
-    for arr, what in ((vm, "state"), (vk, "keys"), (vu, "residuals"), (ve, "eta"), (va, "alpha")):
-        _check_finite(arr, f"decay_scan {what}")
     cols = n_cols // batch
     live = _live_columns(widths, batch, cols)
     partial = () if live is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
-    m = np.ascontiguousarray(vm if stacked else vm[None])  # samples recomputed alone see the same layout
-    out, saved = _scan(m, vk, vu, *_pinned(ve, va, live), retention, partial)
     scan_vjp = _step_vjp if cols == 1 else _closed_vjp
+    saved = []  # the start state and the arrays the VJP reads, left by `scan`
+
+    def scan(vm, vk, vu, ve, va):
+        m = np.ascontiguousarray(vm if stacked else vm[None])  # samples recomputed alone see the same layout
+        out, arrays = _scan(m, vk, vu, *_pinned(ve, va, live), retention, partial)
+        saved[:] = m, arrays
+        return out if stacked else out[0]
 
     # the closures capture little: every object they keep alive is one more
     # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
-        g, gk, gu, ge, ga = scan_vjp(g if stacked else g[None], m, saved, retention)
+        m, arrays = saved
         # a tape runs one backward pass: free the saved arrays now rather than
-        # when the caller drops the tape
+        # when the caller drops the tape (a later `replay` saves them again)
         saved.clear()
+        g, gk, gu, ge, ga = scan_vjp(g if stacked else g[None], m, arrays, retention)
         if live is not None:  # pinned gates take no gradient
             ge, ga = np.where(live, ge, 0.0), np.where(live, ga, 0.0)
         return (g if stacked else g[0], gk, gu, ge, ga)
 
-    def fwd(vals):
-        start = np.ascontiguousarray(vals[0] if stacked else vals[0][None])
-        m = _scan(start, *vals[1:3], *_pinned(*vals[3:], live), retention, partial)[0]
-        return m if stacked else m[0]
-
-    return t._record(out if stacked else out[0], (m0, keys, u, eta, alpha), vjp, fwd, "decay_scan")
+    return t._record(scan, (m0, keys, u, eta, alpha), vjp, "decay_scan")
 
 
 def embedding(table: Node, ids: Sequence[int]) -> Node:
@@ -975,14 +954,13 @@ def embedding(table: Node, ids: Sequence[int]) -> Node:
         raise ShapeError(f"embedding: need a (vocab,d) table, got {v.shape}")
     if ids.ndim != 1 or np.any(ids < 0) or np.any(ids >= v.shape[0]):
         raise ValueError(f"embedding: ids out of range for vocab {v.shape[0]}")
-    out = v[ids].T.copy()
 
     def vjp(g):
         full = np.zeros_like(v)
         np.add.at(full, ids, g.T)
         return (full,)
 
-    return table.tape._record(out, (table,), vjp, lambda vals: vals[0][ids].T.copy(), "embedding")
+    return table.tape._record(lambda a: a[ids].T.copy(), (table,), vjp, "embedding")
 
 
 def causal_depthwise_conv(x: Node, kernel, batch: int = 1) -> Node:
@@ -996,15 +974,12 @@ def causal_depthwise_conv(x: Node, kernel, batch: int = 1) -> Node:
     w = k.shape[1]
     lag = (w - 1) * batch  # one token back is one batch of columns back
 
-    def compute(vals):
-        vv, kk = vals
+    def conv(vv, kk):
         padded = np.concatenate([np.zeros((vv.shape[0], lag), dtype=vv.dtype), vv], axis=1)
         o = np.zeros_like(vv)
         for i in range(w):
             o += kk[:, i : i + 1] * padded[:, i * batch : i * batch + vv.shape[1]]
         return o
-
-    out = compute((v, k))
 
     def vjp(g):
         gk = np.zeros_like(k)
@@ -1016,41 +991,44 @@ def causal_depthwise_conv(x: Node, kernel, batch: int = 1) -> Node:
             gpad[:, cols] += k[:, i : i + 1] * g
         return (gpad[:, lag:], gk)
 
-    return t._record(out, (x, kernel), vjp, compute, "causal_depthwise_conv")
+    return t._record(conv, (x, kernel), vjp, "causal_depthwise_conv")
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
+def _mse(va: np.ndarray, vb: np.ndarray) -> float:
+    diff = va - vb
+    return (diff * diff).sum() / diff.size
+
+
 def mse(a, b) -> Node:
     t = _tape_of(a, b)
     a, b = _lift(t, a), _lift(t, b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mse: shapes {a.value.shape} and {b.value.shape} differ")
-    diff = a.value - b.value
-    n = diff.size
-    out = np.asarray((diff * diff).sum() / n)
+    va, vb = a.value, b.value
+    if va.shape != vb.shape:
+        raise ShapeError(f"mse: shapes {va.shape} and {vb.shape} differ")
 
     def vjp(g):
-        c = 2.0 * g / n
+        c, diff = 2.0 * g / va.size, va - vb
         return (c * diff, -c * diff)
 
-    return t._record(out, (a, b), vjp, lambda vals: np.asarray(((vals[0] - vals[1]) ** 2).sum() / n), "mse")
+    return t._record(_mse, (a, b), vjp, "mse")
 
 
 def dot(a, b) -> Node:
     """Full contraction <a, b> over identically shaped operands."""
     t = _tape_of(a, b)
     a, b = _lift(t, a), _lift(t, b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"dot: shapes {a.value.shape} and {b.value.shape} differ")
-    out = np.asarray((a.value * b.value).sum())
+    va, vb = a.value, b.value
+    if va.shape != vb.shape:
+        raise ShapeError(f"dot: shapes {va.shape} and {vb.shape} differ")
 
     def vjp(g):
-        return (g * b.value, g * a.value)
+        return (g * vb, g * va)
 
-    return t._record(out, (a, b), vjp, lambda vals: np.asarray((vals[0] * vals[1]).sum()), "dot")
+    return t._record(lambda x, y: (x * y).sum(), (a, b), vjp, "dot")
 
 
 def dot_loss(a, b) -> Node:
@@ -1063,20 +1041,28 @@ def _log_softmax(v: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=0))
 
 
+def _cross_entropy(logits: Node, picked: tuple, n: int, op: str) -> Node:
+    """Mean of -log softmax(logits) over the n entries `picked` indexes."""
+    saved = []  # the log-softmax, left by `value` for the VJP
+
+    def value(a):
+        saved[:] = [_log_softmax(a)]
+        return -saved[0][picked].mean()
+
+    def vjp(g):
+        grad = np.exp(saved[0])
+        grad[picked] -= 1.0
+        return (g * grad / n,)
+
+    return logits.tape._record(value, (logits,), vjp, op)
+
+
 def cross_entropy(logits: Node, target: int) -> Node:
     if logits.value.ndim != 1:
         raise ShapeError(f"cross_entropy: need a logit vector, got {logits.value.shape}")
     if not 0 <= target < logits.value.shape[0]:
         raise ValueError(f"cross_entropy: target {target} out of range")
-    ls = _log_softmax(logits.value)
-    out = np.asarray(-ls[target])
-
-    def vjp(g):
-        grad = np.exp(ls)
-        grad[target] -= 1.0
-        return (g * grad,)
-
-    return logits.tape._record(out, (logits,), vjp, lambda vals: np.asarray(-_log_softmax(vals[0])[target]), "cross_entropy")
+    return _cross_entropy(logits, (target,), 1, "cross_entropy")
 
 
 def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
@@ -1089,19 +1075,7 @@ def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
         raise ShapeError(f"cross_entropy_columns: {targets.shape[0]} targets for {v.shape[1]} columns")
     if np.any(targets < 0) or np.any(targets >= v.shape[0]):
         raise ValueError("cross_entropy_columns: target id out of range")
-    n = v.shape[1]
-    ls = _log_softmax(v)
-    out = np.asarray(-ls[targets, np.arange(n)].mean())
-
-    def vjp(g):
-        grad = np.exp(ls)
-        grad[targets, np.arange(n)] -= 1.0
-        return (g * grad / n,)
-
-    def fwd(vals):
-        return np.asarray(-_log_softmax(vals[0])[targets, np.arange(n)].mean())
-
-    return logits.tape._record(out, (logits,), vjp, fwd, "cross_entropy_columns")
+    return _cross_entropy(logits, (targets, np.arange(v.shape[1])), v.shape[1], "cross_entropy_columns")
 
 
 # ---------------------------------------------------------------------------

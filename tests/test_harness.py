@@ -111,6 +111,18 @@ def test_runlog_roundtrip_and_validation(tmp_path):
         read_runlog(str(tmp_path / "corrupt.jsonl"))
 
 
+@pytest.mark.parametrize(
+    "line", ["not json", "[1, 2]", '{"version": 1, "step": "2"}'], ids=["not-json", "not-an-object", "step-not-integer"]
+)
+def test_cli_emit_plots_rejects_a_malformed_runlog(tmp_path, capsys, line):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"version": 1, "step": 1}\n' + line + "\n")
+    with pytest.raises(RunlogError):
+        read_runlog(str(path))
+    assert main(["emit-plots", str(path), "--out", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2")
+
+
 def test_emit_plots_per_metric(tmp_path):
     records = [
         {"step": 1, "loss": 1.0, "grad_norm": 2.0, "accuracy": 0.5},
@@ -183,6 +195,9 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"model": {"dim": "16"}}, "$.model", ""),
         ({"task": {"kind": "parity", "bin0": [2, 40], "bin1": [30, 80]}}, "$.task", "bin1"),
         ({"task": {"kind": "toy_psi"}}, "$.task", "not a token-dataset task"),
+        # a model too small for the task's token ids or labels
+        ({"model": {"vocab": 1}}, "$.model.vocab", "fewer than the 2 token ids"),
+        ({"model": {"num_classes": 1}}, "$.model.num_classes", "fewer than the 2 labels"),
         # $.train values of the wrong type or range
         ({"train": {"steps": "3"}}, "$.train.steps", "integer"),
         ({"train": {"batch_size": "2"}}, "$.train.batch_size", "integer"),

@@ -150,8 +150,9 @@ def test_linear_attention_core_matches_prefix_sum_reference(length):
     assert np.abs(got - expect).max() <= 1e-12
 
 
-def test_linear_attention_loss_tape_replays_bit_identically():
-    model = HopeModel(tiny_lm_config(core="linear_attention"), seed=9)
+@pytest.mark.parametrize("core", ["srt", "attention", "linear_attention"])
+def test_loss_tape_replays_bit_identically(core):
+    model = HopeModel(tiny_lm_config(core=core), seed=9)
     tape = Tape()
     model.build_loss(tape, [{"tokens": [0, 5, 2, 9, 1, 7], "label": None}, {"tokens": [3, 4], "label": None}])
     assert tape.replay() is True
