@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -39,21 +40,24 @@ def save(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes, found {len(raw)}")
-    return raw
+    # a length field is checked against the bytes left before anything is read
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes, found {left}")
+    return f.read(n)
 
 
 def _entry_fields(entry) -> tuple:
     try:
-        name, shape = str(entry["name"]), tuple(int(n) for n in entry["shape"])
-        offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed manifest entry {entry!r}") from exc
-    if offset < 0 or any(n < 0 for n in shape):
-        raise CheckpointError(f"tensor {name!r}: negative offset or extent")
-    return name, shape, offset, nbytes
+    if not isinstance(name, str) or not isinstance(shape, list):
+        raise CheckpointError(f"malformed manifest entry {entry!r}")
+    # JSON integers only: a float or a boolean is no count
+    if not all(type(n) is int and n >= 0 for n in (*shape, offset, nbytes)):
+        raise CheckpointError(f"tensor {name!r}: shape, offset and nbytes must be integers >= 0")
+    return name, tuple(shape), offset, nbytes
 
 
 def load(path: str) -> dict[str, np.ndarray]:
@@ -67,7 +71,7 @@ def load(path: str) -> dict[str, np.ndarray]:
         raw = _read_exact(f, mlen, "manifest")
         try:
             manifest = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
             raise CheckpointError(f"corrupt manifest: {exc}") from exc
         if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
             raise CheckpointError("manifest has no tensor list")
@@ -79,6 +83,8 @@ def load(path: str) -> dict[str, np.ndarray]:
     out = {}
     for entry in manifest["tensors"]:
         name, shape, lo, nbytes = _entry_fields(entry)
+        if name in out:
+            raise CheckpointError(f"tensor {name!r} listed twice")
         expect = 8 * math.prod(shape)
         if nbytes != expect:
             raise CheckpointError(f"tensor {name!r}: byte length {nbytes} != 8*prod{shape}")

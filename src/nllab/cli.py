@@ -91,10 +91,8 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
         key = "optimizer" if not hp or isinstance(exc, (optim.UnsupportedShape, optim.MissingTrace)) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
     try:
-        for chain, states in zip(model.chains, model.cms_opt_states):
-            for i, (st1, st2) in enumerate(states):
-                for state, w in ((st1, chain.levels[i].w1), (st2, chain.levels[i].w2)):
-                    optim.step(model.config.cms_optimizer, state, Tensor(w), Tensor(np.ones_like(w)))
+        for name, state in model.cms_opt_states.items():
+            optim.step(model.config.cms_optimizer, state, Tensor(values[name]), Tensor(np.ones_like(values[name])))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid level optimizer at $.model.cms_optimizer: {exc}") from exc
 
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, checkpoint.CheckpointError, RunlogError) as exc:
+    except (ConfigError, OSError, checkpoint.CheckpointError, RunlogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

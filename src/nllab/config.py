@@ -14,6 +14,7 @@ from typing import Any
 
 from .fileio import write_atomic
 from .hope import CORES
+from .srt import SLOTS
 from .tasks import KINDS as TASK_KINDS
 from . import optim
 
@@ -74,26 +75,67 @@ _TOP_DEFAULTS = {
 }
 
 
-# lower bound of each integer $.train field, and the range of each real one
+# lower bound of each integer field, and the range of each real one; a real
+# whose default is None may also be null
 _TRAIN_INTS = {"steps": 0, "batch_size": 1, "eval_every": 0, "train_samples": 1, "eval_samples": 1, "eval_seed": 0}
 _TRAIN_REALS = {"eval_bin1_fraction": (0.0, 1.0), "clip_norm": (0.0, math.inf)}
+_MODEL_INTS = {"vocab": 0, "dim": 1, "blocks": 0, "num_classes": 0, "chunk": 1, "mem_hidden": 0, "cms_hidden": 0}
+_MODEL_REALS = {
+    "cms_lr": (0.0, math.inf),
+    "eta_bias": (-math.inf, math.inf),
+    "alpha_bias": (-math.inf, math.inf),
+    "fixed_eta": (0.0, math.inf),
+    "fixed_alpha": (0.0, 1.0),  # a retention gate
+    "fast_weight_penalty": (0.0, math.inf),
+}
+_MODEL_BOOLS = ("retention", "conv", "use_cms", "tie_readout")
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_numbers(section: dict, path: str, ints: dict, reals: dict, defaults: dict) -> None:
+    for key, low in ints.items():
+        value = section[key]
+        if not _is_int(value) or value < low:
+            raise ConfigError(f"{path}.{key} must be an integer >= {low}, got {value!r}")
+    for key, (low, high) in reals.items():
+        value = section[key]
+        if value is None and defaults[key] is None:
+            continue
+        if not (_is_int(value) or isinstance(value, float)) or not (math.isfinite(value) and low <= value <= high):
+            raise ConfigError(f"{path}.{key} must be a finite number in [{low}, {high}], got {value!r}")
+
+
 def _check_train(train: dict) -> None:
     if not isinstance(train["opt_hp"], dict):
         raise ConfigError(f"$.train.opt_hp must be an object, got {train['opt_hp']!r}")
-    for key, low in _TRAIN_INTS.items():
-        value = train[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"$.train.{key} must be an integer >= {low}, got {value!r}")
-    for key, (low, high) in _TRAIN_REALS.items():
-        value = train[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value <= high:
-            raise ConfigError(f"$.train.{key} must be a number in [{low}, {high}], got {value!r}")
+    _check_numbers(train, "$.train", _TRAIN_INTS, _TRAIN_REALS, _TRAIN_DEFAULTS)
+
+
+def _check_model(model: dict) -> None:
+    _check_numbers(model, "$.model", _MODEL_INTS, _MODEL_REALS, _MODEL_DEFAULTS)
+    for key in _MODEL_BOOLS:
+        if not isinstance(model[key], bool):
+            raise ConfigError(f"$.model.{key} must be true or false, got {model[key]!r}")
+    slots, known = model["frozen_slots"], (*SLOTS, "q")
+    if not isinstance(slots, list) or not all(slot in known for slot in slots):
+        raise ConfigError(f"$.model.frozen_slots must be a list of slot names from {known}, got {slots!r}")
+
+
+def _check_task(task: dict) -> None:
+    for key in ("bin0", "bin1"):
+        lo_hi = task[key]
+        pair = isinstance(lo_hi, list) and len(lo_hi) == 2 and all(_is_int(n) and n >= 1 for n in lo_hi)
+        if not pair or lo_hi[0] > lo_hi[1]:
+            raise ConfigError(f"$.task.{key} must be two integers 1 <= lo <= hi, got {lo_hi!r}")
+    if not isinstance(task["params"], dict):
+        raise ConfigError(f"$.task.params must be an object, got {task['params']!r}")
 
 
 def _merge(defaults: dict, given: dict, path: str) -> dict:
@@ -121,8 +163,10 @@ def resolve(raw: dict) -> dict:
         raise ConfigError(f"unsupported config version {cfg['version']}")
     if cfg["task"]["kind"] not in TASK_KINDS:
         raise ConfigError(f"unknown task kind {cfg['task']['kind']!r} at $.task.kind")
+    _check_task(cfg["task"])
     if cfg["model"]["core"] not in CORES:
         raise ConfigError(f"unknown core {cfg['model']['core']!r} at $.model.core")
+    _check_model(cfg["model"])
     if cfg["train"]["optimizer"] not in optim.KINDS:
         raise ConfigError(f"unknown optimizer {cfg['train']['optimizer']!r} at $.train.optimizer")
     _check_train(cfg["train"])

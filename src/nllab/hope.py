@@ -34,7 +34,7 @@ CORES = ("srt", "attention", "linear_attention")
 
 class DivergenceError(RuntimeError):
     def __init__(self, step: int, log: list):
-        super().__init__(f"training diverged (non-finite loss) at step {step}")
+        super().__init__(f"training diverged (non-finite value) at step {step}")
         self.step = step
         self.log = log
 
@@ -103,7 +103,8 @@ class HopeModel:
             self.params["readout"] = np.zeros((out_rows, d))
         self.srt_cfg = config.srt_config()
         self.chains: list[Optional[CmsChain]] = []
-        self.cms_opt_states: list[list] = []
+        # level optimizer states keyed as in named_parameters(); none for sgd levels
+        self.cms_opt_states: dict[str, optim.OptimizerState] = {}
         for b in range(config.blocks):
             # unit-norm columns at init keep the fast-weight recurrence in its
             # stable regime; the gains are learnable
@@ -134,20 +135,12 @@ class HopeModel:
                 )
                 self.chains.append(chain)
                 if config.cms_optimizer != "sgd":
-                    states = []
-                    for lv in chain.levels:
-                        states.append(
-                            (
-                                optim.init_state(config.cms_optimizer, lv.w1.shape),
-                                optim.init_state(config.cms_optimizer, lv.w2.shape),
-                            )
-                        )
-                    self.cms_opt_states.append(states)
-                else:
-                    self.cms_opt_states.append([])
+                    for i, lv in enumerate(chain.levels):
+                        for part, w in (("w1", lv.w1), ("w2", lv.w2)):
+                            key = f"b{b}.cms.level{i}.{part}"
+                            self.cms_opt_states[key] = optim.init_state(config.cms_optimizer, w.shape)
             else:
                 self.chains.append(None)
-                self.cms_opt_states.append([])
         self.token_count = 0
 
     # ------------------------------------------------------------------
@@ -365,9 +358,6 @@ def train(
         try:
             tape = Tape()
             loss_node = model.build_loss(tape, batch, with_penalty=True)
-            loss = float(loss_node.value)
-            if not math.isfinite(loss):
-                raise T.NonFiniteError("non-finite loss")
             grads = tape.backward(loss_node)
         except T.NonFiniteError as exc:
             log.append({"step": step_idx, "event": "diverged", "detail": str(exc)})
@@ -388,16 +378,17 @@ def train(
                 continue
             pairs = []
             for i, lv in enumerate(chain.levels):
-                g1 = grads[f"b{b}.cms.level{i}.w1"].data
-                g2 = grads[f"b{b}.cms.level{i}.w2"].data
-                if model.config.cms_optimizer == "sgd":
-                    pairs.append((g1, g2))
-                else:
-                    st1, st2 = model.cms_opt_states[b][i]
-                    p1, st1 = optim.step(model.config.cms_optimizer, st1, Tensor(lv.w1), Tensor(g1))
-                    p2, st2 = optim.step(model.config.cms_optimizer, st2, Tensor(lv.w2), Tensor(g2))
-                    model.cms_opt_states[b][i] = (st1, st2)
-                    pairs.append((lv.w1 - p1.data, lv.w2 - p2.data))
+                pair = []
+                for part, w in (("w1", lv.w1), ("w2", lv.w2)):
+                    key = f"b{b}.cms.level{i}.{part}"
+                    if key in model.cms_opt_states:
+                        new_w, model.cms_opt_states[key] = optim.step(
+                            model.config.cms_optimizer, model.cms_opt_states[key], Tensor(w), grads[key]
+                        )
+                        pair.append(w - new_w.data)
+                    else:
+                        pair.append(grads[key].data)
+                pairs.append(pair)
             cms_accumulate(chain, pairs)
             if chain.variant == "independent":
                 key = f"b{b}.cms.agg"
@@ -409,7 +400,7 @@ def train(
                 cms_tick(chain, model.token_count + 1, tokens_used)
         model.token_count += tokens_used
 
-        record = {"step": step_idx, "loss": loss, "grad_norm": gnorm}
+        record = {"step": step_idx, "loss": float(loss_node.value), "grad_norm": gnorm}
         if eval_every and eval_fn and step_idx % eval_every == 0:
             record.update(eval_fn(model))
         log.append(record)

@@ -10,6 +10,7 @@ them against independently written recognizers.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -189,6 +190,13 @@ def _encode(kind: str, s: str) -> list[int]:
     return [vocab[ch] for ch in s]
 
 
+def _int_param(spec: TaskSpec, key: str, default: int, low: int, high: float) -> int:
+    value = spec.params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ValueError(f"params.{key} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
 def generate(spec: TaskSpec, count: int) -> list[dict]:
     """Deterministic dataset of `count` samples; balanced labels for languages."""
     if count < 1:
@@ -213,7 +221,7 @@ def generate(spec: TaskSpec, count: int) -> list[dict]:
             )
         return samples
     if spec.kind == "copy_recall":
-        n_pairs = spec.params.get("pairs", 4)
+        n_pairs = _int_param(spec, "pairs", 4, 1, 8)
         for _ in range(count):
             keys = rng.permutation(8)[:n_pairs]
             values = rng.integers(0, 8, size=n_pairs)
@@ -225,7 +233,7 @@ def generate(spec: TaskSpec, count: int) -> list[dict]:
             samples.append({"tokens": tokens, "label": 8 + int(values[probe]), "bin": 0})
         return samples
     if spec.kind == "niah_toy":
-        length = spec.params.get("length", 24)
+        length = _int_param(spec, "length", 24, 2, math.inf)
         for _ in range(count):
             tokens = list(rng.integers(0, 8, size=length))
             key = 8 + int(rng.integers(0, 4))
@@ -236,10 +244,10 @@ def generate(spec: TaskSpec, count: int) -> list[dict]:
             samples.append({"tokens": [int(t) for t in tokens], "label": value, "bin": 0})
         return samples
     if spec.kind == "char_lm":
-        window = spec.params.get("window", 64)
         corpus = load_corpus()
         vocab = {ch: i for i, ch in enumerate(vocabulary("char_lm"))}
         ids = np.array([vocab[ch] for ch in corpus], dtype=np.int64)
+        window = _int_param(spec, "window", 64, 1, len(ids) - 2)
         for _ in range(count):
             at = int(rng.integers(0, len(ids) - window - 1))
             samples.append({"tokens": [int(t) for t in ids[at : at + window + 1]], "label": None, "bin": 0})

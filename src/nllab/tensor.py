@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
-_CHECKED = True
 
 
 class ShapeError(ValueError):
@@ -25,42 +24,28 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """NaN or Inf encountered while checked mode is on."""
+    """NaN or Inf in a value where it is made."""
 
 
 class TapeError(RuntimeError):
     """Tape misuse: double backward, non-scalar loss, cross-tape operands."""
 
 
-def set_checked(flag: bool) -> bool:
-    """Toggle finite-value checking; returns the previous setting."""
-    global _CHECKED
-    prev = _CHECKED
-    _CHECKED = bool(flag)
-    return prev
-
-
-def checked() -> bool:
-    return _CHECKED
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if _CHECKED and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
 
 
 class Tensor:
-    """Immutable dense array; the universal value type of the package."""
+    """Immutable dense array of finite values; the universal value type of the package."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.array(data, dtype=_DEFAULT_DTYPE, order="C")
-        if _CHECKED:
-            if not np.isfinite(arr).all():
-                raise NonFiniteError("non-finite values in Tensor construction")
-            if any(n <= 0 for n in arr.shape):
-                raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
+        _check_finite(arr, "Tensor construction")
+        if any(n <= 0 for n in arr.shape):
+            raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
         arr.setflags(write=False)
         self.data = arr
 
@@ -170,11 +155,11 @@ class Tape:
 
     def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str) -> Node:
         """Record one primitive.  Its value is `fn(*parent values)`, computed here
-        once and finite-checked in checked mode; `replay` calls the same `fn`.  A
-        `vjp` that needs the value reads it from the returned node or, with other
-        intermediates, from a list that `fn` fills."""
+        once and finite-checked; `replay` calls the same `fn`.  A `vjp` that needs
+        the value reads it from the returned node or, with other intermediates,
+        from a list that `fn` fills."""
         value = _apply(fn, [p.value for p in parents])
-        if _CHECKED and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)})")
         node = Node(self._proxy, len(self.nodes), value, parents, vjp, fn, op)
         self.nodes.append(node)
@@ -214,6 +199,7 @@ class Tape:
         self._backward_done = True
 
         grads: dict[int, np.ndarray] = {loss.idx: np.asarray(1.0, dtype=loss.value.dtype)}
+        reached: dict[str, Tensor] = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
             g = grads.pop(node.idx, None)
             if g is None:
@@ -223,8 +209,11 @@ class Tape:
                     LayerTrace(node.parents[0].param_name, Tensor(node.parents[1].value), Tensor(g))
                 )
             if node.param_name is not None:
-                acc = grads.get(-1 - node.idx)
-                grads[-1 - node.idx] = g if acc is None else acc + g
+                # every consumer of a leaf comes after it, so its gradient is complete here
+                try:
+                    reached[node.param_name] = Tensor(g)
+                except NonFiniteError:
+                    raise NonFiniteError(f"non-finite values in gradient of {node.param_name!r}") from None
                 continue
             if node.vjp is None:
                 continue
@@ -234,14 +223,10 @@ class Tape:
                 acc = grads.get(parent.idx)
                 grads[parent.idx] = pg if acc is None else acc + pg
 
-        out: dict[str, Tensor] = {}
-        for name, node in self.params.items():
-            g = grads.get(-1 - node.idx)
-            if g is None:
-                g = np.zeros_like(node.value)
-            _check_finite(g, f"gradient of {name!r}")
-            out[name] = Tensor(g)
-        return out
+        return {
+            name: reached[name] if name in reached else Tensor(np.zeros_like(node.value))
+            for name, node in self.params.items()
+        }
 
     def replay(self) -> bool:
         """Re-execute recorded ops in order; True iff all values reproduce bit-identically."""

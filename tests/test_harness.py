@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nllab import bench, checkpoint, config, verify
 from nllab.cli import build_model, main
@@ -46,8 +48,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
         checkpoint.load(str(p))
 
 
-def _container(manifest: bytes) -> bytes:
-    return checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + struct.pack("<Q", len(manifest)) + manifest
+def _container(manifest: bytes, length=None) -> bytes:
+    length = len(manifest) if length is None else length
+    return checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + struct.pack("<Q", length) + manifest
+
+
+def _one_tensor(entry: str) -> bytes:
+    """A container whose single manifest entry is `entry` (JSON text), followed by 16 blob bytes."""
+    return _container(b'{"version": 1, "endianness": "little", "tensors": [' + entry.encode() + b"]}") + bytes(16)
+
+
+_ENTRY_A = '{"name": "a", "shape": [1], "offset": 0, "nbytes": 8}'
 
 
 @pytest.mark.parametrize(
@@ -57,14 +68,82 @@ def _container(manifest: bytes) -> bytes:
         _container(b'{"version": 1, "tens'),  # corrupt manifest JSON
         _container(b'{"version": 1, "endianness": "little"}'),  # no tensor list
         _container(b'{"version": 1, "endianness": "little", "tensors": [{"name": "x"}]}'),  # entry without fields
+        _container(b"{}", length=2**40),  # a manifest length far past the end of the file
+        _container(b"{}", length=2**33),
+        _one_tensor('{"name": "a", "shape": [1e400], "offset": 0, "nbytes": 8}'),  # JSON reads 1e400 as inf
+        _one_tensor('{"name": "a", "shape": [1.7], "offset": 0, "nbytes": 8}'),
+        _one_tensor('{"name": "a", "shape": [true], "offset": 0, "nbytes": 8}'),
+        _one_tensor('{"name": "a", "shape": [1], "offset": false, "nbytes": 8}'),
+        _one_tensor('{"name": "a", "shape": [1], "offset": 0, "nbytes": 8.0}'),
+        _one_tensor('{"name": 7, "shape": [1], "offset": 0, "nbytes": 8}'),
+        _one_tensor('{"name": "a", "shape": [1], "offset": -8, "nbytes": 8}'),
+        _one_tensor(_ENTRY_A + ', {"name": "a", "shape": [1], "offset": 8, "nbytes": 8}'),
+        _container(b"[" * 100_000),  # nesting too deep for the JSON parser
     ],
-    ids=["truncated", "corrupt-manifest", "no-tensors", "bad-entry"],
+    ids=[
+        "truncated", "corrupt-manifest", "no-tensors", "bad-entry", "length-2^40", "length-2^33", "shape-inf",
+        "shape-float", "shape-bool", "offset-bool", "nbytes-float", "name-not-string", "offset-negative",
+        "duplicate-name", "deep-nesting",
+    ],
 )
 def test_checkpoint_bad_input_raises_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.nlck"
     p.write_bytes(raw)
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load(str(p))
+
+
+def test_checkpoint_entry_rows_differ_from_a_loadable_one(tmp_path):
+    # the rows above break one field of this entry, which loads
+    p = tmp_path / "good.nlck"
+    p.write_bytes(_one_tensor(_ENTRY_A))
+    assert list(checkpoint.load(str(p))) == ["a"]
+
+
+def _loads_or_raises_checkpoint_error(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        tensors = checkpoint.load(str(path))
+    except checkpoint.CheckpointError:
+        return
+    assert all(isinstance(name, str) and isinstance(v, np.ndarray) for name, v in tensors.items())
+
+
+_FIELD = st.one_of(
+    st.integers(-1, 24), st.integers(0, 2**70), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.text(max_size=2),
+)
+_ENTRY = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["a", "b"]) | _FIELD,
+        "shape": st.lists(st.integers(0, 2) | _FIELD, max_size=3) | _FIELD,
+        "offset": st.sampled_from([0, 8, 16]) | _FIELD,
+        "nbytes": st.sampled_from([0, 8, 16]) | _FIELD,
+    }
+)
+_MANIFEST = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(str.encode),
+    st.lists(_ENTRY, max_size=3).map(
+        lambda entries: json.dumps({"version": 1, "endianness": "little", "tensors": entries}).encode()
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(manifest=_MANIFEST, length=st.none() | st.integers(0, 2**64 - 1), blob=st.binary(max_size=40))
+def test_checkpoint_any_manifest_loads_or_raises_checkpoint_error(tmp_path_factory, manifest, length, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.nlck"
+    _loads_or_raises_checkpoint_error(path, _container(manifest, length) + blob)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cut=st.integers(0, 10_000))
+def test_checkpoint_any_truncation_loads_or_raises_checkpoint_error(tmp_path_factory, cut):
+    path = tmp_path_factory.getbasetemp() / "cut.nlck"
+    checkpoint.save(str(path), {"a": np.arange(3.0), "b": np.ones((2, 2))})
+    raw = path.read_bytes()
+    _loads_or_raises_checkpoint_error(path, raw[: cut % len(raw)])
 
 
 def test_cli_eval_truncated_checkpoint_exits_2(tmp_path, capsys):
@@ -222,6 +301,20 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"train": {"optimizer": "sgd", "opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
         # read only when the gradient is non-zero
         ({"train": {"optimizer": "delta_momentum", "opt_hp": {"eta_inner": "x"}}}, "$.train.opt_hp", ""),
+        # $.task and $.model values that failed late, with a traceback, or were read wrongly
+        ({"task": {"kind": "parity", "bin0": [2]}}, "$.task.bin0", "two integers"),
+        ({"task": {"kind": "parity", "bin1": [90, 80]}}, "$.task.bin1", "lo <= hi"),
+        ({"task": {"kind": "copy_recall", "params": {"pairs": 20}}}, "$.task", "params.pairs"),
+        ({"task": {"kind": "char_lm", "params": {"window": 0}}}, "$.task", "params.window"),
+        ({"model": {"chunk": 0}}, "$.model.chunk", ">= 1"),
+        ({"model": {"dim": 0}}, "$.model.dim", ">= 1"),
+        ({"model": {"fixed_eta": "x"}}, "$.model.fixed_eta", "number"),
+        ({"model": {"cms_lr": "x"}}, "$.model.cms_lr", "number"),
+        ({"model": {"eta_bias": 1e400}}, "$.model.eta_bias", "finite"),
+        ({"model": {"frozen_slots": ["zz"]}}, "$.model.frozen_slots", "slot names"),
+        ({"model": {"frozen_slots": "mem"}}, "$.model.frozen_slots", "list"),
+        ({"model": {"fixed_alpha": 2.0}}, "$.model.fixed_alpha", "[0.0, 1.0]"),
+        ({"model": {"retention": "no"}}, "$.model.retention", "true or false"),
         # top-level values of the wrong type
         ({"seed": "x"}, "$.seed", "integer"),
         ({"seed": 1.5}, "$.seed", "integer"),
@@ -243,6 +336,28 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         assert not (out_dir / "config.json").exists()
     assert not (tmp_path / "5").exists() and not os.path.exists("5")
+
+
+def _bad_path_args(tmp_path) -> dict:
+    cfg = {"task": {"kind": "parity"}, "model": {"dim": 8}, "train": {"train_samples": 4, "eval_samples": 4}}
+    good = tmp_path / "cfg.json"
+    good.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "run")}))
+    (tmp_path / "file").write_text("")
+    under_file = tmp_path / "under_file.json"
+    under_file.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "file" / "run")}))
+    return {
+        "train-dir": ["train", str(tmp_path)],
+        "eval-checkpoint-dir": ["eval", str(good), "--checkpoint", str(tmp_path)],
+        "emit-plots-dir": ["emit-plots", str(tmp_path), "--out", str(tmp_path / "plots")],
+        "out-dir-under-file": ["train", str(under_file)],
+    }
+
+
+@pytest.mark.parametrize("case", ["train-dir", "eval-checkpoint-dir", "emit-plots-dir", "out-dir-under-file"])
+def test_cli_bad_path_exits_2(tmp_path, capsys, case):
+    assert main(_bad_path_args(tmp_path)[case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def _eval_checkpoint(tmp_path, edit) -> tuple[int, str]:

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -277,6 +278,8 @@ def test_divergence_aborts_with_record():
     with pytest.raises(DivergenceError) as e:
         train(model, data, opt_kind="sgd", opt_hp=dict(eta=1e9), steps=30, seed=7, batch_size=2, clip_norm=0.0)
     assert e.value.log[-1]["event"] == "diverged"
+    # the op or gradient that first went non-finite, not only the loss
+    assert re.search(r"output of \w+ \(node \d+\)|gradient of '", e.value.log[-1]["detail"]), e.value.log[-1]
 
 
 def test_tied_readout_head():

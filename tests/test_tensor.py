@@ -14,14 +14,10 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
-def test_tensor_rejects_nonfinite_when_checked():
-    with pytest.raises(T.NonFiniteError):
-        Tensor([1.0, np.nan])
-    prev = T.set_checked(False)
-    try:
-        Tensor([1.0, np.nan])  # allowed unchecked
-    finally:
-        T.set_checked(prev)
+def test_tensor_rejects_nonfinite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(T.NonFiniteError, match="Tensor construction"):
+            Tensor([1.0, bad])
 
 
 def test_tensor_is_immutable():
@@ -481,11 +477,17 @@ def test_nonfinite_value_names_the_op_that_made_it():
     with pytest.raises(T.NonFiniteError, match=r"reciprocal \(node 1\)"):
         T.reciprocal(x)
     assert len(tape.nodes) == 1  # the bad value is not recorded
-    prev = T.set_checked(False)
-    try:
-        assert np.isinf(T.reciprocal(x).value[1])  # unchecked mode records it
-    finally:
-        T.set_checked(prev)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_parameter_gradient_names_the_parameter():
+    # 1/p is finite at p = 1e-300, its gradient -1/p**2 is not
+    tape = Tape()
+    p = tape.param("p", [1e-300, 1.0])
+    loss = T.sum_all(T.reciprocal(p))
+    assert np.isfinite(loss.value)
+    with pytest.raises(T.NonFiniteError, match="gradient of 'p'"):
+        tape.backward(loss)
 
 
 def test_strided_leaves_round_like_their_contiguous_copies():
@@ -549,17 +551,10 @@ def test_decay_scan_replays_bit_identically_and_rejects_bad_input():
     assert tape.replay() is True
 
     for i in range(len(vals)):
-        bad = list(vals)
-        bad[i] = vals[i].copy()
-        bad[i].flat[0] = np.nan
-        tape = Tape()
-        prev = T.set_checked(False)
-        try:
-            nodes = [tape.constant(v) for v in bad]  # constants skip the check unchecked
-        finally:
-            T.set_checked(prev)
-        with pytest.raises(T.NonFiniteError):
-            T.decay_scan(*nodes, True)
+        bad = vals[i].copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(T.NonFiniteError, match="constant"):
+            Tape().constant(bad)  # a NaN input never reaches the scan
 
     tape = Tape()
     with pytest.raises(T.ShapeError):
