@@ -15,7 +15,7 @@ from typing import Any
 from .fileio import write_atomic
 from .hope import CORES
 from .srt import SLOTS
-from .tasks import KINDS as TASK_KINDS
+from .tasks import KINDS as TASK_KINDS, LANGUAGE_KINDS
 from . import optim
 
 _TASK_DEFAULTS = {
@@ -89,6 +89,8 @@ _MODEL_REALS = {
     "fast_weight_penalty": (0.0, math.inf),
 }
 _MODEL_BOOLS = ("retention", "conv", "use_cms", "tie_readout")
+# the $.task.params keys each task kind reads; the generator range-checks the integers
+_TASK_PARAMS = {**{kind: ("bin1_fraction",) for kind in LANGUAGE_KINDS}, "copy_recall": ("pairs",), "niah_toy": ("length",), "char_lm": ("window",)}
 
 
 class ConfigError(ValueError):
@@ -134,8 +136,17 @@ def _check_task(task: dict) -> None:
         pair = isinstance(lo_hi, list) and len(lo_hi) == 2 and all(_is_int(n) and n >= 1 for n in lo_hi)
         if not pair or lo_hi[0] > lo_hi[1]:
             raise ConfigError(f"$.task.{key} must be two integers 1 <= lo <= hi, got {lo_hi!r}")
-    if not isinstance(task["params"], dict):
-        raise ConfigError(f"$.task.params must be an object, got {task['params']!r}")
+    if not _is_int(task["seed"]):
+        raise ConfigError(f"$.task.seed must be an integer, got {task['seed']!r}")
+    params = task["params"]
+    if not isinstance(params, dict):
+        raise ConfigError(f"$.task.params must be an object, got {params!r}")
+    known = _TASK_PARAMS.get(task["kind"], ())
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"unknown key $.task.params.{key} for task {task['kind']!r}, which reads {list(known)}")
+    if "bin1_fraction" in params:
+        _check_numbers(params, "$.task.params", {}, {"bin1_fraction": (0.0, 1.0)}, {"bin1_fraction": 0.0})
 
 
 def _merge(defaults: dict, given: dict, path: str) -> dict:

@@ -257,9 +257,6 @@ class HopeModel:
         h = self._hidden(tape, nodes, [tokens])
         return tape, nodes, h, int(np.argmax(nodes["head"].value @ h.value[:, -1]))
 
-    def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
-        return self._forward(tokens)[2].value
-
     def predict(self, tokens: Sequence[int]) -> int:
         return self._forward(tokens)[3]
 
@@ -299,13 +296,6 @@ class HopeModel:
             return
         block, key = name.split(".cms.", 1)
         cms_mod.set_tensor(self.chains[int(block.removeprefix("b"))], key, value.copy())
-
-
-def hope_block_forward(model: HopeModel, x: Tensor, block: int = 0) -> Tensor:
-    """One block applied to explicit (d,L) token representations; pure read."""
-    tape = Tape()
-    nodes = model._register(tape)
-    return Tensor(model._block(tape, nodes, block, tape.constant(x.data), [x.shape[1]]).value)
 
 
 # train()'s outer Adam hyperparameters when the caller gives none
@@ -351,6 +341,7 @@ def train(
     opt_states = outer_optimizer_states(model, opt_kind, opt_hp)
     log: list[dict] = []
     clip = clip_norm if clip_norm and clip_norm > 0 else None
+    current: dict[str, Tensor] = {}  # each parameter as the last optimizer step returned it
 
     for step_idx in range(1, steps + 1):
         idx = rng.integers(0, len(samples), size=batch_size)
@@ -369,8 +360,11 @@ def train(
             grads = {k: Tensor(v.data * scale) for k, v in grads.items()}
 
         for name in sorted(model.params):
-            new_p, opt_states[name] = optim.step(opt_kind, opt_states[name], Tensor(model.params[name]), grads[name])
-            model.params[name] = new_p.data
+            p = current.get(name)
+            if p is None or p.data is not model.params[name]:  # first step, or replaced from outside
+                p = Tensor(model.params[name])
+            current[name], opt_states[name] = optim.step(opt_kind, opt_states[name], p, grads[name])
+            model.params[name] = current[name].data
 
         tokens_used = sum(len(s["tokens"]) for s in batch)
         for b, chain in enumerate(model.chains):

@@ -64,10 +64,6 @@ class Memory:
             raise T.ShapeError(f"mlp2 memory needs (d,h) and (h,d) weights, got {w1.shape} and {w2.shape}")
         return Memory(MLP2, (w1, w2))
 
-    @staticmethod
-    def zeros_linear(d_out: int, d_k: int) -> "Memory":
-        return Memory.linear(np.zeros((d_out, d_k)))
-
     @property
     def matrix(self) -> Tensor:
         if self.kind != LINEAR:

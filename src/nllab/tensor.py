@@ -153,13 +153,18 @@ class Tape:
         self.layer_traces: list[LayerTrace] = []
         self._backward_done = False
 
-    def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str) -> Node:
+    def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str, check: bool = True) -> Node:
         """Record one primitive.  Its value is `fn(*parent values)`, computed here
         once and finite-checked; `replay` calls the same `fn`.  A `vjp` that needs
         the value reads it from the returned node or, with other intermediates,
-        from a list that `fn` fills."""
-        value = _apply(fn, [p.value for p in parents])
-        if not np.isfinite(value).all():
+        from a list that `fn` fills.  Ops that only copy or move checked values
+        pass `check=False`; an `fn` that checks its own intermediates raises
+        NonFiniteError, which is reported here with the op and the node."""
+        try:
+            value = _apply(fn, [p.value for p in parents])
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)}) {exc}") from None
+        if check and not np.isfinite(value).all():
             raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)})")
         node = Node(self._proxy, len(self.nodes), value, parents, vjp, fn, op)
         self.nodes.append(node)
@@ -360,7 +365,7 @@ def transpose(a: Node) -> Node:
     def vjp(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return a.tape._record(lambda v: np.swapaxes(v, -1, -2).copy(), (a,), vjp, "transpose")
+    return a.tape._record(lambda v: np.swapaxes(v, -1, -2).copy(), (a,), vjp, "transpose", check=False)
 
 
 def sum_all(a: Node) -> Node:
@@ -415,16 +420,21 @@ def sigmoid(a: Node) -> Node:
     return _unary(a, _sigmoid, lambda v, o: o * (1.0 - o), "sigmoid")
 
 
+def _softplus(v: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, v)
+
+
 def softplus(a: Node) -> Node:
-    return _unary(a, lambda v: np.logaddexp(0.0, v), lambda v, o: _sigmoid(v), "softplus")
+    return _unary(a, _softplus, lambda v, o: _sigmoid(v), "softplus")
 
 
 def _silu(v: np.ndarray) -> np.ndarray:
     return v * _sigmoid(v)
 
 
-def _silu_prime(v: np.ndarray) -> np.ndarray:
-    s = _sigmoid(v)
+def _silu_prime(v: np.ndarray, s=None) -> np.ndarray:
+    """silu'(v); `s`, when given, is _sigmoid(v)."""
+    s = _sigmoid(v) if s is None else s
     return s * (1.0 + v * (1.0 - s))
 
 
@@ -432,14 +442,15 @@ def silu(a: Node) -> Node:
     return _unary(a, _silu, lambda v, o: _silu_prime(v), "silu")
 
 
+def _silu_second(v: np.ndarray, s=None) -> np.ndarray:
+    """silu''(v); `s`, when given, is _sigmoid(v)."""
+    s = _sigmoid(v) if s is None else s
+    return s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s))
+
+
 def silu_grad(a: Node) -> Node:
     """Derivative of silu as a first-class op (needed by hand-formed MLP update rules)."""
-
-    def second(v, o):
-        s = _sigmoid(v)
-        return s * (1.0 - s) * (2.0 + v * (1.0 - 2.0 * s))
-
-    return _unary(a, _silu_prime, second, "silu_grad")
+    return _unary(a, _silu_prime, lambda v, o: _silu_second(v), "silu_grad")
 
 
 def l2_normalize(v: Node) -> Node:
@@ -544,7 +555,7 @@ def _take(x: Node, index: tuple, op: str) -> Node:
         full[index] = g
         return (full,)
 
-    return x.tape._record(lambda a: a[index].copy(), (x,), vjp, op)
+    return x.tape._record(lambda a: a[index].copy(), (x,), vjp, op, check=False)
 
 
 def column(x: Node, j: int) -> Node:
@@ -584,7 +595,7 @@ def stack_columns(cols: Sequence[Node]) -> Node:
     def vjp(g):
         return tuple(g[:, j].copy() for j in range(g.shape[1]))
 
-    return t._record(lambda *vals: np.stack(vals, axis=1), cols, vjp, "stack_columns")
+    return t._record(lambda *vals: np.stack(vals, axis=1), cols, vjp, "stack_columns", check=False)
 
 
 def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
@@ -597,7 +608,7 @@ def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
     def vjp(g):
         return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
 
-    return t._record(lambda *vals: np.concatenate(vals, axis=axis), blocks, vjp, op)
+    return t._record(lambda *vals: np.concatenate(vals, axis=axis), blocks, vjp, op, check=False)
 
 
 def concat_columns(blocks: Sequence[Node]) -> Node:
@@ -607,6 +618,23 @@ def concat_columns(blocks: Sequence[Node]) -> Node:
 def concat_rows(blocks: Sequence[Node]) -> Node:
     """Matrices stacked along their rows: (p1,n), (p2,n), ... -> (p1+p2+..., n)."""
     return _concat(blocks, 0, "concat_rows")
+
+
+def unpack(packed: Node, offset: int, shape: tuple) -> Node:
+    """The block of a flat vector that starts at `offset`, as an array of `shape`:
+    one output of an op that packs several into one value."""
+    v = packed.value
+    size = math.prod(shape)
+    if v.ndim != 1 or not 0 <= offset <= v.size - size:
+        raise ShapeError(f"unpack: {shape} at offset {offset} of shape {v.shape}")
+    block = slice(offset, offset + size)
+
+    def vjp(g):
+        full = np.zeros(v.size)
+        full[block] = g.reshape(-1)
+        return (full,)
+
+    return packed.tape._record(lambda a: a[block].reshape(shape), (packed,), vjp, "unpack", check=False)
 
 
 def scale_columns(x: Node, s) -> Node:
@@ -671,7 +699,7 @@ def sample_stack(x: Node, batch: int) -> Node:
     def vjp(g):
         return (_time_major(g),)
 
-    return x.tape._record(lambda a: _batch_major(a, batch), (x,), vjp, "sample_stack")
+    return x.tape._record(lambda a: _batch_major(a, batch), (x,), vjp, "sample_stack", check=False)
 
 
 def time_major(x: Node) -> Node:
@@ -684,16 +712,21 @@ def time_major(x: Node) -> Node:
     def vjp(g):
         return (_batch_major(g, batch),)
 
-    return x.tape._record(_time_major, (x,), vjp, "time_major")
+    return x.tape._record(_time_major, (x,), vjp, "time_major", check=False)
 
 
 def _live_columns(widths, batch: int, cols: int):
-    """Time-major (C*B,) mask of the real columns; None when every column is real."""
+    """(B, C) mask of the real columns; None when every column is real."""
     if widths is None or min(widths) >= cols:
         return None
     if len(widths) != batch:
         raise ShapeError(f"{len(widths)} widths for a batch of {batch}")
-    return (np.arange(cols)[:, None] < np.asarray(widths)[None, :]).reshape(-1)
+    return np.arange(cols)[None, :] < np.asarray(widths)[:, None]
+
+
+def _partial(widths, cols: int) -> tuple:
+    """(sample, width) for the samples whose real columns end inside a chunk of `cols`."""
+    return () if widths is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
 
 
 def _pinned(eta: np.ndarray, alpha: np.ndarray, live) -> tuple:
@@ -709,17 +742,27 @@ def broadcast_batch(w: Node, batch: int) -> Node:
     def vjp(g):
         return (g.sum(axis=0),)
 
-    return w.tape._record(lambda a: np.broadcast_to(a, (batch,) + a.shape).copy(), (w,), vjp, "broadcast_batch")
+    return w.tape._record(lambda a: np.broadcast_to(a, (batch,) + a.shape).copy(), (w,), vjp, "broadcast_batch", check=False)
 
 
-def _bmm(vw: np.ndarray, vx: np.ndarray, partial) -> np.ndarray:
-    """Values of `bmatmul`; `partial` lists (sample, width) for the samples whose
-    real columns end inside the chunk."""
-    xb = _batch_major(vx, vw.shape[0])
+def _bmm(vw: np.ndarray, xb: np.ndarray, partial) -> np.ndarray:
+    """(B,p,C) products of (B,p,n) weights with (B,n,C) columns, sample by sample;
+    `partial` lists (sample, width) for the samples whose real columns end
+    inside the chunk, which get those columns from a product of that width."""
     out = vw @ xb
     for b, n in partial:
         out[b, :, :n] = vw[b] @ xb[b, :, :n]
-    return _time_major(out)
+    return out
+
+
+def _bmm_dw(g: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Gradient of `_bmm`'s weights from its (B,p,C) output gradient g."""
+    return g @ np.swapaxes(xb, 1, 2)
+
+
+def _bmm_dx(vw: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of `_bmm`'s columns from its (B,p,C) output gradient g."""
+    return np.swapaxes(vw, 1, 2) @ g
 
 
 def bmatmul(w, x, widths=None) -> Node:
@@ -736,27 +779,32 @@ def bmatmul(w, x, widths=None) -> Node:
     vw, vx = w.value, x.value
     if vw.ndim != 3 or vx.ndim != 2 or vx.shape[0] != vw.shape[2] or vx.shape[1] % vw.shape[0]:
         raise ShapeError(f"bmatmul: need (B,p,n) weights and (n, C*B) columns, got {vw.shape} @ {vx.shape}")
-    cols = vx.shape[1] // vw.shape[0]
-    partial = () if widths is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
+    partial = _partial(widths, vx.shape[1] // vw.shape[0])
 
     # the closures capture little: every object they keep alive is one more
     # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
         batch = vw.shape[0]
-        gb, xb = _batch_major(g, batch), _batch_major(vx, batch)
-        return (gb @ np.swapaxes(xb, 1, 2), _time_major(np.swapaxes(vw, 1, 2) @ gb))
+        gb = _batch_major(g, batch)
+        return (_bmm_dw(gb, _batch_major(vx, batch)), _time_major(_bmm_dx(vw, gb)))
 
-    return t._record(lambda vw, vx, partial=partial: _bmm(vw, vx, partial), (w, x), vjp, "bmatmul")
+    def product(vw, vx):
+        return _time_major(_bmm(vw, _batch_major(vx, vw.shape[0]), partial))
+
+    return t._record(product, (w, x), vjp, "bmatmul")
 
 
-def _step(m, keys, u, es, als, retention):
-    """One column: M_1 = alpha M_0 - eta w k^T.  Keys are (B,1,n) rows `kr` or
-    (B,n,1) columns `kc`, residuals (B,p,1), gates (B,1,1)."""
+def _step(m, kb, ub, eb, ab, retention):
+    """One column: M_1 = alpha M_0 - eta w k^T, for (B,n,1) keys, (B,p,1)
+    residuals and (B,1) gates.  Keys are used as (B,1,n) rows `kr` or (B,n,1)
+    columns `kc`."""
     batch, p, n = m.shape
-    kr = keys.T.reshape(batch, 1, n)
+    # views of the keys as a time-major (n, B) matrix holds them, the layout
+    # `m @ kc` has always seen: BLAS rounds by operand layout
+    kr = np.ascontiguousarray(kb[:, :, 0].T).T.reshape(batch, 1, n)
     kc = kr.reshape(batch, n, 1)
-    e, a = es.reshape(batch, 1, 1), als.reshape(batch, 1, 1)
-    w = u.T.reshape(batch, p, 1)
+    e, a = eb.reshape(batch, 1, 1), ab.reshape(batch, 1, 1)
+    w = ub
     if retention:
         w = m @ kc + w
     return a * m - e * (w * kr), [w, kr, kc, e, a]
@@ -774,7 +822,7 @@ def _step_vjp(g, m, saved, retention):
     if retention:
         gk += np.swapaxes(gw, 1, 2) @ m
         g = g + gw * kr
-    return g, gk.reshape(batch, -1).T, gw.reshape(batch, -1).T, ge.reshape(-1), ga.reshape(-1)
+    return g, gk.reshape(batch, -1, 1), gw, ge.reshape(batch, 1), ga.reshape(batch, 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -810,7 +858,7 @@ def _unit_upper_inverse(t: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _closed(m, keys, u, es, als, retention):
+def _closed(m, kb, w, eb, ab, retention):
     """C > 1 columns in closed form.  Per sample, with A = prod alpha,
     c_j = eta_j prod_{i>j} alpha_i and p_j = prod_{i<j} alpha_i:
 
@@ -820,12 +868,9 @@ def _closed(m, keys, u, es, als, retention):
     with T[l,j] = eta_l prod_{l<m<j} alpha_m k_l^T k_j for l < j (the UT/WY
     form of the gated delta rule).  Every gate product is a segment product.
     """
-    batch = len(m)
-    kb, w = _batch_major(keys, batch), _batch_major(u, batch)
     cols = kb.shape[2]
     starts, _, _, strict, eye = _masks(cols)
-    eb = es.reshape(cols, batch).T
-    seg = _segments(als.reshape(cols, batch).T, starts)
+    seg = _segments(ab, starts)
     c = eb * seg[:, 1:, cols]
     kt = kb.transpose(0, 2, 1)
     q = None
@@ -864,18 +909,37 @@ def _closed_vjp(g, m, saved, retention):
         dm += (du * p) @ kt
     # d prod_{s<=i<t} alpha_i / d alpha_m = E[s,m] E[m+1,t]: no division by alpha
     da = ((seg.transpose(0, 2, 1)[:, :cols] * lower) @ dseg * seg[:, 1:] * upper).sum(axis=2)
-    return dm, _time_major(dk), _time_major(du), de.T.reshape(-1), da.T.reshape(-1)
+    return dm, dk, du, de, da
 
 
-def _scan(m, keys, u, es, als, retention, partial=()):
-    """Final (B,p,n) state and the arrays the VJP reads; `partial` lists
-    (sample, width) for the samples recomputed alone at their own width."""
-    batch = len(m)
-    out, saved = (_step if keys.shape[1] == batch else _closed)(m, keys, u, es, als, retention)
+def _scan(m, kb, ub, eb, ab, retention, partial=()):
+    """Final (B,p,n) state and the arrays the VJP reads, for (B,n,C) keys,
+    (B,p,C) residuals and (B,C) gates; `partial` lists (sample, width) for the
+    samples recomputed alone at their own width."""
+    out, saved = (_step if kb.shape[2] == 1 else _closed)(m, kb, ub, eb, ab, retention)
     for b, n in partial:
-        own = [np.ascontiguousarray(x[..., b::batch][..., :n]) for x in (keys, u, es, als)]
+        own = [np.ascontiguousarray(x[b : b + 1, ..., :n]) for x in (kb, ub, eb, ab)]
         out[b] = _scan(m[b : b + 1], *own, retention)[0][0]
     return out, saved
+
+
+def _scan_value(m, kb, ub, eb, ab, retention, live, partial):
+    """`decay_scan`'s value for a (B,p,n) state and batch-major operands (see
+    `_scan`): the final state, and what `_scan_grad` reads.  `live` is the
+    (B, C) mask of the real columns (None: all are real)."""
+    m = np.ascontiguousarray(m)  # samples recomputed alone see the same layout
+    out, arrays = _scan(m, kb, ub, *_pinned(eb, ab, live), retention, partial)
+    return out, (m, arrays, _step_vjp if kb.shape[2] == 1 else _closed_vjp)
+
+
+def _scan_grad(g, saved, retention, live):
+    """Gradients of the state, keys, residuals and gates of `_scan_value`,
+    batch-major; pinned gates take none."""
+    m, arrays, scan_vjp = saved
+    g, gk, gu, ge, ga = scan_vjp(g, m, arrays, retention)
+    if live is not None:
+        ge, ga = np.where(live, ge, 0.0), np.where(live, ga, 0.0)
+    return g, gk, gu, ge, ga
 
 
 def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
@@ -906,27 +970,24 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
         raise ShapeError(f"decay_scan: need (p,n) or (B,p,n), (n,C*B), (p,C*B), (C*B,), (C*B,) operands, got {shapes}")
     cols = n_cols // batch
     live = _live_columns(widths, batch, cols)
-    partial = () if live is None else tuple((b, n) for b, n in enumerate(widths) if 0 < n < cols)
-    scan_vjp = _step_vjp if cols == 1 else _closed_vjp
-    saved = []  # the start state and the arrays the VJP reads, left by `scan`
+    partial = _partial(widths, cols)
+    saved = []  # what `_scan_grad` reads, left by `scan`
 
     def scan(vm, vk, vu, ve, va):
-        m = np.ascontiguousarray(vm if stacked else vm[None])  # samples recomputed alone see the same layout
-        out, arrays = _scan(m, vk, vu, *_pinned(ve, va, live), retention, partial)
-        saved[:] = m, arrays
+        kb, ub = _batch_major(vk, batch), _batch_major(vu, batch)
+        eb, ab = ve.reshape(cols, batch).T, va.reshape(cols, batch).T
+        out, saved[:] = _scan_value(vm if stacked else vm[None], kb, ub, eb, ab, retention, live, partial)
         return out if stacked else out[0]
 
     # the closures capture little: every object they keep alive is one more
     # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
-        m, arrays = saved
+        arrays = tuple(saved)
         # a tape runs one backward pass: free the saved arrays now rather than
         # when the caller drops the tape (a later `replay` saves them again)
         saved.clear()
-        g, gk, gu, ge, ga = scan_vjp(g if stacked else g[None], m, arrays, retention)
-        if live is not None:  # pinned gates take no gradient
-            ge, ga = np.where(live, ge, 0.0), np.where(live, ga, 0.0)
-        return (g if stacked else g[0], gk, gu, ge, ga)
+        g, gk, gu, ge, ga = _scan_grad(g if stacked else g[None], arrays, retention, live)
+        return (g if stacked else g[0], _time_major(gk), _time_major(gu), ge.T.reshape(-1), ga.T.reshape(-1))
 
     return t._record(scan, (m0, keys, u, eta, alpha), vjp, "decay_scan")
 

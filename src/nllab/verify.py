@@ -19,9 +19,10 @@ from . import bench, checkpoint, config as config_mod, runlog as runlog_mod
 from . import cms as cms_mod
 from . import tensor as T
 from .hope import HopeConfig, HopeModel, train
-from .memory import Memory, RuleKind, dgd_proximal_step, gd_oracle_step, rule_step
+from . import srt as srt_mod
+from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle_step, read_node, rule_step
 from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
-from .srt import SLOTS, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
+from .srt import SLOTS, STACK, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
 from .tasks import TaskSpec, evaluate, generate, vocabulary
 from .tensor import Tape, Tensor
 
@@ -277,6 +278,104 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
     return CheckResult("cms-frequency-and-sgd", passed, worst, f"C=1 vs SGD err={worst:.2e}, off-boundary bit-frozen={bitfrozen}")
 
 
+def _permute(x, order, batch: int):
+    return T.concat_columns([T.slice_columns(x, i * batch, (i + 1) * batch) for i in order])
+
+
+def _rows(stack, i: int, d: int, count: int):
+    """Rows of the i-th of `count` d-row blocks of `stack`; the stack itself when it holds one."""
+    return stack if count == 1 else T.slice_rows(stack, i * d, (i + 1) * d)
+
+
+def _elements(cfg: SrtConfig, boundary: dict, stacked: list, wq, x, xkv, slots, widths) -> dict:
+    """Element work of one chunk as (d, C*B) matrices, every read against the boundary memories.
+
+    The `stacked` slots read through one product of their row-stacked fast
+    weight `boundary[STACK]` per distinct input.  Holds the output `y`, the key
+    `k`, the gate reads `eta`/`alpha` (unless fixed) and one self-generated
+    target `vhat.<slot>` per updated slot or STACK.
+    """
+    products = {}  # input node -> its product with the stacked fast weight
+
+    def read(slot: str, cols):
+        if slot not in stacked:
+            return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
+        if cols not in products:
+            products[cols] = T.bmatmul(boundary[STACK][0], cols, widths)
+        return _rows(products[cols], stacked.index(slot), cfg.dim, len(stacked))
+
+    def norm(cols, on: bool):
+        return T.l2_normalize_columns_safe(cols) if on else cols
+
+    q = norm(T.matmul(wq, x), cfg.normalize_q)
+    v = norm(read("v", xkv), cfg.normalize_v)
+    out = {"y": read("mem", q), "k": norm(read("k", xkv), cfg.normalize_k)}
+    if cfg.fixed_eta is None:
+        out["eta"] = read("eta", x)
+    if cfg.fixed_alpha is None:
+        out["alpha"] = read("alpha", x)
+    for slot in slots:
+        if slot == STACK:
+            out["vhat." + slot] = T.bmatmul(boundary[STACK][0], v, widths) if cfg.self_values else T.concat_rows([v] * len(stacked))
+        else:
+            out["vhat." + slot] = read(slot, v) if cfg.self_values else v
+    return out
+
+
+def _gate(tape: Tape, fixed, reads, bias: float, squash, n: int):
+    if fixed is not None:
+        return tape.constant(np.full(n, fixed))
+    return squash(T.add(T.mean_axis0(reads), bias))
+
+
+def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, widths) -> tuple:
+    """One chunk's update of a memory or of the linear stack: one decay_scan per weight, from the boundary state."""
+    if kind == LINEAR:
+        (m,) = boundary
+        u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.neg(vhat)
+        return (T.decay_scan(m, k, u, eta, alpha, cfg.retention, widths),)
+    # weight-space gradient of the residual MLP read, no retention factor
+    w1, w2 = boundary
+    z = T.bmatmul(w2, k, widths)
+    h = T.silu(z)
+    r = T.sub(T.add(k, T.bmatmul(w1, h, widths)), vhat) if cfg.objective == "l2" else T.neg(vhat)
+    u2 = T.mul(T.bmatmul(T.transpose(w1), r, widths), T.silu_grad(z))
+    return (T.decay_scan(w1, h, r, eta, alpha, False, widths), T.decay_scan(w2, k, u2, eta, alpha, False, widths))
+
+
+def _srt_forward_oracle(tape, cfg, weights, wq, x, chunk=None, conv_kernel=None, element_order=None, lengths=None):
+    """The per-op graph that `srt_forward_nodes`' one node replaces, same
+    arguments and outputs: per chunk, element work, gates and one decay_scan
+    per advanced weight, each op its own tape node."""
+    chunk, lengths, L, padded = srt_mod._layout(cfg, x, chunk, lengths, element_order)
+    batch, d = len(lengths), cfg.dim
+    xkv = T.causal_depthwise_conv(x, conv_kernel, batch) if conv_kernel is not None else x
+    stacked, slots = srt_mod._plan(cfg)
+    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items() if slot not in stacked}
+    if stacked:
+        cur[STACK] = (T.broadcast_batch(T.concat_rows([weights[slot][0] for slot in stacked]), batch),)
+    outputs = []
+    for start, n, widths in srt_mod._chunks(L, chunk, lengths, padded):
+        xc = T.slice_columns(x, start * batch, (start + n) * batch)
+        xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
+        if element_order is None:
+            e = _elements(cfg, cur, stacked, wq, xc, xkvc, slots, widths)
+        else:
+            order = [i for i in element_order if i < n]
+            xp = _permute(xc, order, batch)
+            xkvp = _permute(xkvc, order, batch) if conv_kernel is not None else xp
+            inverse = np.argsort(order)
+            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, stacked, wq, xp, xkvp, slots, None).items()}
+        eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n * batch)
+        alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n * batch)
+        for slot in slots:
+            kind = LINEAR if slot == STACK else cfg.kinds[slot]
+            cur[slot] = _advance(cfg, kind, cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
+        outputs.append(e["y"])
+    rows = {slot: (_rows(cur[STACK][0], i, d, len(stacked)),) for i, slot in enumerate(stacked)}
+    return T.concat_columns(outputs), {slot: rows.get(slot) or cur[slot] for slot in weights}
+
+
 _SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
 
 
@@ -419,6 +518,83 @@ def check_srt_chunked(faults=frozenset(), out_dir=None) -> CheckResult:
                 bit_exact = bit_exact and np.array_equal(a, b)
     passed = worst < 1e-12 and bit_exact
     return CheckResult("srt-chunked-sequential", passed, worst, f"C=1 err={worst:.2e}, order-independence bit-exact={bit_exact}")
+
+
+def _fused_core_configs(d: int) -> dict:
+    linear = {slot: LINEAR for slot in SLOTS}
+    return {
+        "default": SrtConfig(dim=d, hidden=d),
+        "all-linear": SrtConfig(dim=d, kinds=linear),
+        "frozen-subset": SrtConfig(dim=d, hidden=d, update_slots=("v", "alpha", "mem")),
+        "dot": SrtConfig(dim=d, kinds=linear, objective="dot"),
+        "no-retention": SrtConfig(dim=d, hidden=d, retention=False),
+        "no-self-values": SrtConfig(dim=d, hidden=d, self_values=False),
+        "fixed-gates": SrtConfig(dim=d, hidden=d, fixed_eta=0.3, fixed_alpha=0.9),
+        "conv": SrtConfig(dim=d, hidden=d, conv=True),
+        "linear-attention": linear_attention_config(d),
+        "mlp2-key": SrtConfig(dim=d, hidden=d, kinds={**linear, "k": MLP2}),
+    }
+
+
+def _fused_core_run(forward, cfg: SrtConfig, vals: dict, chunk: int, lengths: list, probes: list, shift: float = 0.0, direction=None):
+    """Outputs of `forward` (Y, then the final weights in SLOTS order) and the
+    gradients of their sum against `probes` for every input in `vals`; or only
+    that sum, with every input moved by `shift` along `direction`."""
+    tape = Tape()
+    nodes = {name: tape.param(name, v if direction is None else v + shift * direction[name]) for name, v in vals.items()}
+    snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS}
+    y, final = forward(tape, cfg, snaps, nodes["wq"], nodes["x"], chunk=chunk, conv_kernel=nodes.get("conv"), lengths=lengths)
+    outs = [y] + [w for slot in SLOTS for w in final[slot]]
+    loss = T.dot(y, tape.constant(probes[0]))
+    for o, p in zip(outs[1:], probes[1:]):
+        loss = T.add(loss, T.dot(o, tape.constant(p)))
+    if direction is not None:
+        return float(loss.value)
+    return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
+
+
+@register("srt-fused-core")
+def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
+    worst = 0.0  # fused core vs per-op graph: every gradient, relative to its largest entry
+    exact = True  # forward bit-identical
+    rng = np.random.default_rng(12)
+    d = 3
+    for name, cfg in _fused_core_configs(d).items():
+        state = init_srt(cfg, seed=13)
+        vals = {f"{slot}.{j}": w + 0.2 * rng.normal(size=w.shape) for slot, ws in state.weights.items() for j, w in enumerate(ws)}
+        vals["wq"] = state.wq
+        if cfg.conv:
+            vals["conv"] = state.conv_kernel + 0.3 * rng.normal(size=state.conv_kernel.shape)
+        # token steps on a ragged batch; closed-form chunks on a ragged batch,
+        # whose short sample ends inside the first chunk and is all padding in
+        # the second; one closed-form chunk on a single sequence
+        for chunk, lengths in ((1, [3, 1]), (3, [5, 2]), (8, [5])):
+            vals["x"] = rng.normal(size=(d, max(lengths) * len(lengths)))
+            probes = [rng.normal(size=vals["x"].shape)] + [
+                rng.normal(size=(len(lengths),) + vals[f"{slot}.{j}"].shape) for slot in SLOTS for j in range(1 if cfg.kinds[slot] == LINEAR else 2)
+            ]
+            fused, g_fused = _fused_core_run(srt_forward_nodes, cfg, vals, chunk, lengths, probes)
+            graph, g_graph = _fused_core_run(_srt_forward_oracle, cfg, vals, chunk, lengths, probes)
+            exact = exact and all(np.array_equal(a, b) for a, b in zip(fused, graph))
+            for key, g in g_graph.items():
+                worst = max(worst, float(np.abs(g_fused[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
+            if (name, chunk) == ("conv", 3):
+                fd_case = (cfg, dict(vals), chunk, lengths, probes, g_fused)
+    # one directional derivative against central differences, along every input at once
+    cfg, vals, chunk, lengths, probes, grads = fd_case
+    direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
+    along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
+    fd = T.finite_diff_grad(
+        lambda s: _fused_core_run(srt_forward_nodes, cfg, vals, chunk, lengths, probes, float(s.data[0]), direction), Tensor([0.0])
+    )
+    fd_err = abs(float(fd.data[0]) - along) / max(abs(float(fd.data[0])), abs(along), 1e-12)
+    passed = exact and worst <= 1e-12 and fd_err < 1e-6
+    return CheckResult(
+        "srt-fused-core",
+        passed,
+        worst,
+        f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_err:.2e}",
+    )
 
 
 @register("linear-attention-recovery")

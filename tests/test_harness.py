@@ -306,6 +306,11 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"task": {"kind": "parity", "bin1": [90, 80]}}, "$.task.bin1", "lo <= hi"),
         ({"task": {"kind": "copy_recall", "params": {"pairs": 20}}}, "$.task", "params.pairs"),
         ({"task": {"kind": "char_lm", "params": {"window": 0}}}, "$.task", "params.window"),
+        ({"task": {"kind": "parity", "seed": "x"}}, "$.task.seed", "integer"),
+        ({"task": {"kind": "parity", "seed": 1.5}}, "$.task.seed", "integer"),
+        ({"task": {"kind": "parity", "seed": True}}, "$.task.seed", "integer"),
+        ({"task": {"kind": "copy_recall", "params": {"pairz": 2}}}, "$.task.params.pairz", "pairs"),
+        ({"task": {"kind": "parity", "params": {"bin1_fraction": 2}}}, "$.task.params.bin1_fraction", "[0.0, 1.0]"),
         ({"model": {"chunk": 0}}, "$.model.chunk", ">= 1"),
         ({"model": {"dim": 0}}, "$.model.dim", ">= 1"),
         ({"model": {"fixed_eta": "x"}}, "$.model.fixed_eta", "number"),

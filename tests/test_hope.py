@@ -8,9 +8,21 @@ import pytest
 
 from nllab import tasks
 from nllab import tensor as T
-from nllab.hope import HopeConfig, HopeModel, hope_block_forward, train
+from nllab.hope import HopeConfig, HopeModel, train
 from nllab.srt import SLOTS
 from nllab.tensor import Tape, Tensor, finite_diff_grad
+
+
+def hidden_states(model, tokens):
+    """Hidden states of one sequence, from the forward `predict` and `score` run."""
+    return model._forward(tokens)[2].value
+
+
+def block_forward(model, x, block=0):
+    """One block applied to explicit (d,L) token representations; pure read."""
+    tape = Tape()
+    nodes = model._register(tape)
+    return Tensor(model._block(tape, nodes, block, tape.constant(x.data), [x.shape[1]]).value)
 
 
 def tiny_lm_config(**kw):
@@ -38,7 +50,7 @@ def test_loss_matches_primitive_recomputation():
     model = HopeModel(tiny_lm_config(), seed=3)
     tokens = [0, 5, 2, 9, 1, 7]
     got = model.loss(tokens)
-    h = model.hidden_states(tokens)
+    h = hidden_states(model, tokens)
     logits = model.params["readout"] @ h[:, :-1]
     z = logits - logits.max(axis=0)
     ls = z - np.log(np.exp(z).sum(axis=0))
@@ -67,7 +79,7 @@ def test_score_is_predict_and_loss_from_one_forward(cfg):
         tokens = [int(t) for t in rng.integers(0, cfg.vocab, size=length)]
         label = int(rng.integers(0, cfg.num_classes)) if cfg.num_classes else None
         prediction, loss = model.score(tokens, label)
-        assert prediction == model.predict(tokens) == int(np.argmax(head @ model.hidden_states(tokens)[:, -1]))
+        assert prediction == model.predict(tokens) == int(np.argmax(head @ hidden_states(model, tokens)[:, -1]))
         # bit for bit the loss of a one-sample training tape
         assert loss == model.loss(tokens, label) == float(model.build_loss(Tape(), [{"tokens": tokens, "label": label}]).value)
 
@@ -87,8 +99,8 @@ def test_evaluate_records_one_tape_per_sample(monkeypatch):
 def test_block_forward_pure_under_repeat():
     model = HopeModel(tiny_lm_config(), seed=4)
     x = Tensor(np.random.default_rng(0).normal(size=(8, 8)))
-    y1 = hope_block_forward(model, x)
-    y2 = hope_block_forward(model, x)
+    y1 = block_forward(model, x)
+    y2 = block_forward(model, x)
     assert np.array_equal(y1.data, y2.data)
 
 
@@ -96,9 +108,9 @@ def test_fast_state_isolation_between_sequences():
     model = HopeModel(tiny_lm_config(), seed=5)
     a = [1, 2, 3, 4, 5, 6]
     b = [7, 8, 9, 1, 0, 2]
-    h_b_alone = model.hidden_states(b)
-    model.hidden_states(a)  # evaluating A must not leak fast state into B
-    assert np.array_equal(model.hidden_states(b), h_b_alone)
+    h_b_alone = hidden_states(model, b)
+    hidden_states(model, a)  # evaluating A must not leak fast state into B
+    assert np.array_equal(hidden_states(model, b), h_b_alone)
 
 
 def test_attention_core_matches_hand_composed_pipeline():
@@ -106,7 +118,7 @@ def test_attention_core_matches_hand_composed_pipeline():
     model = HopeModel(cfg, seed=6)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(8, 6))
-    got = hope_block_forward(model, Tensor(x)).data
+    got = block_forward(model, Tensor(x)).data
 
     # hand-composed attention + frozen residual MLP tail, mirroring the exact
     # primitive operations so the comparison is bit-for-bit
@@ -136,7 +148,7 @@ def test_attention_core_matches_hand_composed_pipeline():
 def test_linear_attention_core_matches_prefix_sum_reference(length):
     model = HopeModel(tiny_lm_config(core="linear_attention", use_cms=False), seed=8)
     x = np.random.default_rng(length).normal(size=(8, length))
-    got = hope_block_forward(model, Tensor(x)).data
+    got = block_forward(model, Tensor(x)).data
 
     xn = x / np.sqrt((x * x).mean(axis=0) + 1e-6) * model.params["b0.norm1"][:, None]
     q = model.params["b0.wq"] @ xn
@@ -289,7 +301,7 @@ def test_tied_readout_head():
     tokens = [1, 2, 3, 4]
     loss = model.loss(tokens)
     assert math.isfinite(loss)
-    h = model.hidden_states(tokens)
+    h = hidden_states(model, tokens)
     logits = model.params["emb"] @ h[:, -1]
     assert model.predict(tokens) == int(np.argmax(logits))
     with pytest.raises(ValueError):
@@ -401,8 +413,12 @@ def test_train_ticks_each_chain_once_per_step(monkeypatch):
 @pytest.mark.parametrize(
     "frozen, per_chunk", [((), 3), (("mem",), 1), (("k", "v", "eta", "alpha"), 2), (("v", "mem"), 1), (tuple(SLOTS), 0)]
 )
-def test_build_loss_scans_the_linear_slots_once_per_chunk(frozen, per_chunk):
-    # one decay_scan for the stacked updated linear slots, two per updated MLP2 slot
+def test_build_loss_scans_the_linear_slots_once_per_chunk(frozen, per_chunk, monkeypatch):
+    # one decay_scan for the stacked updated linear slots, two per updated MLP2
+    # slot, on the per-op graph that the fused core is held to
+    from nllab import hope, verify
+
+    monkeypatch.setattr(hope, "srt_forward_nodes", verify._srt_forward_oracle)
     cfg = tiny_lm_config(blocks=2, chunk=3, frozen_slots=frozen)
     model = HopeModel(cfg, seed=26)
     rng = np.random.default_rng(27)
@@ -411,3 +427,44 @@ def test_build_loss_scans_the_linear_slots_once_per_chunk(frozen, per_chunk):
     model.build_loss(tape, batch, with_penalty=True)
     chunks = cfg.blocks * math.ceil(7 / cfg.chunk)
     assert sum(node.op == "decay_scan" for node in tape.nodes) == per_chunk * chunks
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_build_loss_records_one_fused_core_node_per_block(chunk):
+    cfg = tiny_lm_config(blocks=2, chunk=chunk, mem_hidden=6)
+    model = HopeModel(cfg, seed=28)
+    rng = np.random.default_rng(29)
+    batch = [{"tokens": [int(t) for t in rng.integers(0, cfg.vocab, size=n)], "label": None} for n in (7, 4)]
+    tape = Tape()
+    model.build_loss(tape, batch, with_penalty=True)
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("srt_core") == cfg.blocks
+    assert "decay_scan" not in ops and "bmatmul" not in ops
+    # Y and the six final fast weights (four linear slots, the MLP2 storage's two) per block
+    assert ops.count("unpack") == cfg.blocks * 7
+
+
+COPY_ONLY_OPS = {
+    "column", "element", "slice_columns", "slice_rows", "sample_stack", "time_major", "transpose",
+    "broadcast_batch", "concat_columns", "concat_rows", "stack_columns", "unpack",
+}
+
+
+def test_a_training_step_checks_each_value_once_where_it_is_made(monkeypatch):
+    # the char-LM attention step: copy-only ops move values their inputs' ops
+    # already checked, so only the other ops, the leaves and the parameter
+    # gradients are finite-checked
+    cfg = HopeConfig(vocab=12, dim=8, core="attention", chunk=4, cms_chunks=(1, 4), cms_hidden=4)
+    model = HopeModel(cfg, seed=30)
+    rng = np.random.default_rng(31)
+    batch = [{"tokens": [int(t) for t in rng.integers(0, cfg.vocab, size=n)], "label": None} for n in (9, 6)]
+    counted = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: counted.append(np.size(a)) or isfinite(a))
+    tape = Tape()
+    tape.backward(model.build_loss(tape, batch, with_penalty=True))
+    monkeypatch.undo()
+    copies = sum(node.value.size for node in tape.nodes if node.op in COPY_ONLY_OPS)
+    made = sum(node.value.size for node in tape.nodes if node.op not in COPY_ONLY_OPS)
+    assert copies > 0
+    assert sum(counted) == made + sum(node.value.size for node in tape.params.values())

@@ -14,7 +14,7 @@ def random_linear(rng, d_out=None, d_k=None):
 
 
 def test_hebbian_single_outer_product():
-    m = rule_step(RuleKind.HEBBIAN, Memory.zeros_linear(2, 2), Tensor([1.0, 0.0]), Tensor([0.0, 1.0]), 1.0, 1.0)
+    m = rule_step(RuleKind.HEBBIAN, Memory.linear(np.zeros((2, 2))), Tensor([1.0, 0.0]), Tensor([0.0, 1.0]), 1.0, 1.0)
     assert np.array_equal(m.matrix.data, [[0.0, 0.0], [1.0, 0.0]])
 
 
@@ -63,7 +63,7 @@ def test_rule_equals_autodiff_oracle_100_instances(rule, objective):
 
 
 def test_oracle_dot_from_zero_matches_hebbian_example():
-    mem = Memory.zeros_linear(3, 3)
+    mem = Memory.linear(np.zeros((3, 3)))
     k, v = Tensor([1.0, 0.0, 0.0]), Tensor([0.0, 1.0, 0.0])
     a = rule_step(RuleKind.HEBBIAN, mem, k, v, 1.0, 1.0).matrix.data
     b = gd_oracle_step("dot", mem, k, v, 1.0, 1.0).matrix.data
@@ -92,7 +92,7 @@ def test_mlp2_rejects_hebbian_and_oja():
 
 
 def test_gate_domain_errors():
-    mem = Memory.zeros_linear(2, 2)
+    mem = Memory.linear(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         rule_step(RuleKind.HEBBIAN, mem, Tensor([1.0, 0]), Tensor([1.0, 0]), -0.1, 1.0)
     with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ def test_gate_domain_errors():
 def test_hebbian_prefix_sum_identity():
     rng = np.random.default_rng(17)
     d = 5
-    mem = Memory.zeros_linear(d, d)
+    mem = Memory.linear(np.zeros((d, d)))
     acc = np.zeros((d, d))
     for _ in range(20):
         k, v = rng.normal(size=d), rng.normal(size=d)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nllab import srt as S
 from nllab import tensor as T
 from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step, read_node
-from nllab.srt import SrtConfig, init_srt, linear_attention_config, reset, srt_chunked_forward, srt_linear_recurrence, srt_step
+from nllab import verify as V
+from nllab.srt import SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_linear_recurrence, srt_step
 from nllab.tensor import Tensor
 
 
@@ -207,6 +210,11 @@ def test_gate_ranges_hold_on_random_streams():
             _, state = srt_step(state, Tensor(x))
 
 
+def reset(state):
+    """Per-sequence restart: fast weights return to the snapshots bit-exactly."""
+    return S.replace(state, weights={slot: tuple(w.copy() for w in ws) for slot, ws in state.inits.items()})
+
+
 def test_reset_restores_inits_bit_exact_and_isolates_sequences():
     rng = np.random.default_rng(17)
     d = 5
@@ -259,7 +267,7 @@ def test_closed_form_recurrence_equals_generic_path():
 
 def test_closed_form_dot_from_zero_memory():
     d = 3
-    m = Memory.zeros_linear(d, d)
+    m = Memory.linear(np.zeros((d, d)))
     k = Tensor([1.0, 0.0, 0.0])
     vhat = Tensor([0.0, 2.0, 0.0])
     out = srt_linear_recurrence("dot", m, k, vhat, 1.0, 1.0).matrix.data
@@ -369,12 +377,12 @@ def _per_slot_forward(tape, cfg, weights, wq, x, kernel, lengths):
         outputs.append(read_node(cur["mem"], q, cfg.kinds["mem"], widths))
         gates = {slot: None if fixed is not None else read_node(cur[slot], xc, LINEAR, widths)
                  for slot, fixed in (("eta", cfg.fixed_eta), ("alpha", cfg.fixed_alpha))}
-        eta = S._gate(tape, cfg.fixed_eta, gates["eta"], cfg.eta_bias, T.softplus, n * batch)
-        alpha = S._gate(tape, cfg.fixed_alpha, gates["alpha"], cfg.alpha_bias, T.sigmoid, n * batch)
+        eta = V._gate(tape, cfg.fixed_eta, gates["eta"], cfg.eta_bias, T.softplus, n * batch)
+        alpha = V._gate(tape, cfg.fixed_alpha, gates["alpha"], cfg.alpha_bias, T.sigmoid, n * batch)
         vhat = {slot: read_node(cur[slot], v, cfg.kinds[slot], widths) if cfg.self_values else v for slot in slots}
         for slot in slots:
             if cfg.kinds[slot] == MLP2:
-                cur[slot] = S._advance(cfg, MLP2, cur[slot], k, vhat[slot], eta, alpha, widths)
+                cur[slot] = V._advance(cfg, MLP2, cur[slot], k, vhat[slot], eta, alpha, widths)
                 continue
             (m,) = cur[slot]
             u = T.sub(T.bmatmul(m, k, widths), vhat[slot]) if cfg.objective == "l2" else T.neg(vhat[slot])
@@ -439,3 +447,86 @@ def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
     along = sum(float((grads[f"{slot}.0"].data * direction[slot]).sum()) for slot in linear)
     fd = T.finite_diff_grad(lambda t: float(run("stacked", float(t.data[0]))[2].value), Tensor([0.0]))
     assert abs(fd.data[0] - along) <= 1e-6 * abs(along)
+
+
+@st.composite
+def _srt_cases(draw):
+    """A random configuration, chunk size and batch, and a seed for the values."""
+    d = draw(st.integers(2, 6))
+    flags = {name: draw(st.booleans()) for name in ("retention", "self_values", "normalize_q", "normalize_k", "normalize_v", "conv")}
+    cfg = SrtConfig(
+        dim=d,
+        hidden=draw(st.sampled_from((0, 3))),
+        kinds={slot: draw(st.sampled_from((LINEAR, MLP2))) for slot in S.SLOTS},
+        objective=draw(st.sampled_from(("l2", "dot"))),
+        chunk=draw(st.integers(1, 5)),
+        update_slots=tuple(draw(st.lists(st.sampled_from(S.SLOTS + ("q",)), unique=True))),
+        # a fixed eta near 0 leaves gradients that are pure rounding noise
+        fixed_eta=draw(st.one_of(st.none(), st.just(0.0), st.floats(0.05, 1.0))),
+        fixed_alpha=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
+        **flags,
+    )
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    order = None
+    if min(lengths) == max(lengths) and draw(st.booleans()):
+        order = list(draw(st.permutations(range(cfg.chunk))))
+    return cfg, lengths, order, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_srt_cases())
+def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
+    cfg, lengths, order, seed = case
+    d, batch = cfg.dim, len(lengths)
+    rng = np.random.default_rng(seed)
+    state = init_srt(cfg, seed=int(rng.integers(0, 2**31)))
+    vals = {f"{slot}.{j}": w + 0.2 * rng.normal(size=w.shape) for slot, ws in state.weights.items() for j, w in enumerate(ws)}
+    vals["wq"] = state.wq
+    vals["x"] = rng.normal(size=(d, max(lengths) * batch))
+    if cfg.conv:
+        vals["conv"] = state.conv_kernel + 0.3 * rng.normal(size=state.conv_kernel.shape)
+    probes = [rng.normal(size=vals["x"].shape)] + [rng.normal(size=(batch,) + w.shape) for ws in state.weights.values() for w in ws]
+
+    def run(forward):
+        tape = T.Tape()
+        nodes = {name: tape.param(name, v) for name, v in vals.items()}
+        snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(len(ws))) for slot, ws in state.weights.items()}
+        y, final = forward(tape, cfg, snaps, nodes["wq"], nodes["x"], conv_kernel=nodes.get("conv"), element_order=order, lengths=lengths)
+        outs = [y] + [w for slot in S.SLOTS for w in final[slot]]
+        loss = T.dot(y, probes[0])
+        for o, p in zip(outs[1:], probes[1:]):
+            loss = T.add(loss, T.dot(o, p))
+        return tape, outs, loss
+
+    try:
+        oracle_tape, oracle_outs, oracle_loss = run(V._srt_forward_oracle)
+        oracle = oracle_tape.backward(oracle_loss)
+    except T.NonFiniteError:  # a diverging recurrence or gradient: the fused route must say so too
+        with pytest.raises(T.NonFiniteError):
+            tape, _, loss = run(S.srt_forward_nodes)
+            tape.backward(loss)
+        return
+    tape, outs, loss = run(S.srt_forward_nodes)
+    assert sum(node.op == "srt_core" for node in tape.nodes) == 1
+    for a, b in zip(outs, oracle_outs):
+        assert np.array_equal(a.value, b.value)
+    assert tape.replay() is True
+    grads = tape.backward(loss)
+    for name, g in oracle.items():
+        assert np.abs(grads[name].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_value_in_the_core_names_the_op_node_and_chunk():
+    cfg = SrtConfig(dim=4, chunk=3)
+    state = init_srt(cfg, seed=0)
+    state = S.replace(state, weights={**state.weights, "eta": (np.full((4, 4), 1e308),)})
+    x = np.zeros((4, 7))
+    x[:, 3:] = 1.0  # the eta read overflows from the second chunk on
+    tape = T.Tape()
+    weights, wq, _ = S._as_nodes(tape, state)
+    xn = tape.constant(x)
+    with pytest.raises(T.NonFiniteError, match=rf"srt_core \(node {xn.idx + 1}\) at chunk 1 \(tokens 3 to 5\)"):
+        S.srt_forward_nodes(tape, cfg, weights, wq, xn)
+    assert len(tape.nodes) == xn.idx + 1  # the bad value is not recorded
