@@ -88,7 +88,7 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
         for name, state in outer_optimizer_states(model, kind, hp).items():
             optim.step(kind, state, Tensor(values[name]), Tensor(np.ones_like(values[name])))
     except (TypeError, ValueError, ArithmeticError) as exc:
-        key = "optimizer" if not hp or isinstance(exc, (optim.UnsupportedShape, optim.MissingTrace)) else "opt_hp"
+        key = "optimizer" if not hp or isinstance(exc, optim.UnsupportedShape) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
     try:
         for name, state in model.cms_opt_states.items():

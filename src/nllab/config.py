@@ -12,11 +12,12 @@ import math
 import os
 from typing import Any
 
+from .cms import VARIANTS as CMS_VARIANTS
 from .fileio import write_atomic
 from .hope import CORES
-from .srt import SLOTS
+from .optim import KINDS as OPTIMIZER_KINDS
+from .srt import OBJECTIVES, SLOTS
 from .tasks import KINDS as TASK_KINDS, LANGUAGE_KINDS
-from . import optim
 
 _TASK_DEFAULTS = {
     "kind": "parity",
@@ -75,6 +76,17 @@ _TOP_DEFAULTS = {
 }
 
 
+# the allowed values of each enumerated field, checked whether or not the
+# model reads it (the cms_* fields are read only with use_cms)
+_CHOICES = {
+    ("task", "kind"): TASK_KINDS,
+    ("model", "core"): CORES,
+    ("model", "objective"): OBJECTIVES,
+    ("model", "cms_variant"): CMS_VARIANTS,
+    ("model", "cms_optimizer"): OPTIMIZER_KINDS,
+    ("train", "optimizer"): OPTIMIZER_KINDS,
+}
+
 # lower bound of each integer field, and the range of each real one; a real
 # whose default is None may also be null
 _TRAIN_INTS = {"steps": 0, "batch_size": 1, "eval_every": 0, "train_samples": 1, "eval_samples": 1, "eval_seed": 0}
@@ -128,6 +140,10 @@ def _check_model(model: dict) -> None:
     slots, known = model["frozen_slots"], (*SLOTS, "q")
     if not isinstance(slots, list) or not all(slot in known for slot in slots):
         raise ConfigError(f"$.model.frozen_slots must be a list of slot names from {known}, got {slots!r}")
+    # a null level never ticks
+    chunks = model["cms_chunks"]
+    if not isinstance(chunks, list) or not all(c is None or (_is_int(c) and c >= 1) for c in chunks):
+        raise ConfigError(f"$.model.cms_chunks must be a list of integers >= 1 or nulls, got {chunks!r}")
 
 
 def _check_task(task: dict) -> None:
@@ -172,14 +188,12 @@ def resolve(raw: dict) -> dict:
     cfg = _merge(_TOP_DEFAULTS, raw, "$")
     if cfg["version"] != 1:
         raise ConfigError(f"unsupported config version {cfg['version']}")
-    if cfg["task"]["kind"] not in TASK_KINDS:
-        raise ConfigError(f"unknown task kind {cfg['task']['kind']!r} at $.task.kind")
+    for (section, key), allowed in _CHOICES.items():
+        value = cfg[section][key]
+        if value not in allowed:
+            raise ConfigError(f"$.{section}.{key} must be one of {list(allowed)}, got {value!r}")
     _check_task(cfg["task"])
-    if cfg["model"]["core"] not in CORES:
-        raise ConfigError(f"unknown core {cfg['model']['core']!r} at $.model.core")
     _check_model(cfg["model"])
-    if cfg["train"]["optimizer"] not in optim.KINDS:
-        raise ConfigError(f"unknown optimizer {cfg['train']['optimizer']!r} at $.train.optimizer")
     _check_train(cfg["train"])
     if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
         raise ConfigError(f"$.seed must be an integer, got {cfg['seed']!r}")

@@ -6,29 +6,23 @@ on purpose - e.g. `adam` (direct recurrence) vs `adam_am` (closed-form optimal
 readout of the same accumulators) - and the verification suite holds the routes
 to each other.
 
-Kind registry:
-    sgd, momentum, adam, adam_am, adagrad_m, muon, delta_momentum, dmgd,
-    m3, dgd_trainer
+Kind registry (`KINDS`), every kind stepped as `step(kind, state, param, grad)`:
+    sgd, momentum, adam, adam_am, adagrad_m, muon, delta_momentum, dmgd, m3
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .memory import Memory, mlp2_l2_gradients
-from .tensor import LayerTrace, Tensor
+from .tensor import Tensor
 
 
 class UnsupportedShape(ValueError):
     """Parameter shape the optimizer kind cannot handle."""
-
-
-class MissingTrace(ValueError):
-    """dgd_trainer stepped without the layer trace it consumes."""
 
 
 KINDS = (
@@ -41,7 +35,6 @@ KINDS = (
     "delta_momentum",
     "dmgd",
     "m3",
-    "dgd_trainer",
 )
 
 _DEFAULTS = {
@@ -54,7 +47,6 @@ _DEFAULTS = {
     "delta_momentum": dict(eta=0.1, beta=0.9, eta_inner=0.5),
     "dmgd": dict(eta=0.1, beta=0.9, eta_inner=0.1, proj_dim=32, hidden=32, seed=0),
     "m3": dict(eta=0.02, beta1=0.9, beta2=0.999, beta3=0.9, alpha=0.5, eps=1e-8, ns_iters=5, slow_freq=4, ema=False),
-    "dgd_trainer": dict(eta=0.1),
 }
 
 
@@ -175,13 +167,7 @@ def contribution_curve(beta: float, n: int) -> list[float]:
     return [1.0 - beta**j for j in range(1, n + 1)]
 
 
-def step(
-    kind: str,
-    state: OptimizerState,
-    param: Tensor,
-    grad: Tensor,
-    trace: Optional[LayerTrace] = None,
-):
+def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
     """One optimizer step: returns (new param, new state) without touching inputs."""
     if kind != state.kind:
         raise ValueError(f"state built for kind {state.kind!r}, stepped as {kind!r}")
@@ -301,19 +287,5 @@ def step(
         o1 = _ns_or_zero(m1, hp["ns_iters"])
         update = (o1 + hp["alpha"] * o2) / np.sqrt(v + hp["eps"])
         return Tensor(p - hp["eta"] * update), state.with_slots(m1=m1, m2=m2, v=v, window=window, o2=o2)
-
-    if kind == "dgd_trainer":
-        if trace is None:
-            raise MissingTrace("dgd_trainer consumes a LayerTrace; none was supplied")
-        if p.ndim != 2 or trace.input.ndim != 1 or trace.delta.ndim != 1:
-            raise UnsupportedShape("dgd_trainer handles single-sample linear layers (matrix weight, vector trace)")
-        x = trace.input.data
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            return Tensor(p.copy()), state.with_slots()
-        x = x / norm
-        e = hp["eta"] / (1.0 + hp["eta"])
-        new_p = p @ (np.eye(p.shape[1]) - e * np.outer(x, x)) - e * np.outer(trace.delta.data, x)
-        return Tensor(new_p), state.with_slots()
 
     raise ValueError(f"unknown optimizer kind {kind!r}")

@@ -58,6 +58,7 @@ from .tensor import Node, Tape, Tensor
 
 SLOTS = ("k", "v", "eta", "alpha", "mem")
 STACK = "stack"  # key of the row-stacked fast weight of the updated linear slots
+OBJECTIVES = ("l2", "dot")  # inner objectives
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,8 @@ class SrtConfig:
     conv: bool = False  # window-4 depthwise causal conv before k/v reads
 
     def __post_init__(self):
-        if self.objective not in ("l2", "dot"):
-            raise ValueError(f"inner objective must be 'l2' or 'dot', got {self.objective!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"inner objective must be one of {OBJECTIVES}, got {self.objective!r}")
         unknown = set(self.update_slots) - set(SLOTS) - {"q"}
         if unknown:
             raise ValueError(f"unknown update slots {sorted(unknown)}")
@@ -570,7 +571,7 @@ def srt_linear_recurrence(objective: str, memory: Memory, k: Tensor, vhat: Tenso
     elif objective == "dot":
         grad = -np.outer(vv, kv)
     else:
-        raise ValueError(f"objective must be 'l2' or 'dot', got {objective!r}")
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     return Memory.linear(m @ retain - eta * grad)
 
 

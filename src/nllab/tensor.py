@@ -82,32 +82,6 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=_DEFAULT_DTYPE)
 
 
-class LayerTrace:
-    """Input activation and output-side gradient of one linear layer.
-
-    Recorded by `Tape.backward(loss, layer_traces=True)` for every matmul whose
-    left operand is a named parameter, so rank-structured trainer steps can be
-    formed without re-running backprop.  `weight_gradient()` rebuilds the
-    weight gradient from the pair and must equal the tape's own gradient exactly.
-    """
-
-    __slots__ = ("layer_id", "input", "delta")
-
-    def __init__(self, layer_id: str, input: Tensor, delta: Tensor):
-        self.layer_id = layer_id
-        self.input = input
-        self.delta = delta
-
-    def weight_gradient(self) -> Tensor:
-        x, d = self.input.data, self.delta.data
-        if x.ndim == 1:
-            return Tensor(np.outer(d, x))
-        return Tensor(d @ x.T)
-
-    def __repr__(self) -> str:
-        return f"LayerTrace({self.layer_id!r}, in={self.input.shape}, delta={self.delta.shape})"
-
-
 class Node:
     """One recorded value in a tape's computation graph.
 
@@ -150,7 +124,6 @@ class Tape:
         self._proxy = weakref.proxy(self)
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
-        self.layer_traces: list[LayerTrace] = []
         self._backward_done = False
 
     def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str, check: bool = True) -> Node:
@@ -188,13 +161,8 @@ class Tape:
         node = self.params[name] = self._leaf(x, name)
         return node
 
-    def backward(self, loss: Node, layer_traces: bool = False) -> dict[str, Tensor]:
-        """Gradients of a scalar loss for every registered parameter.
-
-        With `layer_traces`, also emits a LayerTrace for each matmul node whose
-        left operand is a parameter (linear layers), pairing the layer input
-        with the gradient arriving at the layer output.
-        """
+    def backward(self, loss: Node) -> dict[str, Tensor]:
+        """Gradients of a scalar loss for every registered parameter."""
         if self._backward_done:
             raise TapeError("backward already run once on this tape")
         if loss.tape is not self._proxy:
@@ -209,10 +177,6 @@ class Tape:
             g = grads.pop(node.idx, None)
             if g is None:
                 continue
-            if layer_traces and node.op == "matmul" and node.parents[0].param_name:
-                self.layer_traces.append(
-                    LayerTrace(node.parents[0].param_name, Tensor(node.parents[1].value), Tensor(g))
-                )
             if node.param_name is not None:
                 # every consumer of a leaf comes after it, so its gradient is complete here
                 try:

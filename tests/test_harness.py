@@ -292,9 +292,9 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         # optimizer settings train() would fail on at its first step
         ({"train": {"optimizer": "muon"}}, "$.train.optimizer", "matrix-shaped"),
         ({"train": {"optimizer": "m3"}}, "$.train.optimizer", "matrix-shaped"),
-        ({"train": {"optimizer": "dgd_trainer"}}, "$.train.optimizer", "LayerTrace"),
+        ({"train": {"optimizer": "dgd_trainer"}}, "$.train.optimizer", "must be one of"),
         ({"train": {"optimizer": "adagrad_m"}}, "$.train.optimizer", "> 64"),
-        ({"model": {"cms_optimizer": "dgd_trainer"}}, "$.model.cms_optimizer", "LayerTrace"),
+        ({"model": {"cms_optimizer": "dgd_trainer"}}, "$.model.cms_optimizer", "must be one of"),
         ({"train": {"opt_hp": 5}}, "$.train.opt_hp", "object"),
         ({"train": {"opt_hp": {"foo": 1}}}, "$.train.opt_hp", "foo"),
         ({"train": {"opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
@@ -320,6 +320,16 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"model": {"frozen_slots": "mem"}}, "$.model.frozen_slots", "list"),
         ({"model": {"fixed_alpha": 2.0}}, "$.model.fixed_alpha", "[0.0, 1.0]"),
         ({"model": {"retention": "no"}}, "$.model.retention", "true or false"),
+        # enumerated $.model values, checked even where use_cms leaves them unread
+        ({"model": {"core": "rnn"}}, "$.model.core", "must be one of"),
+        ({"model": {"objective": "oja"}}, "$.model.objective", "must be one of"),
+        ({"model": {"cms_optimizer": "bogus"}}, "$.model.cms_optimizer", "must be one of"),
+        ({"model": {"use_cms": False, "cms_optimizer": "bogus"}}, "$.model.cms_optimizer", "must be one of"),
+        ({"model": {"use_cms": False, "cms_variant": "bogus"}}, "$.model.cms_variant", "must be one of"),
+        ({"model": {"cms_chunks": [1.5]}}, "$.model.cms_chunks", "integers >= 1"),
+        ({"model": {"cms_chunks": [True, 2]}}, "$.model.cms_chunks", "integers >= 1"),
+        ({"model": {"cms_chunks": [0, 2]}}, "$.model.cms_chunks", "integers >= 1"),
+        ({"model": {"cms_chunks": "x"}}, "$.model.cms_chunks", "list"),
         # top-level values of the wrong type
         ({"seed": "x"}, "$.seed", "integer"),
         ({"seed": 1.5}, "$.seed", "integer"),
@@ -341,6 +351,10 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         assert not (out_dir / "config.json").exists()
     assert not (tmp_path / "5").exists() and not os.path.exists("5")
+    # a null level never ticks and stays accepted
+    monkeypatch.delenv("NLLAB_SEED")
+    cfg = resolve({"model": {"cms_chunks": [1, None]}})
+    assert [lv.chunk for lv in build_model(cfg).chains[0].levels] == [1, None]
 
 
 def _bad_path_args(tmp_path) -> dict:

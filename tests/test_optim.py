@@ -3,17 +3,14 @@ import pytest
 
 from nllab import optim, tensor as T
 from nllab.optim import OptimizerState, contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
-from nllab.tensor import LayerTrace, Tensor
-
-
-ALL_KINDS = [k for k in optim.KINDS if k != "dgd_trainer"]
+from nllab.tensor import Tensor
 
 
 def _state_for(kind, shape, **hp):
     return init_state(kind, shape, **hp)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", optim.KINDS)
 def test_zero_gradient_fresh_state_leaves_param_unchanged(kind):
     shape = (3, 3) if kind in ("muon", "m3") else (5,)
     st = _state_for(kind, shape)
@@ -22,7 +19,7 @@ def test_zero_gradient_fresh_state_leaves_param_unchanged(kind):
     assert np.array_equal(new_p.data, p.data)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", optim.KINDS)
 def test_step_is_pure(kind):
     shape = (3, 3) if kind in ("muon", "m3") else (4,)
     rng = np.random.default_rng(1)
@@ -255,33 +252,6 @@ def test_m3_alpha_zero_is_inner_loop_only():
         o1 = newton_schulz(m1, hp["ns_iters"]).data
         theta = theta - hp["eta"] * o1 / np.sqrt(v + hp["eps"])
     assert np.abs(p_a.data - theta).max() < 1e-14
-
-
-def test_dgd_trainer_matches_proximal_argmin():
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        d_out, d_in = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-        w0 = rng.normal(size=(d_out, d_in))
-        x = rng.normal(size=d_in)
-        delta = rng.normal(size=d_out)
-        eta = float(rng.uniform(0.05, 2.0))
-        trace = LayerTrace("w", Tensor(x), Tensor(delta))
-        st = init_state("dgd_trainer", (d_out, d_in), eta=eta)
-        new_p, _ = step("dgd_trainer", st, Tensor(w0), Tensor(np.zeros((d_out, d_in))), trace=trace)
-
-        # oracle: solve 0.5*||W xn - u||^2 + 1/(2 eta) ||W - W0||^2 directly
-        xn = x / np.linalg.norm(x)
-        u = -delta
-        lhs = np.outer(xn, xn) + np.eye(d_in) / eta
-        rhs = np.outer(u, xn) + w0 / eta
-        expect = np.linalg.solve(lhs.T, rhs.T).T
-        assert np.abs(new_p.data - expect).max() < 1e-8
-
-
-def test_dgd_trainer_requires_trace():
-    st = init_state("dgd_trainer", (2, 2))
-    with pytest.raises(optim.MissingTrace):
-        step("dgd_trainer", st, Tensor(np.eye(2)), Tensor(np.zeros((2, 2))))
 
 
 def test_adagrad_m_dimension_cap_and_ridge():

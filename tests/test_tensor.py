@@ -561,27 +561,6 @@ def test_decay_scan_replays_bit_identically_and_rejects_bad_input():
         T.decay_scan(*(tape.constant(v) for v in vals[:3]), tape.constant(vals[3][:-1]), tape.constant(vals[4]), True)
 
 
-def test_layer_trace_matches_weight_gradient_exactly():
-    rng = np.random.default_rng(22)
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        w1 = rng.normal(size=(5, 4))
-        w2 = rng.normal(size=(3, 5))
-        x = rng.normal(size=4)
-        tape = Tape()
-        h = T.silu(T.matmul(tape.param("w1", w1), tape.constant(x)))
-        y = T.matmul(tape.param("w2", w2), h)
-        grads = tape.backward(T.mse(y, tape.constant(rng.normal(size=3))), layer_traces=True)
-        traces = {tr.layer_id: tr for tr in tape.layer_traces}
-        assert set(traces) == {"w1", "w2"}
-        for name in ("w1", "w2"):
-            assert np.array_equal(traces[name].weight_gradient().data, grads[name].data)
-    # without the flag no trace is built
-    tape = Tape()
-    tape.backward(T.sum_all(T.matmul(tape.param("w", w1), tape.constant(x))))
-    assert tape.layer_traces == []
-
-
 def test_finite_diff_quadratic_and_constant():
     fd = finite_diff_grad(lambda t: float(t.data[0] ** 2), Tensor([3.0]), h=1e-5)
     assert abs(fd.data[0] - 6.0) <= 1e-6
