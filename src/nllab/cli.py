@@ -64,9 +64,12 @@ def build_model(cfg: dict) -> HopeModel:
 
 
 def _check_fits_task(kind: str, model_cfg: HopeConfig) -> None:
-    """A model with fewer token ids or classes than the task uses raises ConfigError naming the key."""
+    """A model with fewer token ids or classes than the task uses, or a classifier
+    head on a next-token task, raises ConfigError naming the key."""
     if kind not in LANGUAGE_KINDS + RECALL_KINDS + ("char_lm",):
         return
+    if kind == "char_lm" and model_cfg.num_classes:
+        raise ConfigError(f"invalid model config at $.model.num_classes: next-token task {kind!r} takes 0, got {model_cfg.num_classes}")
     tokens = len(vocabulary(kind))
     # recall labels are value tokens, which all precede the final query token
     labels = 2 if kind in LANGUAGE_KINDS else tokens - 1 if kind in RECALL_KINDS else 0
@@ -164,19 +167,18 @@ def cmd_bench_optim(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg["out_dir"]
     kind = cfg["task"]["kind"]
+    if kind not in ("toy_psi", "orthogonal_continual"):
+        raise ConfigError(f"invalid task config at $.task.kind: bench-optim takes toy_psi or orthogonal_continual, got {kind!r}")
     bench.run_contribution_report(out_dir)
     if kind == "toy_psi":
         results = bench.run_psi_benchmark(out_dir)
         for name, r in results.items():
             print(f"{name}: steps_to_threshold={r['steps_to_threshold']} final={r['final_value']:.3e}")
-    elif kind == "orthogonal_continual":
+    else:
         report = bench.run_orthogonal_benchmark(out_dir, seeds=10)
         for name, vals in report["per_seed"].items():
             print(f"{name}: mean forgetting {np.mean(vals):.3e}")
         print(f"wins vs momentum: {report['wins_vs_momentum']}")
-    else:
-        print(f"bench-optim expects task kind toy_psi or orthogonal_continual, got {kind!r}", file=sys.stderr)
-        return 2
     print(f"wrote CSV series under {out_dir}")
     return 0
 

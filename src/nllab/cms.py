@@ -20,6 +20,7 @@ from .memory import MLP2, read_node
 from .tensor import Tape, Tensor
 
 VARIANTS = ("sequential", "nested", "independent")
+INIT_SCALE = 0.1  # level output weights start small, so a fresh chain is near the identity
 
 
 @dataclass
@@ -46,13 +47,6 @@ class CmsLevel:
             self.snap1 = self.w1.copy()
             self.snap2 = self.w2.copy()
 
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[0]
-
-    def read(self, x: np.ndarray) -> np.ndarray:
-        return x + self.w1 @ T._silu(self.w2 @ x)
-
 
 class CmsChain:
     def __init__(self, levels: list[CmsLevel], variant: str = "sequential", agg_weights=None):
@@ -60,7 +54,7 @@ class CmsChain:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not levels:
             raise ValueError("a chain needs at least one level")
-        dims = {lv.dim for lv in levels}
+        dims = {lv.w1.shape[0] for lv in levels}
         if len(dims) != 1:
             raise T.ShapeError(f"levels disagree on width: {sorted(dims)}")
         finite = [lv.chunk for lv in levels if lv.chunk is not None]
@@ -85,10 +79,6 @@ class CmsChain:
         self.agg_weights = agg_weights
         self.last_step = 0
 
-    @property
-    def dim(self) -> int:
-        return self.levels[0].dim
-
 
 def make_chain(
     dim: int,
@@ -97,31 +87,15 @@ def make_chain(
     variant: str = "sequential",
     eta: float | list[float] = 0.01,
     seed: int = 0,
-    init_scale: float = 0.1,
 ) -> CmsChain:
     rng = np.random.default_rng(seed)
     etas = eta if isinstance(eta, (list, tuple)) else [eta] * len(chunks)
     levels = []
     for c, e in zip(chunks, etas):
-        w1 = init_scale * rng.normal(size=(dim, hidden)) / np.sqrt(hidden)
+        w1 = INIT_SCALE * rng.normal(size=(dim, hidden)) / np.sqrt(hidden)
         w2 = rng.normal(size=(hidden, dim)) / np.sqrt(dim)
         levels.append(CmsLevel(w1, w2, c, e))
     return CmsChain(levels, variant=variant)
-
-
-def cms_forward(chain: CmsChain, x) -> Tensor:
-    """Read the chain at its current weights; works on a vector or (d,L) columns."""
-    v = T.as_array(x)
-    if v.shape[0] != chain.dim:
-        raise T.ShapeError(f"input width {v.shape[0]} does not match chain width {chain.dim}")
-    if chain.variant == "independent":
-        out = np.zeros_like(v)
-        for w, lv in zip(chain.agg_weights, chain.levels):
-            out = out + w * lv.read(v)
-        return Tensor(out)
-    for lv in chain.levels:
-        v = lv.read(v)
-    return Tensor(v)
 
 
 def register_nodes(chain: CmsChain, tape: Tape, prefix: str = "cms.") -> tuple[list[tuple], T.Node | None]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -71,22 +70,9 @@ class Memory:
         return self.weights[0]
 
 
-def read(memory: Memory, q: Tensor) -> Tensor:
-    """Retrieve from memory: M@q for linear, residual MLP for mlp2."""
-    qv = q.data
-    if memory.kind == LINEAR:
-        m = memory.matrix.data
-        if m.shape[1] != qv.shape[0]:
-            raise T.ShapeError(f"read: memory {m.shape} incompatible with query {qv.shape}")
-        return Tensor(m @ qv)
-    w1, w2 = memory.weights[0].data, memory.weights[1].data
-    if w2.shape[1] != qv.shape[0]:
-        raise T.ShapeError(f"read: memory {w2.shape} incompatible with query {qv.shape}")
-    return Tensor(qv + w1 @ T._silu(w2 @ qv))
-
-
 def read_node(weights, q, kind: str, widths=None):
-    """Tape-graph version of `read`; weights are nodes, q is a node.
+    """Retrieve from memory on the tape: M@q for linear, q + W1@silu(W2@q)
+    for mlp2; weights are nodes, q is a node.
 
     Accepts a vector (one query) or a matrix of column queries.  Weights with a
     leading batch axis (B,p,n) read time-major batch columns with
@@ -169,7 +155,7 @@ def dgd_proximal_step(memory: Memory, k: Tensor, v: Tensor, eta: float) -> Memor
 
 
 def mlp2_l2_gradients(memory: Memory, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """Hand-derived gradients of 0.5*||read(k) - v||^2 for a residual 2-layer MLP.
+    """Hand-derived gradients of 0.5*||M(k) - v||^2 for a residual 2-layer MLP.
 
     Verified against the tape in the test suite; written out so fast-weight
     recurrences can run without nesting a backward pass inside the forward.
@@ -221,32 +207,3 @@ def gd_oracle_step(objective: str, memory: Memory, k: Tensor, v: Tensor, eta: fl
         alpha * memory.weights[1].data - eta * grads["w2"].data,
     )
 
-
-def softmax_read(
-    keys: Sequence[Tensor],
-    values: Sequence[Tensor],
-    q: Tensor,
-    window: int | None = None,
-    temperature: float = 1.0,
-) -> Tensor:
-    """Kernel-weighted average of values, the non-parametric regression read.
-
-    With a window it restricts attention to the most recent `window` pairs,
-    matching a sliding-window variant.
-    """
-    if len(keys) != len(values) or len(keys) == 0:
-        raise ValueError(f"softmax_read: need equal nonempty keys/values, got {len(keys)}/{len(values)}")
-    if temperature <= 0:
-        raise ValueError(f"softmax_read: temperature must be positive, got {temperature}")
-    if window is not None:
-        if window < 1 or window > len(keys):
-            raise ValueError(f"softmax_read: window {window} out of range for {len(keys)} pairs")
-        keys, values = keys[-window:], values[-window:]
-    scores = np.array([k.data @ q.data for k in keys]) / temperature
-    scores -= scores.max()
-    w = np.exp(scores)
-    w /= w.sum()
-    out = np.zeros_like(values[0].data)
-    for wi, vi in zip(w, values):
-        out = out + wi * vi.data
-    return Tensor(out)

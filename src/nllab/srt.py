@@ -102,10 +102,6 @@ class SrtState:
     wq: np.ndarray
     conv_kernel: Optional[np.ndarray] = None
 
-    def memory(self, slot: str) -> Memory:
-        w = self.weights[slot]
-        return Memory.linear(w[0]) if self.config.kinds[slot] == LINEAR else Memory.mlp2(*w)
-
 
 def init_srt(config: SrtConfig, seed: int = 0) -> SrtState:
     rng = np.random.default_rng(seed)

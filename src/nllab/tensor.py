@@ -332,15 +332,6 @@ def transpose(a: Node) -> Node:
     return a.tape._record(lambda v: np.swapaxes(v, -1, -2).copy(), (a,), vjp, "transpose", check=False)
 
 
-def sum_all(a: Node) -> Node:
-    v = a.value
-
-    def vjp(g):
-        return (np.full_like(v, g),)
-
-    return a.tape._record(np.ndarray.sum, (a,), vjp, "sum_all")
-
-
 def mean_all(a: Node) -> Node:
     v = a.value
 
@@ -417,26 +408,6 @@ def silu_grad(a: Node) -> Node:
     return _unary(a, _silu_prime, lambda v, o: _silu_second(v), "silu_grad")
 
 
-def l2_normalize(v: Node) -> Node:
-    if v.value.ndim != 1:
-        raise ShapeError(f"l2_normalize: need a vector, got {v.value.shape}")
-    saved = []  # the norm and the value, left by `unit` for the VJP
-
-    def unit(a):
-        n = np.linalg.norm(a)
-        if n == 0.0:
-            raise ValueError("l2_normalize: zero vector")
-        saved[:] = n, a / n
-        return saved[1]
-
-    def vjp(g):
-        n, out = saved
-        # out @ g rounds differently from the column form's (out * g).sum(axis=0)
-        return ((g - out * (out @ g)) / n,)
-
-    return v.tape._record(unit, (v,), vjp, "l2_normalize")
-
-
 def _normalize_columns(x: Node, norms_of: Callable, op: str) -> Node:
     """Each column of a matrix divided by its entry of `norms_of(x)`."""
     if x.value.ndim != 2:
@@ -467,16 +438,16 @@ def l2_normalize_columns(x: Node) -> Node:
 
 
 def _safe_column_norms(v: np.ndarray) -> np.ndarray:
-    # one dot product per column, the sum np.linalg.norm forms for a vector;
-    # a zero column divides by 1
+    # one dot product per column, the sum np.linalg.norm forms for a contiguous
+    # vector, so each norm is np.linalg.norm(col) bit for bit; a zero column divides by 1
     cols = np.ascontiguousarray(v.T)
     norms = np.sqrt((cols[:, None, :] @ cols[:, :, None])[:, 0, 0])
     return np.where(norms == 0.0, 1.0, norms)
 
 
 def l2_normalize_columns_safe(x: Node) -> Node:
-    """Each column scaled to unit norm exactly as `l2_normalize` scales a vector,
-    bit for bit; a zero column stays zero and passes its gradient through."""
+    """Each column scaled to unit norm, bit for bit `col / np.linalg.norm(col)`
+    of the contiguous column; a zero column stays zero and passes its gradient through."""
     return _normalize_columns(x, _safe_column_norms, "l2_normalize_columns_safe")
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from nllab import cms as C
 from nllab import tensor as T
-from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_forward, cms_tick, make_chain
+from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_tick, make_chain
 from nllab.tensor import Tape, Tensor
 
 
@@ -11,6 +11,11 @@ def forward_nodes(chain, tape, x):
     """Register the chain's weights on `tape`, then run the graph forward on constant `x`."""
     level_nodes, agg_node = C.register_nodes(chain, tape)
     return C.forward_with_nodes(chain, level_nodes, tape.constant(x), agg_node)
+
+
+def forward(chain, x):
+    """The chain's output at its current weights, through the graph forward programs run."""
+    return forward_nodes(chain, Tape(), x).value
 
 
 def loss_and_grads(chain, x, target):
@@ -27,7 +32,7 @@ def test_single_level_passthrough_when_w1_zero():
     lv = CmsLevel(np.zeros((4, 3)), np.random.default_rng(0).normal(size=(3, 4)), chunk=None, eta=0.1)
     chain = CmsChain([lv])
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.array_equal(cms_forward(chain, x).data, x)
+    assert np.array_equal(forward(chain, x), x)
 
 
 def test_independent_masked_aggregation():
@@ -35,8 +40,8 @@ def test_independent_masked_aggregation():
     chain = make_chain(4, 3, [1, 4], variant="independent", seed=2)
     chain.agg_weights = np.array([1.0, 0.0])
     x = rng.normal(size=4)
-    expect = chain.levels[0].read(x)
-    assert np.array_equal(cms_forward(chain, x).data, expect)
+    lv = chain.levels[0]
+    assert np.array_equal(forward(chain, x), x + lv.w1 @ T._silu(lv.w2 @ x))
 
 
 def test_sequential_forward_equals_manual_composition():
@@ -45,8 +50,8 @@ def test_sequential_forward_equals_manual_composition():
     x = rng.normal(size=5)
     v = x
     for lv in chain.levels:
-        v = lv.read(v)
-    assert np.array_equal(cms_forward(chain, x).data, v)
+        v = v + lv.w1 @ T._silu(lv.w2 @ v)
+    assert np.array_equal(forward(chain, x), v)
 
 
 def test_accumulate_linearity_and_zero():
@@ -169,11 +174,11 @@ def test_independent_aggregation_linear_in_weights():
     w_a = rng.normal(size=2)
     w_b = rng.normal(size=2)
     chain.agg_weights = w_a
-    out_a = cms_forward(chain, x).data
+    out_a = forward(chain, x)
     chain.agg_weights = w_b
-    out_b = cms_forward(chain, x).data
+    out_b = forward(chain, x)
     chain.agg_weights = w_a + w_b
-    out_sum = cms_forward(chain, x).data
+    out_sum = forward(chain, x)
     assert np.abs(out_sum - (out_a + out_b)).max() < 1e-12
 
 
@@ -202,12 +207,12 @@ def test_zero_eta_keeps_loaded_weights_close():
     source = make_chain(3, 2, [1], seed=23)
     C.init_cms_from_checkpoint(chain, C.state_dict(source))
     x = rng.normal(size=3)
-    before = cms_forward(chain, x).data
+    before = forward(chain, x)
     for i in range(1, 6):
         _, grads = loss_and_grads(chain, rng.normal(size=3), rng.normal(size=3))
         cms_accumulate(chain, grads)
         cms_tick(chain, i)
-    assert np.array_equal(cms_forward(chain, x).data, before)
+    assert np.array_equal(forward(chain, x), before)
 
 
 def test_chain_validation():
@@ -228,7 +233,15 @@ def test_forward_nodes_matches_value_forward():
         x = rng.normal(size=(4, 5))
         tape = Tape()
         node = forward_nodes(chain, tape, x)
-        assert np.array_equal(node.value, cms_forward(chain, x).data)
+        # the chain read in numpy on (d,L) columns, bit for bit
+        lv0, lv1 = chain.levels
+        if variant == "sequential":
+            h = x + lv0.w1 @ T._silu(lv0.w2 @ x)
+            expect = h + lv1.w1 @ T._silu(lv1.w2 @ h)
+        else:
+            a = chain.agg_weights
+            expect = a[0] * (x + lv0.w1 @ T._silu(lv0.w2 @ x)) + a[1] * (x + lv1.w1 @ T._silu(lv1.w2 @ x))
+        assert np.array_equal(node.value, expect)
         assert list(tape.params) == [f"cms.{key}" for key in C.state_dict(chain)]
 
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,20 @@ from nllab.hope import HopeConfig
 from nllab.tasks import LANGUAGE_KINDS, RECALL_KINDS, vocabulary
 from nllab.runlog import RunlogError, emit_plot_series, read_runlog, write_runlog
 from nllab.seeding import derive_seed
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused
 
 
 def test_seed_derivation_is_stable_and_independent():
@@ -277,6 +293,8 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         # a model too small for the task's token ids or labels
         ({"model": {"vocab": 1}}, "$.model.vocab", "fewer than the 2 token ids"),
         ({"model": {"num_classes": 1}}, "$.model.num_classes", "fewer than the 2 labels"),
+        # a classifier head on a next-token task
+        ({"task": {"kind": "char_lm"}, "model": {"num_classes": 3}}, "$.model.num_classes", "takes 0"),
         # $.train values of the wrong type or range
         ({"train": {"steps": "3"}}, "$.train.steps", "integer"),
         ({"train": {"batch_size": "2"}}, "$.train.batch_size", "integer"),
@@ -505,3 +523,12 @@ def test_cli_bench_optim_psi(tmp_path, capsys):
     assert (tmp_path / "bench" / "contribution_crossings.csv").exists()
     header = open(tmp_path / "bench" / "psi_summary.csv").readline().strip()
     assert header == "optimizer,experiment,steps_to_threshold,final_value,forgetting"
+
+
+def test_cli_bench_optim_rejects_other_task_kinds_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": {"kind": "parity"}, "out_dir": str(tmp_path / "bench")}))
+    assert main(["bench-optim", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "$.task.kind" in err and "Traceback" not in err
+    assert not (tmp_path / "bench").exists()

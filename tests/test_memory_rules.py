@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nllab import memory as M
-from nllab.memory import Memory, RuleKind, gd_oracle_step, read, rule_step, softmax_read
+from nllab.memory import Memory, RuleKind, gd_oracle_step, rule_step
 from nllab.tensor import Tape, Tensor
 from nllab import tensor as T
 
@@ -134,63 +134,15 @@ def test_dgd_identity_update_limit():
 
 
 def test_read_linear_and_mlp2():
-    assert np.array_equal(read(Memory.linear(np.eye(2)), Tensor([2.0, 3.0])).data, [2.0, 3.0])
-    mem = Memory.mlp2(np.zeros((3, 4)), np.random.default_rng(0).normal(size=(4, 3)))
-    q = Tensor([0.5, -1.0, 2.0])
-    assert np.array_equal(read(mem, q).data, q.data)
+    tape = Tape()
+    assert np.array_equal(M.read_node((tape.constant(np.eye(2)),), tape.constant([2.0, 3.0]), M.LINEAR).value, [2.0, 3.0])
+    q = np.array([0.5, -1.0, 2.0])
+    passthrough = (tape.constant(np.zeros((3, 4))), tape.constant(np.random.default_rng(0).normal(size=(4, 3))))
+    assert np.array_equal(M.read_node(passthrough, tape.constant(q), M.MLP2).value, q)
 
     rng = np.random.default_rng(1)
     w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
-    mem = Memory.mlp2(w1, w2)
-    got = read(mem, q).data
-    # recomposition from primitives on a tape, bit for bit
-    tape = Tape()
-    expect = T.add(
-        tape.constant(q.data),
-        T.matmul(tape.constant(w1), T.silu(T.matmul(tape.constant(w2), tape.constant(q.data)))),
-    ).value
-    assert np.array_equal(got, expect)
-
-
-def test_softmax_read_basics_and_bruteforce():
-    rng = np.random.default_rng(2)
-    k, v = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    assert np.array_equal(softmax_read([k], [v], Tensor(rng.normal(size=4))).data, v.data)
-
-    key = rng.normal(size=4)
-    v1, v2 = rng.normal(size=4), rng.normal(size=4)
-    out = softmax_read([Tensor(key), Tensor(key)], [Tensor(v1), Tensor(v2)], Tensor(rng.normal(size=4)))
-    assert np.allclose(out.data, (v1 + v2) / 2, atol=1e-15)
-
-    keys = [Tensor(rng.normal(size=4)) for _ in range(8)]
-    values = [Tensor(rng.normal(size=4)) for _ in range(8)]
-    q = Tensor(rng.normal(size=4))
-    tau = 0.7
-    scores = np.array([np.exp(kk.data @ q.data / tau) for kk in keys])
-    expect = sum(s * vv.data for s, vv in zip(scores, values)) / scores.sum()
-    assert np.abs(softmax_read(keys, values, q, temperature=tau).data - expect).max() < 1e-12
-
-
-def test_softmax_read_window_and_errors():
-    rng = np.random.default_rng(3)
-    keys = [Tensor(rng.normal(size=3)) for _ in range(5)]
-    values = [Tensor(rng.normal(size=3)) for _ in range(5)]
-    q = Tensor(rng.normal(size=3))
-    windowed = softmax_read(keys, values, q, window=2)
-    direct = softmax_read(keys[-2:], values[-2:], q)
-    assert np.array_equal(windowed.data, direct.data)
-    with pytest.raises(ValueError):
-        softmax_read([], [], q)
-    with pytest.raises(ValueError):
-        softmax_read(keys, values, q, temperature=0.0)
-
-
-def test_softmax_read_convex_hull():
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        keys = [Tensor(rng.normal(size=3)) for _ in range(6)]
-        values = [Tensor(rng.normal(size=3)) for _ in range(6)]
-        out = softmax_read(keys, values, Tensor(rng.normal(size=3))).data
-        stacked = np.stack([v.data for v in values])
-        assert np.all(out <= stacked.max(axis=0) + 1e-12)
-        assert np.all(out >= stacked.min(axis=0) - 1e-12)
+    for query in (q, rng.normal(size=(3, 5))):
+        got = M.read_node((tape.constant(w1), tape.constant(w2)), tape.constant(query), M.MLP2).value
+        # the residual MLP formula in numpy, bit for bit
+        assert np.array_equal(got, query + w1 @ T._silu(w2 @ query))

@@ -169,11 +169,11 @@ def test_single_chunk_reads_against_initial_memories():
     state = init_srt(cfg, seed=12)
     xs = rng.normal(size=(d, L))
     y, _ = srt_chunked_forward(state, Tensor(xs), chunk=L)
-    mem = state.memory("mem")
+    w1, w2 = state.weights["mem"]
     for t in range(L):
         q = state.wq @ xs[:, t]
         q /= np.linalg.norm(q)
-        expect = q + mem.weights[0].data @ (T._silu(mem.weights[1].data @ q))
+        expect = q + w1 @ (T._silu(w2 @ q))
         assert np.abs(y.data[:, t] - expect).max() < 1e-12
 
 
@@ -203,8 +203,8 @@ def test_gate_ranges_hold_on_random_streams():
         xs /= np.sqrt((xs * xs).mean(axis=0))  # unit-scale tokens, as the block sees in a model
         for t in range(12):
             x = xs[:, t]
-            eta = np.logaddexp(0.0, (state.memory("eta").matrix.data @ x).mean() + cfg.eta_bias)
-            alpha = 1.0 / (1.0 + np.exp(-((state.memory("alpha").matrix.data @ x).mean() + cfg.alpha_bias)))
+            eta = np.logaddexp(0.0, (state.weights["eta"][0] @ x).mean() + cfg.eta_bias)
+            alpha = 1.0 / (1.0 + np.exp(-((state.weights["alpha"][0] @ x).mean() + cfg.alpha_bias)))
             assert eta >= 0.0
             assert 0.0 < alpha < 1.0
             _, state = srt_step(state, Tensor(x))
