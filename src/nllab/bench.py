@@ -32,13 +32,14 @@ ORTHO_DEFAULTS = {
 ORTHO_STEPS_PER_TASK = 50
 ORTHO_DIM = 8
 ORTHO_SAMPLES = 32
+ORTHO_SEEDS = 10
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
     write_atomic(path, "".join(line + "\n" for line in [header, *rows]))
 
 
-def psi_trajectory(kind: str, hp: dict, max_steps: int = PSI_MAX_STEPS, threshold: float = PSI_THRESHOLD):
+def psi_trajectory(kind: str, hp: dict):
     """Optimize the toy objective from the standard start point.
 
     Returns (trajectory rows [(step, value, grad_norm)], steps_to_threshold or None).
@@ -47,21 +48,20 @@ def psi_trajectory(kind: str, hp: dict, max_steps: int = PSI_MAX_STEPS, threshol
     p = Tensor(list(PSI_START))
     rows = []
     reached = None
-    for i in range(max_steps + 1):
+    for i in range(PSI_MAX_STEPS + 1):
         value, grad = psi(p.data[0], p.data[1])
         rows.append((i, value, float(np.linalg.norm(grad))))
-        if reached is None and value < threshold:
+        if reached is None and value < PSI_THRESHOLD:
             reached = i
             break
         p, st = step(kind, st, p, Tensor(grad))
     return rows, reached
 
 
-def run_psi_benchmark(out_dir: str, configs: dict | None = None) -> dict:
-    configs = configs or PSI_DEFAULTS
+def run_psi_benchmark(out_dir: str) -> dict:
     results = {}
     summary_rows = []
-    for kind, hp in configs.items():
+    for kind, hp in PSI_DEFAULTS.items():
         rows, reached = psi_trajectory(kind, hp)
         _write_csv(
             os.path.join(out_dir, f"psi_{kind}.csv"),
@@ -78,14 +78,14 @@ def run_psi_benchmark(out_dir: str, configs: dict | None = None) -> dict:
     return results
 
 
-def orthogonal_forgetting(kind: str, hp: dict, seed: int, steps_per_task: int = ORTHO_STEPS_PER_TASK) -> float:
+def orthogonal_forgetting(kind: str, hp: dict, seed: int) -> float:
     """Forgetting of task 1 after sequentially training task 2, single seed."""
     stream = orthogonal_task_stream(2, ORTHO_DIM, ORTHO_SAMPLES, seed=seed)
     w = Tensor(np.zeros((ORTHO_DIM, 1)))
     st = init_state(kind, w.shape, **hp)
     before = None
     for task_idx, samples in enumerate(stream.tasks):
-        for i in range(steps_per_task):
+        for i in range(ORTHO_STEPS_PER_TASK):
             x, y = samples[i % len(samples)]
             pred = float(x @ w.data[:, 0])
             grad = (2.0 * (pred - y) * x).reshape(-1, 1)
@@ -96,17 +96,16 @@ def orthogonal_forgetting(kind: str, hp: dict, seed: int, steps_per_task: int = 
     return forgetting_metric([before], [after])
 
 
-def run_orthogonal_benchmark(out_dir: str, seeds: int = 10, configs: dict | None = None) -> dict:
-    configs = configs or ORTHO_DEFAULTS
-    per_seed = {kind: [] for kind in configs}
-    for seed in range(seeds):
-        for kind, hp in configs.items():
+def run_orthogonal_benchmark(out_dir: str) -> dict:
+    per_seed = {kind: [] for kind in ORTHO_DEFAULTS}
+    for seed in range(ORTHO_SEEDS):
+        for kind, hp in ORTHO_DEFAULTS.items():
             per_seed[kind].append(orthogonal_forgetting(kind, hp, seed))
     rows = []
-    for seed in range(seeds):
-        cells = ",".join(str(per_seed[kind][seed]) for kind in configs)
+    for seed in range(ORTHO_SEEDS):
+        cells = ",".join(str(per_seed[kind][seed]) for kind in ORTHO_DEFAULTS)
         rows.append(f"{seed},{cells}")
-    _write_csv(os.path.join(out_dir, "orthogonal_forgetting.csv"), "seed," + ",".join(configs), rows)
+    _write_csv(os.path.join(out_dir, "orthogonal_forgetting.csv"), "seed," + ",".join(ORTHO_DEFAULTS), rows)
 
     summary_rows = [
         f"{kind},orthogonal,,{np.mean(vals)},{np.mean(vals)}" for kind, vals in per_seed.items()
@@ -122,15 +121,17 @@ def run_orthogonal_benchmark(out_dir: str, seeds: int = 10, configs: dict | None
         if kind == "momentum" or base is None:
             continue
         wins[kind] = sum(int(v < b) for v, b in zip(vals, base))
-    return {"per_seed": per_seed, "wins_vs_momentum": wins, "seeds": seeds}
+    return {"per_seed": per_seed, "wins_vs_momentum": wins}
 
 
+CONTRIBUTION_BETA = 0.9
+CONTRIBUTION_TERMS = 60
 # share thresholds often stated for beta = 0.9 alongside the computed crossings
 STATED_CROSSINGS = {0.5: 6, 0.99: 43}
 
 
-def run_contribution_report(out_dir: str, beta: float = 0.9, n: int = 60) -> dict:
-    curve = contribution_curve(beta, n)
+def run_contribution_report(out_dir: str) -> dict:
+    curve = contribution_curve(CONTRIBUTION_BETA, CONTRIBUTION_TERMS)
     _write_csv(
         os.path.join(out_dir, "contribution_curve.csv"),
         "j,cumulative_share",
@@ -147,4 +148,4 @@ def run_contribution_report(out_dir: str, beta: float = 0.9, n: int = 60) -> dic
         "threshold,computed_index,stated_index",
         rows,
     )
-    return {"beta": beta, "crossings": crossings, "stated": dict(STATED_CROSSINGS)}
+    return {"crossings": crossings, "stated": dict(STATED_CROSSINGS)}

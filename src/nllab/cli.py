@@ -175,7 +175,7 @@ def cmd_bench_optim(args) -> int:
         for name, r in results.items():
             print(f"{name}: steps_to_threshold={r['steps_to_threshold']} final={r['final_value']:.3e}")
     else:
-        report = bench.run_orthogonal_benchmark(out_dir, seeds=10)
+        report = bench.run_orthogonal_benchmark(out_dir)
         for name, vals in report["per_seed"].items():
             print(f"{name}: mean forgetting {np.mean(vals):.3e}")
         print(f"wins vs momentum: {report['wins_vs_momentum']}")

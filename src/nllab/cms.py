@@ -49,7 +49,7 @@ class CmsLevel:
 
 
 class CmsChain:
-    def __init__(self, levels: list[CmsLevel], variant: str = "sequential", agg_weights=None):
+    def __init__(self, levels: list[CmsLevel], variant: str = "sequential"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not levels:
@@ -70,13 +70,7 @@ class CmsChain:
                     raise ValueError(f"chunk {c} does not divide the largest chunk {cmax}")
         self.levels = levels
         self.variant = variant
-        if variant == "independent":
-            if agg_weights is None:
-                agg_weights = np.ones(len(levels)) / len(levels)
-            agg_weights = np.asarray(agg_weights, dtype=float)
-            if agg_weights.shape != (len(levels),) or not np.isfinite(agg_weights).all():
-                raise ValueError("aggregation weights must be one finite scalar per level")
-        self.agg_weights = agg_weights
+        self.agg_weights = np.ones(len(levels)) / len(levels) if variant == "independent" else None
         self.last_step = 0
 
 
@@ -85,16 +79,15 @@ def make_chain(
     hidden: int,
     chunks: list[int | None],
     variant: str = "sequential",
-    eta: float | list[float] = 0.01,
+    eta: float = 0.01,
     seed: int = 0,
 ) -> CmsChain:
     rng = np.random.default_rng(seed)
-    etas = eta if isinstance(eta, (list, tuple)) else [eta] * len(chunks)
     levels = []
-    for c, e in zip(chunks, etas):
+    for c in chunks:
         w1 = INIT_SCALE * rng.normal(size=(dim, hidden)) / np.sqrt(hidden)
         w2 = rng.normal(size=(hidden, dim)) / np.sqrt(dim)
-        levels.append(CmsLevel(w1, w2, c, e))
+        levels.append(CmsLevel(w1, w2, c, eta))
     return CmsChain(levels, variant=variant)
 
 

@@ -31,9 +31,10 @@ B = 1 is a plain sequence.
 
 On the tape, a block's whole chunk loop is one node (`_Core`) whose VJP is
 written by hand and runs the chunks backwards: about 40 small nodes per chunk
-become one.  Its forward takes the steps of the per-op graph that
-`verify._srt_forward_oracle` keeps as the oracle, on operands of the same
-layout, and matches it bit for bit.
+become one.  The oracle, `verify._srt_forward_oracle`, is the plain per-slot
+graph: every slot its own fast weight, every read a `memory.read_node`, one
+decay_scan per weight of each updated slot.  The core's forward matches it
+bit for bit: each row block of a stacked read or scan equals that slot's own.
 
 Linear-memory update with the retention factor (objective `l2`):
     M_t = M_{t-1} (a_t I - e_t k_t k_t^T) - e_t (M_b k_t - vhat_t) k_t^T
@@ -226,11 +227,13 @@ class _Core:
     slot in SLOTS order, packed into one flat array; `srt_forward_nodes` hands
     them out with `tensor.unpack`.  Inside, a chunk's columns are (B,d,C)
     stacks, the layout `tensor.bmatmul` multiplies in.  The value function
-    takes the steps of the per-op graph (the oracle in `verify`) on operands of
-    the same layout, so it matches that graph bit for bit; where the graph
-    works on time-major (d, C*B) columns (the wq product, column norms, gate
-    means), so does it.  It keeps each chunk's intermediates; the VJP runs the
-    chunks backwards over them and then frees them.
+    takes the steps of the per-slot graph (the oracle in `verify`) on operands
+    of the same layout, so it matches that graph bit for bit; the updated
+    linear slots read and scan as one row stack, whose row blocks equal the
+    per-slot reads and scans bit for bit, and where the graph works on
+    time-major (d, C*B) columns (the wq product, column norms, gate means), so
+    does it.  It keeps each chunk's intermediates; the VJP runs the chunks
+    backwards over them and then frees them.
     """
 
     def __init__(self, cfg: SrtConfig, batch: int, chunks: list, element_order, conv: bool):
@@ -538,11 +541,8 @@ def srt_step(state: SrtState, x: Tensor):
     """One token: output read with the pre-update memories, then all updates."""
     if x.shape != (state.config.dim,):
         raise T.ShapeError(f"token shape {x.shape} does not match width {state.config.dim}")
-    tape = Tape()
-    weights, wq, kernel = _as_nodes(tape, state)
-    xn = tape.constant(x.data.reshape(-1, 1))
-    y, new_weights = srt_forward_nodes(tape, state.config, weights, wq, xn, chunk=1, conv_kernel=kernel)
-    return Tensor(y.value[:, 0]), _extract(state, new_weights)
+    y, new_state = srt_chunked_forward(state, Tensor(x.data.reshape(-1, 1)), chunk=1)
+    return Tensor(y.data[:, 0]), new_state
 
 
 def srt_chunked_forward(state: SrtState, xs: Tensor, chunk: Optional[int] = None, element_order=None):

@@ -65,14 +65,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
 
-def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE))
-
-
-def eye(n: int) -> Tensor:
-    return Tensor(np.eye(n, dtype=_DEFAULT_DTYPE))
-
-
 def as_array(x) -> np.ndarray:
     """Value view of a Tensor, Node, ndarray, or python scalar."""
     if isinstance(x, Tensor):
@@ -514,13 +506,6 @@ def slice_columns(x: Node, start: int, stop: int, step: int = 1) -> Node:
     return _take(x, (slice(None), slice(start, stop, step)), "slice_columns")
 
 
-def slice_rows(x: Node, start: int, stop: int) -> Node:
-    """Rows start..stop-1 of a matrix, or of each matrix of a (B,p,n) stack."""
-    if x.value.ndim not in (2, 3) or not 0 <= start < stop <= x.value.shape[-2]:
-        raise ShapeError(f"slice_rows: rows {start}:{stop} of shape {x.value.shape}")
-    return _take(x, (Ellipsis, slice(start, stop), slice(None)), "slice_rows")
-
-
 def stack_columns(cols: Sequence[Node]) -> Node:
     if not cols:
         raise ShapeError("stack_columns: empty column list")
@@ -533,26 +518,17 @@ def stack_columns(cols: Sequence[Node]) -> Node:
     return t._record(lambda *vals: np.stack(vals, axis=1), cols, vjp, "stack_columns", check=False)
 
 
-def _concat(blocks: Sequence[Node], axis: int, op: str) -> Node:
+def concat_columns(blocks: Sequence[Node]) -> Node:
     if not blocks:
-        raise ShapeError(f"{op}: empty block list")
+        raise ShapeError("concat_columns: empty block list")
     t = blocks[0].tape
     blocks = tuple(_lift(t, b) for b in blocks)
-    cuts = np.cumsum([b.value.shape[axis] for b in blocks])[:-1]
+    cuts = np.cumsum([b.value.shape[1] for b in blocks])[:-1]
 
     def vjp(g):
-        return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
+        return tuple(part.copy() for part in np.split(g, cuts, axis=1))
 
-    return t._record(lambda *vals: np.concatenate(vals, axis=axis), blocks, vjp, op, check=False)
-
-
-def concat_columns(blocks: Sequence[Node]) -> Node:
-    return _concat(blocks, 1, "concat_columns")
-
-
-def concat_rows(blocks: Sequence[Node]) -> Node:
-    """Matrices stacked along their rows: (p1,n), (p2,n), ... -> (p1+p2+..., n)."""
-    return _concat(blocks, 0, "concat_rows")
+    return t._record(lambda *vals: np.concatenate(vals, axis=1), blocks, vjp, "concat_columns", check=False)
 
 
 def unpack(packed: Node, offset: int, shape: tuple) -> Node:

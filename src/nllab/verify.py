@@ -18,11 +18,11 @@ import numpy as np
 from . import bench, checkpoint, config as config_mod, runlog as runlog_mod
 from . import cms as cms_mod
 from . import tensor as T
-from .hope import HopeConfig, HopeModel, train
+from .hope import ADAM_HP, HopeConfig, HopeModel, train
 from . import srt as srt_mod
 from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle_step, read_node, rule_step
 from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
-from .srt import SLOTS, STACK, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
+from .srt import SLOTS, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
 from .tasks import TaskSpec, evaluate, generate, vocabulary
 from .tensor import Tape, Tensor
 
@@ -282,27 +282,15 @@ def _permute(x, order, batch: int):
     return T.concat_columns([T.slice_columns(x, i * batch, (i + 1) * batch) for i in order])
 
 
-def _rows(stack, i: int, d: int, count: int):
-    """Rows of the i-th of `count` d-row blocks of `stack`; the stack itself when it holds one."""
-    return stack if count == 1 else T.slice_rows(stack, i * d, (i + 1) * d)
-
-
-def _elements(cfg: SrtConfig, boundary: dict, stacked: list, wq, x, xkv, slots, widths) -> dict:
-    """Element work of one chunk as (d, C*B) matrices, every read against the boundary memories.
-
-    The `stacked` slots read through one product of their row-stacked fast
-    weight `boundary[STACK]` per distinct input.  Holds the output `y`, the key
-    `k`, the gate reads `eta`/`alpha` (unless fixed) and one self-generated
-    target `vhat.<slot>` per updated slot or STACK.
+def _elements(cfg: SrtConfig, boundary: dict, wq, x, xkv, slots, widths) -> dict:
+    """Element work of one chunk as (d, C*B) matrices, every read by `read_node`
+    against the slot's own boundary memory.  Holds the output `y`, the key `k`,
+    the gate reads `eta`/`alpha` (unless fixed) and one self-generated target
+    `vhat.<slot>` per updated slot.
     """
-    products = {}  # input node -> its product with the stacked fast weight
 
     def read(slot: str, cols):
-        if slot not in stacked:
-            return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
-        if cols not in products:
-            products[cols] = T.bmatmul(boundary[STACK][0], cols, widths)
-        return _rows(products[cols], stacked.index(slot), cfg.dim, len(stacked))
+        return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
 
     def norm(cols, on: bool):
         return T.l2_normalize_columns_safe(cols) if on else cols
@@ -315,10 +303,7 @@ def _elements(cfg: SrtConfig, boundary: dict, stacked: list, wq, x, xkv, slots, 
     if cfg.fixed_alpha is None:
         out["alpha"] = read("alpha", x)
     for slot in slots:
-        if slot == STACK:
-            out["vhat." + slot] = T.bmatmul(boundary[STACK][0], v, widths) if cfg.self_values else T.concat_rows([v] * len(stacked))
-        else:
-            out["vhat." + slot] = read(slot, v) if cfg.self_values else v
+        out["vhat." + slot] = read(slot, v) if cfg.self_values else v
     return out
 
 
@@ -329,7 +314,7 @@ def _gate(tape: Tape, fixed, reads, bias: float, squash, n: int):
 
 
 def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, widths) -> tuple:
-    """One chunk's update of a memory or of the linear stack: one decay_scan per weight, from the boundary state."""
+    """One chunk's update of a memory: one decay_scan per weight, from the boundary state."""
     if kind == LINEAR:
         (m,) = boundary
         u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.neg(vhat)
@@ -344,36 +329,33 @@ def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, wi
 
 
 def _srt_forward_oracle(tape, cfg, weights, wq, x, chunk=None, conv_kernel=None, element_order=None, lengths=None):
-    """The per-op graph that `srt_forward_nodes`' one node replaces, same
-    arguments and outputs: per chunk, element work, gates and one decay_scan
-    per advanced weight, each op its own tape node."""
+    """The per-slot graph that `srt_forward_nodes`' one node replaces, same
+    arguments and outputs: every slot its own (B,p,n) fast weight; per chunk,
+    element work, gates and one decay_scan per weight of each updated slot,
+    each op its own tape node."""
     chunk, lengths, L, padded = srt_mod._layout(cfg, x, chunk, lengths, element_order)
-    batch, d = len(lengths), cfg.dim
+    batch = len(lengths)
     xkv = T.causal_depthwise_conv(x, conv_kernel, batch) if conv_kernel is not None else x
-    stacked, slots = srt_mod._plan(cfg)
-    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items() if slot not in stacked}
-    if stacked:
-        cur[STACK] = (T.broadcast_batch(T.concat_rows([weights[slot][0] for slot in stacked]), batch),)
+    slots = [slot for slot in SLOTS if slot in cfg.update_slots]
+    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
     outputs = []
     for start, n, widths in srt_mod._chunks(L, chunk, lengths, padded):
         xc = T.slice_columns(x, start * batch, (start + n) * batch)
         xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
         if element_order is None:
-            e = _elements(cfg, cur, stacked, wq, xc, xkvc, slots, widths)
+            e = _elements(cfg, cur, wq, xc, xkvc, slots, widths)
         else:
             order = [i for i in element_order if i < n]
             xp = _permute(xc, order, batch)
             xkvp = _permute(xkvc, order, batch) if conv_kernel is not None else xp
             inverse = np.argsort(order)
-            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, stacked, wq, xp, xkvp, slots, None).items()}
+            e = {name: _permute(m, inverse, batch) for name, m in _elements(cfg, cur, wq, xp, xkvp, slots, None).items()}
         eta = _gate(tape, cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T.softplus, n * batch)
         alpha = _gate(tape, cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T.sigmoid, n * batch)
         for slot in slots:
-            kind = LINEAR if slot == STACK else cfg.kinds[slot]
-            cur[slot] = _advance(cfg, kind, cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
+            cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
         outputs.append(e["y"])
-    rows = {slot: (_rows(cur[STACK][0], i, d, len(stacked)),) for i, slot in enumerate(stacked)}
-    return T.concat_columns(outputs), {slot: rows.get(slot) or cur[slot] for slot in weights}
+    return T.concat_columns(outputs), cur
 
 
 _SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
@@ -805,10 +787,10 @@ def check_psi(faults=frozenset(), out_dir=None) -> CheckResult:
 
 @register("orthogonal-forgetting", slow=True)
 def check_orthogonal(faults=frozenset(), out_dir=None) -> CheckResult:
-    report = bench.run_orthogonal_benchmark(out_dir, seeds=10)
+    report = bench.run_orthogonal_benchmark(out_dir)
     wins = report["wins_vs_momentum"]
     ok = all(w >= 9 for w in wins.values())
-    return CheckResult("orthogonal-forgetting", ok, float(min(wins.values())), f"wins vs momentum over 10 seeds: {wins}")
+    return CheckResult("orthogonal-forgetting", ok, float(min(wins.values())), f"wins vs momentum over {bench.ORTHO_SEEDS} seeds: {wins}")
 
 
 LANGUAGE_BUDGET = dict(steps=1500, eval_every=250, batch_size=4, target=0.95)
@@ -867,7 +849,7 @@ def check_smoke(faults=frozenset(), out_dir=None) -> CheckResult:
     for core, setting in SMOKE_SETTINGS.items():
         cfg = HopeConfig(vocab=vocab, dim=24, blocks=1, core=core, chunk=8, cms_chunks=(1, 4), cms_hidden=12, mem_hidden=24)
         model = HopeModel(cfg, seed=1)
-        hp = dict(eta=setting["lr"], beta1=0.9, beta2=0.999, eps=1e-8, ema=True, bias_correction=True, weight_decay=0.01)
+        hp = {**ADAM_HP, "eta": setting["lr"]}
         log = train(model, data, steps=500, seed=2, batch_size=setting["batch_size"], opt_hp=hp)
         final = float(np.mean([r["loss"] for r in log[-25:]]))
         drops[core] = 1.0 - final / log[0]["loss"]

@@ -34,6 +34,30 @@ def test_package_modules_use_every_name_they_import():
     assert not unused, unused
 
 
+def test_every_public_tensor_function_has_a_caller_in_another_module():
+    package = Path(config.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text())
+    public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {"tensor"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "tensor":
+                    referenced |= {alias.name for alias in node.names}
+                elif node.module is None:
+                    aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "tensor"}
+        referenced |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+        }
+    assert not sorted(public - referenced), sorted(public - referenced)
+
+
 def test_seed_derivation_is_stable_and_independent():
     a = derive_seed(7, "data")
     assert a == derive_seed(7, "data")

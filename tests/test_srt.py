@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nllab import srt as S
 from nllab import tensor as T
-from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step, read_node
+from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step
 from nllab import verify as V
 from nllab.srt import SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_linear_recurrence, srt_step
 from nllab.tensor import Tensor
@@ -350,46 +350,6 @@ def test_batch_lengths_must_fit_the_columns():
         S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])
 
 
-def _per_slot_forward(tape, cfg, weights, wq, x, kernel, lengths):
-    """The per-slot route the row-stacked fast weight replaces: every slot its
-    own (B,p,n) fast weight, every read by `read_node`, one decay_scan per
-    updated linear slot."""
-    width = x.value.shape[1]
-    batch = len(lengths)
-    L = width // batch
-    padded = min(lengths) < L
-    xkv = T.causal_depthwise_conv(x, kernel, batch) if kernel is not None else x
-    slots = [slot for slot in S.SLOTS if slot in cfg.update_slots]
-    cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
-
-    def norm(cols, on):
-        return T.l2_normalize_columns_safe(cols) if on else cols
-
-    outputs = []
-    for start in range(0, L, cfg.chunk):
-        n = min(start + cfg.chunk, L) - start
-        widths = [min(max(length - start, 0), n) for length in lengths] if padded else None
-        xc = T.slice_columns(x, start * batch, (start + n) * batch)
-        xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch)
-        q = norm(T.matmul(wq, xc), cfg.normalize_q)
-        v = norm(read_node(cur["v"], xkvc, cfg.kinds["v"], widths), cfg.normalize_v)
-        k = norm(read_node(cur["k"], xkvc, cfg.kinds["k"], widths), cfg.normalize_k)
-        outputs.append(read_node(cur["mem"], q, cfg.kinds["mem"], widths))
-        gates = {slot: None if fixed is not None else read_node(cur[slot], xc, LINEAR, widths)
-                 for slot, fixed in (("eta", cfg.fixed_eta), ("alpha", cfg.fixed_alpha))}
-        eta = V._gate(tape, cfg.fixed_eta, gates["eta"], cfg.eta_bias, T.softplus, n * batch)
-        alpha = V._gate(tape, cfg.fixed_alpha, gates["alpha"], cfg.alpha_bias, T.sigmoid, n * batch)
-        vhat = {slot: read_node(cur[slot], v, cfg.kinds[slot], widths) if cfg.self_values else v for slot in slots}
-        for slot in slots:
-            if cfg.kinds[slot] == MLP2:
-                cur[slot] = V._advance(cfg, MLP2, cur[slot], k, vhat[slot], eta, alpha, widths)
-                continue
-            (m,) = cur[slot]
-            u = T.sub(T.bmatmul(m, k, widths), vhat[slot]) if cfg.objective == "l2" else T.neg(vhat[slot])
-            cur[slot] = (T.decay_scan(m, k, u, eta, alpha, cfg.retention, widths),)
-    return T.concat_columns(outputs), cur
-
-
 STACK_CONFIGS = {
     "default": lambda d: SrtConfig(dim=d, chunk=3),
     "all-linear": lambda d: all_linear_config(d, chunk=3),
@@ -397,8 +357,10 @@ STACK_CONFIGS = {
     "dot": lambda d: all_linear_config(d, chunk=3, objective="dot"),
     "no-retention": lambda d: SrtConfig(dim=d, chunk=3, retention=False),
     "no-self-values": lambda d: all_linear_config(d, chunk=3, self_values=False),
+    "fixed-gates": lambda d: SrtConfig(dim=d, chunk=3, fixed_eta=0.3, fixed_alpha=0.9),
     "conv": lambda d: SrtConfig(dim=d, chunk=3, conv=True),
     "linear-attention": lambda d: S.replace(linear_attention_config(d), chunk=3),
+    "mlp2-key": lambda d: SrtConfig(dim=d, chunk=3, kinds={**{slot: LINEAR for slot in S.SLOTS}, "k": MLP2}),
 }
 
 
@@ -426,10 +388,8 @@ def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
         }
         wq = tape.param("wq", state.wq)
         kernel = tape.param("conv", state.conv_kernel) if cfg.conv else None
-        if route == "stacked":
-            y, final = S.srt_forward_nodes(tape, cfg, snaps, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
-        else:
-            y, final = _per_slot_forward(tape, cfg, snaps, wq, tape.constant(x), kernel, lengths)
+        forward = S.srt_forward_nodes if route == "stacked" else V._srt_forward_oracle
+        y, final = forward(tape, cfg, snaps, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
         outs = [y] + [w for slot in S.SLOTS for w in final[slot]]
         loss = T.dot(y, probes[0])
         for o, p in zip(outs[1:], probes[1:]):

@@ -253,10 +253,7 @@ SLICES_AND_CONCATS = {
     "column": ([(3, 5)], lambda xs: T.column(xs[0], 3)),
     "element": ([(4,)], lambda xs: T.element(xs[0], 2)),
     "slice_columns-strided": ([(3, 8)], lambda xs: T.slice_columns(xs[0], 1, 7, 2)),
-    "slice_rows-matrix": ([(6, 4)], lambda xs: T.slice_rows(xs[0], 2, 5)),
-    "slice_rows-stack": ([(2, 6, 3)], lambda xs: T.slice_rows(xs[0], 3, 6)),
     "concat_columns": ([(3, 2), (3, 4)], lambda xs: T.concat_columns(xs)),
-    "concat_rows": ([(2, 3), (4, 3), (1, 3)], lambda xs: T.concat_rows(xs)),
     "unpack": ([(20,)], lambda xs: T.unpack(xs[0], 6, (3, 4))),
     "sample_stack": ([(3, 8)], lambda xs: T.sample_stack(xs[0], 2)),
     "time_major": ([(2, 3, 4)], lambda xs: T.time_major(xs[0])),
@@ -284,8 +281,6 @@ def test_slice_and_concat_gradients_match_finite_differences_and_replay(name):
             return float(loss(t, [t.constant(xt.data if j == i else u) for j, u in enumerate(vals)]).value)
 
         assert rel_err(grads[f"x{i}"].data, finite_diff_grad(f, Tensor(v)).data) < 1e-8
-    with pytest.raises(T.ShapeError):
-        T.slice_rows(scratch.constant(vals[0]), 0, 10)
 
 
 def test_scale_rows_columns_and_rms_composite_gradients():
