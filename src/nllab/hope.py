@@ -229,8 +229,8 @@ class HopeModel:
         prefix = sample.get("prefix_labels")
         if prefix is not None:
             logits = T.matmul(head, T.slice_columns(h, b, len(tokens) * batch, batch))
-            return T.cross_entropy_columns(logits, [int(p) for p in prefix])
-        return T.cross_entropy(T.matmul(head, T.column(h, (len(tokens) - 1) * batch + b)), int(sample["label"]))
+            return T.cross_entropy_columns(logits, prefix)
+        return T.cross_entropy(T.matmul(head, T.column(h, (len(tokens) - 1) * batch + b)), sample["label"])
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
         """Mean loss over a batch of samples ({"tokens", "label"} dicts), from one forward graph.
@@ -238,6 +238,8 @@ class HopeModel:
         `with_penalty` adds the fast-weight norm regularizer (training only;
         the plain loss surface stays the task loss).
         """
+        if not batch:
+            raise ValueError("empty batch")
         nodes = self._register(tape)
         penalties = [] if (with_penalty and self.config.core == "srt" and self.config.fast_weight_penalty > 0) else None
         h = self._hidden(tape, nodes, [sample["tokens"] for sample in batch], collect_penalty=penalties)

@@ -168,14 +168,17 @@ def _broadcast(w: np.ndarray, batch: int) -> np.ndarray:
     return np.broadcast_to(w, (batch,) + w.shape).copy()
 
 
-def _unit(a: np.ndarray, on: bool) -> tuple:
-    """(B,n,C) columns scaled to unit norm as `tensor.l2_normalize_columns_safe`
-    scales them, norms taken on the time-major layout; and the (B,1,C) norms."""
-    if not on:
-        return a, None
-    batch = len(a)
-    norms = T._safe_column_norms(T._time_major(a)).reshape(-1, batch).T[:, None, :]
-    return a / norms, norms
+def _unit(raw: dict, names: list) -> tuple:
+    """raw's (B,n,C) arrays, those in `names` with their columns scaled to unit norm as
+    `tensor.l2_normalize_columns_safe` scales them, in one stack; and their (B,1,C) norms, else None."""
+    out, norms, batch = dict(raw), dict.fromkeys(raw), len(raw["q"])
+    if names:
+        stack = np.concatenate([raw[name] for name in names])
+        scale = T._safe_row_norms(stack.transpose(0, 2, 1))[:, None, :]
+        stack /= scale
+        for i, name in enumerate(names):
+            out[name], norms[name] = stack[i * batch : (i + 1) * batch], scale[i * batch : (i + 1) * batch]
+    return out, norms
 
 
 def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
@@ -214,7 +217,7 @@ def _gate(fixed: Optional[float], reads, bias: float, squash, batch: int, n: int
     from (B,d,C) reads averaged on the time-major layout."""
     if fixed is not None:
         return np.full((batch, n), fixed), None
-    pre = (T._time_major(reads).mean(axis=0) + bias).reshape(n, batch).T
+    pre = (T._time_major(reads).sum(axis=0) / len(reads[0]) + bias).reshape(n, batch).T  # the mean, bit for bit, without its wrapper
     return squash(pre), pre
 
 
@@ -239,6 +242,9 @@ class _Core:
     def __init__(self, cfg: SrtConfig, batch: int, chunks: list, element_order, conv: bool):
         self.cfg, self.batch, self.chunks, self.order, self.conv = cfg, batch, chunks, element_order, conv
         self.stacked, self.slots = _plan(cfg)
+        # the rows of the STACK (or of its products) each slot takes: its own block; all for the STACK
+        self.rows = {STACK: slice(None), **{slot: slice(i * cfg.dim, (i + 1) * cfg.dim) for i, slot in enumerate(self.stacked)}}
+        self.unit = [name for name, on in zip("qvk", (cfg.normalize_q, cfg.normalize_v, cfg.normalize_k)) if on]
         self.kv = "kv" if conv else "x"  # the columns the k and v memories read
         self.saved = []
 
@@ -248,10 +254,6 @@ class _Core:
         wq, x = next(it), next(it)
         return snaps, wq, x, next(it) if self.conv else x
 
-    def _order(self, n: int) -> Optional[list]:
-        """The chunk's tokens in `element_order`, or None."""
-        return None if self.order is None else [i for i in self.order if i < n]
-
     # -- forward ----------------------------------------------------------
 
     def value(self, *values) -> np.ndarray:
@@ -260,12 +262,12 @@ class _Core:
         cur = {slot: tuple(_broadcast(w, batch) for w in ws) for slot, ws in snaps.items() if slot not in stacked}
         if stacked:
             cur[STACK] = (_broadcast(np.concatenate([snaps[slot][0] for slot in stacked]), batch),)
-        ys, chunks = [], []
-        for c, (start, n, widths) in enumerate(self.chunks):
+        ys, pres, chunks = [], [], []
+        for start, n, widths in self.chunks:
             span = slice(start * batch, (start + n) * batch)
             partial, live = T._partial(widths, n), T._live_columns(widths, batch, n)
             xc, xkvc = x[:, span].copy(), xkv[:, span].copy() if self.conv else None
-            order = self._order(n)
+            order = None if self.order is None else [i for i in self.order if i < n]  # the chunk's tokens in element_order
             if order is not None:  # permuted time-major columns, as the graph forms them
                 cols = (np.asarray(order)[:, None] * batch + np.arange(batch)).reshape(-1)
                 xc, xkvc = xc[:, cols], xkvc[:, cols] if self.conv else None
@@ -274,24 +276,29 @@ class _Core:
                 e = {name: m[:, :, np.argsort(order)] for name, m in e.items()}
             eta, eta_pre = _gate(cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T._softplus, batch, n)
             alpha, alpha_pre = _gate(cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T._sigmoid, batch, n)
+            gates = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
             state, advanced = dict(cur), {}
             for slot in self.slots:
                 kind = LINEAR if slot == STACK else cfg.kinds[slot]
-                cur[slot], advanced[slot] = self._advance(kind, cur[slot], e["k"], e["vhat." + slot], eta, alpha, partial, live)
+                cur[slot], advanced[slot] = self._advance(kind, cur[slot], e["k"], e["vhat." + slot], gates, partial)
             ys.append(T._time_major(e["y"]))
-            made = [e["y"]] + [p for p in (eta_pre, alpha_pre) if p is not None] + [w for slot in self.slots for w in cur[slot]]
-            if not all(np.isfinite(a).all() for a in made):
-                raise T.NonFiniteError(f"at chunk {c} (tokens {start} to {start + n - 1})")
+            pres.append([p for p in (eta_pre, alpha_pre) if p is not None])
             chunks.append((span, live, order, state, e["k"], se, alpha, eta_pre, advanced))
+        # the final (B,p,n) fast weights per slot; a stacked slot's are its rows of the STACK
+        final = [w for slot in SLOTS for w in ((cur[STACK][0][:, self.rows[slot]],) if slot in stacked else cur[slot])]
+        packed = np.concatenate([np.concatenate(ys, axis=1).reshape(-1)] + [w.reshape(-1) for w in final])
+        # one finite check per forward, a search only when it fails: a non-finite
+        # entry of a fast weight stays non-finite through every later update, so
+        # the final weights stand for the weights after each chunk
+        gate_pres = [p for ps in pres for p in ps]
+        if not (np.isfinite(packed).all() and (not gate_pres or np.isfinite(np.concatenate(gate_pres, axis=None)).all())):
+            after = [chunk[3] for chunk in chunks[1:]] + [cur]  # each chunk's advanced weights
+            made = ([y, *ps] + [w for slot in self.slots for w in weights[slot]] for y, ps, weights in zip(ys, pres, after))
+            c = next(c for c, arrays in enumerate(made) if not all(np.isfinite(a).all() for a in arrays))
+            start, n, _ = self.chunks[c]
+            raise T.NonFiniteError(f"at chunk {c} (tokens {start} to {start + n - 1})")
         self.saved[:] = [snaps, wq, x, xkv, chunks]
-        final = self._final(cur)
-        return np.concatenate([np.concatenate(ys, axis=1).reshape(-1)] + [w.reshape(-1) for slot in SLOTS for w in final[slot]])
-
-    def _final(self, cur: dict) -> dict:
-        """Final (B,p,n) fast weights per slot; a stacked slot's are its rows of the STACK."""
-        d, count = self.cfg.dim, len(self.stacked)
-        rows = {slot: (cur[STACK][0][:, i * d : (i + 1) * d] if count > 1 else cur[STACK][0],) for i, slot in enumerate(self.stacked)}
-        return {slot: rows.get(slot) or cur[slot] for slot in SLOTS}
+        return packed
 
     def _elements(self, cur: dict, wq, xc, xkvc, partial) -> tuple:
         """Element work of one chunk of time-major columns xc (and conv columns
@@ -300,58 +307,52 @@ class _Core:
         target vhat.<slot> per advanced weight, each (B,p,C).  The stacked slots
         read through one product of the STACK per distinct input and take their
         rows of it."""
-        cfg, stacked, d, batch = self.cfg, self.stacked, self.cfg.dim, self.batch
+        cfg, rows, batch = self.cfg, self.rows, self.batch
         cols = {"x": T._batch_major(xc, batch)}
         if self.conv:
             cols["kv"] = T._batch_major(xkvc, batch)
         products, reads = {}, {}
 
-        def product(name):
+        def read(slot, name):
+            if slot not in rows:
+                out, reads[slot, name] = _read(cfg.kinds[slot], cur[slot], cols[name], partial)
+                return out
             if name not in products:
                 products[name] = T._bmm(cur[STACK][0], cols[name], partial)
-            return products[name]
+            return products[name][:, rows[slot]]
 
-        def read(slot, name):
-            if slot in stacked:
-                i = stacked.index(slot)
-                return product(name) if len(stacked) == 1 else product(name)[:, i * d : (i + 1) * d]
-            out, reads[slot, name] = _read(cfg.kinds[slot], cur[slot], cols[name], partial)
-            return out
-
-        q, nq = _unit(T._batch_major(wq @ xc, batch), cfg.normalize_q)
-        cols["q"] = q
-        v, nv = _unit(read("v", self.kv), cfg.normalize_v)
-        cols["v"] = v
-        k, nk = _unit(read("k", self.kv), cfg.normalize_k)
-        out = {"y": read("mem", "q"), "k": k}
+        raw = {"q": T._batch_major(wq @ xc, batch), "v": read("v", self.kv), "k": read("k", self.kv)}
+        unit, norms = _unit(raw, self.unit)
+        cols["q"], cols["v"] = unit["q"], unit["v"]
+        out = {"y": read("mem", "q"), "k": unit["k"]}
         if cfg.fixed_eta is None:
             out["eta"] = read("eta", "x")
         if cfg.fixed_alpha is None:
             out["alpha"] = read("alpha", "x")
         for slot in self.slots:
-            if slot == STACK:
-                out["vhat." + slot] = product("v") if cfg.self_values else np.concatenate([v] * len(stacked), axis=1)
+            if cfg.self_values:
+                out["vhat." + slot] = read(slot, "v")
             else:
-                out["vhat." + slot] = read(slot, "v") if cfg.self_values else v
-        return out, (xc, cols, products, reads, k, nq, nv, nk)
+                out["vhat." + slot] = np.concatenate([cols["v"]] * len(self.stacked), axis=1) if slot == STACK else cols["v"]
+        return out, (xc, cols, products, reads, unit["k"], norms)
 
-    def _advance(self, kind: str, state: tuple, k, vhat, eta, alpha, partial, live) -> tuple:
-        """One chunk's update of a weight from its boundary state, and what `_advance_grad` reads."""
+    def _advance(self, kind: str, state: tuple, k, vhat, gates, partial) -> tuple:
+        """One chunk's update of a weight from its boundary state (gates pinned), and what `_advance_grad` reads."""
         l2 = self.cfg.objective == "l2"
         if kind == LINEAR:
             (m,) = state
             u = T._bmm(m, k, partial) - vhat if l2 else -vhat
-            out, saved = T._scan_value(m, k, u, eta, alpha, self.cfg.retention, live, partial)
+            out, saved = T._scan_value(m, k, u, *gates, self.cfg.retention, partial)
             return (out,), saved
         # weight-space gradient of the residual MLP read, no retention factor
         w1, w2 = state
         z = T._bmm(w2, k, partial)
         h, s = _silu(z)
         r = (k + T._bmm(w1, h, partial)) - vhat if l2 else -vhat
-        t = T._bmm(np.swapaxes(w1, 1, 2).copy(), r, partial)
+        t = T._bmm(w1.transpose(0, 2, 1).copy(), r, partial)
         sp = T._silu_prime(z, s)
-        out1, s1 = T._scan_value(w1, h, r, eta, alpha, False, live, partial)
-        out2, s2 = T._scan_value(w2, k, t * sp, eta, alpha, False, live, partial)
+        out1, s1 = T._scan_value(w1, h, r, *gates, False, partial)
+        out2, s2 = T._scan_value(w2, k, t * sp, *gates, False, partial)
         return (out1, out2), (z, h, s, r, t, sp, s1, s2)
 
     # -- backward ---------------------------------------------------------
@@ -402,8 +403,8 @@ class _Core:
         snap_grads = {slot: [gw.sum(axis=0) for gw in grads[slot]] for slot in SLOTS if slot not in stacked}
         if stacked:
             stack = grads[STACK][0].sum(axis=0)
-            for i, slot in enumerate(stacked):
-                snap_grads[slot] = [stack[i * cfg.dim : (i + 1) * cfg.dim]]
+            for slot in stacked:
+                snap_grads[slot] = [stack[self.rows[slot]]]
         return tuple(gw for slot in SLOTS for gw in snap_grads[slot]) + (gwq, gx) + ((gxkv,) if self.conv else ())
 
     def _advance_grad(self, kind: str, state: tuple, k, saved, gnew: list, live) -> tuple:
@@ -422,7 +423,7 @@ class _Core:
         g2, gk, gu2, ge2, ga2 = T._scan_grad(gnew[1], s2, False, live)
         gt = gu2 * sp
         gz = gu2 * t * T._silu_second(z, s)
-        g1 = g1 + np.swapaxes(T._bmm_dw(gt, r), 1, 2)
+        g1 = g1 + T._bmm_dw(gt, r).transpose(0, 2, 1)
         gr = gr + w1 @ gt
         if l2:
             gk = gk + gr
@@ -437,8 +438,8 @@ class _Core:
         """Gradients of wq and of the chunk's (B,d,C) columns and conv columns
         (None without the conv) from those of `_elements`' outputs; adds the
         boundary weights' gradients to `grads`."""
-        cfg, stacked, d = self.cfg, self.stacked, self.cfg.dim
-        xc, cols, products, reads, k, nq, nv, nk = saved
+        cfg, stacked, rows = self.cfg, self.stacked, self.rows
+        xc, cols, products, reads, k, norms = saved
         gcols, gprod = {}, {}
 
         def add(acc, name, g):
@@ -448,8 +449,7 @@ class _Core:
             if slot in stacked:
                 if name not in gprod:
                     gprod[name] = np.zeros_like(products[name])
-                i = stacked.index(slot)
-                gprod[name][:, i * d : (i + 1) * d] += g
+                gprod[name][:, rows[slot]] += g
             else:
                 add(gcols, name, _read_grad(cfg.kinds[slot], state[slot], cols[name], reads.pop((slot, name)), g, grads[slot]))
 
@@ -464,7 +464,7 @@ class _Core:
                 if cfg.self_values:
                     add(gprod, "v", g)
                 else:
-                    add(gcols, "v", g.reshape(len(g), len(stacked), d, -1).sum(axis=1))
+                    add(gcols, "v", g.reshape(len(g), len(stacked), cfg.dim, -1).sum(axis=1))
             elif cfg.self_values:
                 read_grad(slot, "v", g)
             else:
@@ -475,10 +475,10 @@ class _Core:
         read_grad("mem", "q", gout["y"])
         product_grad("v")
         product_grad("q")
-        read_grad("k", self.kv, _unit_grad(k, nk, gout["k"]))
+        read_grad("k", self.kv, _unit_grad(k, norms["k"], gout["k"]))
         if "v" in gcols:
-            read_grad("v", self.kv, _unit_grad(cols["v"], nv, gcols.pop("v")))
-        gq = T._time_major(_unit_grad(cols["q"], nq, gcols.pop("q")))
+            read_grad("v", self.kv, _unit_grad(cols["v"], norms["v"], gcols.pop("v")))
+        gq = T._time_major(_unit_grad(cols["q"], norms["q"], gcols.pop("q")))
         product_grad(self.kv)
         product_grad("x")
         gx = T._batch_major(wq.T @ gq, self.batch)

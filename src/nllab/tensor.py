@@ -360,7 +360,7 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows: 1/(1+e^-v) for v >= 0,
     # e^v/(1+e^v) otherwise
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Node) -> Node:
@@ -429,18 +429,18 @@ def l2_normalize_columns(x: Node) -> Node:
     return _normalize_columns(x, _column_norms, "l2_normalize_columns")
 
 
-def _safe_column_norms(v: np.ndarray) -> np.ndarray:
-    # one dot product per column, the sum np.linalg.norm forms for a contiguous
-    # vector, so each norm is np.linalg.norm(col) bit for bit; a zero column divides by 1
-    cols = np.ascontiguousarray(v.T)
-    norms = np.sqrt((cols[:, None, :] @ cols[:, :, None])[:, 0, 0])
+def _safe_row_norms(rows: np.ndarray) -> np.ndarray:
+    # one dot product per row, the sum np.linalg.norm forms for a contiguous
+    # vector, so each norm is np.linalg.norm(row) bit for bit; a zero row divides by 1
+    rows = np.ascontiguousarray(rows)
+    norms = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
     return np.where(norms == 0.0, 1.0, norms)
 
 
 def l2_normalize_columns_safe(x: Node) -> Node:
     """Each column scaled to unit norm, bit for bit `col / np.linalg.norm(col)`
     of the contiguous column; a zero column stays zero and passes its gradient through."""
-    return _normalize_columns(x, _safe_column_norms, "l2_normalize_columns_safe")
+    return _normalize_columns(x, lambda v: _safe_row_norms(v.T), "l2_normalize_columns_safe")
 
 
 def causal_softmax_columns(s: Node) -> Node:
@@ -668,12 +668,12 @@ def _bmm(vw: np.ndarray, xb: np.ndarray, partial) -> np.ndarray:
 
 def _bmm_dw(g: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Gradient of `_bmm`'s weights from its (B,p,C) output gradient g."""
-    return g @ np.swapaxes(xb, 1, 2)
+    return g @ xb.transpose(0, 2, 1)
 
 
 def _bmm_dx(vw: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of `_bmm`'s columns from its (B,p,C) output gradient g."""
-    return np.swapaxes(vw, 1, 2) @ g
+    return vw.transpose(0, 2, 1) @ g
 
 
 def bmatmul(w, x, widths=None) -> Node:
@@ -723,7 +723,7 @@ def _step(m, kb, ub, eb, ab, retention):
 
 def _step_vjp(g, m, saved, retention):
     w, kr, kc, e, a = saved
-    batch, wt = len(m), np.swapaxes(w, 1, 2)
+    batch, wt = len(m), w.transpose(0, 2, 1)
     gmk = g @ kc
     gw = -e * gmk
     ga = g.reshape(batch, 1, -1) @ m.reshape(batch, -1, 1)
@@ -731,7 +731,7 @@ def _step_vjp(g, m, saved, retention):
     gk = -e * (wt @ g)
     g = a * g
     if retention:
-        gk += np.swapaxes(gw, 1, 2) @ m
+        gk += gw.transpose(0, 2, 1) @ m
         g = g + gw * kr
     return g, gk.reshape(batch, -1, 1), gw, ge.reshape(batch, 1), ga.reshape(batch, 1)
 
@@ -834,12 +834,12 @@ def _scan(m, kb, ub, eb, ab, retention, partial=()):
     return out, saved
 
 
-def _scan_value(m, kb, ub, eb, ab, retention, live, partial):
-    """`decay_scan`'s value for a (B,p,n) state and batch-major operands (see
-    `_scan`): the final state, and what `_scan_grad` reads.  `live` is the
-    (B, C) mask of the real columns (None: all are real)."""
+def _scan_value(m, kb, ub, eb, ab, retention, partial):
+    """`decay_scan`'s value for a (B,p,n) state and batch-major operands whose
+    gates are pinned at padded columns (see `_pinned`, `_scan`): the final
+    state, and what `_scan_grad` reads."""
     m = np.ascontiguousarray(m)  # samples recomputed alone see the same layout
-    out, arrays = _scan(m, kb, ub, *_pinned(eb, ab, live), retention, partial)
+    out, arrays = _scan(m, kb, ub, eb, ab, retention, partial)
     return out, (m, arrays, _step_vjp if kb.shape[2] == 1 else _closed_vjp)
 
 
@@ -886,8 +886,8 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
 
     def scan(vm, vk, vu, ve, va):
         kb, ub = _batch_major(vk, batch), _batch_major(vu, batch)
-        eb, ab = ve.reshape(cols, batch).T, va.reshape(cols, batch).T
-        out, saved[:] = _scan_value(vm if stacked else vm[None], kb, ub, eb, ab, retention, live, partial)
+        eb, ab = _pinned(ve.reshape(cols, batch).T, va.reshape(cols, batch).T, live)
+        out, saved[:] = _scan_value(vm if stacked else vm[None], kb, ub, eb, ab, retention, partial)
         return out if stacked else out[0]
 
     # the closures capture little: every object they keep alive is one more
@@ -903,9 +903,19 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
     return t._record(scan, (m0, keys, u, eta, alpha), vjp, "decay_scan")
 
 
+def _int_ids(values, what: str) -> np.ndarray:
+    """Integer ids or class labels as an int64 array; one with a fractional part is an error, not truncated."""
+    raw = np.asarray(values)
+    ids = raw.astype(np.int64)
+    bad = raw[ids != raw]
+    if bad.size:
+        raise ValueError(f"{what} {bad.item(0)!r} is not an integer")
+    return ids
+
+
 def embedding(table: Node, ids: Sequence[int]) -> Node:
     """Rows of a (vocab,d) table gathered for a token id sequence, as (d,L) columns."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _int_ids(ids, "embedding: token id")
     v = table.value
     if v.ndim != 2:
         raise ShapeError(f"embedding: need a (vocab,d) table, got {v.shape}")
@@ -1017,6 +1027,7 @@ def _cross_entropy(logits: Node, picked: tuple, n: int, op: str) -> Node:
 def cross_entropy(logits: Node, target: int) -> Node:
     if logits.value.ndim != 1:
         raise ShapeError(f"cross_entropy: need a logit vector, got {logits.value.shape}")
+    target = int(_int_ids(target, "cross_entropy: target"))
     if not 0 <= target < logits.value.shape[0]:
         raise ValueError(f"cross_entropy: target {target} out of range")
     return _cross_entropy(logits, (target,), 1, "cross_entropy")
@@ -1025,7 +1036,7 @@ def cross_entropy(logits: Node, target: int) -> Node:
 def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
     """Mean cross-entropy of a (vocab,L) logit matrix against L integer targets."""
     v = logits.value
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _int_ids(targets, "cross_entropy_columns: target")
     if v.ndim != 2:
         raise ShapeError(f"cross_entropy_columns: need a logit matrix, got {v.shape}")
     if targets.ndim != 1 or targets.shape[0] != v.shape[1]:

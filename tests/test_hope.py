@@ -46,6 +46,22 @@ def test_model_loss_rejects_bad_tokens_and_short_sequences():
         model.loss([3])
 
 
+def test_non_integer_token_ids_and_labels_raise_naming_them():
+    model = HopeModel(HopeConfig(vocab=3, dim=8, num_classes=2, chunk=1, cms_chunks=(1,), cms_hidden=4), seed=0)
+    with pytest.raises(ValueError, match=r"token id 1\.5 is not an integer"):
+        model.score([1.5, 2], 1)
+    with pytest.raises(ValueError, match=r"target 1\.5 is not an integer"):
+        model.score([1, 2], 1.5)
+    with pytest.raises(ValueError, match=r"target 0\.5 is not an integer"):
+        model.build_loss(Tape(), [{"tokens": [1, 2], "label": 0, "prefix_labels": [1, 0.5]}])
+
+
+def test_an_empty_batch_is_rejected_by_name():
+    model = HopeModel(tiny_lm_config(), seed=0)
+    with pytest.raises(ValueError, match="empty batch"):
+        model.build_loss(Tape(), [])
+
+
 def test_loss_matches_primitive_recomputation():
     model = HopeModel(tiny_lm_config(), seed=3)
     tokens = [0, 5, 2, 9, 1, 7]

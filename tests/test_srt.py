@@ -477,16 +477,39 @@ def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
         assert np.abs(grads[name].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), name
 
 
+def test_finite_checks_do_not_grow_with_the_chunk_count(monkeypatch):
+    cfg = SrtConfig(dim=4, chunk=1)
+    state = init_srt(cfg, seed=0)
+    isfinite, counts = np.isfinite, {}
+    for length in (8, 64):
+        tape = T.Tape()
+        weights, wq, _ = S._as_nodes(tape, state)
+        x = tape.constant(np.random.default_rng(length).normal(size=(4, length)))
+        calls = []
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(1) or isfinite(a))
+        S.srt_forward_nodes(tape, cfg, weights, wq, x)
+        monkeypatch.undo()
+        counts[length] = len(calls)
+    assert 0 < counts[64] <= counts[8]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_value_in_the_core_names_the_op_node_and_chunk():
-    cfg = SrtConfig(dim=4, chunk=3)
-    state = init_srt(cfg, seed=0)
-    state = S.replace(state, weights={**state.weights, "eta": (np.full((4, 4), 1e308),)})
     x = np.zeros((4, 7))
-    x[:, 3:] = 1.0  # the eta read overflows from the second chunk on
-    tape = T.Tape()
-    weights, wq, _ = S._as_nodes(tape, state)
-    xn = tape.constant(x)
-    with pytest.raises(T.NonFiniteError, match=rf"srt_core \(node {xn.idx + 1}\) at chunk 1 \(tokens 3 to 5\)"):
-        S.srt_forward_nodes(tape, cfg, weights, wq, xn)
-    assert len(tape.nodes) == xn.idx + 1  # the bad value is not recorded
+    x[:, 3:] = 1.0  # the gate read overflows from the second chunk on
+    rows = [
+        (S.SLOTS, "eta", 1e308),  # eta reads +inf: the fast weights go non-finite
+        # a frozen alpha reads -inf, so alpha = 0 while Y and every fast weight
+        # stay finite: only the gate pre-activation shows it
+        (("k", "v", "eta", "mem"), "alpha", -1e308),
+    ]
+    for update_slots, slot, entry in rows:
+        cfg = SrtConfig(dim=4, chunk=3, update_slots=update_slots)
+        state = init_srt(cfg, seed=0)
+        state = S.replace(state, weights={**state.weights, slot: (np.full((4, 4), entry),)})
+        tape = T.Tape()
+        weights, wq, _ = S._as_nodes(tape, state)
+        xn = tape.constant(x)
+        with pytest.raises(T.NonFiniteError, match=rf"srt_core \(node {xn.idx + 1}\) at chunk 1 \(tokens 3 to 5\)"):
+            S.srt_forward_nodes(tape, cfg, weights, wq, xn)
+        assert len(tape.nodes) == xn.idx + 1  # the bad value is not recorded

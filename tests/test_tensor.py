@@ -213,6 +213,43 @@ def test_matrix_primitive_gradients():
         assert rel_err(grads["a"].data, fd.data) < 1e-4
 
 
+# primitive -> (operand shapes for a drawn (rows, inner, cols), op)
+_VJP_CASES = {
+    "sigmoid": (lambda r, i, c: [(r, c)], T.sigmoid),
+    "softplus": (lambda r, i, c: [(r, c)], T.softplus),
+    "silu": (lambda r, i, c: [(r, c)], T.silu),
+    "silu_grad": (lambda r, i, c: [(r, c)], T.silu_grad),
+    "add": (lambda r, i, c: [(r, c), (r, c)], T.add),
+    "sub": (lambda r, i, c: [(r, c), (r, c)], T.sub),
+    "mul": (lambda r, i, c: [(r, c), (r, c)], T.mul),
+    "matmul": (lambda r, i, c: [(r, i), (i, c)], T.matmul),
+    "l2_normalize_columns_safe": (lambda r, i, c: [(r, c)], T.l2_normalize_columns_safe),
+    "mean_axis0": (lambda r, i, c: [(r, c)], T.mean_axis0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VJP_CASES))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)), scale=st.floats(0.1, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_primitive_vjps_match_finite_differences_on_random_shapes(name, dims, scale, seed):
+    shapes, op = _VJP_CASES[name]
+    rng = np.random.default_rng(seed)
+    operands = [scale * rng.normal(size=shape) for shape in shapes(*dims)]
+    tape = Tape()
+    out = op(*[tape.param(f"x{i}", v) for i, v in enumerate(operands)])
+    probe = rng.normal(size=out.value.shape)
+    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    for i, v in enumerate(operands):
+
+        def f(xt, i=i):
+            t = Tape()
+            args = [t.constant(xt.data if j == i else w) for j, w in enumerate(operands)]
+            return float((op(*args).value * probe).sum())
+
+        fd = finite_diff_grad(f, Tensor(v)).data
+        assert np.abs(grads[f"x{i}"].data - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0), (name, i)
+
+
 def test_structural_primitive_gradients():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 6))
