@@ -112,9 +112,7 @@ class HopeModel:
             self.params[f"b{b}.norm2"] = np.ones(d) / np.sqrt(d)
             if config.core == "srt":
                 state = init_srt(self.srt_cfg, seed=int(rng.integers(0, 2**31)))
-                for slot in SLOTS:
-                    for j, w in enumerate(state.inits[slot]):
-                        self.params[f"b{b}.srt.{slot}.{j}"] = w.copy()
+                self.params.update({f"b{b}.srt.{slot}.{j}": w for slot, ws in state.weights.items() for j, w in enumerate(ws)})
                 self.params[f"b{b}.wq"] = state.wq.copy()
                 if config.conv:
                     self.params[f"b{b}.conv"] = state.conv_kernel.copy()
@@ -230,6 +228,8 @@ class HopeModel:
         if prefix is not None:
             logits = T.matmul(head, T.slice_columns(h, b, len(tokens) * batch, batch))
             return T.cross_entropy_columns(logits, prefix)
+        if sample["label"] is None:
+            raise ValueError("a classifier's loss needs a label")
         return T.cross_entropy(T.matmul(head, T.column(h, (len(tokens) - 1) * batch + b)), sample["label"])
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
@@ -254,6 +254,8 @@ class HopeModel:
 
     def _forward(self, tokens: Sequence[int]) -> tuple:
         """(tape, nodes, hidden states, head argmax at the last position); nodes hold only a weak proxy to the tape."""
+        if len(tokens) == 0:
+            raise ValueError("empty token sequence")
         tape = Tape()
         nodes = self._register(tape)
         h = self._hidden(tape, nodes, [tokens])

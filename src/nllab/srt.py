@@ -13,12 +13,13 @@ chunk's C columns, which makes it order-independent, and then advances each
 fast weight by the decay recurrence over the columns in token order, taken in
 closed form (a weighted sum, or with the retention factor one C x C
 unit-triangular solve; see `tensor.decay_scan`) rather than column by column.
-A chunk of 1 recovers exact token-by-token stepping.  The S updated linear
-slots share keys, gates and objective, and the rule acts on each row alone,
-so they run as one row-stacked (S*d, d) fast weight in SLOTS order: per chunk
-one read per distinct input (row slices for single-slot reads), one residual
-and one scan, bit-identical to S separate ones.  MLP2 and frozen slots keep
-their own weights.
+A chunk of 1 recovers exact token-by-token stepping; `verify`'s
+`srt-fused-core` check holds both properties bit for bit.  The S updated
+linear slots share keys, gates and objective, and the rule acts on each row
+alone, so they run as one row-stacked (S*d, d) fast weight in SLOTS order:
+per chunk one read per distinct input (row slices for single-slot reads), one
+residual and one scan, bit-identical to S separate ones.  MLP2 and frozen
+slots keep their own weights.
 
 A batch of B sequences arrives as one time-major (d, L*B) matrix (column
 t*B + b holds token t of sample b; see `tensor`), so a chunk is a (d, C*B)
@@ -84,6 +85,8 @@ class SrtConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"inner objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        if self.chunk < 1:
+            raise ValueError(f"chunk size must be >= 1, got {self.chunk}")
         unknown = set(self.update_slots) - set(SLOTS) - {"q"}
         if unknown:
             raise ValueError(f"unknown update slots {sorted(unknown)}")
@@ -95,11 +98,10 @@ class SrtConfig:
 
 @dataclass(frozen=True)
 class SrtState:
-    """Fast weights plus the meta-learned snapshots they restart from."""
+    """The meta-learned snapshots every sequence's fast weights restart from."""
 
     config: SrtConfig
     weights: dict
-    inits: dict
     wq: np.ndarray
     conv_kernel: Optional[np.ndarray] = None
 
@@ -123,8 +125,7 @@ def init_srt(config: SrtConfig, seed: int = 0) -> SrtState:
     if config.conv:
         kernel = np.zeros((d, 4))
         kernel[:, -1] = 1.0  # identity at init: conv output == input
-    inits = {slot: tuple(w.copy() for w in ws) for slot, ws in weights.items()}
-    return SrtState(config, weights, inits, wq, kernel)
+    return SrtState(config, weights, wq, kernel)
 
 
 def _layout(cfg: SrtConfig, x: Node, chunk: Optional[int], lengths, element_order) -> tuple:
@@ -132,9 +133,7 @@ def _layout(cfg: SrtConfig, x: Node, chunk: Optional[int], lengths, element_orde
     d, width = x.value.shape
     if d != cfg.dim:
         raise T.ShapeError(f"token width {d} does not match configured width {cfg.dim}")
-    chunk = chunk or cfg.chunk
-    if chunk < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    chunk = cfg.chunk if chunk is None else replace(cfg, chunk=chunk).chunk  # SrtConfig checks it
     lengths = [width] if lengths is None else [int(n) for n in lengths]
     batch = len(lengths)
     L = width // batch
@@ -517,42 +516,11 @@ def srt_forward_nodes(
     packed = tape._record(core.value, tuple(parents), core.vjp, "srt_core", check=False)
     y, offset, final = T.unpack(packed, 0, x.value.shape), x.value.size, {}
     for slot in SLOTS:
-        final[slot] = []
+        final[slot] = ()
         for w in weights[slot]:
-            shape = (batch,) + w.value.shape
-            final[slot].append(T.unpack(packed, offset, shape))
+            final[slot] += (T.unpack(packed, offset, (batch,) + w.value.shape),)
             offset += batch * w.value.size
-        final[slot] = tuple(final[slot])
     return y, final
-
-
-def _as_nodes(tape: Tape, state: SrtState):
-    weights = {slot: tuple(tape.constant(w) for w in ws) for slot, ws in state.weights.items()}
-    wq = tape.constant(state.wq)
-    kernel = tape.constant(state.conv_kernel) if state.conv_kernel is not None else None
-    return weights, wq, kernel
-
-
-def _extract(state: SrtState, nodes: dict) -> SrtState:
-    return replace(state, weights={slot: tuple(np.array(n.value[0]) for n in ns) for slot, ns in nodes.items()})
-
-
-def srt_step(state: SrtState, x: Tensor):
-    """One token: output read with the pre-update memories, then all updates."""
-    if x.shape != (state.config.dim,):
-        raise T.ShapeError(f"token shape {x.shape} does not match width {state.config.dim}")
-    y, new_state = srt_chunked_forward(state, Tensor(x.data.reshape(-1, 1)), chunk=1)
-    return Tensor(y.data[:, 0]), new_state
-
-
-def srt_chunked_forward(state: SrtState, xs: Tensor, chunk: Optional[int] = None, element_order=None):
-    """Chunk-wise forward over a (d,L) matrix; returns (Y, advanced state)."""
-    tape = Tape()
-    weights, wq, kernel = _as_nodes(tape, state)
-    y, new_weights = srt_forward_nodes(
-        tape, state.config, weights, wq, tape.constant(xs.data), chunk=chunk, conv_kernel=kernel, element_order=element_order
-    )
-    return Tensor(y.value), _extract(state, new_weights)
 
 
 def srt_linear_recurrence(objective: str, memory: Memory, k: Tensor, vhat: Tensor, eta: float, alpha: float) -> Memory:
@@ -571,7 +539,7 @@ def srt_linear_recurrence(objective: str, memory: Memory, k: Tensor, vhat: Tenso
     return Memory.linear(m @ retain - eta * grad)
 
 
-def linear_attention_config(dim: int, chunk: int = 1) -> SrtConfig:
+def linear_attention_config(dim: int) -> SrtConfig:
     """Degenerate configuration whose storage trajectory is plain linear attention.
 
     Key/value memories frozen at identity reads, gates pinned to (eta, alpha)
@@ -582,7 +550,7 @@ def linear_attention_config(dim: int, chunk: int = 1) -> SrtConfig:
         dim=dim,
         kinds={"k": LINEAR, "v": LINEAR, "eta": LINEAR, "alpha": LINEAR, "mem": LINEAR},
         objective="dot",
-        chunk=chunk,
+        chunk=1,
         retention=False,
         self_values=False,
         normalize_q=False,

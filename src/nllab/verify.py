@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .hope import ADAM_HP, HopeConfig, HopeModel, train
 from . import srt as srt_mod
 from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle_step, read_node, rule_step
 from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
-from .srt import SLOTS, SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_forward_nodes, srt_step
+from .srt import SLOTS, SrtConfig, SrtState, init_srt, linear_attention_config, srt_forward_nodes
 from .tasks import TaskSpec, evaluate, generate, vocabulary
 from .tensor import Tape, Tensor
 
@@ -466,42 +466,6 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
     )
 
 
-@register("srt-chunked-sequential")
-def check_srt_chunked(faults=frozenset(), out_dir=None) -> CheckResult:
-    worst = 0.0
-    bit_exact = True
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        d, L = 6, 64
-        cfg = SrtConfig(dim=d, chunk=1)
-        state = init_srt(cfg, seed=seed)
-        xs = rng.normal(size=(d, L))
-        y_chunked, st_chunked = srt_chunked_forward(state, Tensor(xs), chunk=1)
-        state_seq = state
-        ys = []
-        for t in range(L):
-            y_t, state_seq = srt_step(state_seq, Tensor(xs[:, t]))
-            ys.append(y_t.data)
-        worst = max(worst, float(np.abs(y_chunked.data - np.stack(ys, axis=1)).max()))
-        for slot in SLOTS:
-            for a, b in zip(st_chunked.weights[slot], state_seq.weights[slot]):
-                worst = max(worst, float(np.abs(a - b).max()))
-
-    cfg = SrtConfig(dim=6, chunk=4)
-    state = init_srt(cfg, seed=3)
-    xs = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
-    y_ref, st_ref = srt_chunked_forward(state, xs)
-    for perm_seed in range(3):
-        order = list(np.random.default_rng(perm_seed).permutation(4))
-        y_perm, st_perm = srt_chunked_forward(state, xs, element_order=order)
-        bit_exact = bit_exact and np.array_equal(y_ref.data, y_perm.data)
-        for slot in SLOTS:
-            for a, b in zip(st_ref.weights[slot], st_perm.weights[slot]):
-                bit_exact = bit_exact and np.array_equal(a, b)
-    passed = worst < 1e-12 and bit_exact
-    return CheckResult("srt-chunked-sequential", passed, worst, f"C=1 err={worst:.2e}, order-independence bit-exact={bit_exact}")
-
-
 def _fused_core_configs(d: int) -> dict:
     linear = {slot: LINEAR for slot in SLOTS}
     return {
@@ -535,11 +499,36 @@ def _fused_core_run(forward, cfg: SrtConfig, vals: dict, chunk: int, lengths: li
     return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
 
 
+def _srt_values(state: SrtState, x: np.ndarray, chunk=None, element_order=None, forward=srt_forward_nodes) -> tuple:
+    """Y and each slot's (p,n) final weights of one (d,L) sequence run by `forward` from the state's snapshots."""
+    tape = Tape()
+    snaps = {slot: tuple(tape.constant(w) for w in ws) for slot, ws in state.weights.items()}
+    kernel = None if state.conv_kernel is None else tape.constant(state.conv_kernel)
+    y, final = forward(tape, state.config, snaps, tape.constant(state.wq), tape.constant(x), chunk, kernel, element_order)
+    return y.value, {slot: tuple(w.value[0] for w in ws) for slot, ws in final.items()}
+
+
+def _bit_identical(a: tuple, b: tuple) -> bool:
+    return np.array_equal(a[0], b[0]) and all(np.array_equal(u, v) for slot in SLOTS for u, v in zip(a[1][slot], b[1][slot]))
+
+
+def _carried(state: SrtState, x: np.ndarray, chunk: int, cuts, carry: bool = True) -> bool:
+    """Whether x run in pieces cut before the tokens in `cuts`, each from the last piece's final
+    weights (from the state's snapshots without `carry`), gives one run's outputs bit for bit."""
+    ys, cur = [], state
+    for piece in np.split(x, cuts, axis=1):
+        y, final = _srt_values(cur, piece, chunk)
+        ys.append(y)
+        cur = replace(state, weights=final) if carry else state
+    return _bit_identical(_srt_values(state, x, chunk), (np.concatenate(ys, axis=1), final))
+
+
 @register("srt-fused-core")
 def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
     worst = 0.0  # fused core vs per-op graph: every gradient, relative to its largest entry
     exact = True  # forward bit-identical
-    rng = np.random.default_rng(12)
+    carried = ordered = True  # the carry and order rows, bit for bit
+    rng, carry_rng, order_rng = np.random.default_rng(12), np.random.default_rng(14), np.random.default_rng(15)
     d = 3
     for name, cfg in _fused_core_configs(d).items():
         state = init_srt(cfg, seed=13)
@@ -562,6 +551,15 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
                 worst = max(worst, float(np.abs(g_fused[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
             if (name, chunk) == ("conv", 3):
                 fd_case = (cfg, dict(vals), chunk, lengths, probes, g_fused)
+        # the rows start from the same snapshots, on inputs drawn from their own generators
+        weights = {slot: tuple(vals[f"{slot}.{j}"] for j in range(len(ws))) for slot, ws in state.weights.items()}
+        state = replace(state, weights=weights, conv_kernel=vals.get("conv"))
+        if not cfg.conv:  # carry: one token per call at chunk 1, a split at chunk 3; the conv's window would span a cut
+            carried = carried and _carried(state, carry_rng.normal(size=(d, 8)), 1, range(1, 8))
+            carried = carried and _carried(state, carry_rng.normal(size=(d, 12)), 3, [6])
+        x = order_rng.normal(size=(d, 7))  # order: a permuted chunk gives the natural order's and the per-op graph's outputs
+        runs = [_srt_values(state, x, 3), _srt_values(state, x, 3, [2, 0, 1]), _srt_values(state, x, 3, [2, 0, 1], _srt_forward_oracle)]
+        ordered = ordered and all(_bit_identical(runs[0], run) for run in runs[1:])
     # one directional derivative against central differences, along every input at once
     cfg, vals, chunk, lengths, probes, grads = fd_case
     direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
@@ -570,12 +568,13 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
         lambda s: _fused_core_run(srt_forward_nodes, cfg, vals, chunk, lengths, probes, float(s.data[0]), direction), Tensor([0.0])
     )
     fd_err = abs(float(fd.data[0]) - along) / max(abs(float(fd.data[0])), abs(along), 1e-12)
-    passed = exact and worst <= 1e-12 and fd_err < 1e-6
+    passed = exact and worst <= 1e-12 and fd_err < 1e-6 and carried and ordered
     return CheckResult(
         "srt-fused-core",
         passed,
         worst,
-        f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_err:.2e}",
+        f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_err:.2e}, "
+        f"carried weights bit-identical={carried}, element_order bit-identical={ordered}",
     )
 
 
@@ -585,11 +584,11 @@ def check_linear_attention(faults=frozenset(), out_dir=None) -> CheckResult:
     d, L = 6, 24
     state = init_srt(linear_attention_config(d), seed=5)
     xs = rng.normal(size=(d, L))
-    _, after = srt_chunked_forward(state, Tensor(xs), chunk=1)
+    _, after = _srt_values(state, xs, chunk=1)
     prefix = np.zeros((d, d))
     for t in range(L):
         prefix += np.outer(xs[:, t], xs[:, t])
-    err = float(np.abs(after.weights["mem"][0] - prefix).max())
+    err = float(np.abs(after["mem"][0] - prefix).max())
     return CheckResult("linear-attention-recovery", err < 1e-12, err, "degenerate block vs prefix-sum oracle")
 
 
@@ -748,9 +747,9 @@ def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
     _, final = srt_forward_nodes(tape, cfg, snapshots, tape.constant(state.wq), tape.constant(x), lengths=_BATCH_LENGTHS)
     bit_exact = True
     for b, xb in enumerate(xs):
-        _, alone = srt_chunked_forward(state, Tensor(xb))
+        _, alone = _srt_values(state, xb)
         for slot in SLOTS:
-            for w_batch, w_alone in zip(final[slot], alone.weights[slot]):
+            for w_batch, w_alone in zip(final[slot], alone[slot]):
                 bit_exact = bit_exact and np.array_equal(w_batch.value[b], w_alone)
     passed = worst <= 1e-12 and fd_worst < 1e-6 and bit_exact
     return CheckResult(

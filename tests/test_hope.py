@@ -48,6 +48,9 @@ def test_model_loss_rejects_bad_tokens_and_short_sequences():
 
 def test_non_integer_token_ids_and_labels_raise_naming_them():
     model = HopeModel(HopeConfig(vocab=3, dim=8, num_classes=2, chunk=1, cms_chunks=(1,), cms_hidden=4), seed=0)
+    for call in (model.score, model.loss):
+        with pytest.raises(ValueError, match="a classifier's loss needs a label"):
+            call([1, 2])
     with pytest.raises(ValueError, match=r"token id 1\.5 is not an integer"):
         model.score([1.5, 2], 1)
     with pytest.raises(ValueError, match=r"target 1\.5 is not an integer"):
@@ -60,6 +63,9 @@ def test_an_empty_batch_is_rejected_by_name():
     model = HopeModel(tiny_lm_config(), seed=0)
     with pytest.raises(ValueError, match="empty batch"):
         model.build_loss(Tape(), [])
+    for call in (model.score, model.loss, model.predict):
+        with pytest.raises(ValueError, match="empty token sequence"):
+            call([])
 
 
 def test_loss_matches_primitive_recomputation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from nllab import srt as S
 from nllab import tensor as T
 from nllab.memory import LINEAR, MLP2, Memory, UnsupportedCombination, gd_oracle_step
 from nllab import verify as V
-from nllab.srt import SrtConfig, init_srt, linear_attention_config, srt_chunked_forward, srt_linear_recurrence, srt_step
+from nllab.hope import HopeConfig, HopeModel
+from nllab.srt import SrtConfig, init_srt, linear_attention_config, srt_linear_recurrence
 from nllab.tensor import Tensor
 
 
@@ -16,43 +19,50 @@ def all_linear_config(d, **kw):
     return SrtConfig(dim=d, kinds=kinds, **kw)
 
 
+def constants(tape, state):
+    """The state's snapshots, wq and conv kernel as constants on the tape."""
+    weights = {slot: tuple(tape.constant(w) for w in ws) for slot, ws in state.weights.items()}
+    kernel = tape.constant(state.conv_kernel) if state.conv_kernel is not None else None
+    return weights, tape.constant(state.wq), kernel
+
+
 def test_null_memory_outputs_zero_and_pure_decay():
     d = 4
     cfg = all_linear_config(d)
     state = init_srt(cfg, seed=0)
     zeroed = {slot: (np.zeros((d, d)),) for slot in S.SLOTS}
-    state = S.replace(state, weights=zeroed, inits={s: (w[0].copy(),) for s, w in zeroed.items()})
-    x = Tensor(np.random.default_rng(0).normal(size=d))
-    y, new_state = srt_step(state, x)
-    assert np.array_equal(y.data, np.zeros(d))
+    state = replace(state, weights=zeroed)
+    x = np.random.default_rng(0).normal(size=(d, 1))
+    y, _ = V._srt_values(state, x, chunk=1)
+    assert np.array_equal(y, np.zeros((d, 1)))
     # k_t reads to zero... normalize would fail; with zero M_k the key is the
     # zero read of the identity-free memory, so disable normalization instead
     cfg2 = all_linear_config(d, normalize_k=False, normalize_q=False)
-    state2 = S.replace(init_srt(cfg2, seed=0), weights=zeroed, inits={s: (w[0].copy(),) for s, w in zeroed.items()})
-    y2, new2 = srt_step(state2, x)
-    assert np.array_equal(y2.data, np.zeros(d))
+    state2 = replace(init_srt(cfg2, seed=0), weights=zeroed)
+    y2, new2 = V._srt_values(state2, x, chunk=1)
+    assert np.array_equal(y2, np.zeros((d, 1)))
     for slot in ("v", "mem"):
         alpha = 1.0 / (1.0 + np.exp(-cfg2.alpha_bias))
-        assert np.abs(new2.weights[slot][0] - alpha * zeroed[slot][0]).max() < 1e-12
+        assert np.abs(new2[slot][0] - alpha * zeroed[slot][0]).max() < 1e-12
 
     # chunk 4 over a ragged 6-token stream: every key, value and output column
     # reads zero, stays zero through the normalizations, and the memories only decay
-    xs = Tensor(np.random.default_rng(1).normal(size=(d, 6)))
+    xs = np.random.default_rng(1).normal(size=(d, 6))
     for st in (state, state2):
-        y4, new4 = srt_chunked_forward(st, xs, chunk=4)
-        assert np.array_equal(y4.data, np.zeros((d, 6)))
+        y4, new4 = V._srt_values(st, xs, chunk=4)
+        assert np.array_equal(y4, np.zeros((d, 6)))
         for slot in S.SLOTS:
-            assert np.array_equal(new4.weights[slot][0], np.zeros((d, d)))
+            assert np.array_equal(new4[slot][0], np.zeros((d, d)))
 
 
 def test_forced_zero_eta_gives_decay_only():
     d = 5
     cfg = SrtConfig(dim=d, fixed_eta=0.0, fixed_alpha=0.7)
     state = init_srt(cfg, seed=1)
-    x = Tensor(np.random.default_rng(1).normal(size=d))
-    _, new_state = srt_step(state, x)
+    x = np.random.default_rng(1).normal(size=(d, 1))
+    _, new_weights = V._srt_values(state, x, chunk=1)
     for slot in S.SLOTS:
-        for w_new, w_old in zip(new_state.weights[slot], state.weights[slot]):
+        for w_new, w_old in zip(new_weights[slot], state.weights[slot]):
             assert np.abs(w_new - 0.7 * w_old).max() < 1e-12
 
 
@@ -63,9 +73,9 @@ def test_linear_update_matches_oracle_composition():
     cfg = all_linear_config(d)
     state = init_srt(cfg, seed=3)
     weights = {slot: (rng.normal(size=(d, d)),) for slot in S.SLOTS}
-    state = S.replace(state, weights=weights)
+    state = replace(state, weights=weights)
     x = Tensor(rng.normal(size=d))
-    _, new_state = srt_step(state, x)
+    _, new_weights = V._srt_values(state, x.data[:, None], chunk=1)
 
     # recompute the elements by hand from the pre-update memories
     q = state.wq @ x.data
@@ -84,7 +94,7 @@ def test_linear_update_matches_oracle_composition():
         grad_step = gd_oracle_step("l2", m, Tensor(k), Tensor(vhat), 1.0, 0.0).matrix.data  # = -grad
         retain = m.matrix.data @ (alpha * np.eye(d) - eta * np.outer(k, k))
         expect = retain + eta * grad_step
-        assert np.abs(new_state.weights[slot][0] - expect).max() < 1e-12
+        assert np.abs(new_weights[slot][0] - expect).max() < 1e-12
 
 
 def _unit(v):
@@ -133,33 +143,34 @@ def test_chunk_form_matches_value_level_reference(chunk):
                 cfg = all_linear_config(d, objective=objective, retention=retention, **gates)
                 state = init_srt(cfg, seed=31)
                 weights = {slot: (0.5 * rng.normal(size=(d, d)) / np.sqrt(d) + np.eye(d) * (slot in ("k", "v")),) for slot in S.SLOTS}
-                state = S.replace(state, weights=weights)
-                y, after = srt_chunked_forward(state, Tensor(xs), chunk=chunk)
+                state = replace(state, weights=weights)
+                y, after = V._srt_values(state, xs, chunk=chunk)
                 y_ref, w_ref = reference_linear_chunked(cfg, weights, state.wq, xs, chunk)
-                assert np.abs(y.data - y_ref).max() < 1e-12
+                assert np.abs(y - y_ref).max() < 1e-12
                 for slot in S.SLOTS:
-                    assert np.abs(after.weights[slot][0] - w_ref[slot]).max() < 1e-12
+                    assert np.abs(after[slot][0] - w_ref[slot]).max() < 1e-12
 
 
 def test_chunked_c1_equals_token_stepping():
+    # one run at chunk 1 against one call per token, each from the last
+    # call's final weights: Y and every final weight bit for bit
     for seed in range(10):
         rng = np.random.default_rng(seed)
         d, L = 6, 16
-        cfg = SrtConfig(dim=d, chunk=1)
-        state = init_srt(cfg, seed=seed)
-        xs = rng.normal(size=(d, L))
-        y_chunked, state_chunked = srt_chunked_forward(state, Tensor(xs), chunk=1)
+        state = init_srt(SrtConfig(dim=d, chunk=1), seed=seed)
+        assert V._carried(state, rng.normal(size=(d, L)), 1, range(1, L))
 
-        state_seq = state
-        ys = []
-        for t in range(L):
-            y_t, state_seq = srt_step(state_seq, Tensor(xs[:, t]))
-            ys.append(y_t.data)
-        y_seq = np.stack(ys, axis=1)
-        assert np.abs(y_chunked.data - y_seq).max() < 1e-12
-        for slot in S.SLOTS:
-            for a, b in zip(state_chunked.weights[slot], state_seq.weights[slot]):
-                assert np.abs(a - b).max() < 1e-12
+
+def test_the_carry_comparison_fails_without_the_carried_weights():
+    rng = np.random.default_rng(3)
+    for cfg in V._fused_core_configs(3).values():
+        if cfg.conv:
+            continue
+        state = init_srt(cfg, seed=13)
+        for length, chunk, cuts in ((8, 1, range(1, 8)), (12, 3, [6])):
+            x = rng.normal(size=(3, length))
+            assert V._carried(state, x, chunk, cuts)
+            assert not V._carried(state, x, chunk, cuts, carry=False)
 
 
 def test_single_chunk_reads_against_initial_memories():
@@ -168,13 +179,13 @@ def test_single_chunk_reads_against_initial_memories():
     cfg = SrtConfig(dim=d)
     state = init_srt(cfg, seed=12)
     xs = rng.normal(size=(d, L))
-    y, _ = srt_chunked_forward(state, Tensor(xs), chunk=L)
+    y, _ = V._srt_values(state, xs, chunk=L)
     w1, w2 = state.weights["mem"]
     for t in range(L):
         q = state.wq @ xs[:, t]
         q /= np.linalg.norm(q)
         expect = q + w1 @ (T._silu(w2 @ q))
-        assert np.abs(y.data[:, t] - expect).max() < 1e-12
+        assert np.abs(y[:, t] - expect).max() < 1e-12
 
 
 def test_element_order_independence_is_bit_exact():
@@ -182,15 +193,11 @@ def test_element_order_independence_is_bit_exact():
     d, L, Cn = 6, 16, 4
     cfg = SrtConfig(dim=d, chunk=Cn)
     state = init_srt(cfg, seed=14)
-    xs = Tensor(rng.normal(size=(d, L)))
-    y_fwd, st_fwd = srt_chunked_forward(state, xs)
+    xs = rng.normal(size=(d, L))
+    natural = V._srt_values(state, xs)
     for perm_seed in range(5):
         order = list(np.random.default_rng(perm_seed).permutation(Cn))
-        y_perm, st_perm = srt_chunked_forward(state, xs, element_order=order)
-        assert np.array_equal(y_fwd.data, y_perm.data)
-        for slot in S.SLOTS:
-            for a, b in zip(st_fwd.weights[slot], st_perm.weights[slot]):
-                assert np.array_equal(a, b)
+        assert V._bit_identical(V._srt_values(state, xs, element_order=order), natural)
 
 
 def test_gate_ranges_hold_on_random_streams():
@@ -207,33 +214,27 @@ def test_gate_ranges_hold_on_random_streams():
             alpha = 1.0 / (1.0 + np.exp(-((state.weights["alpha"][0] @ x).mean() + cfg.alpha_bias)))
             assert eta >= 0.0
             assert 0.0 < alpha < 1.0
-            _, state = srt_step(state, Tensor(x))
-
-
-def reset(state):
-    """Per-sequence restart: fast weights return to the snapshots bit-exactly."""
-    return S.replace(state, weights={slot: tuple(w.copy() for w in ws) for slot, ws in state.inits.items()})
+            _, weights = V._srt_values(state, x[:, None], chunk=1)
+            state = replace(state, weights=weights)
 
 
 def test_reset_restores_inits_bit_exact_and_isolates_sequences():
+    # per-sequence restart: a run advances its own fast weights and leaves
+    # the snapshots, which the next sequence starts from, bit-exactly as they were
     rng = np.random.default_rng(17)
     d = 5
     state = init_srt(SrtConfig(dim=d), seed=18)
-    xs_a = Tensor(rng.normal(size=(d, 9)))
-    xs_b = Tensor(rng.normal(size=(d, 9)))
-    _, after_a = srt_chunked_forward(state, xs_a)
-    assert any(
-        not np.array_equal(a, b)
-        for slot in S.SLOTS
-        for a, b in zip(after_a.weights[slot], state.weights[slot])
-    )
-    restored = reset(after_a)
+    snapshots = {slot: tuple(w.copy() for w in ws) for slot, ws in state.weights.items()}
+    xs_a = rng.normal(size=(d, 9))
+    xs_b = rng.normal(size=(d, 9))
+    y_b_alone, _ = V._srt_values(state, xs_b)
+    _, after_a = V._srt_values(state, xs_a)
+    assert any(not np.array_equal(a, b) for slot in S.SLOTS for a, b in zip(after_a[slot], state.weights[slot]))
     for slot in S.SLOTS:
-        for a, b in zip(restored.weights[slot], state.inits[slot]):
+        for a, b in zip(state.weights[slot], snapshots[slot]):
             assert np.array_equal(a, b)
-    y_b_after_a, _ = srt_chunked_forward(reset(after_a), xs_b)
-    y_b_alone, _ = srt_chunked_forward(state, xs_b)
-    assert np.array_equal(y_b_after_a.data, y_b_alone.data)
+    y_b_after_a, _ = V._srt_values(state, xs_b)
+    assert np.array_equal(y_b_after_a, y_b_alone)
 
 
 def test_degenerate_config_recovers_linear_attention_prefix_sum():
@@ -243,11 +244,11 @@ def test_degenerate_config_recovers_linear_attention_prefix_sum():
     state = init_srt(cfg, seed=20)
     assert np.array_equal(state.weights["mem"][0], np.zeros((d, d)))
     xs = rng.normal(size=(d, L))
-    _, new_state = srt_chunked_forward(state, Tensor(xs), chunk=1)
+    _, new_weights = V._srt_values(state, xs, chunk=1)
     prefix = np.zeros((d, d))
     for t in range(L):
         prefix = prefix + np.outer(xs[:, t], xs[:, t])  # identity k/v reads
-    assert np.abs(new_state.weights["mem"][0] - prefix).max() < 1e-12
+    assert np.abs(new_weights["mem"][0] - prefix).max() < 1e-12
 
 
 def test_closed_form_recurrence_equals_generic_path():
@@ -296,7 +297,17 @@ def test_closed_form_rejects_mlp2():
 def test_width_mismatch_rejected():
     state = init_srt(SrtConfig(dim=4), seed=0)
     with pytest.raises(T.ShapeError):
-        srt_step(state, Tensor([1.0, 2.0]))
+        V._srt_values(state, np.array([[1.0], [2.0]]))
+
+
+def test_chunk_below_one_is_rejected():
+    for build in (lambda: SrtConfig(dim=4, chunk=0), lambda: HopeModel(HopeConfig(vocab=3, dim=4, chunk=0))):
+        with pytest.raises(ValueError, match="chunk size must be >= 1, got 0"):
+            build()
+    # an explicit chunk of 0 is not the config's chunk
+    state = init_srt(SrtConfig(dim=4, chunk=2), seed=0)
+    with pytest.raises(ValueError, match="chunk size must be >= 1, got 0"):
+        V._srt_values(state, np.ones((4, 3)), chunk=0)
 
 
 def test_conv_flag_identity_at_init():
@@ -304,10 +315,10 @@ def test_conv_flag_identity_at_init():
     d, L = 4, 6
     state_conv = init_srt(SrtConfig(dim=d, conv=True), seed=24)
     state_plain = init_srt(SrtConfig(dim=d, conv=False), seed=24)
-    xs = Tensor(rng.normal(size=(d, L)))
-    y_conv, _ = srt_chunked_forward(state_conv, xs)
-    y_plain, _ = srt_chunked_forward(state_plain, xs)
-    assert np.abs(y_conv.data - y_plain.data).max() < 1e-12
+    xs = rng.normal(size=(d, L))
+    y_conv, _ = V._srt_values(state_conv, xs)
+    y_plain, _ = V._srt_values(state_plain, xs)
+    assert np.abs(y_conv - y_plain).max() < 1e-12
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 8])
@@ -326,22 +337,22 @@ def test_padded_samples_keep_their_own_fast_weights_bit_for_bit(chunk, d, extra)
     for b, xb in enumerate(xs):
         x[:, b : lengths[b] * batch : batch] = xb
     tape = T.Tape()
-    weights, wq, kernel = S._as_nodes(tape, state)
+    weights, wq, kernel = constants(tape, state)
     y, final = S.srt_forward_nodes(tape, cfg, weights, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
     assert tape.replay() is True
     for b, xb in enumerate(xs):
-        y_alone, alone = srt_chunked_forward(state, Tensor(xb))
+        y_alone, alone = V._srt_values(state, xb)
         for slot in S.SLOTS:
-            for w_batch, w_alone in zip(final[slot], alone.weights[slot]):
+            for w_batch, w_alone in zip(final[slot], alone[slot]):
                 assert np.array_equal(w_batch.value[b], w_alone), slot
-        assert np.abs(y.value[:, b : lengths[b] * batch : batch] - y_alone.data).max() < 1e-12
+        assert np.abs(y.value[:, b : lengths[b] * batch : batch] - y_alone).max() < 1e-12
 
 
 def test_batch_lengths_must_fit_the_columns():
     cfg = SrtConfig(dim=4, chunk=2)
     state = init_srt(cfg, seed=27)
     tape = T.Tape()
-    weights, wq, _ = S._as_nodes(tape, state)
+    weights, wq, _ = constants(tape, state)
     x = tape.constant(np.ones((4, 6)))
     for lengths in ([3, 4], [3, 0], [2, 2, 2, 2]):
         with pytest.raises(T.ShapeError):
@@ -359,7 +370,7 @@ STACK_CONFIGS = {
     "no-self-values": lambda d: all_linear_config(d, chunk=3, self_values=False),
     "fixed-gates": lambda d: SrtConfig(dim=d, chunk=3, fixed_eta=0.3, fixed_alpha=0.9),
     "conv": lambda d: SrtConfig(dim=d, chunk=3, conv=True),
-    "linear-attention": lambda d: S.replace(linear_attention_config(d), chunk=3),
+    "linear-attention": lambda d: replace(linear_attention_config(d), chunk=3),
     "mlp2-key": lambda d: SrtConfig(dim=d, chunk=3, kinds={**{slot: LINEAR for slot in S.SLOTS}, "k": MLP2}),
 }
 
@@ -483,7 +494,7 @@ def test_finite_checks_do_not_grow_with_the_chunk_count(monkeypatch):
     isfinite, counts = np.isfinite, {}
     for length in (8, 64):
         tape = T.Tape()
-        weights, wq, _ = S._as_nodes(tape, state)
+        weights, wq, _ = constants(tape, state)
         x = tape.constant(np.random.default_rng(length).normal(size=(4, length)))
         calls = []
         monkeypatch.setattr(np, "isfinite", lambda a: calls.append(1) or isfinite(a))
@@ -506,9 +517,9 @@ def test_nonfinite_value_in_the_core_names_the_op_node_and_chunk():
     for update_slots, slot, entry in rows:
         cfg = SrtConfig(dim=4, chunk=3, update_slots=update_slots)
         state = init_srt(cfg, seed=0)
-        state = S.replace(state, weights={**state.weights, slot: (np.full((4, 4), entry),)})
+        state = replace(state, weights={**state.weights, slot: (np.full((4, 4), entry),)})
         tape = T.Tape()
-        weights, wq, _ = S._as_nodes(tape, state)
+        weights, wq, _ = constants(tape, state)
         xn = tape.constant(x)
         with pytest.raises(T.NonFiniteError, match=rf"srt_core \(node {xn.idx + 1}\) at chunk 1 \(tokens 3 to 5\)"):
             S.srt_forward_nodes(tape, cfg, weights, wq, xn)
