@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from typing import Any
 
 from .cms import VARIANTS as CMS_VARIANTS
 from .fileio import write_atomic
-from .hope import CORES
+from .hope import CORES, HopeConfig
 from .optim import KINDS as OPTIMIZER_KINDS
 from .srt import OBJECTIVES, SLOTS
 from .tasks import KINDS as TASK_KINDS, LANGUAGE_KINDS
@@ -27,30 +28,14 @@ _TASK_DEFAULTS = {
     "params": {},
 }
 
+# HopeConfig's defaults, tuples as JSON lists; a run config has its own for these five
 _MODEL_DEFAULTS = {
+    **{f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields(HopeConfig)},
     "vocab": 0,  # 0 -> derived from the task vocabulary
     "dim": 16,
-    "blocks": 1,
-    "num_classes": 0,
-    "core": "srt",
-    "objective": "l2",
     "chunk": 1,
     "mem_hidden": 16,
-    "retention": True,
-    "frozen_slots": [],
-    "conv": False,
-    "use_cms": True,
-    "cms_chunks": [1, 4],
-    "cms_variant": "sequential",
     "cms_hidden": 8,
-    "cms_lr": 0.05,
-    "cms_optimizer": "sgd",
-    "eta_bias": -2.0,
-    "alpha_bias": 3.0,
-    "fixed_eta": None,
-    "fixed_alpha": None,
-    "fast_weight_penalty": 0.01,
-    "tie_readout": False,
 }
 
 _TRAIN_DEFAULTS = {
@@ -100,7 +85,7 @@ _MODEL_REALS = {
     "fixed_alpha": (0.0, 1.0),  # a retention gate
     "fast_weight_penalty": (0.0, math.inf),
 }
-_MODEL_BOOLS = ("retention", "conv", "use_cms", "tie_readout")
+_MODEL_BOOLS = tuple(key for key, value in _MODEL_DEFAULTS.items() if isinstance(value, bool))
 # the $.task.params keys each task kind reads; the generator range-checks the integers
 _TASK_PARAMS = {**{kind: ("bin1_fraction",) for kind in LANGUAGE_KINDS}, "copy_recall": ("pairs",), "niah_toy": ("length",), "char_lm": ("window",)}
 

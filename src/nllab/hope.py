@@ -15,7 +15,7 @@ when the token counter crosses the level's boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -70,20 +70,12 @@ class HopeConfig:
             raise ValueError(f"unknown core {self.core!r}; expected one of {CORES}")
 
     def srt_config(self) -> SrtConfig:
+        """SrtConfig with every field it shares with HopeConfig by name, `mem_hidden`
+        as `hidden`, and the slots not in `frozen_slots` as `update_slots`."""
+        names = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(SrtConfig) if f.name in names}
         update = tuple(s for s in SLOTS if s not in self.frozen_slots)
-        return SrtConfig(
-            dim=self.dim,
-            hidden=self.mem_hidden,
-            objective=self.objective,
-            chunk=self.chunk,
-            retention=self.retention,
-            update_slots=update,
-            conv=self.conv,
-            eta_bias=self.eta_bias,
-            alpha_bias=self.alpha_bias,
-            fixed_eta=self.fixed_eta,
-            fixed_alpha=self.fixed_alpha,
-        )
+        return SrtConfig(**shared, hidden=self.mem_hidden, update_slots=update)
 
 
 class HopeModel:
@@ -208,6 +200,8 @@ class HopeModel:
     def _hidden(self, tape: Tape, nodes: dict, sequences: Sequence[Sequence[int]], collect_penalty=None) -> Node:
         """Hidden states of B sequences as time-major (d, L*B) columns, shorter ones padded with token 0."""
         lengths = [len(tokens) for tokens in sequences]
+        if 0 in lengths:
+            raise ValueError(f"empty token sequence at sample {lengths.index(0)}")
         ids = [tokens[t] if t < len(tokens) else 0 for t in range(max(lengths)) for tokens in sequences]
         x = T.embedding(nodes["emb"], ids)
         for b in range(self.config.blocks):
@@ -254,8 +248,6 @@ class HopeModel:
 
     def _forward(self, tokens: Sequence[int]) -> tuple:
         """(tape, nodes, hidden states, head argmax at the last position); nodes hold only a weak proxy to the tape."""
-        if len(tokens) == 0:
-            raise ValueError("empty token sequence")
         tape = Tape()
         nodes = self._register(tape)
         h = self._hidden(tape, nodes, [tokens])

@@ -49,7 +49,7 @@ K, both without retention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,21 +128,17 @@ def init_srt(config: SrtConfig, seed: int = 0) -> SrtState:
     return SrtState(config, weights, wq, kernel)
 
 
-def _layout(cfg: SrtConfig, x: Node, chunk: Optional[int], lengths, element_order) -> tuple:
-    """Checked (chunk, lengths, L, padded) of a forward over the time-major columns of x."""
+def _layout(cfg: SrtConfig, x: Node, lengths) -> tuple:
+    """Checked (lengths, L, padded) of a forward over the time-major columns of x."""
     d, width = x.value.shape
     if d != cfg.dim:
         raise T.ShapeError(f"token width {d} does not match configured width {cfg.dim}")
-    chunk = cfg.chunk if chunk is None else replace(cfg, chunk=chunk).chunk  # SrtConfig checks it
     lengths = [width] if lengths is None else [int(n) for n in lengths]
     batch = len(lengths)
     L = width // batch
     if width % batch or min(lengths) < 1 or max(lengths) > L:
         raise T.ShapeError(f"{width} columns do not hold {batch} sequences of lengths {lengths}")
-    padded = min(lengths) < L
-    if padded and element_order is not None:
-        raise ValueError("element_order applies to unpadded sequences only")
-    return chunk, lengths, L, padded
+    return lengths, L, min(lengths) < L
 
 
 def _chunks(L: int, chunk: int, lengths: Sequence[int], padded: bool) -> list:
@@ -238,8 +234,8 @@ class _Core:
     backwards over them and then frees them.
     """
 
-    def __init__(self, cfg: SrtConfig, batch: int, chunks: list, element_order, conv: bool):
-        self.cfg, self.batch, self.chunks, self.order, self.conv = cfg, batch, chunks, element_order, conv
+    def __init__(self, cfg: SrtConfig, batch: int, chunks: list, conv: bool):
+        self.cfg, self.batch, self.chunks, self.conv = cfg, batch, chunks, conv
         self.stacked, self.slots = _plan(cfg)
         # the rows of the STACK (or of its products) each slot takes: its own block; all for the STACK
         self.rows = {STACK: slice(None), **{slot: slice(i * cfg.dim, (i + 1) * cfg.dim) for i, slot in enumerate(self.stacked)}}
@@ -266,13 +262,7 @@ class _Core:
             span = slice(start * batch, (start + n) * batch)
             partial, live = T._partial(widths, n), T._live_columns(widths, batch, n)
             xc, xkvc = x[:, span].copy(), xkv[:, span].copy() if self.conv else None
-            order = None if self.order is None else [i for i in self.order if i < n]  # the chunk's tokens in element_order
-            if order is not None:  # permuted time-major columns, as the graph forms them
-                cols = (np.asarray(order)[:, None] * batch + np.arange(batch)).reshape(-1)
-                xc, xkvc = xc[:, cols], xkvc[:, cols] if self.conv else None
             e, se = self._elements(cur, wq, xc, xkvc, partial)
-            if order is not None:
-                e = {name: m[:, :, np.argsort(order)] for name, m in e.items()}
             eta, eta_pre = _gate(cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T._softplus, batch, n)
             alpha, alpha_pre = _gate(cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T._sigmoid, batch, n)
             gates = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
@@ -282,7 +272,7 @@ class _Core:
                 cur[slot], advanced[slot] = self._advance(kind, cur[slot], e["k"], e["vhat." + slot], gates, partial)
             ys.append(T._time_major(e["y"]))
             pres.append([p for p in (eta_pre, alpha_pre) if p is not None])
-            chunks.append((span, live, order, state, e["k"], se, alpha, eta_pre, advanced))
+            chunks.append((span, live, state, e["k"], se, alpha, eta_pre, advanced))
         # the final (B,p,n) fast weights per slot; a stacked slot's are its rows of the STACK
         final = [w for slot in SLOTS for w in ((cur[STACK][0][:, self.rows[slot]],) if slot in stacked else cur[slot])]
         packed = np.concatenate([np.concatenate(ys, axis=1).reshape(-1)] + [w.reshape(-1) for w in final])
@@ -291,7 +281,7 @@ class _Core:
         # the final weights stand for the weights after each chunk
         gate_pres = [p for ps in pres for p in ps]
         if not (np.isfinite(packed).all() and (not gate_pres or np.isfinite(np.concatenate(gate_pres, axis=None)).all())):
-            after = [chunk[3] for chunk in chunks[1:]] + [cur]  # each chunk's advanced weights
+            after = [state for _, _, state, *_ in chunks[1:]] + [cur]  # each chunk's advanced weights
             made = ([y, *ps] + [w for slot in self.slots for w in weights[slot]] for y, ps, weights in zip(ys, pres, after))
             c = next(c for c, arrays in enumerate(made) if not all(np.isfinite(a).all() for a in arrays))
             start, n, _ = self.chunks[c]
@@ -375,7 +365,7 @@ class _Core:
         gwq, gx = np.zeros_like(wq), np.zeros_like(x)
         gxkv = np.zeros_like(xkv) if self.conv else None
         while chunks:
-            span, live, order, state, k, se, alpha, eta_pre, advanced = chunks.pop()
+            span, live, state, k, se, alpha, eta_pre, advanced = chunks.pop()
             ge = ga = 0.0
             gk = np.zeros_like(k)
             gout = {"y": T._batch_major(gy[:, span], batch)}
@@ -389,12 +379,7 @@ class _Core:
                 gout["eta"] = np.repeat((ge * T._sigmoid(eta_pre) / rows)[:, None, :], rows, axis=1)
             if cfg.fixed_alpha is None:
                 gout["alpha"] = np.repeat((ga * (alpha * (1.0 - alpha)) / rows)[:, None, :], rows, axis=1)
-            if order is not None:
-                gout = {name: m[:, :, order] for name, m in gout.items()}
             gwqc, gxc, gxkvc = self._elements_grad(state, wq, se, gout, grads)
-            if order is not None:
-                back = np.argsort(order)
-                gxc, gxkvc = gxc[:, :, back], None if gxkvc is None else gxkvc[:, :, back]
             gwq += gwqc
             gx[:, span] += T._time_major(gxc)
             if gxkvc is not None:
@@ -492,27 +477,26 @@ def srt_forward_nodes(
     weights: dict,
     wq: Node,
     x: Node,
-    chunk: Optional[int] = None,
     conv_kernel: Optional[Node] = None,
-    element_order: Optional[Sequence[int]] = None,
     lengths: Optional[Sequence[int]] = None,
 ):
     """Graph-level forward over a (d,L) token matrix, or over a time-major
-    (d, L*B) batch of B sequences of the given `lengths` (each at most L).
+    (d, L*B) batch of B sequences of the given `lengths` (each at most L),
+    in chunks of `cfg.chunk` tokens.
 
     `weights` maps slot -> tuple of snapshot nodes (params for meta-training,
     constants for plain evaluation).  Returns (Y node, final (B,p,n) weight
-    nodes per slot).  `element_order` permutes the tokens of each chunk before
-    the element work and restores them after it; outputs are positional, so
-    any order must give identical results.  The conv is one node, the chunk
-    loop one more (see `_Core`), and each output one `tensor.unpack` of it.
+    nodes per slot).  The conv is one node, the chunk loop one more (see
+    `_Core`), and each output one `tensor.unpack` of it.  Token order inside a
+    chunk is an input of the per-op graph (`verify._srt_forward_oracle`), which
+    this forward matches bit for bit.
     """
-    chunk, lengths, L, padded = _layout(cfg, x, chunk, lengths, element_order)
+    lengths, L, padded = _layout(cfg, x, lengths)
     batch = len(lengths)
     parents = [T._lift(x.tape, p) for p in [w for slot in SLOTS for w in weights[slot]] + [wq, x]]
     if conv_kernel is not None:
         parents.append(T.causal_depthwise_conv(x, conv_kernel, batch))
-    core = _Core(cfg, batch, _chunks(L, chunk, lengths, padded), element_order, conv_kernel is not None)
+    core = _Core(cfg, batch, _chunks(L, cfg.chunk, lengths, padded), conv_kernel is not None)
     packed = tape._record(core.value, tuple(parents), core.vjp, "srt_core", check=False)
     y, offset, final = T.unpack(packed, 0, x.value.shape), x.value.size, {}
     for slot in SLOTS:

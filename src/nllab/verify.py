@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -328,18 +329,22 @@ def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, wi
     return (T.decay_scan(w1, h, r, eta, alpha, False, widths), T.decay_scan(w2, k, u2, eta, alpha, False, widths))
 
 
-def _srt_forward_oracle(tape, cfg, weights, wq, x, chunk=None, conv_kernel=None, element_order=None, lengths=None):
+def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=None, element_order=None):
     """The per-slot graph that `srt_forward_nodes`' one node replaces, same
     arguments and outputs: every slot its own (B,p,n) fast weight; per chunk,
     element work, gates and one decay_scan per weight of each updated slot,
-    each op its own tape node."""
-    chunk, lengths, L, padded = srt_mod._layout(cfg, x, chunk, lengths, element_order)
+    each op its own tape node.  `element_order` (unpadded sequences only)
+    permutes the tokens of each chunk before the element work and restores
+    them after it; outputs are positional, so any order must give the same."""
+    lengths, L, padded = srt_mod._layout(cfg, x, lengths)
+    if padded and element_order is not None:
+        raise ValueError("element_order applies to unpadded sequences only")
     batch = len(lengths)
     xkv = T.causal_depthwise_conv(x, conv_kernel, batch) if conv_kernel is not None else x
     slots = [slot for slot in SLOTS if slot in cfg.update_slots]
     cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
     outputs = []
-    for start, n, widths in srt_mod._chunks(L, chunk, lengths, padded):
+    for start, n, widths in srt_mod._chunks(L, cfg.chunk, lengths, padded):
         xc = T.slice_columns(x, start * batch, (start + n) * batch)
         xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
         if element_order is None:
@@ -489,7 +494,7 @@ def _fused_core_run(forward, cfg: SrtConfig, vals: dict, chunk: int, lengths: li
     tape = Tape()
     nodes = {name: tape.param(name, v if direction is None else v + shift * direction[name]) for name, v in vals.items()}
     snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS}
-    y, final = forward(tape, cfg, snaps, nodes["wq"], nodes["x"], chunk=chunk, conv_kernel=nodes.get("conv"), lengths=lengths)
+    y, final = forward(tape, replace(cfg, chunk=chunk), snaps, nodes["wq"], nodes["x"], nodes.get("conv"), lengths)
     outs = [y] + [w for slot in SLOTS for w in final[slot]]
     loss = T.dot(y, tape.constant(probes[0]))
     for o, p in zip(outs[1:], probes[1:]):
@@ -499,12 +504,15 @@ def _fused_core_run(forward, cfg: SrtConfig, vals: dict, chunk: int, lengths: li
     return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
 
 
-def _srt_values(state: SrtState, x: np.ndarray, chunk=None, element_order=None, forward=srt_forward_nodes) -> tuple:
-    """Y and each slot's (p,n) final weights of one (d,L) sequence run by `forward` from the state's snapshots."""
+def _srt_values(state: SrtState, x: np.ndarray, chunk=None, forward=srt_forward_nodes) -> tuple:
+    """Y and each slot's (p,n) final weights of one (d,L) sequence run by `forward` from the state's
+    snapshots, in chunks of `chunk` tokens (None: the config's).  A permuted run passes
+    `functools.partial(_srt_forward_oracle, element_order=...)` as `forward`."""
+    cfg = state.config if chunk is None else replace(state.config, chunk=chunk)
     tape = Tape()
     snaps = {slot: tuple(tape.constant(w) for w in ws) for slot, ws in state.weights.items()}
     kernel = None if state.conv_kernel is None else tape.constant(state.conv_kernel)
-    y, final = forward(tape, state.config, snaps, tape.constant(state.wq), tape.constant(x), chunk, kernel, element_order)
+    y, final = forward(tape, cfg, snaps, tape.constant(state.wq), tape.constant(x), kernel)
     return y.value, {slot: tuple(w.value[0] for w in ws) for slot, ws in final.items()}
 
 
@@ -557,8 +565,10 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
         if not cfg.conv:  # carry: one token per call at chunk 1, a split at chunk 3; the conv's window would span a cut
             carried = carried and _carried(state, carry_rng.normal(size=(d, 8)), 1, range(1, 8))
             carried = carried and _carried(state, carry_rng.normal(size=(d, 12)), 3, [6])
-        x = order_rng.normal(size=(d, 7))  # order: a permuted chunk gives the natural order's and the per-op graph's outputs
-        runs = [_srt_values(state, x, 3), _srt_values(state, x, 3, [2, 0, 1]), _srt_values(state, x, 3, [2, 0, 1], _srt_forward_oracle)]
+        # order: the core at natural order gives the per-op graph's outputs at natural order and at a permuted one
+        x = order_rng.normal(size=(d, 7))
+        permuted = partial(_srt_forward_oracle, element_order=[2, 0, 1])
+        runs = [_srt_values(state, x, 3), _srt_values(state, x, 3, _srt_forward_oracle), _srt_values(state, x, 3, permuted)]
         ordered = ordered and all(_bit_identical(runs[0], run) for run in runs[1:])
     # one directional derivative against central differences, along every input at once
     cfg, vals, chunk, lengths, probes, grads = fd_case

@@ -199,6 +199,13 @@ def test_config_defaults_and_unknown_keys(tmp_path):
     cfg = resolve({"task": {"kind": "anbn"}})
     assert cfg["train"]["steps"] == 1500
     assert cfg["model"]["dim"] == 16
+    assert resolve({})["model"] == {
+        "vocab": 0, "dim": 16, "blocks": 1, "num_classes": 0, "core": "srt", "objective": "l2", "chunk": 1,
+        "mem_hidden": 16, "retention": True, "frozen_slots": [], "conv": False, "use_cms": True,
+        "cms_chunks": [1, 4], "cms_variant": "sequential", "cms_hidden": 8, "cms_lr": 0.05,
+        "cms_optimizer": "sgd", "eta_bias": -2.0, "alpha_bias": 3.0, "fixed_eta": None, "fixed_alpha": None,
+        "fast_weight_penalty": 0.01, "tie_readout": False,
+    }
     with pytest.raises(ConfigError) as e:
         resolve({"task": {"kind": "anbn", "mystery": 1}})
     assert "$.task.mystery" in str(e.value)

@@ -66,6 +66,28 @@ def test_an_empty_batch_is_rejected_by_name():
     for call in (model.score, model.loss, model.predict):
         with pytest.raises(ValueError, match="empty token sequence"):
             call([])
+    for core in ("srt", "attention", "linear_attention"):
+        model = HopeModel(tiny_lm_config(core=core, num_classes=2), seed=0)
+        empty = {"tokens": [], "label": 1}
+        for batch, index in (([empty], 0), ([{"tokens": [1, 2], "label": 0}, empty], 1)):
+            with pytest.raises(ValueError, match=f"empty token sequence at sample {index}"):
+                model.build_loss(Tape(), batch)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", 6), ("objective", "dot"), ("chunk", 3), ("retention", False), ("fixed_eta", 0.3),
+        ("fixed_alpha", 0.9), ("eta_bias", -1.0), ("alpha_bias", 2.0), ("conv", True),
+        ("mem_hidden", 5), ("frozen_slots", ("k", "mem")),
+    ],
+)
+def test_srt_config_carries_every_shared_field(field, value):
+    assert getattr(tiny_lm_config(), field) != value
+    cfg = tiny_lm_config(**{field: value}).srt_config()
+    renamed = {"mem_hidden": ("hidden", value), "frozen_slots": ("update_slots", ("v", "eta", "alpha"))}
+    name, expect = renamed.get(field, (field, value))
+    assert getattr(cfg, name) == expect
 
 
 def test_loss_matches_primitive_recomputation():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_element_order_independence_is_bit_exact():
     natural = V._srt_values(state, xs)
     for perm_seed in range(5):
         order = list(np.random.default_rng(perm_seed).permutation(Cn))
-        assert V._bit_identical(V._srt_values(state, xs, element_order=order), natural)
+        assert V._bit_identical(V._srt_values(state, xs, forward=partial(V._srt_forward_oracle, element_order=order)), natural)
 
 
 def test_gate_ranges_hold_on_random_streams():
@@ -358,7 +359,7 @@ def test_batch_lengths_must_fit_the_columns():
         with pytest.raises(T.ShapeError):
             S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=lengths)
     with pytest.raises(ValueError):
-        S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])
+        V._srt_forward_oracle(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])
 
 
 STACK_CONFIGS = {
@@ -459,11 +460,11 @@ def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
         vals["conv"] = state.conv_kernel + 0.3 * rng.normal(size=state.conv_kernel.shape)
     probes = [rng.normal(size=vals["x"].shape)] + [rng.normal(size=(batch,) + w.shape) for ws in state.weights.values() for w in ws]
 
-    def run(forward):
+    def run(forward, **extra):
         tape = T.Tape()
         nodes = {name: tape.param(name, v) for name, v in vals.items()}
         snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(len(ws))) for slot, ws in state.weights.items()}
-        y, final = forward(tape, cfg, snaps, nodes["wq"], nodes["x"], conv_kernel=nodes.get("conv"), element_order=order, lengths=lengths)
+        y, final = forward(tape, cfg, snaps, nodes["wq"], nodes["x"], conv_kernel=nodes.get("conv"), lengths=lengths, **extra)
         outs = [y] + [w for slot in S.SLOTS for w in final[slot]]
         loss = T.dot(y, probes[0])
         for o, p in zip(outs[1:], probes[1:]):
@@ -471,7 +472,7 @@ def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
         return tape, outs, loss
 
     try:
-        oracle_tape, oracle_outs, oracle_loss = run(V._srt_forward_oracle)
+        oracle_tape, oracle_outs, oracle_loss = run(V._srt_forward_oracle, element_order=order)
         oracle = oracle_tape.backward(oracle_loss)
     except T.NonFiniteError:  # a diverging recurrence or gradient: the fused route must say so too
         with pytest.raises(T.NonFiniteError):
