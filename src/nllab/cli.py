@@ -104,8 +104,7 @@ def _eval_metrics(model: HopeModel, eval_data) -> dict:
     if model.config.num_classes:
         metrics = evaluate(model, eval_data)
         return {k: v for k, v in metrics.items() if not (isinstance(v, float) and np.isnan(v))}
-    losses = [model.loss(s["tokens"]) for s in eval_data[:16]]
-    return {"loss_eval": float(np.mean(losses))}
+    return {"loss_eval": evaluate(model, eval_data[:16])["loss"]}
 
 
 def cmd_train(args) -> int:

@@ -188,24 +188,3 @@ def set_tensor(chain: CmsChain, key: str, value: np.ndarray) -> None:
         return
     level, attr = key.split(".")
     setattr(chain.levels[int(level.removeprefix("level"))], attr, value)
-
-
-def init_cms_from_checkpoint(chain: CmsChain, named: dict[str, Tensor]) -> CmsChain:
-    """Load level weights (and snapshots) from a name->tensor mapping."""
-    for i, lv in enumerate(chain.levels):
-        for attr, snap_attr, key in (("w1", "snap1", f"level{i}.w1"), ("w2", "snap2", f"level{i}.w2")):
-            if key not in named:
-                raise KeyError(f"checkpoint is missing tensor {key!r}")
-            arr = T.as_array(named[key])
-            if arr.shape != getattr(lv, attr).shape:
-                raise T.ShapeError(
-                    f"checkpoint tensor {key!r} has shape {arr.shape}, level expects {getattr(lv, attr).shape}"
-                )
-            setattr(lv, attr, arr.copy())
-            setattr(lv, snap_attr, arr.copy())
-    if chain.variant == "independent" and "agg" in named:
-        arr = T.as_array(named["agg"])
-        if arr.shape != chain.agg_weights.shape:
-            raise T.ShapeError(f"checkpoint tensor 'agg' has shape {arr.shape}, expected {chain.agg_weights.shape}")
-        chain.agg_weights = arr.copy()
-    return chain

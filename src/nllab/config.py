@@ -171,8 +171,8 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
 
 def resolve(raw: dict) -> dict:
     cfg = _merge(_TOP_DEFAULTS, raw, "$")
-    if cfg["version"] != 1:
-        raise ConfigError(f"unsupported config version {cfg['version']}")
+    if not _is_int(cfg["version"]) or cfg["version"] != 1:
+        raise ConfigError(f"$.version must be the integer 1, got {cfg['version']!r}")
     for (section, key), allowed in _CHOICES.items():
         value = cfg[section][key]
         if value not in allowed:
@@ -180,10 +180,10 @@ def resolve(raw: dict) -> dict:
     _check_task(cfg["task"])
     _check_model(cfg["model"])
     _check_train(cfg["train"])
-    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError(f"$.seed must be an integer, got {cfg['seed']!r}")
-    if not isinstance(cfg["out_dir"], str):
-        raise ConfigError(f"$.out_dir must be a string, got {cfg['out_dir']!r}")
+    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
+        raise ConfigError(f"$.out_dir must be a non-empty string, got {cfg['out_dir']!r}")
     env_seed = os.environ.get("NLLAB_SEED")
     if env_seed is not None:
         try:

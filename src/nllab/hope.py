@@ -224,7 +224,8 @@ class HopeModel:
             return T.cross_entropy_columns(logits, prefix)
         if sample["label"] is None:
             raise ValueError("a classifier's loss needs a label")
-        return T.cross_entropy(T.matmul(head, T.column(h, (len(tokens) - 1) * batch + b)), sample["label"])
+        last = (len(tokens) - 1) * batch + b
+        return T.cross_entropy_columns(T.matmul(head, T.slice_columns(h, last, last + 1)), [sample["label"]])
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
         """Mean loss over a batch of samples ({"tokens", "label"} dicts), from one forward graph.

@@ -39,8 +39,9 @@ def read_runlog(path: str) -> list[dict]:
                 raise RunlogError(f"line {i + 1} is not valid JSON") from exc
             if not isinstance(rec, dict):
                 raise RunlogError(f"line {i + 1} is not a JSON object")
-            if rec.get("version") != 1:
-                raise RunlogError(f"line {i + 1} has unsupported version {rec.get('version')!r}")
+            version = rec.get("version")
+            if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+                raise RunlogError(f"line {i + 1} has unsupported version {version!r}")
             if "step" not in rec:
                 raise RunlogError(f"line {i + 1} is missing the step field")
             if not isinstance(rec["step"], int) or isinstance(rec["step"], bool):

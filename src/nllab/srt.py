@@ -55,8 +55,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .memory import LINEAR, MLP2, Memory, UnsupportedCombination
-from .tensor import Node, Tape, Tensor
+from .memory import LINEAR, MLP2
+from .tensor import Node, Tape
 
 SLOTS = ("k", "v", "eta", "alpha", "mem")
 STACK = "stack"  # key of the row-stacked fast weight of the updated linear slots
@@ -72,9 +72,7 @@ class SrtConfig:
     chunk: int = 8
     retention: bool = True  # apply the (a*I - e*k k^T) factor on linear memories
     self_values: bool = True  # targets read from each memory; False stores v_t directly
-    normalize_q: bool = True
-    normalize_k: bool = True
-    normalize_v: bool = True  # stability: unit-norm values break the quadratic self-target loop
+    normalize: bool = True  # unit-norm q, k and v (stability: unit-norm values break the quadratic self-target loop)
     update_slots: tuple = SLOTS
     fixed_eta: Optional[float] = None
     fixed_alpha: Optional[float] = None
@@ -163,15 +161,15 @@ def _broadcast(w: np.ndarray, batch: int) -> np.ndarray:
     return np.broadcast_to(w, (batch,) + w.shape).copy()
 
 
-def _unit(raw: dict, names: list) -> tuple:
-    """raw's (B,n,C) arrays, those in `names` with their columns scaled to unit norm as
+def _unit(raw: dict, on: bool) -> tuple:
+    """raw's (B,n,C) arrays, with the columns of q, v and k scaled to unit norm (if `on`) as
     `tensor.l2_normalize_columns_safe` scales them, in one stack; and their (B,1,C) norms, else None."""
     out, norms, batch = dict(raw), dict.fromkeys(raw), len(raw["q"])
-    if names:
-        stack = np.concatenate([raw[name] for name in names])
+    if on:
+        stack = np.concatenate([raw[name] for name in "qvk"])
         scale = T._safe_row_norms(stack.transpose(0, 2, 1))[:, None, :]
         stack /= scale
-        for i, name in enumerate(names):
+        for i, name in enumerate("qvk"):
             out[name], norms[name] = stack[i * batch : (i + 1) * batch], scale[i * batch : (i + 1) * batch]
     return out, norms
 
@@ -239,7 +237,6 @@ class _Core:
         self.stacked, self.slots = _plan(cfg)
         # the rows of the STACK (or of its products) each slot takes: its own block; all for the STACK
         self.rows = {STACK: slice(None), **{slot: slice(i * cfg.dim, (i + 1) * cfg.dim) for i, slot in enumerate(self.stacked)}}
-        self.unit = [name for name, on in zip("qvk", (cfg.normalize_q, cfg.normalize_v, cfg.normalize_k)) if on]
         self.kv = "kv" if conv else "x"  # the columns the k and v memories read
         self.saved = []
 
@@ -311,7 +308,7 @@ class _Core:
             return products[name][:, rows[slot]]
 
         raw = {"q": T._batch_major(wq @ xc, batch), "v": read("v", self.kv), "k": read("k", self.kv)}
-        unit, norms = _unit(raw, self.unit)
+        unit, norms = _unit(raw, cfg.normalize)
         cols["q"], cols["v"] = unit["q"], unit["v"]
         out = {"y": read("mem", "q"), "k": unit["k"]}
         if cfg.fixed_eta is None:
@@ -507,22 +504,6 @@ def srt_forward_nodes(
     return y, final
 
 
-def srt_linear_recurrence(objective: str, memory: Memory, k: Tensor, vhat: Tensor, eta: float, alpha: float) -> Memory:
-    """Closed-form retention-factor step for linear memories (value level)."""
-    if memory.kind != LINEAR:
-        raise UnsupportedCombination("closed-form recurrence applies to linear memories only")
-    m = memory.matrix.data
-    kv, vv = k.data, vhat.data
-    retain = alpha * np.eye(m.shape[1]) - eta * np.outer(kv, kv)
-    if objective == "l2":
-        grad = np.outer(m @ kv - vv, kv)
-    elif objective == "dot":
-        grad = -np.outer(vv, kv)
-    else:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    return Memory.linear(m @ retain - eta * grad)
-
-
 def linear_attention_config(dim: int) -> SrtConfig:
     """Degenerate configuration whose storage trajectory is plain linear attention.
 
@@ -537,9 +518,7 @@ def linear_attention_config(dim: int) -> SrtConfig:
         chunk=1,
         retention=False,
         self_values=False,
-        normalize_q=False,
-        normalize_k=False,
-        normalize_v=False,
+        normalize=False,
         update_slots=("mem",),
         fixed_eta=1.0,
         fixed_alpha=1.0,

@@ -319,48 +319,22 @@ def forgetting_metric(losses_before: Sequence[float], losses_after: Sequence[flo
 
 
 def evaluate(model, dataset: Sequence[dict]) -> dict:
-    """Accuracy per length bin plus mean loss, one model call per sample.
-
-    `model` exposes score(tokens, label) -> (label, loss), which gives both
-    from one forward, or only predict(tokens) -> label (no loss, reported as nan).
-    """
+    """Accuracy per length bin plus mean loss, one `model.score(tokens, label)
+    -> (label, loss)` call (one forward) per sample."""
     if not dataset:
         raise ValueError("empty dataset")
     hits = {0: [], 1: []}
     losses = []
     for sample in dataset:
-        if hasattr(model, "score"):
-            pred, loss = model.score(sample["tokens"], sample["label"])
-            losses.append(loss)
-        else:
-            pred = model.predict(sample["tokens"])
+        pred, loss = model.score(sample["tokens"], sample["label"])
+        losses.append(loss)
         hits[sample["bin"]].append(float(pred == sample["label"]))
-    out = {
+    return {
         "accuracy": float(np.mean(hits[0] + hits[1])),
         "accuracy_bin0": float(np.mean(hits[0])) if hits[0] else float("nan"),
         "accuracy_bin1": float(np.mean(hits[1])) if hits[1] else float("nan"),
+        "loss": float(np.mean(losses)),
     }
-    out["loss"] = float(np.mean(losses)) if losses else float("nan")
-    return out
-
-
-class RecognizerModel:
-    """Ground-truth wrapper: predicts membership straight from the recognizer."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.vocab = vocabulary(kind)
-
-    def predict(self, tokens):
-        return int(recognize(self.kind, "".join(self.vocab[t] for t in tokens)))
-
-
-class ConstantModel:
-    def __init__(self, label: int):
-        self.label = label
-
-    def predict(self, tokens):
-        return self.label
 
 
 _CORPUS_CACHE = None

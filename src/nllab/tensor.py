@@ -1008,8 +1008,17 @@ def _log_softmax(v: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=0))
 
 
-def _cross_entropy(logits: Node, picked: tuple, n: int, op: str) -> Node:
-    """Mean of -log softmax(logits) over the n entries `picked` indexes."""
+def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
+    """Mean cross-entropy of a (vocab,L) logit matrix against L integer targets."""
+    v = logits.value
+    targets = _int_ids(targets, "cross_entropy_columns: target")
+    if v.ndim != 2:
+        raise ShapeError(f"cross_entropy_columns: need a logit matrix, got {v.shape}")
+    if targets.ndim != 1 or targets.shape[0] != v.shape[1]:
+        raise ShapeError(f"cross_entropy_columns: {targets.shape[0]} targets for {v.shape[1]} columns")
+    if np.any(targets < 0) or np.any(targets >= v.shape[0]):
+        raise ValueError("cross_entropy_columns: target id out of range")
+    picked, n = (targets, np.arange(v.shape[1])), v.shape[1]
     saved = []  # the log-softmax, left by `value` for the VJP
 
     def value(a):
@@ -1021,29 +1030,7 @@ def _cross_entropy(logits: Node, picked: tuple, n: int, op: str) -> Node:
         grad[picked] -= 1.0
         return (g * grad / n,)
 
-    return logits.tape._record(value, (logits,), vjp, op)
-
-
-def cross_entropy(logits: Node, target: int) -> Node:
-    if logits.value.ndim != 1:
-        raise ShapeError(f"cross_entropy: need a logit vector, got {logits.value.shape}")
-    target = int(_int_ids(target, "cross_entropy: target"))
-    if not 0 <= target < logits.value.shape[0]:
-        raise ValueError(f"cross_entropy: target {target} out of range")
-    return _cross_entropy(logits, (target,), 1, "cross_entropy")
-
-
-def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
-    """Mean cross-entropy of a (vocab,L) logit matrix against L integer targets."""
-    v = logits.value
-    targets = _int_ids(targets, "cross_entropy_columns: target")
-    if v.ndim != 2:
-        raise ShapeError(f"cross_entropy_columns: need a logit matrix, got {v.shape}")
-    if targets.ndim != 1 or targets.shape[0] != v.shape[1]:
-        raise ShapeError(f"cross_entropy_columns: {targets.shape[0]} targets for {v.shape[1]} columns")
-    if np.any(targets < 0) or np.any(targets >= v.shape[0]):
-        raise ValueError("cross_entropy_columns: target id out of range")
-    return _cross_entropy(logits, (targets, np.arange(v.shape[1])), v.shape[1], "cross_entropy_columns")
+    return logits.tape._record(value, (logits,), vjp, "cross_entropy_columns")
 
 
 # ---------------------------------------------------------------------------

@@ -293,12 +293,12 @@ def _elements(cfg: SrtConfig, boundary: dict, wq, x, xkv, slots, widths) -> dict
     def read(slot: str, cols):
         return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
 
-    def norm(cols, on: bool):
-        return T.l2_normalize_columns_safe(cols) if on else cols
+    def norm(cols):
+        return T.l2_normalize_columns_safe(cols) if cfg.normalize else cols
 
-    q = norm(T.matmul(wq, x), cfg.normalize_q)
-    v = norm(read("v", xkv), cfg.normalize_v)
-    out = {"y": read("mem", q), "k": norm(read("k", xkv), cfg.normalize_k)}
+    q = norm(T.matmul(wq, x))
+    v = norm(read("v", xkv))
+    out = {"y": read("mem", q), "k": norm(read("k", xkv))}
     if cfg.fixed_eta is None:
         out["eta"] = read("eta", x)
     if cfg.fixed_alpha is None:

@@ -7,8 +7,6 @@ implementations.
 
 import time
 
-import pytest
-
 from nllab import verify
 
 

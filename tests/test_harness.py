@@ -22,7 +22,7 @@ from nllab.seeding import derive_seed
 
 def test_package_modules_use_every_name_they_import():
     unused = []
-    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+    for path in sorted(Path(config.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):
@@ -56,6 +56,43 @@ def test_every_public_tensor_function_has_a_caller_in_another_module():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
         }
     assert not sorted(public - referenced), sorted(public - referenced)
+
+
+def _mentioned(statement: ast.AST) -> set:
+    """Every name, attribute and from-imported name a statement mentions."""
+    out = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_function_and_class_of_the_package_has_a_program_caller():
+    # a caller is another top-level statement of the package or of the benchmark
+    # scripts that names it; a decorated (registered) function counts as called
+    package = Path(config.__file__).parent
+    paths = sorted(package.glob("*.py")) + sorted((package.parents[1] / "perfbench").glob("*.py"))
+    public, names = [], {}
+    for path in paths:
+        for statement in ast.parse(path.read_text()).body:
+            names[statement] = _mentioned(statement)
+            if (
+                path.parent == package
+                and isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                and not statement.name.startswith("_")
+                and not (isinstance(statement, ast.FunctionDef) and statement.decorator_list)
+            ):
+                public.append((path.stem, statement))
+    uncalled = [
+        f"{module}.{definition.name}"
+        for module, definition in public
+        if not any(definition.name in refs for statement, refs in names.items() if statement is not definition)
+    ]
+    assert not uncalled, uncalled
 
 
 def test_seed_derivation_is_stable_and_independent():
@@ -238,7 +275,9 @@ def test_runlog_roundtrip_and_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["not json", "[1, 2]", '{"version": 1, "step": "2"}'], ids=["not-json", "not-an-object", "step-not-integer"]
+    "line",
+    ["not json", "[1, 2]", '{"version": 1, "step": "2"}', '{"version": true, "step": 2}'],
+    ids=["not-json", "not-an-object", "step-not-integer", "version-not-integer"],
 )
 def test_cli_emit_plots_rejects_a_malformed_runlog(tmp_path, capsys, line):
     path = tmp_path / "log.jsonl"
@@ -384,6 +423,10 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"seed": 1.5}, "$.seed", "integer"),
         ({"seed": True}, "$.seed", "integer"),
         ({"out_dir": 5}, "$.out_dir", "string"),
+        # an empty out_dir would put the run's files in the working directory
+        ({"out_dir": ""}, "$.out_dir", "non-empty"),
+        ({"version": True}, "$.version", "integer 1"),
+        ({"version": 1.0}, "$.version", "integer 1"),
     ]
     env_cases = [("x", "NLLAB_SEED", "integer"), ("1.5", "NLLAB_SEED", "integer")]
     for i, (raw, path, detail) in enumerate(cases + env_cases):
@@ -399,7 +442,7 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and path in err and detail in err, err
         assert "Traceback" not in err
         assert not (out_dir / "config.json").exists()
-    assert not (tmp_path / "5").exists() and not os.path.exists("5")
+    assert not (tmp_path / "5").exists() and not os.path.exists("5") and not os.path.exists("config.json")
     # a null level never ticks and stays accepted
     monkeypatch.delenv("NLLAB_SEED")
     cfg = resolve({"model": {"cms_chunks": [1, None]}})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nllab import optim, tensor as T
-from nllab.optim import OptimizerState, contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
+from nllab.optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
 from nllab.tensor import Tensor
 
 

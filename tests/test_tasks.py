@@ -5,8 +5,6 @@ import pytest
 
 from nllab import tasks
 from nllab.tasks import (
-    ConstantModel,
-    RecognizerModel,
     TaskSpec,
     evaluate,
     forgetting_metric,
@@ -168,18 +166,39 @@ def test_stream_task_loss_minimized_at_target():
     assert stream_task_loss(stream, 0, w_star) < 1e-20
 
 
+class RecognizerDouble:
+    """Ground truth: predicts membership straight from the recognizer, 0-1 loss."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def score(self, tokens, label):
+        pred = int(recognize(self.kind, decode(self.kind, tokens)))
+        return pred, float(pred != label)
+
+
+class ConstantDouble:
+    """Predicts one label for every sample, 0-1 loss."""
+
+    def __init__(self, label: int):
+        self.label = label
+
+    def score(self, tokens, label):
+        return self.label, float(self.label != label)
+
+
 def test_evaluate_with_recognizer_and_constant_models():
     spec = TaskSpec("anbn", seed=11, params={"bin1_fraction": 0.3})
     data = generate(spec, 60)
-    perfect = evaluate(RecognizerModel("anbn"), data)
+    perfect = evaluate(RecognizerDouble("anbn"), data)
     assert perfect["accuracy"] == 1.0
     assert perfect["accuracy_bin0"] == 1.0 and perfect["accuracy_bin1"] == 1.0
     # labels alternate positive/negative, so a constant predictor sits at exactly one half
-    constant = evaluate(ConstantModel(1), data)
+    constant = evaluate(ConstantDouble(1), data)
     assert constant["accuracy"] == 0.5
-    # models with predict only report no loss
+    # the loss is the mean of the scored losses, here 1 - accuracy
     assert set(perfect) == set(constant) == {"accuracy", "accuracy_bin0", "accuracy_bin1", "loss"}
-    assert np.isnan(perfect["loss"]) and np.isnan(constant["loss"])
+    assert perfect["loss"] == 0.0 and constant["loss"] == 0.5
     hits1 = [s["label"] == 1 for s in data if s["bin"] == 1]
     assert constant["accuracy_bin1"] == np.mean(hits1)
 
@@ -215,4 +234,4 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         generate(TaskSpec("toy_psi"), 5)
     with pytest.raises(ValueError):
-        evaluate(ConstantModel(0), [])
+        evaluate(ConstantDouble(0), [])
