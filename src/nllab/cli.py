@@ -15,7 +15,7 @@ from .hope import DivergenceError, HopeConfig, HopeModel, outer_optimizer_states
 from .runlog import RunlogError, emit_plot_series, read_runlog, write_runlog
 from .seeding import derive_seed
 from .tasks import LANGUAGE_KINDS, RECALL_KINDS, TaskSpec, evaluate, generate, vocabulary
-from .tensor import ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
 
 
 def build_task_data(cfg: dict, seed: int, params: dict, n: int) -> list[dict]:
@@ -86,16 +86,16 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
     A kind, shape or hyperparameter an optimizer rejects raises ConfigError naming its key.
     """
     kind, hp = cfg["train"]["optimizer"], cfg["train"]["opt_hp"]
-    values = model.named_parameters()
     try:
         for name, state in outer_optimizer_states(model, kind, hp).items():
-            optim.step(kind, state, Tensor(values[name]), Tensor(np.ones_like(values[name])))
+            optim.step(kind, state, Tensor(model.params[name]), Tensor(np.ones_like(model.params[name])))
     except (TypeError, ValueError, ArithmeticError) as exc:
         key = "optimizer" if not hp or isinstance(exc, optim.UnsupportedShape) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
     try:
-        for name, state in model.cms_opt_states.items():
-            optim.step(model.config.cms_optimizer, state, Tensor(values[name]), Tensor(np.ones_like(values[name])))
+        for level in (lv for chain in model.chains if chain for lv in chain.levels):
+            for state, w in zip(level.opt_states or (), (level.w1, level.w2)):
+                optim.step(state.kind, state, Tensor(w), Tensor(np.ones_like(w)))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid level optimizer at $.model.cms_optimizer: {exc}") from exc
 
@@ -117,25 +117,29 @@ def cmd_train(args) -> int:
     out_dir = cfg["out_dir"]
     write_json_atomic(os.path.join(out_dir, "config.json"), cfg)
 
-    records = [{"step": 0, **_eval_metrics(model, eval_data)}]
+    failed = True
     try:
-        log = train(
-            model,
-            train_data,
-            opt_kind=cfg["train"]["optimizer"],
-            steps=cfg["train"]["steps"],
-            seed=derive_seed(cfg["seed"], "shuffle"),
-            batch_size=cfg["train"]["batch_size"],
-            eval_every=cfg["train"]["eval_every"],
-            eval_fn=lambda m: _eval_metrics(m, eval_data),
-            opt_hp=cfg["train"]["opt_hp"],
-            clip_norm=cfg["train"]["clip_norm"],
-        )
-        records.extend({"step": r["step"], **{k: v for k, v in r.items() if k != "step"}} for r in log)
-        failed = False
-    except DivergenceError as exc:
-        records.extend(exc.log)
-        failed = True
+        records = [{"step": 0, **_eval_metrics(model, eval_data)}]
+    except NonFiniteError as exc:
+        records = [{"step": 0, "event": "diverged", "detail": str(exc)}]
+    else:
+        try:
+            log = train(
+                model,
+                train_data,
+                opt_kind=cfg["train"]["optimizer"],
+                steps=cfg["train"]["steps"],
+                seed=derive_seed(cfg["seed"], "shuffle"),
+                batch_size=cfg["train"]["batch_size"],
+                eval_every=cfg["train"]["eval_every"],
+                eval_fn=lambda m: _eval_metrics(m, eval_data),
+                opt_hp=cfg["train"]["opt_hp"],
+                clip_norm=cfg["train"]["clip_norm"],
+            )
+            failed = False
+        except DivergenceError as exc:
+            log = exc.log
+        records.extend(log)
 
     write_runlog(os.path.join(out_dir, "runlog.jsonl"), records)
     checkpoint.save(os.path.join(out_dir, "checkpoint.nlck"), model.named_parameters())
@@ -158,7 +162,12 @@ def cmd_eval(args) -> int:
             model.set_parameter(name, value)
     except (KeyError, ShapeError) as exc:
         raise checkpoint.CheckpointError(f"{args.checkpoint} does not fit the config: {exc.args[0]}") from exc
-    print(json.dumps(_eval_metrics(model, build_eval_data(cfg)), indent=2, sort_keys=True))
+    try:
+        metrics = _eval_metrics(model, build_eval_data(cfg))
+    except NonFiniteError as exc:
+        print(f"error: evaluation diverged (non-finite value): {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
 

@@ -2,10 +2,11 @@
 
 Level l applies its buffered update every `chunk[l]` steps and keeps its
 weights bit-frozen in between; `chunk=None` means the level never ticks (a
-static feed-forward block).  Three wirings: "sequential" and "nested" compose
-the levels, "independent" blends per-level reads with learnable weights.  The
-nested wiring additionally restores a level to its init snapshot whenever the
-next-slower level applies, so each fast level restarts its context.
+static feed-forward block).  A level buffers `eta·g`, or a substituted
+optimizer's step direction.  Three wirings: "sequential" and "nested" compose
+the levels, "independent" blends per-level reads with the caller's weights.
+The nested wiring additionally restores a level to its init snapshot whenever
+the next-slower level applies, so each fast level restarts its context.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import optim
 from . import tensor as T
 from .memory import MLP2, read_node
 from .tensor import Tape, Tensor
@@ -34,6 +36,7 @@ class CmsLevel:
     snap1: np.ndarray = field(default=None)
     snap2: np.ndarray = field(default=None)
     applied: int = 0
+    opt_states: tuple = None  # (w1, w2) states of a substituted optimizer; None buffers eta * g
 
     def __post_init__(self):
         if self.w1.shape[1] != self.w2.shape[0] or self.w1.shape[0] != self.w2.shape[1]:
@@ -70,7 +73,6 @@ class CmsChain:
                     raise ValueError(f"chunk {c} does not divide the largest chunk {cmax}")
         self.levels = levels
         self.variant = variant
-        self.agg_weights = np.ones(len(levels)) / len(levels) if variant == "independent" else None
         self.last_step = 0
 
 
@@ -81,30 +83,30 @@ def make_chain(
     variant: str = "sequential",
     eta: float = 0.01,
     seed: int = 0,
+    optimizer: str = "sgd",
 ) -> CmsChain:
+    """Levels buffer `eta·g` with sgd, or another `optimizer`'s step direction at rate 1."""
     rng = np.random.default_rng(seed)
     levels = []
     for c in chunks:
         w1 = INIT_SCALE * rng.normal(size=(dim, hidden)) / np.sqrt(hidden)
         w2 = rng.normal(size=(hidden, dim)) / np.sqrt(dim)
-        levels.append(CmsLevel(w1, w2, c, eta))
+        states = None if optimizer == "sgd" else tuple(optim.init_state(optimizer, w.shape) for w in (w1, w2))
+        levels.append(CmsLevel(w1, w2, c, eta if states is None else 1.0, opt_states=states))
     return CmsChain(levels, variant=variant)
 
 
-def register_nodes(chain: CmsChain, tape: Tape, prefix: str = "cms.") -> tuple[list[tuple], T.Node | None]:
-    """Register every level's weights (then the aggregation weights of an
-    independent chain) as named tape parameters, so one backward yields all
-    per-level gradients.  Returns (level_nodes, agg_node) for `forward_with_nodes`."""
-    level_nodes = [
+def register_nodes(chain: CmsChain, tape: Tape, prefix: str = "cms.") -> list[tuple]:
+    """Register every level's weights as named tape parameters, so one backward
+    yields all per-level gradients.  Returns the level nodes for `forward_with_nodes`."""
+    return [
         (tape.param(f"{prefix}level{i}.w1", lv.w1), tape.param(f"{prefix}level{i}.w2", lv.w2))
         for i, lv in enumerate(chain.levels)
     ]
-    agg_node = tape.param(f"{prefix}agg", chain.agg_weights) if chain.variant == "independent" else None
-    return level_nodes, agg_node
 
 
 def forward_with_nodes(chain: CmsChain, level_nodes: list[tuple], x, agg_node=None):
-    """Graph forward against pre-registered weight nodes (one registration, many reads)."""
+    """Graph forward against pre-registered weight nodes; an independent chain blends by `agg_node`."""
     reads = []
     cur = x
     for (w1, w2) in level_nodes:
@@ -122,7 +124,7 @@ def forward_with_nodes(chain: CmsChain, level_nodes: list[tuple], x, agg_node=No
 
 
 def cms_accumulate(chain: CmsChain, grads: list[tuple]) -> None:
-    """Buffer one step's per-level gradients, scaled by each level's inner rate."""
+    """Buffer `eta·g` per level, or `w − step(w)` for a level with a substituted optimizer."""
     if len(grads) != len(chain.levels):
         raise ValueError(f"got {len(grads)} gradient pairs for {len(chain.levels)} levels")
     for lv, (g1, g2) in zip(chain.levels, grads):
@@ -131,6 +133,11 @@ def cms_accumulate(chain: CmsChain, grads: list[tuple]) -> None:
             raise T.ShapeError(
                 f"gradient shapes {g1.shape}/{g2.shape} do not match level weights {lv.w1.shape}/{lv.w2.shape}"
             )
+        if lv.opt_states is not None:
+            parts = zip(lv.opt_states, (lv.w1, lv.w2), (g1, g2))
+            steps = [optim.step(s.kind, s, Tensor(w), Tensor(g)) for s, w, g in parts]
+            lv.opt_states = tuple(state for _, state in steps)
+            g1, g2 = (w - new.data for w, (new, _) in zip((lv.w1, lv.w2), steps))
         lv.acc1 = lv.acc1 + lv.eta * g1
         lv.acc2 = lv.acc2 + lv.eta * g2
 
@@ -176,15 +183,10 @@ def state_dict(chain: CmsChain) -> dict[str, Tensor]:
     for i, lv in enumerate(chain.levels):
         out[f"level{i}.w1"] = Tensor(lv.w1)
         out[f"level{i}.w2"] = Tensor(lv.w2)
-    if chain.variant == "independent":
-        out["agg"] = Tensor(chain.agg_weights)
     return out
 
 
 def set_tensor(chain: CmsChain, key: str, value: np.ndarray) -> None:
     """Replace the weight `state_dict` names `key`; snapshots are left alone."""
-    if key == "agg":
-        chain.agg_weights = value
-        return
     level, attr = key.split(".")
     setattr(chain.levels[int(level.removeprefix("level"))], attr, value)

@@ -9,7 +9,8 @@ recurrence (no truncation).
 
 Chain weights update through the buffered-frequency rule: gradients (or a
 substituted optimizer's step direction) accumulate per level and apply only
-when the token counter crosses the level's boundary.
+when the token counter crosses the level's boundary.  An independent chain's
+blend weights are the outer optimizer's parameters `b{b}.cms.agg`.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class HopeModel:
             self.params["readout"] = np.zeros((out_rows, d))
         self.srt_cfg = config.srt_config()
         self.chains: list[Optional[CmsChain]] = []
-        # level optimizer states keyed as in named_parameters(); none for sgd levels
-        self.cms_opt_states: dict[str, optim.OptimizerState] = {}
         for b in range(config.blocks):
             # unit-norm columns at init keep the fast-weight recurrence in its
             # stable regime; the gains are learnable
@@ -112,23 +111,18 @@ class HopeModel:
                 for name in ("wq", "wk", "wv"):
                     self.params[f"b{b}.{name}"] = rng.normal(size=(d, d)) / np.sqrt(d)
             if config.use_cms:
-                # with a substituted level optimizer the buffered quantity is the
-                # optimizer's own step direction, so the level rate stays 1
-                level_eta = config.cms_lr if config.cms_optimizer == "sgd" else 1.0
                 chain = make_chain(
                     d,
                     config.cms_hidden or d,
                     list(config.cms_chunks),
                     variant=config.cms_variant,
-                    eta=level_eta,
+                    eta=config.cms_lr,
                     seed=int(rng.integers(0, 2**31)),
+                    optimizer=config.cms_optimizer,
                 )
                 self.chains.append(chain)
-                if config.cms_optimizer != "sgd":
-                    for i, lv in enumerate(chain.levels):
-                        for part, w in (("w1", lv.w1), ("w2", lv.w2)):
-                            key = f"b{b}.cms.level{i}.{part}"
-                            self.cms_opt_states[key] = optim.init_state(config.cms_optimizer, w.shape)
+                if chain.variant == "independent":
+                    self.params[f"b{b}.cms.agg"] = np.ones(len(chain.levels)) / len(chain.levels)
             else:
                 self.chains.append(None)
         self.token_count = 0
@@ -137,7 +131,7 @@ class HopeModel:
     # graph construction
 
     def _register(self, tape: Tape) -> dict:
-        """Parameter nodes by name, the head's again as "head", each chain's (level_nodes, agg_node) as "b{b}.cms"."""
+        """Parameter nodes by name, the head's again as "head", each chain's level nodes as "b{b}.cms"."""
         nodes = {name: tape.param(name, value) for name, value in self.params.items()}
         nodes["head"] = nodes["emb"] if self.config.tie_readout else nodes["readout"]
         for b, chain in enumerate(self.chains):
@@ -194,8 +188,7 @@ class HopeModel:
         if not cfg.use_cms:
             return out
         on = self._rms(out, nodes[f"b{b}.norm2"])
-        level_nodes, agg_node = nodes[f"b{b}.cms"]
-        return cms_mod.forward_with_nodes(self.chains[b], level_nodes, on, agg_node=agg_node)
+        return cms_mod.forward_with_nodes(self.chains[b], nodes[f"b{b}.cms"], on, agg_node=nodes.get(f"b{b}.cms.agg"))
 
     def _hidden(self, tape: Tape, nodes: dict, sequences: Sequence[Sequence[int]], collect_penalty=None) -> Node:
         """Hidden states of B sequences as time-major (d, L*B) columns, shorter ones padded with token 0."""
@@ -295,7 +288,7 @@ class HopeModel:
         cms_mod.set_tensor(self.chains[int(block.removeprefix("b"))], key, value.copy())
 
 
-# train()'s outer Adam hyperparameters when the caller gives none
+# train()'s outer Adam hyperparameters; a caller's opt_hp overrides them key by key
 ADAM_HP = dict(eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8, ema=True, bias_correction=True, weight_decay=0.01)
 
 
@@ -307,13 +300,9 @@ def _global_grad_norm(grads: dict) -> float:
 
 
 def outer_optimizer_states(model: HopeModel, opt_kind: str, opt_hp: Optional[dict] = None) -> dict:
-    """Fresh outer optimizer state, keyed as in `named_parameters()`, for every array train() steps with it."""
-    hp = opt_hp or (ADAM_HP if opt_kind == "adam" else {})
-    shapes = {name: value.shape for name, value in model.params.items()}
-    for b, chain in enumerate(model.chains):
-        if chain is not None and chain.variant == "independent":
-            shapes[f"b{b}.cms.agg"] = chain.agg_weights.shape
-    return {name: optim.init_state(opt_kind, shape, **hp) for name, shape in shapes.items()}
+    """Fresh outer optimizer state for every array of `model.params`, which train() steps with it."""
+    hp = {**(ADAM_HP if opt_kind == "adam" else {}), **(opt_hp or {})}
+    return {name: optim.init_state(opt_kind, value.shape, **hp) for name, value in model.params.items()}
 
 
 def train(
@@ -330,9 +319,10 @@ def train(
 ) -> list[dict]:
     """Deterministic training loop; returns one log record per step.
 
-    Non-chain parameters follow the outer optimizer.  Chain level weights
-    follow the buffered-frequency rule: their directions accumulate and apply
-    only at token-counter boundaries.
+    `model.params` follow the outer optimizer.  Chain level weights follow
+    the buffered-frequency rule: their directions accumulate and apply only at
+    token-counter boundaries.  A non-finite value in a step or in `eval_fn`
+    ends the run with a DivergenceError whose last record names that step.
     """
     rng = np.random.default_rng(seed)
     opt_states = outer_optimizer_states(model, opt_kind, opt_hp)
@@ -365,34 +355,18 @@ def train(
 
         tokens_used = sum(len(s["tokens"]) for s in batch)
         for b, chain in enumerate(model.chains):
-            if chain is None:
-                continue
-            pairs = []
-            for i, lv in enumerate(chain.levels):
-                pair = []
-                for part, w in (("w1", lv.w1), ("w2", lv.w2)):
-                    key = f"b{b}.cms.level{i}.{part}"
-                    if key in model.cms_opt_states:
-                        new_w, model.cms_opt_states[key] = optim.step(
-                            model.config.cms_optimizer, model.cms_opt_states[key], Tensor(w), grads[key]
-                        )
-                        pair.append(w - new_w.data)
-                    else:
-                        pair.append(grads[key].data)
-                pairs.append(pair)
-            cms_accumulate(chain, pairs)
-            if chain.variant == "independent":
-                key = f"b{b}.cms.agg"
-                new_agg, opt_states[key] = optim.step(opt_kind, opt_states[key], Tensor(chain.agg_weights), grads[key])
-                chain.agg_weights = new_agg.data
-
-        for chain in model.chains:
             if chain is not None:
+                levels = [f"b{b}.cms.level{i}" for i in range(len(chain.levels))]
+                cms_accumulate(chain, [(grads[f"{key}.w1"], grads[f"{key}.w2"]) for key in levels])
                 cms_tick(chain, model.token_count + 1, tokens_used)
         model.token_count += tokens_used
 
         record = {"step": step_idx, "loss": float(loss_node.value), "grad_norm": gnorm}
         if eval_every and eval_fn and step_idx % eval_every == 0:
-            record.update(eval_fn(model))
+            try:
+                record.update(eval_fn(model))
+            except T.NonFiniteError as exc:
+                log.append({**record, "event": "diverged", "detail": str(exc)})
+                raise DivergenceError(step_idx, log) from exc
         log.append(record)
     return log

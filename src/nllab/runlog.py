@@ -12,16 +12,28 @@ class RunlogError(ValueError):
     pass
 
 
+def _check_record(rec: dict, last, where: str) -> None:
+    """Version the integer 1 and an integer step above `last` (None: first record)."""
+    version = rec.get("version")
+    if type(version) is not int or version != 1:
+        raise RunlogError(f"{where} has unsupported version {version!r}")
+    if "step" not in rec:
+        raise RunlogError(f"{where} is missing the step field")
+    if type(rec["step"]) is not int:
+        raise RunlogError(f"{where}: step must be an integer, got {rec['step']!r}")
+    if last is not None and rec["step"] <= last:
+        raise RunlogError(f"{where}: steps must strictly increase, got {rec['step']} after {last}")
+
+
 def write_runlog(path: str, records: list[dict]) -> None:
-    last = 0
+    """Write `records` with version 1 added; a record `read_runlog` would reject raises first."""
+    last = None
     lines = []
-    for rec in records:
-        if "step" not in rec:
-            raise RunlogError("every record needs a step field")
-        if rec["step"] <= last and lines:
-            raise RunlogError(f"steps must strictly increase, got {rec['step']} after {last}")
+    for i, rec in enumerate(records):
+        rec = {"version": 1, **rec}
+        _check_record(rec, last, f"record {i}")
         last = rec["step"]
-        lines.append(json.dumps({"version": 1, **rec}, sort_keys=True))
+        lines.append(json.dumps(rec, sort_keys=True))
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
@@ -39,15 +51,7 @@ def read_runlog(path: str) -> list[dict]:
                 raise RunlogError(f"line {i + 1} is not valid JSON") from exc
             if not isinstance(rec, dict):
                 raise RunlogError(f"line {i + 1} is not a JSON object")
-            version = rec.get("version")
-            if not isinstance(version, int) or isinstance(version, bool) or version != 1:
-                raise RunlogError(f"line {i + 1} has unsupported version {version!r}")
-            if "step" not in rec:
-                raise RunlogError(f"line {i + 1} is missing the step field")
-            if not isinstance(rec["step"], int) or isinstance(rec["step"], bool):
-                raise RunlogError(f"line {i + 1}: step must be an integer, got {rec['step']!r}")
-            if last is not None and rec["step"] <= last:
-                raise RunlogError(f"line {i + 1}: steps must strictly increase")
+            _check_record(rec, last, f"line {i + 1}")
             last = rec["step"]
             records.append(rec)
     return records

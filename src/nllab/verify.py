@@ -19,7 +19,7 @@ import numpy as np
 from . import bench, checkpoint, config as config_mod, runlog as runlog_mod
 from . import cms as cms_mod
 from . import tensor as T
-from .hope import ADAM_HP, HopeConfig, HopeModel, train
+from .hope import HopeConfig, HopeModel, train
 from . import srt as srt_mod
 from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle_step, read_node, rule_step
 from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
@@ -253,7 +253,7 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         tape = Tape()
-        level_nodes, _ = cms_mod.register_nodes(chain, tape)
+        level_nodes = cms_mod.register_nodes(chain, tape)
         out = cms_mod.forward_with_nodes(chain, level_nodes, tape.constant(x))
         grads = tape.backward(T.mse(out, tape.constant(y)))
         cms_mod.cms_accumulate(chain, [(grads["cms.level0.w1"].data, grads["cms.level0.w2"].data)])
@@ -858,8 +858,7 @@ def check_smoke(faults=frozenset(), out_dir=None) -> CheckResult:
     for core, setting in SMOKE_SETTINGS.items():
         cfg = HopeConfig(vocab=vocab, dim=24, blocks=1, core=core, chunk=8, cms_chunks=(1, 4), cms_hidden=12, mem_hidden=24)
         model = HopeModel(cfg, seed=1)
-        hp = {**ADAM_HP, "eta": setting["lr"]}
-        log = train(model, data, steps=500, seed=2, batch_size=setting["batch_size"], opt_hp=hp)
+        log = train(model, data, steps=500, seed=2, batch_size=setting["batch_size"], opt_hp={"eta": setting["lr"]})
         final = float(np.mean([r["loss"] for r in log[-25:]]))
         drops[core] = 1.0 - final / log[0]["loss"]
     ok = all(d >= 0.30 for d in drops.values())

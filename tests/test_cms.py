@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from nllab import cms as C
+from nllab import optim
 from nllab import tensor as T
 from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_tick, make_chain
-from nllab.tensor import Tape
+from nllab.tensor import Tape, Tensor
 
 
-def forward_nodes(chain, tape, x):
-    """Register the chain's weights on `tape`, then run the graph forward on constant `x`."""
-    level_nodes, agg_node = C.register_nodes(chain, tape)
-    return C.forward_with_nodes(chain, level_nodes, tape.constant(x), agg_node)
+def forward_nodes(chain, tape, x, agg=None):
+    """Register the chain's weights on `tape`, then run the graph forward on constant `x`
+    (an independent chain blends its reads with the constant weights `agg`)."""
+    agg_node = None if agg is None else tape.constant(agg)
+    return C.forward_with_nodes(chain, C.register_nodes(chain, tape), tape.constant(x), agg_node)
 
 
-def forward(chain, x):
+def forward(chain, x, agg=None):
     """The chain's output at its current weights, through the graph forward programs run."""
-    return forward_nodes(chain, Tape(), x).value
+    return forward_nodes(chain, Tape(), x, agg).value
 
 
 def loss_and_grads(chain, x, target):
@@ -38,10 +40,9 @@ def test_single_level_passthrough_when_w1_zero():
 def test_independent_masked_aggregation():
     rng = np.random.default_rng(1)
     chain = make_chain(4, 3, [1, 4], variant="independent", seed=2)
-    chain.agg_weights = np.array([1.0, 0.0])
     x = rng.normal(size=4)
     lv = chain.levels[0]
-    assert np.array_equal(forward(chain, x), x + lv.w1 @ T._silu(lv.w2 @ x))
+    assert np.array_equal(forward(chain, x, np.array([1.0, 0.0])), x + lv.w1 @ T._silu(lv.w2 @ x))
 
 
 def test_sequential_forward_equals_manual_composition():
@@ -78,6 +79,40 @@ def test_accumulator_equals_direct_sum():
         cms_accumulate(chain, [(g1, g2)])
         total1 = total1 + 0.3 * g1
     assert np.array_equal(chain.levels[0].acc1, total1)
+
+
+@pytest.mark.parametrize("optimizer", ["momentum", "adam"])
+def test_substituted_level_optimizer_buffers_its_own_step_at_rate_one(optimizer):
+    rng = np.random.default_rng(30)
+    chain = make_chain(3, 2, [4, 8], seed=31, eta=0.3, optimizer=optimizer)
+    # the hand-run oracle: fresh states stepped on the same weights and gradients
+    states = [(optim.init_state(optimizer, (3, 2)), optim.init_state(optimizer, (2, 3))) for _ in chain.levels]
+    expect = [(np.zeros((3, 2)), np.zeros((2, 3))) for _ in chain.levels]
+    for _ in range(3):
+        grads = [(rng.normal(size=(3, 2)), rng.normal(size=(2, 3))) for _ in chain.levels]
+        for i, lv in enumerate(chain.levels):
+            assert lv.eta == 1.0
+            parts = zip(states[i], (lv.w1, lv.w2), grads[i])
+            stepped = [optim.step(optimizer, s, Tensor(w), Tensor(g)) for s, w, g in parts]
+            states[i] = tuple(state for _, state in stepped)
+            expect[i] = tuple(acc + (w - new.data) for acc, w, (new, _) in zip(expect[i], (lv.w1, lv.w2), stepped))
+        cms_accumulate(chain, grads)
+    for lv, (acc1, acc2), pair in zip(chain.levels, expect, states):
+        assert np.array_equal(lv.acc1, acc1) and np.array_equal(lv.acc2, acc2)
+        for state, oracle in zip(lv.opt_states, pair):
+            assert state.t == oracle.t == 3
+            for slot, value in oracle.slots.items():
+                assert np.array_equal(state.slots[slot], value), slot
+
+
+def test_sgd_levels_buffer_eta_times_gradient():
+    rng = np.random.default_rng(32)
+    chain = make_chain(3, 2, [1, 2], seed=33, eta=0.3, optimizer="sgd")
+    grads = [(rng.normal(size=(3, 2)), rng.normal(size=(2, 3))) for _ in chain.levels]
+    cms_accumulate(chain, grads)
+    for lv, (g1, g2) in zip(chain.levels, grads):
+        assert lv.opt_states is None and lv.eta == 0.3
+        assert np.array_equal(lv.acc1, 0.3 * g1) and np.array_equal(lv.acc2, 0.3 * g2)
 
 
 def test_off_boundary_steps_leave_weights_bit_identical():
@@ -173,12 +208,9 @@ def test_independent_aggregation_linear_in_weights():
     x = rng.normal(size=4)
     w_a = rng.normal(size=2)
     w_b = rng.normal(size=2)
-    chain.agg_weights = w_a
-    out_a = forward(chain, x)
-    chain.agg_weights = w_b
-    out_b = forward(chain, x)
-    chain.agg_weights = w_a + w_b
-    out_sum = forward(chain, x)
+    out_a = forward(chain, x, w_a)
+    out_b = forward(chain, x, w_b)
+    out_sum = forward(chain, x, w_a + w_b)
     assert np.abs(out_sum - (out_a + out_b)).max() < 1e-12
 
 
@@ -211,15 +243,15 @@ def test_forward_nodes_matches_value_forward():
     for variant in ("sequential", "independent"):
         chain = make_chain(4, 3, [1, 2], variant=variant, seed=25)
         x = rng.normal(size=(4, 5))
+        a = rng.normal(size=2)
         tape = Tape()
-        node = forward_nodes(chain, tape, x)
+        node = forward_nodes(chain, tape, x, a if variant == "independent" else None)
         # the chain read in numpy on (d,L) columns, bit for bit
         lv0, lv1 = chain.levels
         if variant == "sequential":
             h = x + lv0.w1 @ T._silu(lv0.w2 @ x)
             expect = h + lv1.w1 @ T._silu(lv1.w2 @ h)
         else:
-            a = chain.agg_weights
             expect = a[0] * (x + lv0.w1 @ T._silu(lv0.w2 @ x)) + a[1] * (x + lv1.w1 @ T._silu(lv1.w2 @ x))
         assert np.array_equal(node.value, expect)
         assert list(tape.params) == [f"cms.{key}" for key in C.state_dict(chain)]

@@ -260,6 +260,24 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert cfg["seed"] == 4242
 
 
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"step": 2}, {"step": 2}],
+        [{"step": True}],
+        [{"step": 1.5}],
+        [{"step": 1}, {"step": 2.5}],
+        [{"step": 1, "version": 2}],
+    ],
+    ids=["repeated-step", "bool-step", "real-step", "later-real-step", "own-version"],
+)
+def test_write_runlog_rejects_what_read_runlog_rejects(tmp_path, records):
+    path = tmp_path / "bad.jsonl"
+    with pytest.raises(RunlogError):
+        write_runlog(str(path), records)
+    assert not path.exists()
+
+
 def test_runlog_roundtrip_and_validation(tmp_path):
     path = tmp_path / "log.jsonl"
     records = [{"step": 1, "loss": 0.5}, {"step": 3, "loss": 0.25, "accuracy": 0.9}]
@@ -267,8 +285,6 @@ def test_runlog_roundtrip_and_validation(tmp_path):
     loaded = read_runlog(str(path))
     assert [r["step"] for r in loaded] == [1, 3]
     assert all(r["version"] == 1 for r in loaded)
-    with pytest.raises(RunlogError):
-        write_runlog(str(tmp_path / "bad.jsonl"), [{"step": 2}, {"step": 2}])
     (tmp_path / "corrupt.jsonl").write_text('{"version": 1, "step": 1}\nnot json\n')
     with pytest.raises(RunlogError):
         read_runlog(str(tmp_path / "corrupt.jsonl"))
@@ -345,6 +361,46 @@ def test_cli_train_zero_steps_writes_initial_state(tmp_path):
     assert len(records) == 1 and records[0]["step"] == 0
     tensors = checkpoint.load(str(tmp_path / "run0" / "checkpoint.nlck"))
     assert "emb" in tensors
+
+
+# an SRT model whose step-0 evaluation overflows to a non-finite value
+NONFINITE_EVAL_CONFIG = {
+    "task": {"kind": "parity"},
+    "model": {"dim": 3, "chunk": 2, "conv": True, "objective": "dot", "retention": False},
+    "train": {"steps": 1, "eval_every": 0, "train_samples": 4, "eval_samples": 2},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_nonfinite_evaluation_is_a_divergence(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**NONFINITE_EVAL_CONFIG, "out_dir": str(tmp_path / "run")}))
+    assert main(["train", str(cfg_path)]) == 1
+    records = read_runlog(str(tmp_path / "run" / "runlog.jsonl"))
+    assert [(r["step"], r["event"]) for r in records] == [(0, "diverged")]
+    assert set(records[0]) == {"step", "event", "detail", "version"}
+    assert "non-finite values in the output of srt_core" in records[0]["detail"]
+    capsys.readouterr()
+
+    assert main(["eval", str(cfg_path), "--checkpoint", str(tmp_path / "run" / "checkpoint.nlck")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_partial_adam_hyperparameters_keep_the_other_defaults(tmp_path):
+    logs = []
+    for i, opt_hp in enumerate([{"eta": 0.01}, {}]):
+        cfg = {
+            "task": {"kind": "parity", "bin0": [2, 6], "bin1": [7, 9]},
+            "model": {"dim": 8, "mem_hidden": 8, "cms_hidden": 4, "cms_chunks": [1]},
+            "train": {"steps": 3, "eval_every": 0, "train_samples": 8, "eval_samples": 4, "opt_hp": opt_hp},
+            "out_dir": str(tmp_path / f"run{i}"),
+        }
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", str(cfg_path)]) == 0
+        logs.append((tmp_path / f"run{i}" / "runlog.jsonl").read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):

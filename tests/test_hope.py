@@ -8,7 +8,7 @@ import pytest
 
 from nllab import tasks
 from nllab import tensor as T
-from nllab.hope import HopeConfig, HopeModel, train
+from nllab.hope import DivergenceError, HopeConfig, HopeModel, train
 from nllab.srt import SLOTS
 from nllab.tensor import Tape, Tensor, finite_diff_grad
 
@@ -329,13 +329,44 @@ def test_divergence_aborts_with_record():
     data = tasks.generate(tasks.TaskSpec("parity", seed=6, bin0=(2, 6), bin1=(7, 9)), 8)
     cfg = HopeConfig(vocab=2, dim=8, num_classes=2, cms_chunks=(1,), cms_hidden=4)
     model = HopeModel(cfg, seed=13)
-    from nllab.hope import DivergenceError
-
     with pytest.raises(DivergenceError) as e:
         train(model, data, opt_kind="sgd", opt_hp=dict(eta=1e9), steps=30, seed=7, batch_size=2, clip_norm=0.0)
     assert e.value.log[-1]["event"] == "diverged"
     # the op or gradient that first went non-finite, not only the loss
     assert re.search(r"output of \w+ \(node \d+\)|gradient of '", e.value.log[-1]["detail"]), e.value.log[-1]
+
+
+def test_nonfinite_evaluation_ends_training_as_a_divergence():
+    data = tasks.generate(tasks.TaskSpec("parity", seed=6, bin0=(2, 6), bin1=(7, 9)), 8)
+    model = HopeModel(HopeConfig(vocab=2, dim=8, num_classes=2, cms_chunks=(1,), cms_hidden=4), seed=13)
+
+    def eval_fn(m):
+        if m.token_count > 0 and len(evals) == 1:
+            raise T.NonFiniteError("non-finite values in the output of probe (node 1)")
+        evals.append(m.token_count)
+        return {"probe": 1.0}
+
+    evals = []
+    with pytest.raises(DivergenceError) as e:
+        train(model, data, steps=6, seed=7, batch_size=2, eval_every=2, eval_fn=eval_fn)
+    assert e.value.step == 4
+    assert [r["step"] for r in e.value.log] == [1, 2, 3, 4]
+    last = e.value.log[-1]
+    assert last["event"] == "diverged" and "probe (node 1)" in last["detail"] and "loss" in last
+
+
+def test_independent_blend_weights_take_the_outer_optimizer_step():
+    model = HopeModel(tiny_lm_config(cms_variant="independent"), seed=0)
+    # a non-zero head, so the loss reaches the blend weights
+    model.set_parameter("readout", np.random.default_rng(3).normal(size=model.params["readout"].shape))
+    samples = [{"tokens": [1, 2, 3, 4, 5], "label": None}]
+    agg = model.params["b0.cms.agg"].copy()
+    assert np.array_equal(agg, [0.5, 0.5])
+    tape = Tape()
+    grad = tape.backward(model.build_loss(tape, samples, with_penalty=True))["b0.cms.agg"].data
+    train(model, samples, opt_kind="sgd", opt_hp={"eta": 0.1}, steps=1, batch_size=1, clip_norm=0.0)
+    assert np.array_equal(model.params["b0.cms.agg"], agg - 0.1 * grad)
+    assert np.any(grad != 0)
 
 
 def test_tied_readout_head():
@@ -381,7 +412,7 @@ def test_set_parameter_replaces_chain_weights_but_not_snapshots():
     model.set_parameter("b0.cms.level1.w1", np.full(level.w1.shape, 0.25))
     model.set_parameter("b0.cms.agg", np.array([0.75, 0.25]))
     assert np.array_equal(level.w1, np.full(level.w1.shape, 0.25))
-    assert np.array_equal(model.chains[0].agg_weights, [0.75, 0.25])
+    assert np.array_equal(model.params["b0.cms.agg"], [0.75, 0.25])
     assert np.array_equal(level.snap1, snap1)
 
 
