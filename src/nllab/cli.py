@@ -144,6 +144,8 @@ def cmd_train(args) -> int:
     write_runlog(os.path.join(out_dir, "runlog.jsonl"), records)
     checkpoint.save(os.path.join(out_dir, "checkpoint.nlck"), model.named_parameters())
     print(f"wrote {out_dir}/runlog.jsonl and {out_dir}/checkpoint.nlck ({len(records)} records)")
+    if failed:
+        print(f"error: training diverged at step {records[-1]['step']}: {records[-1]['detail']}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -250,7 +252,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finite checks report these
+            return args.fn(args)
     except (ConfigError, OSError, checkpoint.CheckpointError, RunlogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,15 +11,11 @@ element computations (keys, values, gates, targets, outputs, and the gradient
 terms).  Each chunk therefore does its element work as matrix ops over the
 chunk's C columns, which makes it order-independent, and then advances each
 fast weight by the decay recurrence over the columns in token order, taken in
-closed form (a weighted sum, or with the retention factor one C x C
-unit-triangular solve; see `tensor.decay_scan`) rather than column by column.
-A chunk of 1 recovers exact token-by-token stepping; `verify`'s
-`srt-fused-core` check holds both properties bit for bit.  The S updated
-linear slots share keys, gates and objective, and the rule acts on each row
-alone, so they run as one row-stacked (S*d, d) fast weight in SLOTS order:
-per chunk one read per distinct input (row slices for single-slot reads), one
-residual and one scan, bit-identical to S separate ones.  MLP2 and frozen
-slots keep their own weights.
+closed form (see `tensor.decay_scan`).  A chunk of 1 recovers exact
+token-by-token stepping; `verify`'s `srt-fused-core` check holds both
+properties bit for bit.  The S updated linear slots share keys, gates and
+objective, and the rule acts on each row alone, so they run as one row stack,
+an (S*d, d) fast weight in SLOTS order, bit-identical to S separate ones.
 
 A batch of B sequences arrives as one time-major (d, L*B) matrix (column
 t*B + b holds token t of sample b; see `tensor`), so a chunk is a (d, C*B)
@@ -28,14 +24,14 @@ broadcast once to a (B,p,n) fast weight that every read multiplies sample by
 sample.  Padded columns at the end of shorter samples reach no real column,
 and the scan pins the gates there to eta = 0, alpha = 1, so each sample's
 fast weights end bit-identical to those of its own run on the same input.
-B = 1 is a plain sequence.
 
 On the tape, a block's whole chunk loop is one node (`_Core`) whose VJP is
-written by hand and runs the chunks backwards: about 40 small nodes per chunk
-become one.  The oracle, `verify._srt_forward_oracle`, is the plain per-slot
-graph: every slot its own fast weight, every read a `memory.read_node`, one
-decay_scan per weight of each updated slot.  The core's forward matches it
-bit for bit: each row block of a stacked read or scan equals that slot's own.
+written by hand and runs the chunks backwards.  The oracle,
+`verify._srt_forward_oracle`, is the plain per-slot graph: every slot its own
+fast weight, every read a `memory.read_node`, one decay_scan per weight of
+each updated slot.  The core matches it bit for bit: each row block of a
+stacked product, and each product of a weight that reads several inputs at
+once, equals that read's own product.
 
 Linear-memory update with the retention factor (objective `l2`):
     M_t = M_{t-1} (a_t I - e_t k_t k_t^T) - e_t (M_b k_t - vhat_t) k_t^T
@@ -59,7 +55,6 @@ from .memory import LINEAR, MLP2
 from .tensor import Node, Tape
 
 SLOTS = ("k", "v", "eta", "alpha", "mem")
-STACK = "stack"  # key of the row-stacked fast weight of the updated linear slots
 OBJECTIVES = ("l2", "dot")  # inner objectives
 
 
@@ -149,69 +144,71 @@ def _chunks(L: int, chunk: int, lengths: Sequence[int], padded: bool) -> list:
     return out
 
 
-def _plan(cfg: SrtConfig) -> tuple:
-    """The updated linear slots that share the STACK, and the fast weights
-    advanced each chunk: STACK (if any), then the updated MLP2 slots."""
-    stacked = [slot for slot in SLOTS if slot in cfg.update_slots and cfg.kinds[slot] == LINEAR]
-    slots = [STACK] * bool(stacked) + [slot for slot in SLOTS if slot in cfg.update_slots and slot not in stacked]
-    return stacked, slots
-
-
-def _broadcast(w: np.ndarray, batch: int) -> np.ndarray:
-    return np.broadcast_to(w, (batch,) + w.shape).copy()
-
-
-def _unit(raw: dict, on: bool) -> tuple:
-    """raw's (B,n,C) arrays, with the columns of q, v and k scaled to unit norm (if `on`) as
-    `tensor.l2_normalize_columns_safe` scales them, in one stack; and their (B,1,C) norms, else None."""
-    out, norms, batch = dict(raw), dict.fromkeys(raw), len(raw["q"])
-    if on:
-        stack = np.concatenate([raw[name] for name in "qvk"])
-        scale = T._safe_row_norms(stack.transpose(0, 2, 1))[:, None, :]
-        stack /= scale
-        for i, name in enumerate("qvk"):
-            out[name], norms[name] = stack[i * batch : (i + 1) * batch], scale[i * batch : (i + 1) * batch]
-    return out, norms
+_X, _KV = 0, 1  # the first stage's inputs: token columns, conv columns
+_Q, _V, _K = 0, 1, 2  # the second stage's: unit q, v and k, one (3,B,d,C) stack
 
 
 def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
-    return g if norms is None else (g - out * (out * g).sum(axis=1, keepdims=True)) / norms
+    """Gradient of (...,d,C) columns from that of `out`, the columns divided by `norms` (None: not divided)."""
+    return g if norms is None else (g - out * (out * g).sum(axis=-2, keepdims=True)) / norms
 
 
-def _silu(z: np.ndarray) -> tuple:
-    """silu(z) and the sigmoid it is made from."""
-    s = T._sigmoid(z)
-    return z * s, s
+def _sigmoids(parts: list) -> list:
+    """`tensor._sigmoid` of each array in parts, from one call over their
+    concatenation: the sigmoid is elementwise, so each is its own call's bits."""
+    flat, out, start = T._sigmoid(np.concatenate(parts, axis=None)), [], 0
+    for p in parts:
+        out.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return out
 
 
-def _read(kind: str, ws: tuple, cols: np.ndarray, partial) -> tuple:
-    """`memory.read_node` of (B,p,n) weights at (B,n,C) columns, and what `_read_grad` reads."""
-    if kind == LINEAR:
-        return T._bmm(ws[0], cols, partial), None
-    z = T._bmm(ws[1], cols, partial)
-    h, s = _silu(z)
-    return cols + T._bmm(ws[0], h, partial), (z, h, s)
+def _pick(at: tuple):
+    """Index of the second-stage inputs `at` (ascending): a view when they are adjacent."""
+    return slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else list(at)
 
 
-def _read_grad(kind: str, ws: tuple, cols: np.ndarray, saved, g: np.ndarray, gws: list) -> np.ndarray:
-    """Gradient of the columns of `_read`; adds the weights' gradients to gws."""
-    if kind == LINEAR:
-        gws[0] += T._bmm_dw(g, cols)
-        return T._bmm_dx(ws[0], g)
-    z, h, s = saved
-    gws[0] += T._bmm_dw(g, h)
-    gz = T._bmm_dx(ws[0], g) * T._silu_prime(z, s)
-    gws[1] += T._bmm_dw(gz, cols)
-    return g + T._bmm_dx(ws[1], gz)
+def _reads(specs: list, ws: list, cols: list, prods: list, partial) -> tuple:
+    """The first stage's reads, (B,p,C) each.  A spec (slot, input, rows, mlp)
+    reads the rows of a row-stack product in `prods` (rows not None), its own
+    linear weight in `ws`, or its own residual MLP.  Returns the outputs and
+    each MLP read's (z, s, h)."""
+    # a spec's weight index is 1 for an MLP2 read (its pre-activation first), 0 for a linear one
+    outs = [prods[inp][:, rows] if rows is not None else T._bmm(ws[i][mlp], cols[inp], partial) for i, inp, rows, mlp in specs]
+    mlps, saves = [r for r, spec in enumerate(specs) if spec[3]], []
+    for r, s in zip(mlps, _sigmoids([outs[r] for r in mlps]) if mlps else ()):
+        (i, inp, _, _), z = specs[r], outs[r]
+        h = z * s
+        outs[r] = cols[inp] + T._bmm(ws[i][0], h, partial)
+        saves.append((z, s, h))
+    return outs, saves
 
 
-def _gate(fixed: Optional[float], reads, bias: float, squash, batch: int, n: int) -> tuple:
-    """The (B, C) gates of a chunk and their pre-activations (None when fixed),
-    from (B,d,C) reads averaged on the time-major layout."""
-    if fixed is not None:
-        return np.full((batch, n), fixed), None
-    pre = (T._time_major(reads).sum(axis=0) / len(reads[0]) + bias).reshape(n, batch).T  # the mean, bit for bit, without its wrapper
-    return squash(pre), pre
+def _reads_grad(specs: list, ws: list, cols: list, saves: list, gs: list, grads: list, gcols: list, gprod: list, rows: int) -> None:
+    """Backward of `_reads` from the outputs' gradients `gs` (None: no gradient):
+    adds to the slots' weight gradients `grads`, the inputs' `gcols` and the
+    (B,rows,C) row-stack products' `gprod`."""
+    saves = iter(saves)
+    for (i, inp, block, mlp), g in zip(specs, gs):
+        saved = next(saves) if mlp else None
+        if g is None:
+            continue
+        if block is not None:
+            if gprod[inp] is None:
+                gprod[inp] = np.zeros((len(g), rows, g.shape[2]))
+            gprod[inp][:, block] += g
+            continue
+        w, gw = ws[i], grads[i]
+        if mlp:
+            z, s, h = saved
+            gw[0] += T._bmm_dw(g, h)
+            gz = T._bmm_dx(w[0], g) * T._silu_prime(z, s)
+            gw[1] += T._bmm_dw(gz, cols[inp])
+            g = g + T._bmm_dx(w[1], gz)
+        else:
+            gw[0] += T._bmm_dw(g, cols[inp])
+            g = T._bmm_dx(w[0], g)
+        gcols[inp] = g if gcols[inp] is None else gcols[inp] + g
 
 
 class _Core:
@@ -221,251 +218,249 @@ class _Core:
     The parents are the snapshots in SLOTS order, wq, x and, with the conv, its
     output.  The value is Y and then the final (B,p,n) fast weights of every
     slot in SLOTS order, packed into one flat array; `srt_forward_nodes` hands
-    them out with `tensor.unpack`.  Inside, a chunk's columns are (B,d,C)
-    stacks, the layout `tensor.bmatmul` multiplies in.  The value function
-    takes the steps of the per-slot graph (the oracle in `verify`) on operands
-    of the same layout, so it matches that graph bit for bit; the updated
-    linear slots read and scan as one row stack, whose row blocks equal the
-    per-slot reads and scans bit for bit, and where the graph works on
-    time-major (d, C*B) columns (the wq product, column norms, gate means), so
-    does it.  It keeps each chunk's intermediates; the VJP runs the chunks
-    backwards over them and then frees them.
+    them out with `tensor.unpack`.  The value function takes the steps of the
+    per-slot graph on operands of the same layout: (B,d,C) stacks as
+    `tensor.bmatmul` multiplies them, and time-major (d, C*B) columns where
+    the graph has them (the wq product, column norms, gate means).
+
+    The configuration is resolved once, here: which slots stack, which weight
+    serves each read, the gates and the flags.  A chunk is then straight-line
+    code over locals in two stages.  The first reads k, v and the gates from
+    the token (or conv) columns.  After the unit norms, q, v and k form one
+    (3,B,d,C) stack, and each weight of the second stage (the row stack, each
+    updated MLP2 slot, a frozen MLP2 mem) reads the inputs it takes with one
+    product over a leading axis.  One `tensor._sigmoid` call covers every MLP
+    pre-activation of that stage and both gate pre-activations; the VJP reads
+    eta's sigmoid from it.  The VJP runs the chunks backwards over the saved
+    intermediates, forming the same products and sums, in the same order.
     """
 
     def __init__(self, cfg: SrtConfig, batch: int, chunks: list, conv: bool):
-        self.cfg, self.batch, self.chunks, self.conv = cfg, batch, chunks, conv
-        self.stacked, self.slots = _plan(cfg)
-        # the rows of the STACK (or of its products) each slot takes: its own block; all for the STACK
-        self.rows = {STACK: slice(None), **{slot: slice(i * cfg.dim, (i + 1) * cfg.dim) for i, slot in enumerate(self.stacked)}}
-        self.kv = "kv" if conv else "x"  # the columns the k and v memories read
+        self.cfg, self.batch, self.conv, d = cfg, batch, conv, cfg.dim
+        self.chunks = [
+            (start, n, slice(start * batch, (start + n) * batch), T._partial(widths, n), T._live_columns(widths, batch, n))
+            for start, n, widths in chunks
+        ]
+        index = {slot: i for i, slot in enumerate(SLOTS)}
+        self.mem, l2, sv = index["mem"], cfg.objective == "l2", cfg.self_values
+        updated = [i for i, slot in enumerate(SLOTS) if slot in cfg.update_slots]
+        mlp = [cfg.kinds[slot] == MLP2 for slot in SLOTS]
+        # the updated linear slots share a row stack; the updated MLP2 slots advance on their own
+        self.stacked = [i for i in updated if not mlp[i]]
+        self.rows = {i: slice(j * d, (j + 1) * d) for j, i in enumerate(self.stacked)}
+        # first stage: the learned gates' reads (their means shifted by a bias), then k and v
+        learned = [(index[slot], bias) for slot, fixed, bias in (("eta", cfg.fixed_eta, cfg.eta_bias), ("alpha", cfg.fixed_alpha, cfg.alpha_bias)) if fixed is None]
+        self.biases = np.array([[bias] for _, bias in learned])
+        kv = _KV if conv else _X
+        self.reads1 = [(i, inp, self.rows.get(i), mlp[i]) for i, inp in [(i, _X) for i, _ in learned] + [(index["k"], kv), (index["v"], kv)]]
+        self.prods1 = sorted({inp for _, inp, rows, _ in self.reads1 if rows is not None}, reverse=True)  # backward order
+        # second stage: the row stack reads q (mem's rows), v (its targets) and k (the l2 residual);
+        # an updated MLP2 slot reads q (mem), v (its target) and k (its update); a frozen MLP2 mem reads q
+        self.stack_at = tuple(inp for inp, on in ((_Q, self.mem in self.rows), (_V, sv), (_K, l2)) if on) if self.stacked else ()
+        groups = [(i, (_Q,) * (i == self.mem) + (_V,) * sv + (_K,), True) for i in updated if mlp[i]]
+        groups += [(self.mem, (_Q,), False)] * (mlp[self.mem] and self.mem not in updated)
+        self.groups = [(i, at, _pick(at), adv) for i, at, adv in groups]
+        self.pick_s = _pick(self.stack_at) if self.stack_at else None
+        self.y_group = next((g for g, (i, *_) in enumerate(groups) if i == self.mem), None)
+        self.advanced = bool(updated)
         self.saved = []
-
-    def _split(self, values) -> tuple:
-        it = iter(values)
-        snaps = {slot: tuple(next(it) for _ in range(1 if self.cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS}
-        wq, x = next(it), next(it)
-        return snaps, wq, x, next(it) if self.conv else x
 
     # -- forward ----------------------------------------------------------
 
     def value(self, *values) -> np.ndarray:
-        cfg, batch, stacked = self.cfg, self.batch, self.stacked
-        snaps, wq, x, xkv = self._split(values)
-        cur = {slot: tuple(_broadcast(w, batch) for w in ws) for slot, ws in snaps.items() if slot not in stacked}
-        if stacked:
-            cur[STACK] = (_broadcast(np.concatenate([snaps[slot][0] for slot in stacked]), batch),)
+        cfg, batch, d, stacked, mem, at_s = self.cfg, self.batch, self.cfg.dim, self.stacked, self.mem, self.stack_at
+        l2, sv = cfg.objective == "l2", cfg.self_values
+        it = iter(values)
+        snaps = [tuple(next(it) for _ in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS]
+        wq, x = next(it), next(it)
+        xkv = next(it) if self.conv else None
+        # each snapshot (the stacked ones as one) repeated along the batch axis
+        ws = [None if i in self.rows else tuple(np.repeat(w[None], batch, 0) for w in snap) for i, snap in enumerate(snaps)]
+        stack = np.repeat(np.concatenate([snaps[i][0] for i in stacked])[None], batch, 0) if stacked else None
         ys, pres, chunks = [], [], []
-        for start, n, widths in self.chunks:
-            span = slice(start * batch, (start + n) * batch)
-            partial, live = T._partial(widths, n), T._live_columns(widths, batch, n)
-            xc, xkvc = x[:, span].copy(), xkv[:, span].copy() if self.conv else None
-            e, se = self._elements(cur, wq, xc, xkvc, partial)
-            eta, eta_pre = _gate(cfg.fixed_eta, e.get("eta"), cfg.eta_bias, T._softplus, batch, n)
-            alpha, alpha_pre = _gate(cfg.fixed_alpha, e.get("alpha"), cfg.alpha_bias, T._sigmoid, batch, n)
-            gates = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
-            state, advanced = dict(cur), {}
-            for slot in self.slots:
-                kind = LINEAR if slot == STACK else cfg.kinds[slot]
-                cur[slot], advanced[slot] = self._advance(kind, cur[slot], e["k"], e["vhat." + slot], gates, partial)
-            ys.append(T._time_major(e["y"]))
-            pres.append([p for p in (eta_pre, alpha_pre) if p is not None])
-            chunks.append((span, live, state, e["k"], se, alpha, eta_pre, advanced))
-        # the final (B,p,n) fast weights per slot; a stacked slot's are its rows of the STACK
-        final = [w for slot in SLOTS for w in ((cur[STACK][0][:, self.rows[slot]],) if slot in stacked else cur[slot])]
+        for start, n, span, partial, live in self.chunks:
+            xc = x[:, span].copy()
+            cols = [T._batch_major(xc, batch), T._batch_major(xkv[:, span].copy(), batch) if self.conv else None]
+            prods = [None, None]
+            for inp in self.prods1:
+                prods[inp] = T._bmm(stack, cols[inp], partial)
+            (*gate_reads, k, v), saves1 = _reads(self.reads1, ws, cols, prods, partial)
+            qvk, norms = np.concatenate([T._batch_major(wq @ xc, batch), v, k]).reshape(3, batch, d, n), None
+            if cfg.normalize:  # columns scaled as `tensor.l2_normalize_columns_safe` scales them
+                norms = T._safe_row_norms(qvk.swapaxes(-1, -2))[..., None, :]
+                qvk /= norms
+            v, k = qvk[_V], qvk[_K]
+            pre = []
+            if gate_reads:  # the (G,B,C) gate means, bit for bit `mean_axis0` of each gate's time-major reads
+                reads = np.array(gate_reads).transpose(0, 2, 3, 1).reshape(len(gate_reads), d, n * batch)
+                pre = [(reads.sum(axis=1) / d + self.biases).reshape(-1, n, batch).transpose(0, 2, 1)]
+            prod = T._bmm(stack, qvk[self.pick_s], partial) if at_s else None
+            zs = [T._bmm(ws[i][1], qvk[pick], partial) for i, _, pick, _ in self.groups]
+            sigs, hs, outs, sps = _sigmoids(zs + pre) if zs or pre else [], [], [], []
+            for (i, _, pick, _), z, s in zip(self.groups, zs, sigs):
+                hs.append(z * s)
+                outs.append(qvk[pick] + T._bmm(ws[i][0], hs[-1], partial))
+                sps.append(T._silu_prime(z, s))
+            gsig = sigs[-1] if pre else None  # eta's (if learned), then alpha's
+            eta = np.full((batch, n), cfg.fixed_eta) if cfg.fixed_eta is not None else T._softplus(pre[0][0])
+            alpha = np.full((batch, n), cfg.fixed_alpha) if cfg.fixed_alpha is not None else gsig[-1]
+            eb, ab = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
+            # mem reads q in its MLP2 group, as rows of the stack's product, or as a frozen linear weight
+            y = outs[self.y_group][0] if self.y_group is not None else prod[0][:, self.rows[mem]] if mem in self.rows else None
+            y = T._bmm(ws[mem][0], qvk[_Q], partial) if y is None else y
+            m, state, advanced = stack, ws, [None]
+            if stacked:
+                vhat = prod[at_s.index(_V)] if sv else np.concatenate([v] * len(stacked), axis=1)
+                u = prod[-1] - vhat if l2 else -vhat
+                stack, advanced[0] = T._scan_value(m, k, u, eb, ab, cfg.retention, partial)
+            ws = list(ws)
+            for (i, at, _, adv), h, sp, out in zip(self.groups, hs, sps, outs):
+                if adv:  # the weight-space gradient of the residual MLP read, no retention factor
+                    w1, w2 = state[i]
+                    vhat = out[at.index(_V)] if sv else v
+                    r = out[-1] - vhat if l2 else -vhat
+                    t = T._bmm(w1.transpose(0, 2, 1).copy(), r, partial)
+                    out1, s1 = T._scan_value(w1, h[-1], r, eb, ab, False, partial)
+                    out2, s2 = T._scan_value(w2, k, t * sp[-1], eb, ab, False, partial)
+                    ws[i] = (out1, out2)
+                    advanced.append((r, t, s1, s2))
+            ys.append(T._time_major(y))
+            pres.append(pre)
+            chunks.append((span, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig))
+        # the final (B,p,n) fast weights per slot; a stacked slot's are its rows of the stack
+        final = [w for i in range(len(SLOTS)) for w in ((stack[:, self.rows[i]],) if i in self.rows else ws[i])]
         packed = np.concatenate([np.concatenate(ys, axis=1).reshape(-1)] + [w.reshape(-1) for w in final])
         # one finite check per forward, a search only when it fails: a non-finite
         # entry of a fast weight stays non-finite through every later update, so
         # the final weights stand for the weights after each chunk
         gate_pres = [p for ps in pres for p in ps]
         if not (np.isfinite(packed).all() and (not gate_pres or np.isfinite(np.concatenate(gate_pres, axis=None)).all())):
-            after = [state for _, _, state, *_ in chunks[1:]] + [cur]  # each chunk's advanced weights
-            made = ([y, *ps] + [w for slot in self.slots for w in weights[slot]] for y, ps, weights in zip(ys, pres, after))
+            after = [(c[4], c[5]) for c in chunks[1:]] + [(stack, ws)]  # each chunk's advanced weights
+            moving = [i for i, _, _, adv in self.groups if adv]
+            made = ([y, *ps, *([m] if stacked else [])] + [w for i in moving for w in s[i]] for y, ps, (m, s) in zip(ys, pres, after))
             c = next(c for c, arrays in enumerate(made) if not all(np.isfinite(a).all() for a in arrays))
-            start, n, _ = self.chunks[c]
+            start, n, *_ = self.chunks[c]
             raise T.NonFiniteError(f"at chunk {c} (tokens {start} to {start + n - 1})")
-        self.saved[:] = [snaps, wq, x, xkv, chunks]
+        self.saved[:] = [snaps, wq, x, chunks]
         return packed
-
-    def _elements(self, cur: dict, wq, xc, xkvc, partial) -> tuple:
-        """Element work of one chunk of time-major columns xc (and conv columns
-        xkvc), every read against the boundary weights `cur`: the output y, the
-        key k, the gate reads eta/alpha (unless fixed) and one self-generated
-        target vhat.<slot> per advanced weight, each (B,p,C).  The stacked slots
-        read through one product of the STACK per distinct input and take their
-        rows of it."""
-        cfg, rows, batch = self.cfg, self.rows, self.batch
-        cols = {"x": T._batch_major(xc, batch)}
-        if self.conv:
-            cols["kv"] = T._batch_major(xkvc, batch)
-        products, reads = {}, {}
-
-        def read(slot, name):
-            if slot not in rows:
-                out, reads[slot, name] = _read(cfg.kinds[slot], cur[slot], cols[name], partial)
-                return out
-            if name not in products:
-                products[name] = T._bmm(cur[STACK][0], cols[name], partial)
-            return products[name][:, rows[slot]]
-
-        raw = {"q": T._batch_major(wq @ xc, batch), "v": read("v", self.kv), "k": read("k", self.kv)}
-        unit, norms = _unit(raw, cfg.normalize)
-        cols["q"], cols["v"] = unit["q"], unit["v"]
-        out = {"y": read("mem", "q"), "k": unit["k"]}
-        if cfg.fixed_eta is None:
-            out["eta"] = read("eta", "x")
-        if cfg.fixed_alpha is None:
-            out["alpha"] = read("alpha", "x")
-        for slot in self.slots:
-            if cfg.self_values:
-                out["vhat." + slot] = read(slot, "v")
-            else:
-                out["vhat." + slot] = np.concatenate([cols["v"]] * len(self.stacked), axis=1) if slot == STACK else cols["v"]
-        return out, (xc, cols, products, reads, unit["k"], norms)
-
-    def _advance(self, kind: str, state: tuple, k, vhat, gates, partial) -> tuple:
-        """One chunk's update of a weight from its boundary state (gates pinned), and what `_advance_grad` reads."""
-        l2 = self.cfg.objective == "l2"
-        if kind == LINEAR:
-            (m,) = state
-            u = T._bmm(m, k, partial) - vhat if l2 else -vhat
-            out, saved = T._scan_value(m, k, u, *gates, self.cfg.retention, partial)
-            return (out,), saved
-        # weight-space gradient of the residual MLP read, no retention factor
-        w1, w2 = state
-        z = T._bmm(w2, k, partial)
-        h, s = _silu(z)
-        r = (k + T._bmm(w1, h, partial)) - vhat if l2 else -vhat
-        t = T._bmm(w1.transpose(0, 2, 1).copy(), r, partial)
-        sp = T._silu_prime(z, s)
-        out1, s1 = T._scan_value(w1, h, r, *gates, False, partial)
-        out2, s2 = T._scan_value(w2, k, t * sp, *gates, False, partial)
-        return (out1, out2), (z, h, s, r, t, sp, s1, s2)
 
     # -- backward ---------------------------------------------------------
 
     def vjp(self, g: np.ndarray) -> tuple:
-        cfg, batch, stacked = self.cfg, self.batch, self.stacked
-        snaps, wq, x, xkv, chunks = self.saved
+        cfg, batch, d, stacked, mem, at_s = self.cfg, self.batch, self.cfg.dim, self.stacked, self.mem, self.stack_at
+        l2, sv = cfg.objective == "l2", cfg.self_values
+        snaps, wq, x, chunks = self.saved
         # a tape runs one backward pass: free the saved arrays once it has run
         self.saved = []
         gy = g[: x.size].reshape(x.shape)
-        final, offset = {}, x.size
-        for slot in SLOTS:
-            final[slot] = []
-            for w in snaps[slot]:
-                final[slot].append(g[offset : offset + batch * w.size].reshape((batch,) + w.shape).copy())
-                offset += batch * w.size
         # gradients of the weights at the current chunk boundary, and of the frozen ones
-        grads = {slot: final[slot] for slot in SLOTS if slot not in stacked}
-        if stacked:
-            grads[STACK] = [np.concatenate([final[slot][0] for slot in stacked], axis=1)]
+        parts = iter(np.split(g, np.cumsum([x.size] + [batch * w.size for snap in snaps for w in snap]))[1:])
+        grads = [[next(parts).reshape((batch,) + w.shape).copy() for w in snap] for snap in snaps]
+        gstack = np.concatenate([grads[i][0] for i in stacked], axis=1) if stacked else None
         gwq, gx = np.zeros_like(wq), np.zeros_like(x)
-        gxkv = np.zeros_like(xkv) if self.conv else None
+        gxkv = np.zeros_like(x) if self.conv else None
         while chunks:
-            span, live, state, k, se, alpha, eta_pre, advanced = chunks.pop()
-            ge = ga = 0.0
-            gk = np.zeros_like(k)
-            gout = {"y": T._batch_major(gy[:, span], batch)}
-            for slot in self.slots:
-                kind = LINEAR if slot == STACK else cfg.kinds[slot]
-                out = self._advance_grad(kind, state[slot], k, advanced[slot], grads[slot], live)
-                grads[slot], gk, gout["vhat." + slot], ge, ga = out[0], gk + out[1], out[2], ge + out[3], ga + out[4]
-            gout["k"] = gk
-            rows = cfg.dim
-            if cfg.fixed_eta is None:
-                gout["eta"] = np.repeat((ge * T._sigmoid(eta_pre) / rows)[:, None, :], rows, axis=1)
-            if cfg.fixed_alpha is None:
-                gout["alpha"] = np.repeat((ga * (alpha * (1.0 - alpha)) / rows)[:, None, :], rows, axis=1)
-            gwqc, gxc, gxkvc = self._elements_grad(state, wq, se, gout, grads)
-            gwq += gwqc
-            gx[:, span] += T._time_major(gxc)
-            if gxkvc is not None:
-                gxkv[:, span] += T._time_major(gxkvc)
-        snap_grads = {slot: [gw.sum(axis=0) for gw in grads[slot]] for slot in SLOTS if slot not in stacked}
-        if stacked:
-            stack = grads[STACK][0].sum(axis=0)
-            for slot in stacked:
-                snap_grads[slot] = [stack[self.rows[slot]]]
-        return tuple(gw for slot in SLOTS for gw in snap_grads[slot]) + (gwq, gx) + ((gxkv,) if self.conv else ())
-
-    def _advance_grad(self, kind: str, state: tuple, k, saved, gnew: list, live) -> tuple:
-        """Gradients of the boundary weights, keys, target, eta and alpha of `_advance`."""
-        l2 = self.cfg.objective == "l2"
-        if kind == LINEAR:
-            (m,) = state
-            gm, gk, gu, ge, ga = T._scan_grad(gnew[0], saved, self.cfg.retention, live)
-            if l2:
-                gm += T._bmm_dw(gu, k)
-                gk = gk + T._bmm_dx(m, gu)
-            return [gm], gk, -gu, ge, ga
-        w1, w2 = state
-        z, h, s, r, t, sp, s1, s2 = saved
-        g1, gh, gr, ge, ga = T._scan_grad(gnew[0], s1, False, live)
-        g2, gk, gu2, ge2, ga2 = T._scan_grad(gnew[1], s2, False, live)
-        gt = gu2 * sp
-        gz = gu2 * t * T._silu_second(z, s)
-        g1 = g1 + T._bmm_dw(gt, r).transpose(0, 2, 1)
-        gr = gr + w1 @ gt
-        if l2:
-            gk = gk + gr
-            g1 += T._bmm_dw(gr, h)
-            gh = gh + T._bmm_dx(w1, gr)
-        gz += gh * sp
-        g2 = g2 + T._bmm_dw(gz, k)
-        gk = gk + T._bmm_dx(w2, gz)
-        return [g1, g2], gk, -gr, ge + ge2, ga + ga2
-
-    def _elements_grad(self, state: dict, wq, saved, gout: dict, grads: dict) -> tuple:
-        """Gradients of wq and of the chunk's (B,d,C) columns and conv columns
-        (None without the conv) from those of `_elements`' outputs; adds the
-        boundary weights' gradients to `grads`."""
-        cfg, stacked, rows = self.cfg, self.stacked, self.rows
-        xc, cols, products, reads, k, norms = saved
-        gcols, gprod = {}, {}
-
-        def add(acc, name, g):
-            acc[name] = g if name not in acc else acc[name] + g
-
-        def read_grad(slot, name, g):
-            if slot in stacked:
-                if name not in gprod:
-                    gprod[name] = np.zeros_like(products[name])
-                gprod[name][:, rows[slot]] += g
-            else:
-                add(gcols, name, _read_grad(cfg.kinds[slot], state[slot], cols[name], reads.pop((slot, name)), g, grads[slot]))
-
-        def product_grad(name):
-            if name in gprod:
-                grads[STACK][0] += T._bmm_dw(gprod[name], cols[name])
-                add(gcols, name, T._bmm_dx(state[STACK][0], gprod.pop(name)))
-
-        for slot in self.slots:
-            g = gout["vhat." + slot]
-            if slot == STACK:
-                if cfg.self_values:
-                    add(gprod, "v", g)
+            span, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig = chunks.pop()
+            k = qvk[_K]
+            gyc = T._batch_major(gy[:, span], batch)
+            gk = ge = ga = 0.0
+            gq = gv = gv_stack = None
+            if stacked:
+                gm, gks, gu, ges, gas = T._scan_grad(gstack, advanced[0], cfg.retention, live)
+                if not sv:
+                    gv = (-gu).reshape(batch, len(stacked), d, -1).sum(axis=1)
+                if at_s:  # the gradients of the stack's products at q (mem's rows), v and k
+                    parts = [-gu] * sv + [gu] * l2
+                    if _Q in at_s:
+                        parts.insert(0, np.zeros_like(gu))
+                        parts[0][:, self.rows[mem]] += gyc
+                    gprod = np.array(parts)
+                    dx = T._bmm_dx(m, gprod)
+                    for dw in T._bmm_dw(gprod, qvk[self.pick_s])[::-1]:  # k's, v's, then q's, as the per-slot graph adds them
+                        gm += dw
+                    gks = gks + dx[-1] if l2 else gks
+                    gq = dx[0] if _Q in at_s else None
+                    gv_stack = dx[at_s.index(_V)] if sv else None
+                gstack, gk, ge, ga = gm, gk + gks, ge + ges, ga + gas
+            adv_saves = iter(advanced[1:])
+            for (i, at, pick, adv), z, s, h, sp in zip(self.groups, zs, sigs, hs, sps):
+                w1, w2 = state[i]
+                if adv:
+                    r, t, s1, s2 = next(adv_saves)
+                    g1, gh, gr, ge1, ga1 = T._scan_grad(grads[i][0], s1, False, live)
+                    g2, gkm, gu2, ge2, ga2 = T._scan_grad(grads[i][1], s2, False, live)
+                    gt = gu2 * sp[-1]
+                    gzk = gu2 * t * T._silu_second(z[-1], s[-1])
+                    g1 = g1 + T._bmm_dw(gt, r).transpose(0, 2, 1)
+                    gr = gr + w1 @ gt
+                    ngr = -gr
                 else:
-                    add(gcols, "v", g.reshape(len(g), len(stacked), cfg.dim, -1).sum(axis=1))
-            elif cfg.self_values:
-                read_grad(slot, "v", g)
-            else:
-                add(gcols, "v", g)
-        for gate in ("eta", "alpha"):
-            if gate in gout:
-                read_grad(gate, "x", gout[gate])
-        read_grad("mem", "q", gout["y"])
-        product_grad("v")
-        product_grad("q")
-        read_grad("k", self.kv, _unit_grad(k, norms["k"], gout["k"]))
-        if "v" in gcols:
-            read_grad("v", self.kv, _unit_grad(cols["v"], norms["v"], gcols.pop("v")))
-        gq = T._time_major(_unit_grad(cols["q"], norms["q"], gcols.pop("q")))
-        product_grad(self.kv)
-        product_grad("x")
-        gx = T._batch_major(wq.T @ gq, self.batch)
-        if "x" in gcols:
-            gx += gcols["x"]
-        return gq @ xc.T, gx, gcols.get("kv")
+                    g1, g2 = grads[i]
+                # the gradients of the read outputs at q (y), v (the target) and k (the l2 residual)
+                parts = [gyc] * (_Q in at) + ([ngr] * sv + [gr] * l2 if adv else [])
+                reads = len(at) - adv  # the positions other than the update's k
+                gz = np.empty_like(z)
+                if parts:
+                    gout = np.array(parts)
+                    dx1, dw1 = T._bmm_dx(w1, gout), T._bmm_dw(gout, h[: len(parts)])
+                    np.multiply(dx1[:reads], sp[:reads], out=gz[:reads])
+                if adv:
+                    if l2:
+                        gkm = gkm + gr
+                        g1 += dw1[-1]
+                        gh = gh + dx1[-1]
+                    gzk += gh * sp[-1]
+                    gz[-1] = gzk
+                dw2, dx2 = T._bmm_dw(gz, qvk[pick]), T._bmm_dx(w2, gz)
+                if adv:
+                    g2 = g2 + dw2[-1]
+                    gkm = gkm + dx2[-1]
+                for j in reversed(range(reads)):  # after k's: v's, then q's
+                    g1 += dw1[j]
+                    g2 += dw2[j]
+                if _Q in at:
+                    gq = gyc + dx2[0]
+                if adv:
+                    gvi = ngr + dx2[at.index(_V)] if sv else ngr
+                    gv = gvi if gv is None else gv + gvi
+                    grads[i] = [g1, g2]
+                    gk, ge, ga = gk + gkm, ge + (ge1 + ge2), ga + (ga1 + ga2)
+            if gv_stack is not None:
+                gv = gv_stack if gv is None else gv + gv_stack
+            if gq is None:  # a frozen linear mem
+                grads[mem][0] += T._bmm_dw(gyc, qvk[_Q])
+                gq = T._bmm_dx(state[mem][0], gyc)
+            if not self.advanced:
+                gk = np.zeros_like(k)
+            gates = [ge * gsig[0] / d] if cfg.fixed_eta is None else []
+            if cfg.fixed_alpha is None:
+                gates.append(ga * (alpha * (1.0 - alpha)) / d)
+            # a gate's gradient is the same on every row of its read: a stacked read adds it by broadcasting
+            gs = [g[:, None, :] if block is not None else np.repeat(g[:, None, :], d, axis=1) for g, (_, _, block, _) in zip(gates, self.reads1)]
+            # q's, v's (zero if nothing read v) and k's column gradients, through the unit norms in one stack
+            gqvk = _unit_grad(qvk, norms, np.array([gq, np.zeros_like(gk) if gv is None else gv, gk]))
+            gs += [gqvk[_K], None if gv is None else gqvk[_V]]
+            gqt = T._time_major(gqvk[_Q])
+            gcols, gprod = [None, None], [None, None]
+            _reads_grad(self.reads1, state, cols, saves1, gs, grads, gcols, gprod, len(stacked) * d)
+            for inp in self.prods1:
+                if gprod[inp] is not None:
+                    gstack += T._bmm_dw(gprod[inp], cols[inp])
+                    gc = T._bmm_dx(m, gprod[inp])
+                    gcols[inp] = gc if gcols[inp] is None else gcols[inp] + gc
+            gxc = T._batch_major(wq.T @ gqt, batch)
+            if gcols[_X] is not None:
+                gxc += gcols[_X]
+            gwq += gqt @ xc.T
+            gx[:, span] += T._time_major(gxc)
+            if self.conv:
+                gxkv[:, span] += T._time_major(gcols[_KV])
+        snap_grads = [[gw.sum(axis=0) for gw in gws] for gws in grads]
+        if stacked:
+            total = gstack.sum(axis=0)
+            for i in stacked:
+                snap_grads[i] = [total[self.rows[i]]]
+        return tuple(gw for gws in snap_grads for gw in gws) + (gwq, gx) + ((gxkv,) if self.conv else ())
 
 
 def srt_forward_nodes(

@@ -358,9 +358,9 @@ def reciprocal(a: Node) -> Node:
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows: 1/(1+e^-v) for v >= 0,
-    # e^v/(1+e^v) otherwise
+    # e^v/(1+e^v) otherwise; as e <= 1, the numerator max(e, v >= 0) is 1 where v >= 0, e elsewhere
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, v >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Node) -> Node:
@@ -434,7 +434,7 @@ def _safe_row_norms(rows: np.ndarray) -> np.ndarray:
     # vector, so each norm is np.linalg.norm(row) bit for bit; a zero row divides by 1
     rows = np.ascontiguousarray(rows)
     norms = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
-    return np.where(norms == 0.0, 1.0, norms)
+    return norms + (norms == 0.0)
 
 
 def l2_normalize_columns_safe(x: Node) -> Node:
@@ -657,18 +657,18 @@ def broadcast_batch(w: Node, batch: int) -> Node:
 
 
 def _bmm(vw: np.ndarray, xb: np.ndarray, partial) -> np.ndarray:
-    """(B,p,C) products of (B,p,n) weights with (B,n,C) columns, sample by sample;
-    `partial` lists (sample, width) for the samples whose real columns end
-    inside the chunk, which get those columns from a product of that width."""
+    """(B,p,C) products of (B,p,n) weights with (B,n,C) columns (or (m,B,p,C) with m column
+    sets), sample by sample; `partial` lists (sample, width) for the samples whose real
+    columns end inside the chunk, which get those columns from a product of that width."""
     out = vw @ xb
     for b, n in partial:
-        out[b, :, :n] = vw[b] @ xb[b, :, :n]
+        out[..., b, :, :n] = vw[b] @ xb[..., b, :, :n]
     return out
 
 
 def _bmm_dw(g: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Gradient of `_bmm`'s weights from its (B,p,C) output gradient g."""
-    return g @ xb.transpose(0, 2, 1)
+    """Gradient of `_bmm`'s weights from its (B,p,C) (or (m,B,p,C)) output gradient g."""
+    return g @ xb.swapaxes(-1, -2)
 
 
 def _bmm_dx(vw: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,20 +372,25 @@ NONFINITE_EVAL_CONFIG = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_nonfinite_evaluation_is_a_divergence(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**NONFINITE_EVAL_CONFIG, "out_dir": str(tmp_path / "run")}))
-    assert main(["train", str(cfg_path)]) == 1
-    records = read_runlog(str(tmp_path / "run" / "runlog.jsonl"))
-    assert [(r["step"], r["event"]) for r in records] == [(0, "diverged")]
-    assert set(records[0]) == {"step", "event", "detail", "version"}
-    assert "non-finite values in the output of srt_core" in records[0]["detail"]
-    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        records = read_runlog(str(tmp_path / "run" / "runlog.jsonl"))
+        assert [(r["step"], r["event"]) for r in records] == [(0, "diverged")]
+        assert set(records[0]) == {"step", "event", "detail", "version"}
+        assert "non-finite values in the output of srt_core" in records[0]["detail"]
+        # the run log, the checkpoint and the wrote line stay; stderr says why, in one line
+        assert (tmp_path / "run" / "checkpoint.nlck").exists() and out.startswith("wrote ")
+        assert err == f"error: training diverged at step 0: {records[0]['detail']}\n"
 
-    assert main(["eval", str(cfg_path), "--checkpoint", str(tmp_path / "run" / "checkpoint.nlck")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert main(["eval", str(cfg_path), "--checkpoint", str(tmp_path / "run" / "checkpoint.nlck")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert caught == []  # no numpy warning reaches the user ahead of the report
 
 
 def test_cli_partial_adam_hyperparameters_keep_the_other_defaults(tmp_path):

@@ -499,14 +499,31 @@ def test_nonfinite_value_in_the_core_names_the_op_node_and_chunk():
         # a frozen alpha reads -inf, so alpha = 0 while Y and every fast weight
         # stay finite: only the gate pre-activation shows it
         (("k", "v", "eta", "mem"), "alpha", -1e308),
+        # mem's MLP pre-activations overflow: the non-finite value starts inside the chunk's one sigmoid input
+        (S.SLOTS, "mem", 1.7e308),
     ]
     for update_slots, slot, entry in rows:
         cfg = SrtConfig(dim=4, chunk=3, update_slots=update_slots)
         state = init_srt(cfg, seed=0)
-        state = replace(state, weights={**state.weights, slot: (np.full((4, 4), entry),)})
+        *first, last = state.weights[slot]  # a linear slot's weight, or an MLP2 slot's pre-activation weight
+        state = replace(state, weights={**state.weights, slot: (*first, np.full(last.shape, entry))})
         tape = T.Tape()
         weights, wq, _ = constants(tape, state)
         xn = tape.constant(x)
         with pytest.raises(T.NonFiniteError, match=rf"srt_core \(node {xn.idx + 1}\) at chunk 1 \(tokens 3 to 5\)"):
             S.srt_forward_nodes(tape, cfg, weights, wq, xn)
         assert len(tape.nodes) == xn.idx + 1  # the bad value is not recorded
+
+
+def test_one_sigmoid_call_per_chunk(monkeypatch):
+    # the MLP pre-activations at q, v and k and both gates share one call; the VJP makes none
+    cfg, length = SrtConfig(dim=4, chunk=1), 5
+    tape = T.Tape()
+    weights, wq, _ = constants(tape, init_srt(cfg, seed=0))
+    x = tape.constant(np.random.default_rng(3).normal(size=(4, length)))
+    sigmoid, calls = T._sigmoid, []
+    monkeypatch.setattr(T, "_sigmoid", lambda v: calls.append(v.size) or sigmoid(v))
+    y, _ = S.srt_forward_nodes(tape, cfg, weights, wq, x)
+    forward = len(calls)
+    tape.backward(T.dot(y, x))
+    assert (forward, len(calls) - forward) == (length, 0)
