@@ -84,7 +84,7 @@ def orthogonal_forgetting(kind: str, hp: dict, seed: int) -> float:
     w = Tensor(np.zeros((ORTHO_DIM, 1)))
     st = init_state(kind, w.shape, **hp)
     before = None
-    for task_idx, samples in enumerate(stream.tasks):
+    for task_idx, samples in enumerate(stream):
         for i in range(ORTHO_STEPS_PER_TASK):
             x, y = samples[i % len(samples)]
             pred = float(x @ w.data[:, 0])

@@ -35,7 +35,6 @@ class CmsLevel:
     acc2: np.ndarray = field(default=None)
     snap1: np.ndarray = field(default=None)
     snap2: np.ndarray = field(default=None)
-    applied: int = 0
     opt_states: tuple = None  # (w1, w2) states of a substituted optimizer; None buffers eta * g
 
     def __post_init__(self):
@@ -149,8 +148,8 @@ def cms_tick(chain: CmsChain, i: int, n: int = 1) -> list[int]:
     Returns the indices of levels that applied at least once.  Nested chains
     then restore each level to its snapshot whenever the next-slower level
     applied.  The result is bit-identical to n single-step ticks: the
-    accumulators are zero after a level's first application, so later ones in
-    the range subtract nothing and only raise its `applied` count.
+    accumulators are zero after a level's first application, so one
+    application per range is all a level needs.
     """
     if i <= chain.last_step:
         raise ValueError(f"tick steps must strictly increase, got {i} after {chain.last_step}")
@@ -159,13 +158,11 @@ def cms_tick(chain: CmsChain, i: int, n: int = 1) -> list[int]:
     chain.last_step = i + n - 1
     applied = []
     for idx, lv in enumerate(chain.levels):
-        boundaries = 0 if lv.chunk is None else (i + n - 1) // lv.chunk - (i - 1) // lv.chunk
-        if boundaries:
+        if lv.chunk is not None and (i + n - 1) // lv.chunk > (i - 1) // lv.chunk:
             lv.w1 = lv.w1 - lv.acc1
             lv.w2 = lv.w2 - lv.acc2
             lv.acc1 = np.zeros_like(lv.acc1)
             lv.acc2 = np.zeros_like(lv.acc2)
-            lv.applied += boundaries
             applied.append(idx)
     if chain.variant == "nested":
         for idx in range(len(chain.levels) - 1):

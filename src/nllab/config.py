@@ -197,7 +197,7 @@ def load_config(path: str) -> dict:
     with open(path) as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

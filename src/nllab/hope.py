@@ -293,9 +293,13 @@ ADAM_HP = dict(eta=0.01, beta1=0.9, beta2=0.999, eps=1e-8, ema=True, bias_correc
 
 
 def _global_grad_norm(grads: dict) -> float:
+    """L2 norm over all gradients; finite gradients whose squares overflow
+    have no finite norm to clip by, which raises NonFiniteError."""
     total = 0.0
     for g in grads.values():
         total += float((g.data * g.data).sum())
+    if not math.isfinite(total):
+        raise T.NonFiniteError("non-finite values in the global gradient norm")
     return math.sqrt(total)
 
 
@@ -337,11 +341,11 @@ def train(
             tape = Tape()
             loss_node = model.build_loss(tape, batch, with_penalty=True)
             grads = tape.backward(loss_node)
+            gnorm = _global_grad_norm(grads)
         except T.NonFiniteError as exc:
             log.append({"step": step_idx, "event": "diverged", "detail": str(exc)})
             raise DivergenceError(step_idx, log) from exc
 
-        gnorm = _global_grad_norm(grads)
         if clip is not None and gnorm > clip:
             scale = clip / gnorm
             grads = {k: Tensor(v.data * scale) for k, v in grads.items()}

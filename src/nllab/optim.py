@@ -113,8 +113,11 @@ def init_state(kind: str, param_shape: tuple, **hp) -> OptimizerState:
     return OptimizerState(kind, 0, merged, slots)
 
 
-def newton_schulz_iterates(g, iters: int, coeffs=(1.5, -0.5), mode: str = "cubic", zeta: float = 0.25) -> list[Tensor]:
-    """All iterates of the orthogonalization loop, normalized start included."""
+def newton_schulz(g, iters: int) -> Tensor:
+    """Approximate orthogonal (polar) factor via a cubic matrix iteration.
+
+    Frobenius-normalizes the input, then iterates O <- 1.5*O - 0.5*O O^T O.
+    """
     if iters < 1:
         raise ValueError(f"newton_schulz needs at least 1 iteration, got {iters}")
     gv = T.as_array(g)
@@ -124,31 +127,9 @@ def newton_schulz_iterates(g, iters: int, coeffs=(1.5, -0.5), mode: str = "cubic
     if norm == 0.0:
         raise ValueError("newton_schulz is undefined for the zero matrix")
     x = gv / norm
-    out = [Tensor(x)]
-    if mode == "cubic":
-        a, b = coeffs
-        for _ in range(iters):
-            x = a * x + b * (x @ x.T @ x)
-            out.append(Tensor(x))
-    elif mode == "gd":
-        g0 = x
-        for _ in range(iters):
-            x = x - zeta * (x - g0 + 2.0 * x @ (x.T @ x - np.eye(x.shape[1])))
-            out.append(Tensor(x))
-    else:
-        raise ValueError(f"unknown newton_schulz mode {mode!r}")
-    return out
-
-
-def newton_schulz(g, iters: int, coeffs=(1.5, -0.5), mode: str = "cubic", zeta: float = 0.25) -> Tensor:
-    """Approximate orthogonal (polar) factor via a cubic matrix iteration.
-
-    Frobenius-normalizes the input, then iterates O <- a*O + b*O O^T O.  The
-    "gd" mode instead runs the descent recurrence on ||O^T O - I||_F^2 with a
-    pull toward the original matrix, which reproduces the same cubic at the
-    first step (a = 1+2*zeta, b = -2*zeta for O0 = G).
-    """
-    return newton_schulz_iterates(g, iters, coeffs=coeffs, mode=mode, zeta=zeta)[-1]
+    for _ in range(iters):
+        x = 1.5 * x - 0.5 * (x @ x.T @ x)
+    return Tensor(x)
 
 
 def _ns_or_zero(m: np.ndarray, iters: int) -> np.ndarray:

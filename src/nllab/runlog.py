@@ -40,14 +40,14 @@ def write_runlog(path: str, records: list[dict]) -> None:
 def read_runlog(path: str) -> list[dict]:
     records = []
     last = None
-    with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for i, raw in enumerate(f):
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
                 raise RunlogError(f"line {i + 1} is not valid JSON") from exc
             if not isinstance(rec, dict):
                 raise RunlogError(f"line {i + 1} is not a JSON object")

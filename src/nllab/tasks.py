@@ -259,11 +259,12 @@ def generate(spec: TaskSpec, count: int) -> list[dict]:
 # toy objective and continual stream
 
 
-def psi(r: float, theta: float, k: float = 5.0, alpha: float = 0.8, omega: float = 6.0):
+def psi(r: float, theta: float):
     """Time-varying-curvature toy objective; returns (value, gradient).
 
-    psi(r, t) = r^2 + k*(r - t + alpha*sin(omega*r))^2
+    psi(r, t) = r^2 + k*(r - t + alpha*sin(omega*r))^2, with k = 5, alpha = 0.8, omega = 6
     """
+    k, alpha, omega = 5.0, 0.8, 6.0
     inner = r - theta + alpha * np.sin(omega * r)
     value = r * r + k * inner * inner
     dr = 2.0 * r + 2.0 * k * inner * (1.0 + alpha * omega * np.cos(omega * r))
@@ -271,18 +272,12 @@ def psi(r: float, theta: float, k: float = 5.0, alpha: float = 0.8, omega: float
     return float(value), np.array([dr, dtheta])
 
 
-@dataclass(frozen=True)
-class OrthogonalStream:
-    directions: np.ndarray  # (n_tasks, d) orthonormal rows
-    coefficients: np.ndarray  # per-task target slope along its direction
-    tasks: tuple  # tuple of sample tuples [(x, y), ...] per task
-
-
-def orthogonal_task_stream(n_tasks: int, d: int, samples_per_task: int, seed: int = 0) -> OrthogonalStream:
+def orthogonal_task_stream(n_tasks: int, d: int, samples_per_task: int, seed: int = 0) -> tuple:
     """Regression tasks whose gradients live along mutually orthogonal directions.
 
     Task i draws x in span(u_i) with target y = b_i * <u_i, x>, so the gradient
-    of (w^T x - y)^2 always lies along u_i.
+    of (w^T x - y)^2 always lies along u_i.  Returns one tuple of (x, y)
+    samples per task.
     """
     if n_tasks > d:
         raise ValueError(f"cannot fit {n_tasks} orthogonal directions in dimension {d}")
@@ -295,12 +290,12 @@ def orthogonal_task_stream(n_tasks: int, d: int, samples_per_task: int, seed: in
         scales = rng.normal(size=samples_per_task) + np.sign(rng.normal(size=samples_per_task))
         samples = tuple((scales[j] * us[i], coeffs[i] * scales[j]) for j in range(samples_per_task))
         tasks.append(samples)
-    return OrthogonalStream(us, coeffs, tuple(tasks))
+    return tuple(tasks)
 
 
-def stream_task_loss(stream: OrthogonalStream, task: int, w: np.ndarray) -> float:
-    xs = np.stack([x for x, _ in stream.tasks[task]])
-    ys = np.array([y for _, y in stream.tasks[task]])
+def stream_task_loss(stream: tuple, task: int, w: np.ndarray) -> float:
+    xs = np.stack([x for x, _ in stream[task]])
+    ys = np.array([y for _, y in stream[task]])
     w = np.asarray(w).reshape(-1)
     return float(((xs @ w - ys) ** 2).mean())
 

@@ -77,30 +77,23 @@ def as_array(x) -> np.ndarray:
 class Node:
     """One recorded value in a tape's computation graph.
 
-    `fwd` is the value function that made `value` from the parents' values
-    (None for leaves); `vjp` maps the value's gradient to one per parent.
+    `vjp` maps the value's gradient to one per parent (None for leaves).
     """
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "fwd", "op", "param_name")
+    __slots__ = ("tape", "idx", "value", "parents", "vjp", "op", "param_name")
 
-    def __init__(self, tape, idx, value, parents, vjp, fwd, op, param_name=None):
+    def __init__(self, tape, idx, value, parents, vjp, op, param_name=None):
         self.tape = tape
         self.idx = idx
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.fwd = fwd
         self.op = op
         self.param_name = param_name
 
     @property
     def shape(self) -> tuple:
         return self.value.shape
-
-
-def _apply(fn: Callable, values: list) -> np.ndarray:
-    out = fn(*values)
-    return out if isinstance(out, np.ndarray) else np.asarray(out, dtype=_DEFAULT_DTYPE)
 
 
 class Tape:
@@ -120,18 +113,20 @@ class Tape:
 
     def _record(self, fn: Callable, parents: tuple, vjp: Callable, op: str, check: bool = True) -> Node:
         """Record one primitive.  Its value is `fn(*parent values)`, computed here
-        once and finite-checked; `replay` calls the same `fn`.  A `vjp` that needs
-        the value reads it from the returned node or, with other intermediates,
-        from a list that `fn` fills.  Ops that only copy or move checked values
-        pass `check=False`; an `fn` that checks its own intermediates raises
-        NonFiniteError, which is reported here with the op and the node."""
+        once and finite-checked.  A `vjp` that needs the value reads it from the
+        returned node or, with other intermediates, from a list that `fn` fills.
+        Ops that only copy or move checked values pass `check=False`; an `fn`
+        that checks its own intermediates raises NonFiniteError, which is
+        reported here with the op and the node."""
         try:
-            value = _apply(fn, [p.value for p in parents])
+            value = fn(*[p.value for p in parents])
         except NonFiniteError as exc:
             raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)}) {exc}") from None
+        if not isinstance(value, np.ndarray):
+            value = np.asarray(value, dtype=_DEFAULT_DTYPE)
         if check and not np.isfinite(value).all():
             raise NonFiniteError(f"non-finite values in the output of {op} (node {len(self.nodes)})")
-        node = Node(self._proxy, len(self.nodes), value, parents, vjp, fn, op)
+        node = Node(self._proxy, len(self.nodes), value, parents, vjp, op)
         self.nodes.append(node)
         return node
 
@@ -140,7 +135,7 @@ class Tape:
         value = np.array(as_array(x), dtype=_DEFAULT_DTYPE, order="C")
         _check_finite(value, "constant" if param_name is None else f"param {param_name!r}")
         op = "const" if param_name is None else "param"
-        node = Node(self._proxy, len(self.nodes), value, (), None, None, op, param_name)
+        node = Node(self._proxy, len(self.nodes), value, (), None, op, param_name)
         self.nodes.append(node)
         return node
 
@@ -188,20 +183,6 @@ class Tape:
             name: reached[name] if name in reached else Tensor(np.zeros_like(node.value))
             for name, node in self.params.items()
         }
-
-    def replay(self) -> bool:
-        """Re-execute recorded ops in order; True iff all values reproduce bit-identically."""
-        values: list = []
-        ok = True
-        for node in self.nodes:
-            if node.fwd is None:
-                values.append(node.value)
-                continue
-            new = _apply(node.fwd, [values[p.idx] for p in node.parents])
-            values.append(new)
-            if new.shape != node.value.shape or not np.array_equal(new, node.value):
-                ok = False
-        return ok
 
 
 def _lift(tape: Tape, x) -> Node:
@@ -895,7 +876,7 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
     def vjp(g):
         arrays = tuple(saved)
         # a tape runs one backward pass: free the saved arrays now rather than
-        # when the caller drops the tape (a later `replay` saves them again)
+        # when the caller drops the tape
         saved.clear()
         g, gk, gu, ge, ga = _scan_grad(g if stacked else g[None], arrays, retention, live)
         return (g if stacked else g[0], _time_major(gk), _time_major(gu), ge.T.reshape(-1), ga.T.reshape(-1))

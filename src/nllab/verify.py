@@ -22,7 +22,7 @@ from . import tensor as T
 from .hope import HopeConfig, HopeModel, train
 from . import srt as srt_mod
 from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle_step, read_node, rule_step
-from .optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
+from .optim import contribution_curve, init_state, newton_schulz, step
 from .srt import SLOTS, SrtConfig, SrtState, init_srt, linear_attention_config, srt_forward_nodes
 from .tasks import TaskSpec, evaluate, generate, vocabulary
 from .tensor import Tape, Tensor
@@ -175,7 +175,8 @@ def check_ns(faults=frozenset(), out_dir=None) -> CheckResult:
         out = newton_schulz(g, 10).data
         out_sv = np.linalg.svd(out, compute_uv=False)
         worst_sv = max(worst_sv, float(np.abs(out_sv - 1.0).max()))
-        errs = [np.linalg.norm(x.data.T @ x.data - np.eye(8)) for x in newton_schulz_iterates(g, 10)]
+        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i).data for i in range(1, 11)]
+        errs = [np.linalg.norm(x.T @ x - np.eye(8)) for x in iterates]
         # strict decrease until the error reaches the float64 floor
         monotone = monotone and all(b < a or a < 1e-12 for a, b in zip(errs, errs[1:]))
     passed = worst_sv <= 0.05 and monotone

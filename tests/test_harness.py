@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,30 +36,6 @@ def test_package_modules_use_every_name_they_import():
     assert not unused, unused
 
 
-def test_every_public_tensor_function_has_a_caller_in_another_module():
-    package = Path(config.__file__).parent
-    tree = ast.parse((package / "tensor.py").read_text())
-    public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    referenced = set()
-    for path in sorted(package.glob("*.py")):
-        if path.name == "tensor.py":
-            continue
-        tree = ast.parse(path.read_text())
-        aliases = {"tensor"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module == "tensor":
-                    referenced |= {alias.name for alias in node.names}
-                elif node.module is None:
-                    aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "tensor"}
-        referenced |= {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
-        }
-    assert not sorted(public - referenced), sorted(public - referenced)
-
-
 def _mentioned(statement: ast.AST) -> set:
     """Every name, attribute and from-imported name a statement mentions."""
     out = set()
@@ -72,28 +49,90 @@ def _mentioned(statement: ast.AST) -> set:
     return out
 
 
+def _taken_from_tensor(tree: ast.Module) -> set:
+    """Names a module imports from `.tensor` or reads as attributes of its tensor module alias."""
+    taken, aliases = set(), {"tensor"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "tensor":
+                taken |= {alias.name for alias in node.names}
+            elif node.module is None:
+                aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "tensor"}
+    return taken | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+
+
+def test_every_public_tensor_function_has_a_caller_in_another_module():
+    package = Path(config.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text())
+    public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "tensor.py":
+            referenced |= _taken_from_tensor(ast.parse(path.read_text()))
+    assert not sorted(public - referenced), sorted(public - referenced)
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """How often each attribute name is read (loaded, not stored) in a tree."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _members(cls: ast.ClassDef) -> dict:
+    """Each public method, property and field of a class, and each public
+    attribute its `__init__` sets, mapped to the definition a read of it may not
+    sit in (None for a field or attribute)."""
+    out = {}
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out[node.target.id] = None
+        elif isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+            if node.name == "__init__":
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                        if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                            out.setdefault(sub.attr, None)
+    return {name: own for name, own in out.items() if not name.startswith("_")}
+
+
 def test_every_public_function_and_class_of_the_package_has_a_program_caller():
-    # a caller is another top-level statement of the package or of the benchmark
-    # scripts that names it; a decorated (registered) function counts as called
+    # Programs are the package and the benchmark scripts; a decorated (registered)
+    # function counts as called.  A public module-level function or class is
+    # called when another top-level statement names it.  A public class member
+    # is read when its attribute is loaded outside its own definition (a store is
+    # no read) or a benchmark script names it in a string, as perfbench/spans.py
+    # wraps HopeModel methods by name.
     package = Path(config.__file__).parent
     paths = sorted(package.glob("*.py")) + sorted((package.parents[1] / "perfbench").glob("*.py"))
-    public, names = [], {}
+    public, members, names, loads, strings = [], [], {}, Counter(), set()
     for path in paths:
-        for statement in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        loads += _loads(tree)
+        if path.parent != package:
+            strings |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        for statement in tree.body:
             names[statement] = _mentioned(statement)
-            if (
-                path.parent == package
-                and isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                and not statement.name.startswith("_")
-                and not (isinstance(statement, ast.FunctionDef) and statement.decorator_list)
-            ):
+            if path.parent != package or not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(statement, ast.ClassDef):
+                members += [(f"{path.stem}.{statement.name}.{name}", name, own) for name, own in _members(statement).items()]
+            if not statement.name.startswith("_") and not (isinstance(statement, ast.FunctionDef) and statement.decorator_list):
                 public.append((path.stem, statement))
     uncalled = [
         f"{module}.{definition.name}"
         for module, definition in public
         if not any(definition.name in refs for statement, refs in names.items() if statement is not definition)
     ]
-    assert not uncalled, uncalled
+    unread = [
+        qualified
+        for qualified, name, own in members
+        if name not in strings and loads[name] <= (0 if own is None else _loads(own)[name])
+    ]
+    assert not uncalled + unread, uncalled + unread
 
 
 def test_seed_derivation_is_stable_and_independent():
@@ -293,16 +332,17 @@ def test_runlog_roundtrip_and_validation(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["not json", "[1, 2]", '{"version": 1, "step": "2"}', '{"version": true, "step": 2}'],
-    ids=["not-json", "not-an-object", "step-not-integer", "version-not-integer"],
+    [b"not json", b"[1, 2]", b'{"version": 1, "step": "2"}', b'{"version": true, "step": 2}', b'{"step": "\xff"}', b"[" * 100000],
+    ids=["not-json", "not-an-object", "step-not-integer", "version-not-integer", "not-utf8", "too-deep"],
 )
 def test_cli_emit_plots_rejects_a_malformed_runlog(tmp_path, capsys, line):
     path = tmp_path / "log.jsonl"
-    path.write_text('{"version": 1, "step": 1}\n' + line + "\n")
+    path.write_bytes(b'{"version": 1, "step": 1}\n' + line + b"\n")
     with pytest.raises(RunlogError):
         read_runlog(str(path))
     assert main(["emit-plots", str(path), "--out", str(tmp_path / "plots")]) == 2
-    assert capsys.readouterr().err.startswith("error: line 2")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2") and err.count("\n") == 1, err
 
 
 def test_emit_plots_per_metric(tmp_path):
@@ -518,19 +558,32 @@ def _bad_path_args(tmp_path) -> dict:
     (tmp_path / "file").write_text("")
     under_file = tmp_path / "under_file.json"
     under_file.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "file" / "run")}))
+    not_utf8, too_deep = tmp_path / "not_utf8.json", tmp_path / "too_deep.json"
+    not_utf8.write_bytes(b'{"out_dir": "\xff"}')
+    too_deep.write_bytes(b"[" * 100000)
     return {
         "train-dir": ["train", str(tmp_path)],
         "eval-checkpoint-dir": ["eval", str(good), "--checkpoint", str(tmp_path)],
         "emit-plots-dir": ["emit-plots", str(tmp_path), "--out", str(tmp_path / "plots")],
         "out-dir-under-file": ["train", str(under_file)],
+        "train-config-not-utf8": ["train", str(not_utf8)],
+        "eval-config-not-utf8": ["eval", str(not_utf8), "--checkpoint", str(tmp_path / "none.nlck")],
+        "train-config-too-deep": ["train", str(too_deep)],
+        "eval-config-too-deep": ["eval", str(too_deep), "--checkpoint", str(tmp_path / "none.nlck")],
     }
 
 
-@pytest.mark.parametrize("case", ["train-dir", "eval-checkpoint-dir", "emit-plots-dir", "out-dir-under-file"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "train-dir", "eval-checkpoint-dir", "emit-plots-dir", "out-dir-under-file", "train-config-not-utf8",
+        "eval-config-not-utf8", "train-config-too-deep", "eval-config-too-deep",
+    ],
+)
 def test_cli_bad_path_exits_2(tmp_path, capsys, case):
     assert main(_bad_path_args(tmp_path)[case]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def _eval_checkpoint(tmp_path, edit) -> tuple[int, str]:

@@ -11,6 +11,7 @@ from nllab import tensor as T
 from nllab.hope import DivergenceError, HopeConfig, HopeModel, train
 from nllab.srt import SLOTS
 from nllab.tensor import Tape, Tensor, finite_diff_grad
+from test_tensor import assert_records_bit_identically
 
 
 def hidden_states(model, tokens):
@@ -210,9 +211,13 @@ def test_linear_attention_core_matches_prefix_sum_reference(length):
 @pytest.mark.parametrize("core", ["srt", "attention", "linear_attention"])
 def test_loss_tape_replays_bit_identically(core):
     model = HopeModel(tiny_lm_config(core=core), seed=9)
-    tape = Tape()
-    model.build_loss(tape, [{"tokens": [0, 5, 2, 9, 1, 7], "label": None}, {"tokens": [3, 4], "label": None}])
-    assert tape.replay() is True
+
+    def record():
+        tape = Tape()
+        model.build_loss(tape, [{"tokens": [0, 5, 2, 9, 1, 7], "label": None}, {"tokens": [3, 4], "label": None}])
+        return tape
+
+    assert_records_bit_identically(record)
 
 
 @pytest.mark.parametrize("core", ["srt", "attention", "linear_attention"])
@@ -334,6 +339,19 @@ def test_divergence_aborts_with_record():
     assert e.value.log[-1]["event"] == "diverged"
     # the op or gradient that first went non-finite, not only the loss
     assert re.search(r"output of \w+ \(node \d+\)|gradient of '", e.value.log[-1]["detail"]), e.value.log[-1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_gradient_norm_is_a_divergence():
+    # every gradient is finite, but their squares overflow: no clip scale exists
+    data = tasks.generate(tasks.TaskSpec("parity", seed=6, bin0=(2, 6), bin1=(7, 9)), 8)
+    model = HopeModel(HopeConfig(vocab=2, dim=8, num_classes=2, cms_chunks=(1,), cms_hidden=4), seed=13)
+    signs = np.where(np.random.default_rng(4).random(model.params["readout"].shape) < 0.5, -1.0, 1.0)
+    model.set_parameter("readout", 1e170 * signs)
+    with pytest.raises(DivergenceError) as e:
+        train(model, data, steps=3, seed=7, batch_size=2)
+    assert e.value.step == 1
+    assert e.value.log == [{"step": 1, "event": "diverged", "detail": "non-finite values in the global gradient norm"}]
 
 
 def test_nonfinite_evaluation_ends_training_as_a_divergence():

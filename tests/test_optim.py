@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nllab import optim, tensor as T
-from nllab.optim import contribution_curve, init_state, newton_schulz, newton_schulz_iterates, step
+from nllab.optim import contribution_curve, init_state, newton_schulz, step
 from nllab.tensor import Tensor
 
 
@@ -130,7 +130,8 @@ def test_newton_schulz_diag_and_monotone_decrease():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-        errs = [np.linalg.norm(x.data.T @ x.data - np.eye(4)) for x in newton_schulz_iterates(g, 8)]
+        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i).data for i in range(1, 9)]
+        errs = [np.linalg.norm(x.T @ x - np.eye(4)) for x in iterates]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
@@ -155,10 +156,12 @@ def test_newton_schulz_domain_errors_and_gd_mode():
         newton_schulz(np.zeros((2, 2)), 3)
     rng = np.random.default_rng(13)
     g = rng.normal(size=(3, 3))
-    # first gd step with zeta reproduces the cubic with a=1+2z, b=-2z
-    got = newton_schulz(g, 1, mode="gd", zeta=0.25).data
-    ref = newton_schulz(g, 1, coeffs=(1.5, -0.5)).data
-    assert np.abs(got - ref).max() < 1e-12
+    # the GD view: a descent step on ||O^T O - I||^2 with a pull toward the
+    # normalized start g0; from O = g0 it is the cubic with a = 1+2z, b = -2z
+    zeta = 0.25
+    x = g0 = g / np.linalg.norm(g)
+    got = x - zeta * (x - g0 + 2.0 * x @ (x.T @ x - np.eye(3)))
+    assert np.abs(got - newton_schulz(g, 1).data).max() < 1e-12
 
 
 def test_contribution_curve_values_and_limits():

@@ -13,6 +13,7 @@ from nllab import verify as V
 from nllab.hope import HopeConfig, HopeModel
 from nllab.srt import SrtConfig, init_srt, linear_attention_config
 from nllab.tensor import Tensor
+from test_tensor import assert_records_bit_identically
 
 
 def all_linear_config(d, **kw):
@@ -320,10 +321,14 @@ def test_padded_samples_keep_their_own_fast_weights_bit_for_bit(chunk, d, extra)
     x = rng.normal(size=(d, width * batch))  # arbitrary values at the padded columns
     for b, xb in enumerate(xs):
         x[:, b : lengths[b] * batch : batch] = xb
-    tape = T.Tape()
-    weights, wq, kernel = constants(tape, state)
-    y, final = S.srt_forward_nodes(tape, cfg, weights, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
-    assert tape.replay() is True
+
+    def record():
+        tape = T.Tape()
+        weights, wq, kernel = constants(tape, state)
+        return tape, S.srt_forward_nodes(tape, cfg, weights, wq, tape.constant(x), conv_kernel=kernel, lengths=lengths)
+
+    assert_records_bit_identically(lambda: record()[0])
+    tape, (y, final) = record()
     for b, xb in enumerate(xs):
         y_alone, alone = V._srt_values(state, xb)
         for slot in S.SLOTS:
@@ -395,7 +400,7 @@ def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
     oracle_tape, oracle_outs, oracle_loss = run("per-slot")
     for a, b in zip(outs, oracle_outs):
         assert np.array_equal(a.value, b.value)
-    assert tape.replay() is True
+    assert_records_bit_identically(lambda: run("stacked")[0])
     grads, oracle = tape.backward(loss), oracle_tape.backward(oracle_loss)
     for pname, g in oracle.items():
         assert np.abs(grads[pname].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), pname
@@ -468,7 +473,7 @@ def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
     assert sum(node.op == "srt_core" for node in tape.nodes) == 1
     for a, b in zip(outs, oracle_outs):
         assert np.array_equal(a.value, b.value)
-    assert tape.replay() is True
+    assert_records_bit_identically(lambda: run(S.srt_forward_nodes)[0])
     grads = tape.backward(loss)
     for name, g in oracle.items():
         assert np.abs(grads[name].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), name

@@ -124,8 +124,8 @@ def test_copy_recall_and_niah_probe_correct():
 def test_psi_trivial_points_and_finite_diff():
     v, g = psi(0.0, 0.0)
     assert v == 0.0 and np.array_equal(g, np.zeros(2))
-    # vanishing penalty at r = theta when alpha = 0: d/dtheta = 0
-    _, g = psi(1.3, 1.3, alpha=0.0)
+    # where the penalty vanishes, theta = r + alpha*sin(omega*r): d/dtheta = 0
+    _, g = psi(1.3, 1.3 + 0.8 * np.sin(6.0 * 1.3))
     assert abs(g[1]) < 1e-12
 
     rng = np.random.default_rng(4)
@@ -137,24 +137,33 @@ def test_psi_trivial_points_and_finite_diff():
         assert np.abs(fd.data - g).max() / denom < 1e-6
 
 
+def direction(task):
+    """The task's unit direction, up to sign: every sample is x = s·u."""
+    x = task[0][0]
+    return x / np.linalg.norm(x)
+
+
 def test_orthogonal_stream_construction():
     stream = orthogonal_task_stream(2, 2, 16, seed=7)
-    u1, u2 = stream.directions
+    u1, u2 = (direction(task) for task in stream)
     assert abs(u1 @ u2) < 1e-12
-    assert abs(np.linalg.norm(u1) - 1) < 1e-12
+    for task, u in zip(stream, (u1, u2)):
+        for x, _ in task:  # every sample lies in span(u)
+            assert np.abs(x - (x @ u) * u).max() < 1e-12
 
     # task-1 gradients have no component along u2
     rng = np.random.default_rng(8)
     stream = orthogonal_task_stream(2, 6, 32, seed=9)
     w = rng.normal(size=6)
-    xs = np.stack([x for x, _ in stream.tasks[0]])
-    ys = np.array([y for _, y in stream.tasks[0]])
+    xs = np.stack([x for x, _ in stream[0]])
+    ys = np.array([y for _, y in stream[0]])
     grad = 2 * ((xs @ w - ys)[:, None] * xs).mean(axis=0)
-    assert abs(grad @ stream.directions[1]) < 1e-10
+    assert abs(grad @ direction(stream[1])) < 1e-10
 
     again = orthogonal_task_stream(2, 6, 32, seed=9)
-    assert np.array_equal(stream.directions, again.directions)
-    assert np.array_equal(np.stack([x for x, _ in stream.tasks[1]]), np.stack([x for x, _ in again.tasks[1]]))
+    for task, same in zip(stream, again):
+        assert np.array_equal(np.stack([x for x, _ in task]), np.stack([x for x, _ in same]))
+        assert [y for _, y in task] == [y for _, y in same]
 
     with pytest.raises(ValueError):
         orthogonal_task_stream(5, 3, 4)
@@ -162,7 +171,8 @@ def test_orthogonal_stream_construction():
 
 def test_stream_task_loss_minimized_at_target():
     stream = orthogonal_task_stream(2, 4, 64, seed=10)
-    w_star = stream.coefficients[0] * stream.directions[0]
+    x, y = stream[0][0]
+    w_star = y * x / (x @ x)
     assert stream_task_loss(stream, 0, w_star) < 1e-20
 
 

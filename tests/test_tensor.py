@@ -14,6 +14,15 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def assert_records_bit_identically(record):
+    """`record()` records a computation on a fresh tape and returns it.  Two
+    recordings make the same op at every node, with the same value bytes."""
+    first, second = record(), record()
+    assert [node.op for node in first.nodes] == [node.op for node in second.nodes]
+    for a, b in zip(first.nodes, second.nodes):
+        assert a.value.shape == b.value.shape and a.value.tobytes() == b.value.tobytes(), (a.idx, a.op)
+
+
 def test_tensor_rejects_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(T.NonFiniteError, match="Tensor construction"):
@@ -308,9 +317,14 @@ def test_slice_and_concat_gradients_match_finite_differences_and_replay(name):
     def loss(tape, xs):
         return T.dot(T.silu(op(xs)), tape.constant(probe))
 
+    def record():
+        tape = Tape()
+        loss(tape, [tape.param(f"x{i}", v) for i, v in enumerate(vals)])
+        return tape
+
+    assert_records_bit_identically(record)
     tape = Tape()
     grads = tape.backward(loss(tape, [tape.param(f"x{i}", v) for i, v in enumerate(vals)]))
-    assert tape.replay() is True
     for i, v in enumerate(vals):
 
         def f(xt, i=i):
@@ -492,13 +506,15 @@ def test_l2_normalize_columns_safe_matches_vector_form_and_keeps_zero_columns():
 
 def test_replay_reproduces_forward_bit_identically():
     rng = np.random.default_rng(21)
-    tape = Tape()
-    w = tape.param("w", rng.normal(size=(4, 4)))
-    x = tape.constant(rng.normal(size=(4, 4)))
-    h = T.silu(T.matmul(w, x))
-    out = T.causal_softmax_columns(h)
-    T.mse(out, tape.constant(np.ones((4, 4)) / 4))
-    assert tape.replay() is True
+    w, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+
+    def record():
+        tape = Tape()
+        out = T.causal_softmax_columns(T.silu(T.matmul(tape.param("w", w), tape.constant(x))))
+        T.mse(out, tape.constant(np.ones((4, 4)) / 4))
+        return tape
+
+    assert_records_bit_identically(record)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -576,10 +592,14 @@ def test_decay_scan_gradients_match_finite_differences(retention):
 def test_decay_scan_replays_bit_identically_and_rejects_bad_input():
     rng = np.random.default_rng(24)
     vals = _decay_scan_inputs(rng, n=5)
-    tape = Tape()
-    nodes = [tape.param(f"p{i}", v) for i, v in enumerate(vals)]
-    T.mean_all(T.matmul(T.decay_scan(*nodes, True), T.decay_scan(*nodes, False)))
-    assert tape.replay() is True
+
+    def record():
+        tape = Tape()
+        nodes = [tape.param(f"p{i}", v) for i, v in enumerate(vals)]
+        T.mean_all(T.matmul(T.decay_scan(*nodes, True), T.decay_scan(*nodes, False)))
+        return tape
+
+    assert_records_bit_identically(record)
 
     for i in range(len(vals)):
         bad = vals[i].copy()
