@@ -175,15 +175,7 @@ def cms_tick(chain: CmsChain, i: int, n: int = 1) -> list[int]:
     return applied
 
 
-def state_dict(chain: CmsChain) -> dict[str, Tensor]:
-    out = {}
-    for i, lv in enumerate(chain.levels):
-        out[f"level{i}.w1"] = Tensor(lv.w1)
-        out[f"level{i}.w2"] = Tensor(lv.w2)
-    return out
-
-
 def set_tensor(chain: CmsChain, key: str, value: np.ndarray) -> None:
-    """Replace the weight `state_dict` names `key`; snapshots are left alone."""
+    """Replace the level weight `key` names ("level<i>.w1" or "level<i>.w2"); snapshots are left alone."""
     level, attr = key.split(".")
     setattr(chain.levels[int(level.removeprefix("level"))], attr, value)

@@ -266,8 +266,9 @@ class HopeModel:
         for b, chain in enumerate(self.chains):
             if chain is None:
                 continue
-            for key, tensor in cms_mod.state_dict(chain).items():
-                out[f"b{b}.cms.{key}"] = tensor.data
+            for i, lv in enumerate(chain.levels):
+                out[f"b{b}.cms.level{i}.w1"] = lv.w1
+                out[f"b{b}.cms.level{i}.w2"] = lv.w2
         return out
 
     def set_parameter(self, name: str, value: np.ndarray) -> None:

@@ -175,14 +175,14 @@ _OBJECTIVES = ("dot", "l2", "oja")
 
 def _objective_node(objective: str, weights, kind: str, k_node, v_node):
     if objective == "dot":
-        return T.dot_loss(read_node(weights, k_node, kind), v_node)
+        return T.mul(-1.0, T.dot(read_node(weights, k_node, kind), v_node))
     if objective == "l2":
         diff = T.sub(read_node(weights, k_node, kind), v_node)
         return T.mul(0.5, T.dot(diff, diff))
     if objective == "oja":
         if kind != LINEAR:
             raise UnsupportedCombination("oja objective is defined for linear memories only")
-        fit = T.dot_loss(T.matmul(weights[0], k_node), v_node)
+        fit = T.mul(-1.0, T.dot(T.matmul(weights[0], k_node), v_node))
         mtv = T.matmul(T.transpose(weights[0]), v_node)
         return T.add(fit, T.mul(0.5, T.dot(mtv, mtv)))
     raise ValueError(f"unknown objective {objective!r}; expected one of {_OBJECTIVES}")

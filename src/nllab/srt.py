@@ -148,11 +148,6 @@ _X, _KV = 0, 1  # the first stage's inputs: token columns, conv columns
 _Q, _V, _K = 0, 1, 2  # the second stage's: unit q, v and k, one (3,B,d,C) stack
 
 
-def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
-    """Gradient of (...,d,C) columns from that of `out`, the columns divided by `norms` (None: not divided)."""
-    return g if norms is None else (g - out * (out * g).sum(axis=-2, keepdims=True)) / norms
-
-
 def _sigmoids(parts: list) -> list:
     """`tensor._sigmoid` of each array in parts, from one call over their
     concatenation: the sigmoid is elementwise, so each is its own call's bits."""
@@ -438,7 +433,7 @@ class _Core:
             # a gate's gradient is the same on every row of its read: a stacked read adds it by broadcasting
             gs = [g[:, None, :] if block is not None else np.repeat(g[:, None, :], d, axis=1) for g, (_, _, block, _) in zip(gates, self.reads1)]
             # q's, v's (zero if nothing read v) and k's column gradients, through the unit norms in one stack
-            gqvk = _unit_grad(qvk, norms, np.array([gq, np.zeros_like(gk) if gv is None else gv, gk]))
+            gqvk = T._unit_grad(qvk, norms, np.array([gq, np.zeros_like(gk) if gv is None else gv, gk]))
             gs += [gqvk[_K], None if gv is None else gqvk[_V]]
             gqt = T._time_major(gqvk[_Q])
             gcols, gprod = [None, None], [None, None]

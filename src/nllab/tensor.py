@@ -250,10 +250,6 @@ def mul(a, b) -> Node:
     return _binary(a, b, np.multiply, "mul")
 
 
-def neg(a: Node) -> Node:
-    return _unary(a, lambda v: -v, lambda v, o: -1.0, "neg")
-
-
 def matmul(a, b) -> Node:
     """Matrix product: (m,n)@(n,k) -> (m,k) or (m,n)@(n,) -> (m,); or, for a pair of
     (B,m,n) and (B,n,k) stacks, their B products as a (B,m,k) stack."""
@@ -279,19 +275,6 @@ def matmul(a, b) -> Node:
             return (g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g)
 
     return t._record(np.matmul, (a, b), vjp, "matmul")
-
-
-def outer(u, v) -> Node:
-    t = _tape_of(u, v)
-    u, v = _lift(t, u), _lift(t, v)
-    vu, vv = u.value, v.value
-    if vu.ndim != 1 or vv.ndim != 1:
-        raise ShapeError(f"outer: need two vectors, got {vu.shape} and {vv.shape}")
-
-    def vjp(g):
-        return (g @ vv, g.T @ vu)
-
-    return t._record(np.outer, (u, v), vjp, "outer")
 
 
 def transpose(a: Node) -> Node:
@@ -385,16 +368,15 @@ def _normalize_columns(x: Node, norms_of: Callable, op: str) -> Node:
     """Each column of a matrix divided by its entry of `norms_of(x)`."""
     if x.value.ndim != 2:
         raise ShapeError(f"{op}: need a matrix, got {x.value.shape}")
-    saved = []  # the norms and the value, left by `unit` for the VJP
+    saved = []  # the value and the norms, left by `unit` for the VJP
 
     def unit(a):
         norms = norms_of(a)
-        saved[:] = norms, a / norms
-        return saved[1]
+        saved[:] = a / norms, norms
+        return saved[0]
 
     def vjp(g):
-        norms, out = saved
-        return ((g - out * (out * g).sum(axis=0)) / norms,)
+        return (_unit_grad(*saved, g),)
 
     return x.tape._record(unit, (x,), vjp, op)
 
@@ -416,6 +398,11 @@ def _safe_row_norms(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows)
     norms = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
     return norms + (norms == 0.0)
+
+
+def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
+    """Gradient of (...,d,C) columns from that of `out`, the columns divided by `norms` (None: not divided)."""
+    return g if norms is None else (g - out * (out * g).sum(axis=-2, keepdims=True)) / norms
 
 
 def l2_normalize_columns_safe(x: Node) -> Node:
@@ -466,14 +453,6 @@ def _take(x: Node, index: tuple, op: str) -> Node:
     return x.tape._record(lambda a: a[index].copy(), (x,), vjp, op, check=False)
 
 
-def column(x: Node, j: int) -> Node:
-    if x.value.ndim != 2:
-        raise ShapeError(f"column: need a matrix, got {x.value.shape}")
-    if not 0 <= j < x.value.shape[1]:
-        raise ShapeError(f"column index {j} out of range for shape {x.value.shape}")
-    return _take(x, (slice(None), j), "column")
-
-
 def element(v: Node, i: int) -> Node:
     if v.value.ndim != 1:
         raise ShapeError(f"element: need a vector, got {v.value.shape}")
@@ -485,18 +464,6 @@ def slice_columns(x: Node, start: int, stop: int, step: int = 1) -> Node:
     if x.value.ndim != 2:
         raise ShapeError(f"slice_columns: need a matrix, got {x.value.shape}")
     return _take(x, (slice(None), slice(start, stop, step)), "slice_columns")
-
-
-def stack_columns(cols: Sequence[Node]) -> Node:
-    if not cols:
-        raise ShapeError("stack_columns: empty column list")
-    t = cols[0].tape
-    cols = tuple(_lift(t, c) for c in cols)
-
-    def vjp(g):
-        return tuple(g[:, j].copy() for j in range(g.shape[1]))
-
-    return t._record(lambda *vals: np.stack(vals, axis=1), cols, vjp, "stack_columns", check=False)
 
 
 def concat_columns(blocks: Sequence[Node]) -> Node:
@@ -946,25 +913,6 @@ def causal_depthwise_conv(x: Node, kernel, batch: int = 1) -> Node:
 # losses
 
 
-def _mse(va: np.ndarray, vb: np.ndarray) -> float:
-    diff = va - vb
-    return (diff * diff).sum() / diff.size
-
-
-def mse(a, b) -> Node:
-    t = _tape_of(a, b)
-    a, b = _lift(t, a), _lift(t, b)
-    va, vb = a.value, b.value
-    if va.shape != vb.shape:
-        raise ShapeError(f"mse: shapes {va.shape} and {vb.shape} differ")
-
-    def vjp(g):
-        c, diff = 2.0 * g / va.size, va - vb
-        return (c * diff, -c * diff)
-
-    return t._record(_mse, (a, b), vjp, "mse")
-
-
 def dot(a, b) -> Node:
     """Full contraction <a, b> over identically shaped operands."""
     t = _tape_of(a, b)
@@ -977,11 +925,6 @@ def dot(a, b) -> Node:
         return (g * vb, g * va)
 
     return t._record(lambda x, y: (x * y).sum(), (a, b), vjp, "dot")
-
-
-def dot_loss(a, b) -> Node:
-    """-<a, b>: one gradient step on this recovers outer-product write rules."""
-    return neg(dot(a, b))
 
 
 def _log_softmax(v: np.ndarray) -> np.ndarray:

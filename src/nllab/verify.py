@@ -242,6 +242,11 @@ def check_m3(faults=frozenset(), out_dir=None) -> CheckResult:
 # chain and fast-weight invariants
 
 
+def _mse(out, target):
+    diff = T.sub(out, target)
+    return T.mean_all(T.mul(diff, diff))
+
+
 @register("cms-frequency-and-sgd")
 def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
     rng = np.random.default_rng(2)
@@ -256,14 +261,14 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
         tape = Tape()
         level_nodes = cms_mod.register_nodes(chain, tape)
         out = cms_mod.forward_with_nodes(chain, level_nodes, tape.constant(x))
-        grads = tape.backward(T.mse(out, tape.constant(y)))
+        grads = tape.backward(_mse(out, tape.constant(y)))
         cms_mod.cms_accumulate(chain, [(grads["cms.level0.w1"].data, grads["cms.level0.w2"].data)])
         cms_mod.cms_tick(chain, i)
 
         tape = Tape()
         w1n, w2n = tape.param("w1", w1), tape.param("w2", w2)
         out = T.add(tape.constant(x), T.matmul(w1n, T.silu(T.matmul(w2n, tape.constant(x)))))
-        g = tape.backward(T.mse(out, tape.constant(y)))
+        g = tape.backward(_mse(out, tape.constant(y)))
         w1 = w1 - lr * g["w1"].data
         w2 = w2 - lr * g["w2"].data
         worst = max(worst, float(np.abs(chain.levels[0].w1 - w1).max()))
@@ -319,13 +324,13 @@ def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, wi
     """One chunk's update of a memory: one decay_scan per weight, from the boundary state."""
     if kind == LINEAR:
         (m,) = boundary
-        u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.neg(vhat)
+        u = T.sub(T.bmatmul(m, k, widths), vhat) if cfg.objective == "l2" else T.mul(-1.0, vhat)
         return (T.decay_scan(m, k, u, eta, alpha, cfg.retention, widths),)
     # weight-space gradient of the residual MLP read, no retention factor
     w1, w2 = boundary
     z = T.bmatmul(w2, k, widths)
     h = T.silu(z)
-    r = T.sub(T.add(k, T.bmatmul(w1, h, widths)), vhat) if cfg.objective == "l2" else T.neg(vhat)
+    r = T.sub(T.add(k, T.bmatmul(w1, h, widths)), vhat) if cfg.objective == "l2" else T.mul(-1.0, vhat)
     u2 = T.mul(T.bmatmul(T.transpose(w1), r, widths), T.silu_grad(z))
     return (T.decay_scan(w1, h, r, eta, alpha, False, widths), T.decay_scan(w2, k, u2, eta, alpha, False, widths))
 
@@ -364,17 +369,38 @@ def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=Non
     return T.concat_columns(outputs), cur
 
 
+def _probed(run, vals: dict, probes: list, grads: bool = True):
+    """Register `vals` as the parameters of a fresh tape, record the outputs
+    `run(tape, nodes)` lists and sum each one's contraction with its probe:
+    the output values and every input's gradient of that sum; or, without
+    `grads`, the sum alone."""
+    tape = Tape()
+    nodes = {name: tape.param(name, v) for name, v in vals.items()}
+    outs = run(tape, nodes)
+    loss = T.dot(outs[0], tape.constant(probes[0]))
+    for o, p in zip(outs[1:], probes[1:]):
+        loss = T.add(loss, T.dot(o, tape.constant(p)))
+    if not grads:
+        return float(loss.value)
+    return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
+
+
 _SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
 
 
 def _decay_scan_oracle(m, keys, u, eta, alpha, retention):
     """The per-token graph that `decay_scan` replaces: the SRT linear-memory update."""
     for j in range(keys.value.shape[1]):
-        k, w = T.column(keys, j), T.column(u, j)
+        k, w = T.slice_columns(keys, j, j + 1), T.slice_columns(u, j, j + 1)
         if retention:
             w = T.add(T.matmul(m, k), w)
-        m = T.sub(T.mul(T.element(alpha, j), m), T.mul(T.element(eta, j), T.outer(w, k)))
+        m = T.sub(T.mul(T.element(alpha, j), m), T.mul(T.element(eta, j), T.matmul(w, T.transpose(k))))
     return m
+
+
+def _scan_run(scan, retention: bool):
+    """`_probed`'s run of `scan`, `decay_scan` or its oracle, on the scan inputs."""
+    return lambda tape, nodes: [scan(*(nodes[name] for name in _SCAN_INPUTS), retention)]
 
 
 def _decay_scan_inputs(rng, d: int, n: int) -> dict:
@@ -386,14 +412,6 @@ def _decay_scan_inputs(rng, d: int, n: int) -> dict:
         "eta": rng.uniform(0.0, 0.5, size=n),
         "alpha": rng.uniform(0.5, 1.0, size=n),
     }
-
-
-def _decay_scan_run(scan, vals: dict, retention: bool, probe: np.ndarray):
-    """Final state and the gradients of <M_C, probe> for every scan input."""
-    tape = Tape()
-    out = scan(*(tape.param(name, vals[name]) for name in _SCAN_INPUTS), retention)
-    grads = tape.backward(T.dot(out, tape.constant(probe)))
-    return out.value, {name: grads[name].data for name in _SCAN_INPUTS}
 
 
 def _batched_scan(rng, retention: bool, cols: int, widths: list) -> tuple:
@@ -409,20 +427,18 @@ def _batched_scan(rng, retention: bool, cols: int, widths: list) -> tuple:
     stacked = {name: v.reshape(*v.shape[:-2], -1) for name, v in stacked.items()}  # time-major columns
     stacked["m0"] = np.stack([vals["m0"] for vals in samples])
     probe = rng.normal(size=(batch, 3, 3))
-    tape = Tape()
-    out = T.decay_scan(*(tape.param(name, stacked[name]) for name in _SCAN_INPUTS), retention, widths)
-    grads = tape.backward(T.dot(out, tape.constant(probe)))
+    (out,), grads = _probed(_scan_run(partial(T.decay_scan, widths=widths), retention), stacked, [probe])
     worst, exact = 0.0, True
     for b, n in enumerate(widths):
         own = {name: v if name == "m0" else v[..., :n] for name, v in samples[b].items()}
         state, g_own = samples[b]["m0"], {"m0": probe[b]}
         if n:
-            state, g_own = _decay_scan_run(_decay_scan_oracle, own, retention, probe[b])
+            (state,), g_own = _probed(_scan_run(_decay_scan_oracle, retention), own, [probe[b]])
         if 0 < n < cols:
-            exact &= np.array_equal(out.value[b], _decay_scan_run(T.decay_scan, own, retention, probe[b])[0])
-        worst = max(worst, float(np.abs(out.value[b] - state).max()), float(np.abs(grads["m0"].data[b] - g_own["m0"]).max()))
+            exact &= np.array_equal(out[b], _probed(_scan_run(T.decay_scan, retention), own, [probe[b]])[0][0])
+        worst = max(worst, float(np.abs(out[b] - state).max()), float(np.abs(grads["m0"][b] - g_own["m0"]).max()))
         for name in _SCAN_INPUTS[1:]:
-            g = grads[name].data[..., b::batch]
+            g = grads[name][..., b::batch]
             real = np.abs(g[..., :n] - g_own[name]).max() if n else 0.0
             worst = max(worst, float(real), float(np.abs(g[..., n:]).max(initial=0.0)))
     return worst, exact
@@ -434,12 +450,13 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
     exact = True  # partly padded samples bit-identical to their own-width scans
     fd_worst = 0.0  # fused VJP vs central differences, relative, d=3 and C=3
     for retention in (True, False):
+        fused = _scan_run(T.decay_scan, retention)
         for n in (1, 3, 8):
             rng = np.random.default_rng(10 * n + retention)
             vals = _decay_scan_inputs(rng, 6, n)
             probe = rng.normal(size=(6, 6))
-            fast, g_fast = _decay_scan_run(T.decay_scan, vals, retention, probe)
-            slow, g_slow = _decay_scan_run(_decay_scan_oracle, vals, retention, probe)
+            (fast,), g_fast = _probed(fused, vals, [probe])
+            (slow,), g_slow = _probed(_scan_run(_decay_scan_oracle, retention), vals, [probe])
             worst = max(worst, float(np.abs(fast - slow).max()))
             for name in _SCAN_INPUTS:
                 worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
@@ -447,15 +464,9 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
         rng = np.random.default_rng(retention)
         vals = _decay_scan_inputs(rng, 3, 3)
         probe = rng.normal(size=(3, 3))
-        _, grads = _decay_scan_run(T.decay_scan, vals, retention, probe)
+        _, grads = _probed(fused, vals, [probe])
         for name in _SCAN_INPUTS:
-
-            def f(x, name=name):
-                tape = Tape()
-                args = [tape.constant(x.data if other == name else vals[other]) for other in _SCAN_INPUTS]
-                return float((T.decay_scan(*args, retention).value * probe).sum())
-
-            fd = T.finite_diff_grad(f, Tensor(vals[name])).data
+            fd = T.finite_diff_grad(lambda x: _probed(fused, {**vals, name: x.data}, [probe], False), Tensor(vals[name])).data
             scale = max(np.abs(fd).max(), np.abs(grads[name]).max(), 1e-12)
             fd_worst = max(fd_worst, float(np.abs(fd - grads[name]).max()) / scale)
         # ragged batches: full, one-column and empty samples; samples of C-1 and 2 columns
@@ -488,21 +499,16 @@ def _fused_core_configs(d: int) -> dict:
     }
 
 
-def _fused_core_run(forward, cfg: SrtConfig, vals: dict, chunk: int, lengths: list, probes: list, shift: float = 0.0, direction=None):
-    """Outputs of `forward` (Y, then the final weights in SLOTS order) and the
-    gradients of their sum against `probes` for every input in `vals`; or only
-    that sum, with every input moved by `shift` along `direction`."""
-    tape = Tape()
-    nodes = {name: tape.param(name, v if direction is None else v + shift * direction[name]) for name, v in vals.items()}
-    snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS}
-    y, final = forward(tape, replace(cfg, chunk=chunk), snaps, nodes["wq"], nodes["x"], nodes.get("conv"), lengths)
-    outs = [y] + [w for slot in SLOTS for w in final[slot]]
-    loss = T.dot(y, tape.constant(probes[0]))
-    for o, p in zip(outs[1:], probes[1:]):
-        loss = T.add(loss, T.dot(o, tape.constant(p)))
-    if direction is not None:
-        return float(loss.value)
-    return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
+def _core_run(forward, cfg: SrtConfig, chunk: int, lengths: list):
+    """`_probed`'s run of `forward`, the fused core or its per-op graph, in
+    chunks of `chunk`: Y, then the final weights in SLOTS order."""
+
+    def run(tape, nodes):
+        snaps = {slot: tuple(nodes[f"{slot}.{j}"] for j in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS}
+        y, final = forward(tape, replace(cfg, chunk=chunk), snaps, nodes["wq"], nodes["x"], nodes.get("conv"), lengths)
+        return [y] + [w for slot in SLOTS for w in final[slot]]
+
+    return run
 
 
 def _srt_values(state: SrtState, x: np.ndarray, chunk=None, forward=srt_forward_nodes) -> tuple:
@@ -553,13 +559,14 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
             probes = [rng.normal(size=vals["x"].shape)] + [
                 rng.normal(size=(len(lengths),) + vals[f"{slot}.{j}"].shape) for slot in SLOTS for j in range(1 if cfg.kinds[slot] == LINEAR else 2)
             ]
-            fused, g_fused = _fused_core_run(srt_forward_nodes, cfg, vals, chunk, lengths, probes)
-            graph, g_graph = _fused_core_run(_srt_forward_oracle, cfg, vals, chunk, lengths, probes)
+            core = _core_run(srt_forward_nodes, cfg, chunk, lengths)
+            fused, g_fused = _probed(core, vals, probes)
+            graph, g_graph = _probed(_core_run(_srt_forward_oracle, cfg, chunk, lengths), vals, probes)
             exact = exact and all(np.array_equal(a, b) for a, b in zip(fused, graph))
             for key, g in g_graph.items():
                 worst = max(worst, float(np.abs(g_fused[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
             if (name, chunk) == ("conv", 3):
-                fd_case = (cfg, dict(vals), chunk, lengths, probes, g_fused)
+                fd_case = (core, dict(vals), probes, g_fused)
         # the rows start from the same snapshots, on inputs drawn from their own generators
         weights = {slot: tuple(vals[f"{slot}.{j}"] for j in range(len(ws))) for slot, ws in state.weights.items()}
         state = replace(state, weights=weights, conv_kernel=vals.get("conv"))
@@ -572,11 +579,11 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
         runs = [_srt_values(state, x, 3), _srt_values(state, x, 3, _srt_forward_oracle), _srt_values(state, x, 3, permuted)]
         ordered = ordered and all(_bit_identical(runs[0], run) for run in runs[1:])
     # one directional derivative against central differences, along every input at once
-    cfg, vals, chunk, lengths, probes, grads = fd_case
+    core, vals, probes, grads = fd_case
     direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
     along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
     fd = T.finite_diff_grad(
-        lambda s: _fused_core_run(srt_forward_nodes, cfg, vals, chunk, lengths, probes, float(s.data[0]), direction), Tensor([0.0])
+        lambda s: _probed(core, {key: v + float(s.data[0]) * direction[key] for key, v in vals.items()}, probes, False), Tensor([0.0])
     )
     fd_err = abs(float(fd.data[0]) - along) / max(abs(float(fd.data[0])), abs(along), 1e-12)
     passed = exact and worst <= 1e-12 and fd_err < 1e-6 and carried and ordered
@@ -606,38 +613,32 @@ def check_linear_attention(faults=frozenset(), out_dir=None) -> CheckResult:
 _LA_INPUTS = ("x", "b0.norm1", "b0.wq", "b0.wk", "b0.wv")
 
 
-def _linear_attention_oracle(model: HopeModel, tape: Tape, nodes: dict, x):
-    """The per-token graph that the closed-form linear-attention block replaces:
-    M_t = M_{t-1} + v_t k_t^T, read after the update as y_t = M_t q_t / (t+1)."""
-    xn = model._rms(x, nodes["b0.norm1"])
+def _linear_attention_oracle(model: HopeModel, tape: Tape, nodes: dict) -> list:
+    """`_probed`'s run of the per-token graph that the closed-form linear-attention
+    block replaces: M_t = M_{t-1} + v_t k_t^T, read after the update as y_t = M_t q_t / (t+1)."""
+    xn = model._rms(nodes["x"], nodes["b0.norm1"])
     q = T.l2_normalize_columns(T.matmul(nodes["b0.wq"], xn))
     k = T.l2_normalize_columns(T.matmul(nodes["b0.wk"], xn))
     v = T.matmul(nodes["b0.wv"], xn)
     mem = tape.constant(np.zeros((model.config.dim, model.config.dim)))
     cols = []
     for t in range(xn.value.shape[1]):
-        mem = T.add(mem, T.outer(T.column(v, t), T.column(k, t)))
-        cols.append(T.mul(1.0 / (t + 1), T.matmul(mem, T.column(q, t))))
-    return T.stack_columns(cols)
+        vt, kt, qt = (T.slice_columns(a, t, t + 1) for a in (v, k, q))
+        mem = T.add(mem, T.matmul(vt, T.transpose(kt)))
+        cols.append(T.mul(1.0 / (t + 1), T.matmul(mem, qt)))
+    return [T.concat_columns(cols)]
 
 
-def _linear_attention_run(block, model: HopeModel, vals: dict, probe: np.ndarray):
-    """Block output and the gradients of <output, probe> for the block input and weights."""
-    tape = Tape()
-    nodes = {name: tape.param(name, vals[name]) for name in _LA_INPUTS}
-    out = block(model, tape, nodes, nodes["x"])
-    grads = tape.backward(T.dot(out, tape.constant(probe)))
-    return out.value, {name: grads[name].data for name in _LA_INPUTS}
-
-
-def _linear_attention_block(model: HopeModel, tape: Tape, nodes: dict, x):
-    return model._block(tape, nodes, 0, x, [x.value.shape[1]])
+def _linear_attention_block(model: HopeModel, tape: Tape, nodes: dict) -> list:
+    """`_probed`'s run of the closed-form block."""
+    return [model._block(tape, nodes, 0, nodes["x"], [nodes["x"].value.shape[1]])]
 
 
 @register("linear-attention-closed-form")
 def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> CheckResult:
     d = 6
     model = HopeModel(HopeConfig(vocab=2, dim=d, core="linear_attention", use_cms=False), seed=0)
+    block = partial(_linear_attention_block, model)
     worst = 0.0  # closed-form block vs per-token graph: output and every gradient
     fd_worst = 0.0  # directional derivatives vs central differences, relative
     for n in (1, 2, 7):
@@ -646,21 +647,14 @@ def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> Chec
         vals["x"] = rng.normal(size=(d, n))
         vals["b0.norm1"] = rng.uniform(0.5, 1.5, size=d)
         probe = rng.normal(size=(d, n))
-        fast, g_fast = _linear_attention_run(_linear_attention_block, model, vals, probe)
-        slow, g_slow = _linear_attention_run(_linear_attention_oracle, model, vals, probe)
+        (fast,), g_fast = _probed(block, vals, [probe])
+        (slow,), g_slow = _probed(partial(_linear_attention_oracle, model), vals, [probe])
         worst = max(worst, float(np.abs(fast - slow).max()))
         for name in _LA_INPUTS:
             worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
             # one random direction per input keeps the check to two forwards each
             direction = rng.normal(size=vals[name].shape)
-
-            def f(s, name=name, direction=direction):
-                tape = Tape()
-                nodes = {other: tape.constant(vals[other]) for other in _LA_INPUTS}
-                nodes[name] = tape.constant(vals[name] + s.data[0] * direction)
-                return float((_linear_attention_block(model, tape, nodes, nodes["x"]).value * probe).sum())
-
-            fd = float(T.finite_diff_grad(f, Tensor([0.0])).data[0])
+            fd = T.finite_diff_grad(lambda s: _probed(block, {**vals, name: vals[name] + s.data[0] * direction}, [probe], False), Tensor([0.0])).data[0]
             analytic = float((g_fast[name] * direction).sum())
             fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
     passed = worst <= 1e-12 and fd_worst < 1e-6

@@ -6,6 +6,7 @@ from nllab import optim
 from nllab import tensor as T
 from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_tick, make_chain
 from nllab.tensor import Tape, Tensor
+from nllab.verify import _mse
 
 
 def forward_nodes(chain, tape, x, agg=None):
@@ -24,7 +25,7 @@ def loss_and_grads(chain, x, target):
     """Task loss backprop through the whole chain; per-level gradient pairs."""
     tape = Tape()
     out = forward_nodes(chain, tape, x)
-    loss = T.mse(out, tape.constant(target))
+    loss = _mse(out, tape.constant(target))
     grads = tape.backward(loss)
     pairs = [(grads[f"cms.level{i}.w1"].data, grads[f"cms.level{i}.w2"].data) for i in range(len(chain.levels))]
     return float(loss.value), pairs
@@ -143,7 +144,7 @@ def test_c1_single_level_matches_plain_sgd():
         tape = Tape()
         w1n, w2n = tape.param("w1", w1_sgd), tape.param("w2", w2_sgd)
         out = T.add(tape.constant(x), T.matmul(w1n, T.silu(T.matmul(w2n, tape.constant(x)))))
-        g = tape.backward(T.mse(out, tape.constant(y)))
+        g = tape.backward(_mse(out, tape.constant(y)))
         w1_sgd = w1_sgd - lr * g["w1"].data
         w2_sgd = w2_sgd - lr * g["w2"].data
     assert np.abs(chain.levels[0].w1 - w1_sgd).max() < 1e-12
@@ -258,7 +259,7 @@ def test_forward_nodes_matches_value_forward():
         else:
             expect = a[0] * (x + lv0.w1 @ T._silu(lv0.w2 @ x)) + a[1] * (x + lv1.w1 @ T._silu(lv1.w2 @ x))
         assert np.array_equal(node.value, expect)
-        assert list(tape.params) == [f"cms.{key}" for key in C.state_dict(chain)]
+        assert list(tape.params) == [f"cms.level{i}.w{j}" for i in range(len(chain.levels)) for j in (1, 2)]
 
 
 @pytest.mark.parametrize("variant", ["sequential", "nested", "independent"])

@@ -6,13 +6,14 @@ import struct
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nllab import bench, checkpoint, config, verify
+from nllab import bench, checkpoint, cms, config, hope, tensor, verify
 from nllab.cli import build_model, main
 from nllab.config import ConfigError, load_config, resolve, write_json_atomic
 from nllab.fileio import write_atomic
@@ -104,16 +105,16 @@ def test_every_public_function_and_class_of_the_package_has_a_program_caller():
     # function counts as called.  A public module-level function or class is
     # called when another top-level statement names it.  A public class member
     # is read when its attribute is loaded outside its own definition (a store is
-    # no read) or a benchmark script names it in a string, as perfbench/spans.py
-    # wraps HopeModel methods by name.
+    # no read) or perfbench/spans.py names it in a string, as it wraps HopeModel
+    # methods by name; other scripts' strings are data keys, not member names.
     package = Path(config.__file__).parent
-    paths = sorted(package.glob("*.py")) + sorted((package.parents[1] / "perfbench").glob("*.py"))
-    public, members, names, loads, strings = [], [], {}, Counter(), set()
+    spans = package.parents[1] / "perfbench" / "spans.py"
+    paths = sorted(package.glob("*.py")) + sorted(spans.parent.glob("*.py"))
+    public, members, names, loads = [], [], {}, Counter()
+    strings = {node.value for node in ast.walk(ast.parse(spans.read_text())) if isinstance(node, ast.Constant)}
     for path in paths:
         tree = ast.parse(path.read_text())
         loads += _loads(tree)
-        if path.parent != package:
-            strings |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
         for statement in tree.body:
             names[statement] = _mentioned(statement)
             if path.parent != package or not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -693,6 +694,41 @@ def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):
     assert main(["verify", "--filter", "hebbian", "--out", str(tmp_path), "--inject-fault", "hebbian-sign"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+_OFF = 1 + 1e-9  # a fault far below what central differences resolve, far above the oracles' 1e-12
+
+
+def _fault_closed_vjp(monkeypatch):
+    closed_vjp = tensor._closed_vjp
+    monkeypatch.setattr(tensor, "_closed_vjp", lambda *args: tuple(g * _OFF for g in closed_vjp(*args)))
+
+
+def _fault_linear_attention_mask(monkeypatch):
+    # the closed-form block makes its mask with hope's np.triu
+    monkeypatch.setattr(hope, "np", SimpleNamespace(**{**vars(np), "triu": lambda m: np.triu(m) * _OFF}))
+
+
+def _fault_buffered_step(monkeypatch):
+    accumulate = cms.cms_accumulate
+    monkeypatch.setattr(cms, "cms_accumulate", lambda chain, grads: accumulate(chain, [(g1 * _OFF, g2 * _OFF) for g1, g2 in grads]))
+
+
+@pytest.mark.parametrize(
+    "check, fault",
+    [
+        (verify.check_decay_scan, _fault_closed_vjp),
+        (verify.check_linear_attention_closed_form, _fault_linear_attention_mask),
+        (verify.check_cms, _fault_buffered_step),
+    ],
+    ids=["srt-decay-scan", "linear-attention-closed-form", "cms-frequency-and-sgd"],
+)
+def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(monkeypatch, check, fault):
+    assert check().passed
+    fault(monkeypatch)
+    result = check()
+    # the oracle error, not a crash or the finite differences, fails the check
+    assert not result.passed and 1e-12 < result.measured < 1e-6, result
 
 
 @pytest.mark.parametrize("name", [name for name, slow in verify.registered_checks() if not slow])

@@ -538,8 +538,8 @@ def test_build_loss_records_one_fused_core_node_per_block(chunk):
 
 
 COPY_ONLY_OPS = {
-    "column", "element", "slice_columns", "sample_stack", "time_major", "transpose",
-    "broadcast_batch", "concat_columns", "stack_columns", "unpack",
+    "element", "slice_columns", "sample_stack", "time_major", "transpose",
+    "broadcast_batch", "concat_columns", "unpack",
 }
 
 
