@@ -19,11 +19,17 @@ an (S*d, d) fast weight in SLOTS order, bit-identical to S separate ones.
 
 A batch of B sequences arrives as one time-major (d, L*B) matrix (column
 t*B + b holds token t of sample b; see `tensor`), so a chunk is a (d, C*B)
-slice, which the core works on as a (B,d,C) stack.  Each snapshot or stack is
-broadcast once to a (B,p,n) fast weight that every read multiplies sample by
-sample.  Padded columns at the end of shorter samples reach no real column,
-and the scan pins the gates there to eta = 0, alpha = 1, so each sample's
-fast weights end bit-identical to those of its own run on the same input.
+slice.  Each snapshot or stack is broadcast once to a (B,p,n) fast weight
+that every read multiplies sample by sample.  Padding sits at the end of the
+shorter samples, so, taken longest first, the samples with a real column in a
+chunk are a prefix of those in the chunk before: the core runs each chunk,
+forward and VJP, as a (b,d,C) stack of only those b samples, and a sample
+leaves the loop with the weights after its last chunk as its final ones.  In
+that last chunk its padded columns reach no real column: the scan pins the
+gates there to eta = 0, alpha = 1, and the sample is recomputed at its own
+width, so each sample's fast weights end bit-identical to those of its own
+run on the same input.  Y is 0 at every padded column and takes no gradient
+there.
 
 On the tape, a block's whole chunk loop is one node (`_Core`) whose VJP is
 written by hand and runs the chunks backwards.  The oracle,
@@ -134,18 +140,8 @@ def _layout(cfg: SrtConfig, x: Node, lengths) -> tuple:
     return lengths, L, min(lengths) < L
 
 
-def _chunks(L: int, chunk: int, lengths: Sequence[int], padded: bool) -> list:
-    """(first token, tokens, widths) per chunk; widths counts each sample's real
-    columns in the chunk, None when all of them are real."""
-    out = []
-    for start in range(0, L, chunk):
-        n = min(start + chunk, L) - start
-        out.append((start, n, [min(max(length - start, 0), n) for length in lengths] if padded else None))
-    return out
-
-
 _X, _KV = 0, 1  # the first stage's inputs: token columns, conv columns
-_Q, _V, _K = 0, 1, 2  # the second stage's: unit q, v and k, one (3,B,d,C) stack
+_Q, _V, _K = 0, 1, 2  # the second stage's: unit q, v and k, one (3,b,d,C) stack
 
 
 def _sigmoids(parts: list) -> list:
@@ -206,6 +202,21 @@ def _reads_grad(specs: list, ws: list, cols: list, saves: list, gs: list, grads:
         gcols[inp] = g if gcols[inp] is None else gcols[inp] + g
 
 
+def _index(rows: list):
+    """`rows` as an index of a batch axis: a slice when it is 0, 1, ..., so a view."""
+    return slice(0, len(rows)) if rows == list(range(len(rows))) else np.array(rows)
+
+
+def _scatter(y: np.ndarray, batch: int, rows) -> np.ndarray:
+    """The (b, p, C) stack of the samples `rows` picks as time-major (p, C*B) columns, zero at the others'."""
+    if len(y) == batch and isinstance(rows, slice):  # every sample, in order
+        return T._time_major(y)
+    b, p, c = y.shape
+    out = np.zeros((p, c, batch))
+    out[:, :, rows] = y.transpose(1, 2, 0)
+    return out.reshape(p, c * batch)
+
+
 class _Core:
     """Value function and VJP of the whole chunk loop of one block core, recorded
     as one tape node (op "srt_core").
@@ -214,28 +225,53 @@ class _Core:
     output.  The value is Y and then the final (B,p,n) fast weights of every
     slot in SLOTS order, packed into one flat array; `srt_forward_nodes` hands
     them out with `tensor.unpack`.  The value function takes the steps of the
-    per-slot graph on operands of the same layout: (B,d,C) stacks as
+    per-slot graph on operands of the same layout: (b,d,C) stacks as
     `tensor.bmatmul` multiplies them, and time-major (d, C*B) columns where
     the graph has them (the wq product, column norms, gate means).
 
-    The configuration is resolved once, here: which slots stack, which weight
-    serves each read, the gates and the flags.  A chunk is then straight-line
-    code over locals in two stages.  The first reads k, v and the gates from
-    the token (or conv) columns.  After the unit norms, q, v and k form one
-    (3,B,d,C) stack, and each weight of the second stage (the row stack, each
-    updated MLP2 slot, a frozen MLP2 mem) reads the inputs it takes with one
-    product over a leading axis.  One `tensor._sigmoid` call covers every MLP
+    The configuration and the batch's lengths are resolved once, here: which
+    slots stack, which weight serves each read, the gates and the flags; and
+    per chunk, the b samples with a real column in it, longest first, and
+    those of them that end inside it.  A chunk is then straight-line code over
+    locals in two stages.  The first reads k, v and the gates from the token
+    (or conv) columns.  After the unit norms, q, v and k form one (3,b,d,C)
+    stack, and each weight of the second stage (the row stack, each updated
+    MLP2 slot, a frozen MLP2 mem) reads the inputs it takes with one product
+    over a leading axis.  One `tensor._sigmoid` call covers every MLP
     pre-activation of that stage and both gate pre-activations; the VJP reads
     eta's sigmoid from it.  The VJP runs the chunks backwards over the saved
     intermediates, forming the same products and sums, in the same order.
+
+    The fast weights the loop carries shrink to the first b rows when samples
+    end, at most B - 1 times; in the VJP the samples join again at their last
+    chunk with their final weights' gradients.  Only the time-major products
+    (`wq @ xc`, `wq.T @ gq`, `gq @ xc.T`) span every sample, zero at the ended
+    samples' columns, because BLAS rounding depends on the width; and the
+    snapshot gradients sum the batch in sample order.
     """
 
-    def __init__(self, cfg: SrtConfig, batch: int, chunks: list, conv: bool):
+    def __init__(self, cfg: SrtConfig, lengths: list, L: int, conv: bool):
+        batch = len(lengths)
         self.cfg, self.batch, self.conv, d = cfg, batch, conv, cfg.dim
-        self.chunks = [
-            (start, n, slice(start * batch, (start + n) * batch), T._partial(widths, n), T._live_columns(widths, batch, n))
-            for start, n, widths in chunks
-        ]
+        # the loop holds the samples longest first, so those with a real column
+        # in a chunk are a prefix of the ones in the chunk before
+        order = sorted(range(batch), key=lambda s: -lengths[s])
+        self.order, self.inv = _index(order), _index(np.argsort(order).tolist())
+        longest_first, firsts = [lengths[s] for s in order], [_index(order[:b]) for b in range(batch + 1)]
+        # per chunk the b samples with a real column in it; and (chunk, rows) of the
+        # samples whose last chunk it is, last chunk first, so the rows ascend
+        self.chunks, self.ends, b = [], [], batch
+        for c, start in enumerate(range(0, L, cfg.chunk)):
+            n = min(cfg.chunk, L - start)
+            if longest_first[b - 1] <= start:
+                held, b = b, sum(length > start for length in longest_first)
+                self.ends.insert(0, (c - 1, slice(b, held)))
+            # each sample's real columns, if some end inside the chunk
+            widths = [min(length - start, n) for length in longest_first[:b]] if longest_first[b - 1] < start + n else None
+            span = slice(start * batch, (start + n) * batch)
+            self.chunks.append((start, n, span, b, firsts[b], T._partial(widths, n), T._live_columns(widths, b, n)))
+        self.ends.insert(0, (len(self.chunks) - 1, slice(0, b)))
+        self.real = (np.arange(L)[:, None] < np.array(lengths)).reshape(-1)
         index = {slot: i for i, slot in enumerate(SLOTS)}
         self.mem, l2, sv = index["mem"], cfg.objective == "l2", cfg.self_values
         updated = [i for i, slot in enumerate(SLOTS) if slot in cfg.update_slots]
@@ -245,7 +281,7 @@ class _Core:
         self.rows = {i: slice(j * d, (j + 1) * d) for j, i in enumerate(self.stacked)}
         # first stage: the learned gates' reads (their means shifted by a bias), then k and v
         learned = [(index[slot], bias) for slot, fixed, bias in (("eta", cfg.fixed_eta, cfg.eta_bias), ("alpha", cfg.fixed_alpha, cfg.alpha_bias)) if fixed is None]
-        self.biases = np.array([[bias] for _, bias in learned])
+        self.biases = np.array([[[bias]] for _, bias in learned])
         kv = _KV if conv else _X
         self.reads1 = [(i, inp, self.rows.get(i), mlp[i]) for i, inp in [(i, _X) for i, _ in learned] + [(index["k"], kv), (index["v"], kv)]]
         self.prods1 = sorted({inp for _, inp, rows, _ in self.reads1 if rows is not None}, reverse=True)  # backward order
@@ -272,23 +308,27 @@ class _Core:
         # each snapshot (the stacked ones as one) repeated along the batch axis
         ws = [None if i in self.rows else tuple(np.repeat(w[None], batch, 0) for w in snap) for i, snap in enumerate(snaps)]
         stack = np.repeat(np.concatenate([snaps[i][0] for i in stacked])[None], batch, 0) if stacked else None
-        ys, pres, chunks = [], [], []
-        for start, n, span, partial, live in self.chunks:
+        ys, pres, chunks, after, held = [], [], [], [], batch
+        for start, n, span, b, samples, partial, live in self.chunks:
+            if b < held:  # the samples that have ended leave; their weights after their last chunk are in `after`
+                stack = stack[:b] if stacked else None
+                ws = [None if w is None else tuple(a[:b] for a in w) for w in ws]
+                held = b
             xc = x[:, span].copy()
-            cols = [T._batch_major(xc, batch), T._batch_major(xkv[:, span].copy(), batch) if self.conv else None]
+            cols = [T._batch_major(xc, batch)[samples], T._batch_major(xkv[:, span].copy(), batch)[samples] if self.conv else None]
             prods = [None, None]
             for inp in self.prods1:
                 prods[inp] = T._bmm(stack, cols[inp], partial)
             (*gate_reads, k, v), saves1 = _reads(self.reads1, ws, cols, prods, partial)
-            qvk, norms = np.concatenate([T._batch_major(wq @ xc, batch), v, k]).reshape(3, batch, d, n), None
+            qvk, norms = np.concatenate([T._batch_major(wq @ xc, batch)[samples], v, k]).reshape(3, b, d, n), None
             if cfg.normalize:  # columns scaled as `tensor.l2_normalize_columns_safe` scales them
                 norms = T._safe_row_norms(qvk.swapaxes(-1, -2))[..., None, :]
                 qvk /= norms
             v, k = qvk[_V], qvk[_K]
             pre = []
-            if gate_reads:  # the (G,B,C) gate means, bit for bit `mean_axis0` of each gate's time-major reads
-                reads = np.array(gate_reads).transpose(0, 2, 3, 1).reshape(len(gate_reads), d, n * batch)
-                pre = [(reads.sum(axis=1) / d + self.biases).reshape(-1, n, batch).transpose(0, 2, 1)]
+            if gate_reads:  # the (G,b,C) gate means, bit for bit `mean_axis0` of each gate's time-major reads,
+                # which numpy sums over d pairwise in a one-column chunk and row by row in a wider one, as here
+                pre = [np.array(gate_reads).sum(axis=2) / d + self.biases]
             prod = T._bmm(stack, qvk[self.pick_s], partial) if at_s else None
             zs = [T._bmm(ws[i][1], qvk[pick], partial) for i, _, pick, _ in self.groups]
             sigs, hs, outs, sps = _sigmoids(zs + pre) if zs or pre else [], [], [], []
@@ -297,8 +337,8 @@ class _Core:
                 outs.append(qvk[pick] + T._bmm(ws[i][0], hs[-1], partial))
                 sps.append(T._silu_prime(z, s))
             gsig = sigs[-1] if pre else None  # eta's (if learned), then alpha's
-            eta = np.full((batch, n), cfg.fixed_eta) if cfg.fixed_eta is not None else T._softplus(pre[0][0])
-            alpha = np.full((batch, n), cfg.fixed_alpha) if cfg.fixed_alpha is not None else gsig[-1]
+            eta = np.full((b, n), cfg.fixed_eta) if cfg.fixed_eta is not None else T._softplus(pre[0][0])
+            alpha = np.full((b, n), cfg.fixed_alpha) if cfg.fixed_alpha is not None else gsig[-1]
             eb, ab = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
             # mem reads q in its MLP2 group, as rows of the stack's product, or as a frozen linear weight
             y = outs[self.y_group][0] if self.y_group is not None else prod[0][:, self.rows[mem]] if mem in self.rows else None
@@ -319,18 +359,24 @@ class _Core:
                     out2, s2 = T._scan_value(w2, k, t * sp[-1], eb, ab, False, partial)
                     ws[i] = (out1, out2)
                     advanced.append((r, t, s1, s2))
-            ys.append(T._time_major(y))
+            ys.append(_scatter(y, batch, samples))
             pres.append(pre)
-            chunks.append((span, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig))
-        # the final (B,p,n) fast weights per slot; a stacked slot's are its rows of the stack
-        final = [w for i in range(len(SLOTS)) for w in ((stack[:, self.rows[i]],) if i in self.rows else ws[i])]
-        packed = np.concatenate([np.concatenate(ys, axis=1).reshape(-1)] + [w.reshape(-1) for w in final])
+            after.append((stack, ws))
+            chunks.append((span, b, samples, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig))
+        # the final (B,p,n) fast weights per slot, each sample's rows of the weights
+        # after its last chunk; a stacked slot's are its rows of the stack
+        ends = [(after[c], rows) for c, rows in self.ends]
+        final = []
+        for i in range(len(SLOTS)):
+            pieces = [(m[rows, self.rows[i]],) if i in self.rows else tuple(w[rows] for w in state[i]) for (m, state), rows in ends]
+            final += [np.concatenate(block)[self.inv] for block in zip(*pieces)]
+        y = np.where(self.real, np.concatenate(ys, axis=1), 0.0)  # zero at every padded column
+        packed = np.concatenate([y.reshape(-1)] + [w.reshape(-1) for w in final])
         # one finite check per forward, a search only when it fails: a non-finite
         # entry of a fast weight stays non-finite through every later update, so
         # the final weights stand for the weights after each chunk
         gate_pres = [p for ps in pres for p in ps]
         if not (np.isfinite(packed).all() and (not gate_pres or np.isfinite(np.concatenate(gate_pres, axis=None)).all())):
-            after = [(c[4], c[5]) for c in chunks[1:]] + [(stack, ws)]  # each chunk's advanced weights
             moving = [i for i, _, _, adv in self.groups if adv]
             made = ([y, *ps, *([m] if stacked else [])] + [w for i in moving for w in s[i]] for y, ps, (m, s) in zip(ys, pres, after))
             c = next(c for c, arrays in enumerate(made) if not all(np.isfinite(a).all() for a in arrays))
@@ -347,23 +393,30 @@ class _Core:
         snaps, wq, x, chunks = self.saved
         # a tape runs one backward pass: free the saved arrays once it has run
         self.saved = []
-        gy = g[: x.size].reshape(x.shape)
-        # gradients of the weights at the current chunk boundary, and of the frozen ones
+        gy = np.where(self.real, g[: x.size].reshape(x.shape), 0.0)  # Y is 0 at padded columns: they take no gradient
+        # the gradients of the final weights, longest sample first, as the loop holds them
         parts = iter(np.split(g, np.cumsum([x.size] + [batch * w.size for snap in snaps for w in snap]))[1:])
-        grads = [[next(parts).reshape((batch,) + w.shape).copy() for w in snap] for snap in snaps]
-        gstack = np.concatenate([grads[i][0] for i in stacked], axis=1) if stacked else None
+        gfinal = [[next(parts).reshape((batch,) + w.shape)[self.order] for w in snap] for snap in snaps]
+        gfinal_stack = np.concatenate([gfinal[i][0] for i in stacked], axis=1) if stacked else None
+        # gradients of the weights at the current chunk boundary, and of the frozen
+        # ones; a sample joins them at its last chunk with its final weights' gradient
+        grads, gstack, held = [[gw[:0] for gw in gws] for gws in gfinal], gfinal_stack[:0] if stacked else None, 0
         gwq, gx = np.zeros_like(wq), np.zeros_like(x)
         gxkv = np.zeros_like(x) if self.conv else None
         while chunks:
-            span, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig = chunks.pop()
+            span, b, samples, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig = chunks.pop()
+            if held < b:
+                grads = [[np.concatenate([gw, gf[held:b]]) for gw, gf in zip(gws, gfs)] for gws, gfs in zip(grads, gfinal)]
+                gstack = np.concatenate([gstack, gfinal_stack[held:b]]) if stacked else None
+                held = b
             k = qvk[_K]
-            gyc = T._batch_major(gy[:, span], batch)
+            gyc = T._batch_major(gy[:, span], batch)[samples]
             gk = ge = ga = 0.0
             gq = gv = gv_stack = None
             if stacked:
                 gm, gks, gu, ges, gas = T._scan_grad(gstack, advanced[0], cfg.retention, live)
                 if not sv:
-                    gv = (-gu).reshape(batch, len(stacked), d, -1).sum(axis=1)
+                    gv = (-gu).reshape(b, len(stacked), d, -1).sum(axis=1)
                 if at_s:  # the gradients of the stack's products at q (mem's rows), v and k
                     parts = [-gu] * sv + [gu] * l2
                     if _Q in at_s:
@@ -435,7 +488,8 @@ class _Core:
             # q's, v's (zero if nothing read v) and k's column gradients, through the unit norms in one stack
             gqvk = T._unit_grad(qvk, norms, np.array([gq, np.zeros_like(gk) if gv is None else gv, gk]))
             gs += [gqvk[_K], None if gv is None else gqvk[_V]]
-            gqt = T._time_major(gqvk[_Q])
+            # the time-major products over the whole chunk, zero at the ended samples' columns
+            gqt = _scatter(gqvk[_Q], batch, samples)
             gcols, gprod = [None, None], [None, None]
             _reads_grad(self.reads1, state, cols, saves1, gs, grads, gcols, gprod, len(stacked) * d)
             for inp in self.prods1:
@@ -443,16 +497,17 @@ class _Core:
                     gstack += T._bmm_dw(gprod[inp], cols[inp])
                     gc = T._bmm_dx(m, gprod[inp])
                     gcols[inp] = gc if gcols[inp] is None else gcols[inp] + gc
-            gxc = T._batch_major(wq.T @ gqt, batch)
+            gxc = wq.T @ gqt
             if gcols[_X] is not None:
-                gxc += gcols[_X]
+                gxc += _scatter(gcols[_X], batch, samples)
             gwq += gqt @ xc.T
-            gx[:, span] += T._time_major(gxc)
+            gx[:, span] += gxc
             if self.conv:
-                gxkv[:, span] += T._time_major(gcols[_KV])
-        snap_grads = [[gw.sum(axis=0) for gw in gws] for gws in grads]
+                gxkv[:, span] += _scatter(gcols[_KV], batch, samples)
+        # the batch summed in sample order
+        snap_grads = [[gw[self.inv].sum(axis=0) for gw in gws] for gws in grads]
         if stacked:
-            total = gstack.sum(axis=0)
+            total = gstack[self.inv].sum(axis=0)
             for i in stacked:
                 snap_grads[i] = [total[self.rows[i]]]
         return tuple(gw for gws in snap_grads for gw in gws) + (gwq, gx) + ((gxkv,) if self.conv else ())
@@ -478,12 +533,12 @@ def srt_forward_nodes(
     chunk is an input of the per-op graph (`verify._srt_forward_oracle`), which
     this forward matches bit for bit.
     """
-    lengths, L, padded = _layout(cfg, x, lengths)
+    lengths, L, _ = _layout(cfg, x, lengths)
     batch = len(lengths)
     parents = [T._lift(x.tape, p) for p in [w for slot in SLOTS for w in weights[slot]] + [wq, x]]
     if conv_kernel is not None:
         parents.append(T.causal_depthwise_conv(x, conv_kernel, batch))
-    core = _Core(cfg, batch, _chunks(L, cfg.chunk, lengths, padded), conv_kernel is not None)
+    core = _Core(cfg, lengths, L, conv_kernel is not None)
     packed = tape._record(core.value, tuple(parents), core.vjp, "srt_core", check=False)
     y, offset, final = T.unpack(packed, 0, x.value.shape), x.value.size, {}
     for slot in SLOTS:

@@ -631,7 +631,10 @@ def bmatmul(w, x, widths=None) -> Node:
     columns end inside the chunk gets them from one more product of exactly
     that width, the one the sample alone would form (BLAS rounding depends on
     the width); its padded columns hold finite values that no real column
-    reads, and they must receive a zero gradient.
+    reads, and they must receive a zero gradient.  The per-slot SRT graph
+    (`verify._srt_forward_oracle`) reads every sample of every chunk this way;
+    the fused core (`srt._Core`) forms the same products for the samples with
+    a real column in the chunk only.
     """
     t = _tape_of(w, x)
     w, x = _lift(t, w), _lift(t, x)
@@ -812,9 +815,13 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
     state scanning its own sample's columns.  One column takes the step above;
     more take its closed form (see `_closed`), forward and VJP, with no loop
     over the columns.  At padded columns (see `widths`) the gates are pinned to
-    eta = 0, alpha = 1, so a fully padded sample keeps M_0 bit-identical, and a
-    sample whose real columns end inside the chunk is recomputed at its own
-    width, bit-identical to its own scan.  Only M_C is recorded.
+    eta = 0, alpha = 1, so a fully padded sample keeps M_0 up to the sign of a
+    zero entry (1*(-0.0) - 0*(w k) is +0.0 where w k < 0, which np.array_equal
+    does not see), and a sample whose real columns end inside the chunk is
+    recomputed at its own width, bit-identical to its own scan.  The pinning
+    serves the per-slot SRT graph and the fused core's partly padded samples;
+    the fused core leaves a sample's fully padded chunks out.  Only M_C is
+    recorded.
     """
     t = _tape_of(m0, keys, u, eta, alpha)
     m0, keys, u, eta, alpha = (_lift(t, a) for a in (m0, keys, u, eta, alpha))

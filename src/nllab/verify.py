@@ -52,8 +52,12 @@ def registered_checks() -> list[tuple[str, bool]]:
 
 
 def run_checks(pattern: Optional[str] = None, faults: Optional[set] = None, out_dir: Optional[str] = None) -> list[CheckResult]:
+    """Run the registered checks whose names contain `pattern`; their artifacts
+    go to `out_dir`, or to a temporary directory removed once they have run."""
+    if not out_dir:
+        with tempfile.TemporaryDirectory(prefix="nllab-verify-") as tmp:
+            return run_checks(pattern, faults, tmp)
     faults = faults or set()
-    out_dir = out_dir or tempfile.mkdtemp(prefix="nllab-verify-")
     results = []
     for name, fn, _slow in _REGISTRY:
         if pattern and pattern not in name:
@@ -335,13 +339,25 @@ def _advance(cfg: SrtConfig, kind: str, boundary: tuple, k, vhat, eta, alpha, wi
     return (T.decay_scan(w1, h, r, eta, alpha, False, widths), T.decay_scan(w2, k, u2, eta, alpha, False, widths))
 
 
+def _chunks(L: int, chunk: int, lengths, padded: bool) -> list:
+    """(first token, tokens, widths) per chunk; widths counts each sample's real
+    columns in the chunk, None when all of them are real."""
+    out = []
+    for start in range(0, L, chunk):
+        n = min(start + chunk, L) - start
+        out.append((start, n, [min(max(length - start, 0), n) for length in lengths] if padded else None))
+    return out
+
+
 def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=None, element_order=None):
     """The per-slot graph that `srt_forward_nodes`' one node replaces, same
     arguments and outputs: every slot its own (B,p,n) fast weight; per chunk,
     element work, gates and one decay_scan per weight of each updated slot,
     each op its own tape node.  `element_order` (unpadded sequences only)
     permutes the tokens of each chunk before the element work and restores
-    them after it; outputs are positional, so any order must give the same."""
+    them after it; outputs are positional, so any order must give the same.
+    Y is multiplied by the real-column mask: 0 at padded columns, which take
+    no gradient, as the fused core gives it."""
     lengths, L, padded = srt_mod._layout(cfg, x, lengths)
     if padded and element_order is not None:
         raise ValueError("element_order applies to unpadded sequences only")
@@ -350,7 +366,7 @@ def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=Non
     slots = [slot for slot in SLOTS if slot in cfg.update_slots]
     cur = {slot: tuple(T.broadcast_batch(w, batch) for w in ws) for slot, ws in weights.items()}
     outputs = []
-    for start, n, widths in srt_mod._chunks(L, cfg.chunk, lengths, padded):
+    for start, n, widths in _chunks(L, cfg.chunk, lengths, padded):
         xc = T.slice_columns(x, start * batch, (start + n) * batch)
         xkvc = T.slice_columns(xkv, start * batch, (start + n) * batch) if conv_kernel is not None else xc
         if element_order is None:
@@ -366,7 +382,9 @@ def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=Non
         for slot in slots:
             cur[slot] = _advance(cfg, cfg.kinds[slot], cur[slot], e["k"], e["vhat." + slot], eta, alpha, widths)
         outputs.append(e["y"])
-    return T.concat_columns(outputs), cur
+    y = T.concat_columns(outputs)
+    real = np.arange(L)[:, None] < np.array(lengths)  # (L, B): each sample's real tokens
+    return T.mul(y, np.broadcast_to(real.reshape(-1), y.value.shape).astype(float)), cur
 
 
 def _probed(run, vals: dict, probes: list, grads: bool = True):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import struct
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -735,6 +736,13 @@ def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(monkeypatch, ch
 def test_every_fast_verify_check_passes(tmp_path, name):
     (result,) = [r for r in verify.run_checks(pattern=name, out_dir=str(tmp_path)) if r.name == name]
     assert result.passed, result
+
+
+def test_verify_without_an_out_dir_leaves_no_directory_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    (result,) = verify.run_checks(pattern="checkpoint-roundtrip")
+    assert result.passed, result
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_bench_optim_psi(tmp_path, capsys):

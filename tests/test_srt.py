@@ -336,6 +336,32 @@ def test_padded_samples_keep_their_own_fast_weights_bit_for_bit(chunk, d, extra)
                 assert np.array_equal(w_batch.value[b], w_alone), slot
         assert np.abs(y.value[:, b : lengths[b] * batch : batch] - y_alone).max() < 1e-12
 
+    # in both routes Y is 0 at every padded column, and a probe there reaches no input
+    padded = (np.arange(width)[:, None] >= np.array(lengths)).reshape(-1)
+    for forward in (S.srt_forward_nodes, V._srt_forward_oracle):
+        tape = T.Tape()
+        weights = {slot: tuple(tape.param(f"{slot}.{j}", w) for j, w in enumerate(ws)) for slot, ws in state.weights.items()}
+        kernel = tape.param("conv", state.conv_kernel) if cfg.conv else None
+        y, _ = forward(tape, cfg, weights, tape.param("wq", state.wq), tape.param("x", x), conv_kernel=kernel, lengths=lengths)
+        assert np.all(y.value[:, padded] == 0.0)
+        grads = tape.backward(T.dot(y, rng.normal(size=y.value.shape) * padded))
+        assert all(np.all(g.data == 0.0) for g in grads.values()), forward
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_each_scan_runs_only_the_samples_with_a_real_column_in_the_chunk(monkeypatch, chunk):
+    cfg = SrtConfig(dim=4, chunk=chunk)  # three scans per chunk: the row stack and mem's two weights
+    lengths = [11, 1, 5, 8]
+    tape = T.Tape()
+    weights, wq, _ = constants(tape, init_srt(cfg, seed=0))
+    x = tape.constant(np.random.default_rng(4).normal(size=(4, max(lengths) * len(lengths))))
+    scan, rows = T._scan_value, []
+    monkeypatch.setattr(T, "_scan_value", lambda m, *rest: rows.append(len(m)) or scan(m, *rest))
+    y, _ = S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=lengths)
+    tape.backward(T.dot(y, x))
+    assert len(rows) == 3 * -(-max(lengths) // chunk)
+    assert sum(rows) == 3 * sum(-(-n // chunk) for n in lengths)
+
 
 def test_batch_lengths_must_fit_the_columns():
     cfg = SrtConfig(dim=4, chunk=2)
