@@ -209,8 +209,6 @@ def _index(rows: list):
 
 def _scatter(y: np.ndarray, batch: int, rows) -> np.ndarray:
     """The (b, p, C) stack of the samples `rows` picks as time-major (p, C*B) columns, zero at the others'."""
-    if len(y) == batch and isinstance(rows, slice):  # every sample, in order
-        return T._time_major(y)
     b, p, c = y.shape
     out = np.zeros((p, c, batch))
     out[:, :, rows] = y.transpose(1, 2, 0)
@@ -271,7 +269,6 @@ class _Core:
             span = slice(start * batch, (start + n) * batch)
             self.chunks.append((start, n, span, b, firsts[b], T._partial(widths, n), T._live_columns(widths, b, n)))
         self.ends.insert(0, (len(self.chunks) - 1, slice(0, b)))
-        self.real = (np.arange(L)[:, None] < np.array(lengths)).reshape(-1)
         index = {slot: i for i, slot in enumerate(SLOTS)}
         self.mem, l2, sv = index["mem"], cfg.objective == "l2", cfg.self_values
         updated = [i for i, slot in enumerate(SLOTS) if slot in cfg.update_slots]
@@ -359,6 +356,8 @@ class _Core:
                     out2, s2 = T._scan_value(w2, k, t * sp[-1], eb, ab, False, partial)
                     ws[i] = (out1, out2)
                     advanced.append((r, t, s1, s2))
+            if live is not None:  # Y is 0 at the padded columns of the samples that end here
+                y = np.where(live[:, None], y, 0.0)
             ys.append(_scatter(y, batch, samples))
             pres.append(pre)
             after.append((stack, ws))
@@ -370,7 +369,7 @@ class _Core:
         for i in range(len(SLOTS)):
             pieces = [(m[rows, self.rows[i]],) if i in self.rows else tuple(w[rows] for w in state[i]) for (m, state), rows in ends]
             final += [np.concatenate(block)[self.inv] for block in zip(*pieces)]
-        y = np.where(self.real, np.concatenate(ys, axis=1), 0.0)  # zero at every padded column
+        y = np.concatenate(ys, axis=1)
         packed = np.concatenate([y.reshape(-1)] + [w.reshape(-1) for w in final])
         # one finite check per forward, a search only when it fails: a non-finite
         # entry of a fast weight stays non-finite through every later update, so
@@ -393,7 +392,7 @@ class _Core:
         snaps, wq, x, chunks = self.saved
         # a tape runs one backward pass: free the saved arrays once it has run
         self.saved = []
-        gy = np.where(self.real, g[: x.size].reshape(x.shape), 0.0)  # Y is 0 at padded columns: they take no gradient
+        gy = g[: x.size].reshape(x.shape)
         # the gradients of the final weights, longest sample first, as the loop holds them
         parts = iter(np.split(g, np.cumsum([x.size] + [batch * w.size for snap in snaps for w in snap]))[1:])
         gfinal = [[next(parts).reshape((batch,) + w.shape)[self.order] for w in snap] for snap in snaps]
@@ -411,6 +410,8 @@ class _Core:
                 held = b
             k = qvk[_K]
             gyc = T._batch_major(gy[:, span], batch)[samples]
+            if live is not None:  # Y is 0 at padded columns: they take no gradient
+                gyc = np.where(live[:, None], gyc, 0.0)
             gk = ge = ga = 0.0
             gq = gv = gv_stack = None
             if stacked:
