@@ -14,7 +14,6 @@ import numpy as np
 from .fileio import write_atomic
 from .optim import contribution_curve, init_state, step
 from .tasks import forgetting_metric, orthogonal_task_stream, psi, stream_task_loss
-from .tensor import Tensor
 
 PSI_DEFAULTS = {
     "momentum": dict(eta=0.004, beta=0.95),
@@ -45,16 +44,16 @@ def psi_trajectory(kind: str, hp: dict):
     Returns (trajectory rows [(step, value, grad_norm)], steps_to_threshold or None).
     """
     st = init_state(kind, (2,), **hp)
-    p = Tensor(list(PSI_START))
+    p = np.array(PSI_START)
     rows = []
     reached = None
     for i in range(PSI_MAX_STEPS + 1):
-        value, grad = psi(p.data[0], p.data[1])
+        value, grad = psi(p[0], p[1])
         rows.append((i, value, float(np.linalg.norm(grad))))
         if reached is None and value < PSI_THRESHOLD:
             reached = i
             break
-        p, st = step(kind, st, p, Tensor(grad))
+        p, st = step(kind, st, p, grad)
     return rows, reached
 
 
@@ -81,18 +80,18 @@ def run_psi_benchmark(out_dir: str) -> dict:
 def orthogonal_forgetting(kind: str, hp: dict, seed: int) -> float:
     """Forgetting of task 1 after sequentially training task 2, single seed."""
     stream = orthogonal_task_stream(2, ORTHO_DIM, ORTHO_SAMPLES, seed=seed)
-    w = Tensor(np.zeros((ORTHO_DIM, 1)))
+    w = np.zeros((ORTHO_DIM, 1))
     st = init_state(kind, w.shape, **hp)
     before = None
     for task_idx, samples in enumerate(stream):
         for i in range(ORTHO_STEPS_PER_TASK):
             x, y = samples[i % len(samples)]
-            pred = float(x @ w.data[:, 0])
+            pred = float(x @ w[:, 0])
             grad = (2.0 * (pred - y) * x).reshape(-1, 1)
-            w, st = step(kind, st, w, Tensor(grad))
+            w, st = step(kind, st, w, grad)
         if task_idx == 0:
-            before = stream_task_loss(stream, 0, w.data)
-    after = stream_task_loss(stream, 0, w.data)
+            before = stream_task_loss(stream, 0, w)
+    after = stream_task_loss(stream, 0, w)
     return forgetting_metric([before], [after])
 
 

@@ -15,7 +15,7 @@ from .hope import DivergenceError, HopeConfig, HopeModel, outer_optimizer_states
 from .runlog import RunlogError, emit_plot_series, read_runlog, write_runlog
 from .seeding import derive_seed
 from .tasks import LANGUAGE_KINDS, RECALL_KINDS, TaskSpec, evaluate, generate, vocabulary
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError
 
 
 def build_task_data(cfg: dict, seed: int, params: dict, n: int) -> list[dict]:
@@ -88,14 +88,14 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
     kind, hp = cfg["train"]["optimizer"], cfg["train"]["opt_hp"]
     try:
         for name, state in outer_optimizer_states(model, kind, hp).items():
-            optim.step(kind, state, Tensor(model.params[name]), Tensor(np.ones_like(model.params[name])))
+            optim.step(kind, state, model.params[name], np.ones_like(model.params[name]))
     except (TypeError, ValueError, ArithmeticError) as exc:
         key = "optimizer" if not hp or isinstance(exc, optim.UnsupportedShape) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
     try:
         for level in (lv for chain in model.chains if chain for lv in chain.levels):
             for state, w in zip(level.opt_states or (), (level.w1, level.w2)):
-                optim.step(state.kind, state, Tensor(w), Tensor(np.ones_like(w)))
+                optim.step(state.kind, state, w, np.ones_like(w))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid level optimizer at $.model.cms_optimizer: {exc}") from exc
 

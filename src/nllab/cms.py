@@ -19,7 +19,7 @@ import numpy as np
 from . import optim
 from . import tensor as T
 from .memory import MLP2, read_node
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 VARIANTS = ("sequential", "nested", "independent")
 INIT_SCALE = 0.1  # level output weights start small, so a fresh chain is near the identity
@@ -127,16 +127,15 @@ def cms_accumulate(chain: CmsChain, grads: list[tuple]) -> None:
     if len(grads) != len(chain.levels):
         raise ValueError(f"got {len(grads)} gradient pairs for {len(chain.levels)} levels")
     for lv, (g1, g2) in zip(chain.levels, grads):
-        g1, g2 = T.as_array(g1), T.as_array(g2)
         if g1.shape != lv.w1.shape or g2.shape != lv.w2.shape:
             raise T.ShapeError(
                 f"gradient shapes {g1.shape}/{g2.shape} do not match level weights {lv.w1.shape}/{lv.w2.shape}"
             )
         if lv.opt_states is not None:
             parts = zip(lv.opt_states, (lv.w1, lv.w2), (g1, g2))
-            steps = [optim.step(s.kind, s, Tensor(w), Tensor(g)) for s, w, g in parts]
+            steps = [optim.step(s.kind, s, w, g) for s, w, g in parts]
             lv.opt_states = tuple(state for _, state in steps)
-            g1, g2 = (w - new.data for w, (new, _) in zip((lv.w1, lv.w2), steps))
+            g1, g2 = (w - new for w, (new, _) in zip((lv.w1, lv.w2), steps))
         lv.acc1 = lv.acc1 + lv.eta * g1
         lv.acc2 = lv.acc2 + lv.eta * g2
 

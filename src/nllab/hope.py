@@ -28,7 +28,7 @@ from . import tensor as T
 from .cms import CmsChain, cms_accumulate, cms_tick, make_chain
 from .memory import LINEAR
 from .srt import SLOTS, SrtConfig, init_srt, srt_forward_nodes
-from .tensor import Node, Tape, Tensor
+from .tensor import Node, Tape
 
 CORES = ("srt", "attention", "linear_attention")
 
@@ -298,7 +298,7 @@ def _global_grad_norm(grads: dict) -> float:
     have no finite norm to clip by, which raises NonFiniteError."""
     total = 0.0
     for g in grads.values():
-        total += float((g.data * g.data).sum())
+        total += float((g * g).sum())
     if not math.isfinite(total):
         raise T.NonFiniteError("non-finite values in the global gradient norm")
     return math.sqrt(total)
@@ -327,13 +327,14 @@ def train(
     `model.params` follow the outer optimizer.  Chain level weights follow
     the buffered-frequency rule: their directions accumulate and apply only at
     token-counter boundaries.  A non-finite value in a step or in `eval_fn`
-    ends the run with a DivergenceError whose last record names that step.
+    ends the run with a DivergenceError whose last record names that step;
+    a non-finite optimizer step also names its parameter, and leaves
+    `model.params` as the step found them.
     """
     rng = np.random.default_rng(seed)
     opt_states = outer_optimizer_states(model, opt_kind, opt_hp)
     log: list[dict] = []
     clip = clip_norm if clip_norm and clip_norm > 0 else None
-    current: dict[str, Tensor] = {}  # each parameter as the last optimizer step returned it
 
     for step_idx in range(1, steps + 1):
         idx = rng.integers(0, len(samples), size=batch_size)
@@ -349,20 +350,28 @@ def train(
 
         if clip is not None and gnorm > clip:
             scale = clip / gnorm
-            grads = {k: Tensor(v.data * scale) for k, v in grads.items()}
+            grads = {k: v * scale for k, v in grads.items()}
 
-        for name in sorted(model.params):
-            p = current.get(name)
-            if p is None or p.data is not model.params[name]:  # first step, or replaced from outside
-                p = Tensor(model.params[name])
-            current[name], opt_states[name] = optim.step(opt_kind, opt_states[name], p, grads[name])
-            model.params[name] = current[name].data
+        # every outer update is computed before any is committed
+        stepped = {}
+        try:
+            for name in sorted(model.params):
+                where = name
+                stepped[name] = optim.step(opt_kind, opt_states[name], model.params[name], grads[name])
+            for b, chain in enumerate(model.chains):
+                if chain is not None:
+                    where = f"b{b}.cms"
+                    levels = [f"b{b}.cms.level{i}" for i in range(len(chain.levels))]
+                    cms_accumulate(chain, [(grads[f"{key}.w1"], grads[f"{key}.w2"]) for key in levels])
+        except T.NonFiniteError as exc:
+            log.append({"step": step_idx, "event": "diverged", "detail": f"{exc} of {where!r}"})
+            raise DivergenceError(step_idx, log) from exc
+        for name, (value, state) in stepped.items():
+            model.params[name], opt_states[name] = value, state
 
         tokens_used = sum(len(s["tokens"]) for s in batch)
         for b, chain in enumerate(model.chains):
             if chain is not None:
-                levels = [f"b{b}.cms.level{i}" for i in range(len(chain.levels))]
-                cms_accumulate(chain, [(grads[f"{key}.w1"], grads[f"{key}.w2"]) for key in levels])
                 cms_tick(chain, model.token_count + 1, tokens_used)
         model.token_count += tokens_used
 

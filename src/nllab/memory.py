@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 
 class UnsupportedCombination(ValueError):
@@ -46,25 +46,22 @@ class Memory:
     """
 
     kind: str
-    weights: tuple[Tensor, ...]
+    weights: tuple[np.ndarray, ...]
 
     @staticmethod
-    def linear(m) -> "Memory":
-        m = m if isinstance(m, Tensor) else Tensor(m)
+    def linear(m: np.ndarray) -> "Memory":
         if m.ndim != 2:
             raise T.ShapeError(f"linear memory needs a matrix, got shape {m.shape}")
         return Memory(LINEAR, (m,))
 
     @staticmethod
-    def mlp2(w1, w2) -> "Memory":
-        w1 = w1 if isinstance(w1, Tensor) else Tensor(w1)
-        w2 = w2 if isinstance(w2, Tensor) else Tensor(w2)
+    def mlp2(w1: np.ndarray, w2: np.ndarray) -> "Memory":
         if w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != w2.shape[0] or w1.shape[0] != w2.shape[1]:
             raise T.ShapeError(f"mlp2 memory needs (d,h) and (h,d) weights, got {w1.shape} and {w2.shape}")
         return Memory(MLP2, (w1, w2))
 
     @property
-    def matrix(self) -> Tensor:
+    def matrix(self) -> np.ndarray:
         if self.kind != LINEAR:
             raise UnsupportedCombination("only linear memories expose a single matrix")
         return self.weights[0]
@@ -96,7 +93,7 @@ def _check_gates(eta: float, alpha: float) -> None:
         raise ValueError(f"retention must lie in [0, 1], got {alpha}")
 
 
-def rule_step(rule: RuleKind, memory: Memory, k: Tensor, v: Tensor, eta: float, alpha: float) -> Memory:
+def rule_step(rule: RuleKind, memory: Memory, k: np.ndarray, v: np.ndarray, eta: float, alpha: float) -> Memory:
     """One closed-form memory update; the input memory is left untouched.
 
     Linear closed forms:
@@ -110,33 +107,31 @@ def rule_step(rule: RuleKind, memory: Memory, k: Tensor, v: Tensor, eta: float, 
     """
     rule = RuleKind(rule)
     _check_gates(eta, alpha)
-    kv, vv = k.data, v.data
-
     if memory.kind == MLP2:
         if rule in (RuleKind.HEBBIAN, RuleKind.OJA):
             raise UnsupportedCombination(f"{rule.value} rule is undefined for mlp2 memories")
         g1, g2 = mlp2_l2_gradients(memory, k, v)
-        w1, w2 = memory.weights[0].data, memory.weights[1].data
-        return Memory.mlp2(alpha * w1 - eta * g1.data, alpha * w2 - eta * g2.data)
+        w1, w2 = memory.weights
+        return Memory.mlp2(alpha * w1 - eta * g1, alpha * w2 - eta * g2)
 
-    m = memory.matrix.data
-    if m.shape[1] != kv.shape[0] or m.shape[0] != vv.shape[0]:
-        raise T.ShapeError(f"rule_step: memory {m.shape} incompatible with key {kv.shape} / value {vv.shape}")
+    m = memory.matrix
+    if m.shape[1] != k.shape[0] or m.shape[0] != v.shape[0]:
+        raise T.ShapeError(f"rule_step: memory {m.shape} incompatible with key {k.shape} / value {v.shape}")
 
     if rule is RuleKind.HEBBIAN:
-        out = alpha * m + eta * np.outer(vv, kv)
+        out = alpha * m + eta * np.outer(v, k)
     elif rule is RuleKind.DELTA:
-        out = alpha * m - eta * np.outer(m @ kv - vv, kv)
+        out = alpha * m - eta * np.outer(m @ k - v, k)
     elif rule is RuleKind.OJA:
-        out = alpha * m + eta * (np.outer(vv, kv) - np.outer(vv, vv @ m))
+        out = alpha * m + eta * (np.outer(v, k) - np.outer(v, v @ m))
     else:  # DGD: proximal-style retention factor, unit-norm keys assumed
-        kn = kv / np.linalg.norm(kv)
+        kn = k / np.linalg.norm(k)
         retain = alpha * np.eye(m.shape[1]) - eta * np.outer(kn, kn)
-        out = m @ retain - eta * np.outer(m @ kn - vv, kn)
+        out = m @ retain - eta * np.outer(m @ kn - v, kn)
     return Memory.linear(out)
 
 
-def dgd_proximal_step(memory: Memory, k: Tensor, v: Tensor, eta: float) -> Memory:
+def dgd_proximal_step(memory: Memory, k: np.ndarray, v: np.ndarray, eta: float) -> Memory:
     """Exact minimizer of 0.5*||M k - v||^2 + (1/(2*eta))*||M - M0||^2.
 
     Requires a unit-norm key (normalized here); the rank-one structure of
@@ -147,27 +142,26 @@ def dgd_proximal_step(memory: Memory, k: Tensor, v: Tensor, eta: float) -> Memor
         raise UnsupportedCombination("proximal closed form is defined for linear memories only")
     if eta <= 0:
         raise ValueError(f"proximal step size must be positive, got {eta}")
-    m = memory.matrix.data
-    kn = k.data / np.linalg.norm(k.data)
+    m = memory.matrix
+    kn = k / np.linalg.norm(k)
     e = eta / (1.0 + eta)
-    out = m @ (np.eye(m.shape[1]) - e * np.outer(kn, kn)) + e * np.outer(v.data, kn)
+    out = m @ (np.eye(m.shape[1]) - e * np.outer(kn, kn)) + e * np.outer(v, kn)
     return Memory.linear(out)
 
 
-def mlp2_l2_gradients(memory: Memory, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+def mlp2_l2_gradients(memory: Memory, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hand-derived gradients of 0.5*||M(k) - v||^2 for a residual 2-layer MLP.
 
     Verified against the tape in the test suite; written out so fast-weight
     recurrences can run without nesting a backward pass inside the forward.
     """
-    w1, w2 = memory.weights[0].data, memory.weights[1].data
-    kv, vv = k.data, v.data
-    z = w2 @ kv
+    w1, w2 = memory.weights
+    z = w2 @ k
     h = T._silu(z)
-    r = (kv + w1 @ h) - vv
+    r = (k + w1 @ h) - v
     g1 = np.outer(r, h)
-    g2 = np.outer((w1.T @ r) * T._silu_prime(z), kv)
-    return Tensor(g1), Tensor(g2)
+    g2 = np.outer((w1.T @ r) * T._silu_prime(z), k)
+    return g1, g2
 
 
 _OBJECTIVES = ("dot", "l2", "oja")
@@ -188,7 +182,7 @@ def _objective_node(objective: str, weights, kind: str, k_node, v_node):
     raise ValueError(f"unknown objective {objective!r}; expected one of {_OBJECTIVES}")
 
 
-def gd_oracle_step(objective: str, memory: Memory, k: Tensor, v: Tensor, eta: float, alpha: float) -> Memory:
+def gd_oracle_step(objective: str, memory: Memory, k: np.ndarray, v: np.ndarray, eta: float, alpha: float) -> Memory:
     """M' = a*M - e*grad(L) with the gradient taken by the tape, never by hand."""
     _check_gates(eta, alpha)
     tape = Tape()
@@ -201,9 +195,7 @@ def gd_oracle_step(objective: str, memory: Memory, k: Tensor, v: Tensor, eta: fl
     loss = _objective_node(objective, w, memory.kind, tape.constant(k), tape.constant(v))
     grads = tape.backward(loss)
     if memory.kind == LINEAR:
-        return Memory.linear(alpha * memory.matrix.data - eta * grads["m"].data)
-    return Memory.mlp2(
-        alpha * memory.weights[0].data - eta * grads["w1"].data,
-        alpha * memory.weights[1].data - eta * grads["w2"].data,
-    )
+        return Memory.linear(alpha * memory.matrix - eta * grads["m"])
+    w1, w2 = memory.weights
+    return Memory.mlp2(alpha * w1 - eta * grads["w1"], alpha * w2 - eta * grads["w2"])
 

@@ -1,10 +1,11 @@
 """Optimizer variants as pluggable per-parameter step rules.
 
-Each kind is a pure function of (state, param, grad): no interior mutation, so
-trajectories can be replayed and compared.  Several kinds exist in two routes
-on purpose - e.g. `adam` (direct recurrence) vs `adam_am` (closed-form optimal
-readout of the same accumulators) - and the verification suite holds the routes
-to each other.
+Each kind is a pure function of (state, param, grad), all float64 arrays: the
+inputs are never written, so trajectories can be replayed and compared, and a
+step whose new parameter is not finite raises NonFiniteError.  Several kinds
+exist in two routes on purpose - e.g. `adam` (direct recurrence) vs `adam_am`
+(closed-form optimal readout of the same accumulators) - and the verification
+suite holds the routes to each other.
 
 Kind registry (`KINDS`), every kind stepped as `step(kind, state, param, grad)`:
     sgd, momentum, adam, adam_am, adagrad_m, muon, delta_momentum, dmgd, m3
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .memory import Memory, mlp2_l2_gradients
-from .tensor import Tensor
 
 
 class UnsupportedShape(ValueError):
@@ -113,30 +113,29 @@ def init_state(kind: str, param_shape: tuple, **hp) -> OptimizerState:
     return OptimizerState(kind, 0, merged, slots)
 
 
-def newton_schulz(g, iters: int) -> Tensor:
+def newton_schulz(g: np.ndarray, iters: int) -> np.ndarray:
     """Approximate orthogonal (polar) factor via a cubic matrix iteration.
 
     Frobenius-normalizes the input, then iterates O <- 1.5*O - 0.5*O O^T O.
     """
     if iters < 1:
         raise ValueError(f"newton_schulz needs at least 1 iteration, got {iters}")
-    gv = T.as_array(g)
-    if gv.ndim != 2:
-        raise UnsupportedShape(f"newton_schulz needs a matrix, got shape {gv.shape}")
-    norm = np.linalg.norm(gv)
+    if g.ndim != 2:
+        raise UnsupportedShape(f"newton_schulz needs a matrix, got shape {g.shape}")
+    norm = np.linalg.norm(g)
     if norm == 0.0:
         raise ValueError("newton_schulz is undefined for the zero matrix")
-    x = gv / norm
+    x = g / norm
     for _ in range(iters):
         x = 1.5 * x - 0.5 * (x @ x.T @ x)
-    return Tensor(x)
+    return x
 
 
 def _ns_or_zero(m: np.ndarray, iters: int) -> np.ndarray:
     """Zero momentum maps to a zero update; the iteration itself rejects zeros."""
     if iters == 0 or not np.any(m):
         return m.copy()
-    return newton_schulz(m, iters).data
+    return newton_schulz(m, iters)
 
 
 def contribution_curve(beta: float, n: int) -> list[float]:
@@ -148,17 +147,23 @@ def contribution_curve(beta: float, n: int) -> list[float]:
     return [1.0 - beta**j for j in range(1, n + 1)]
 
 
-def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
-    """One optimizer step: returns (new param, new state) without touching inputs."""
+def step(kind: str, state: OptimizerState, param: np.ndarray, grad: np.ndarray):
+    """One optimizer step: returns (new param, new state) without touching inputs.
+    A non-finite new param raises NonFiniteError."""
     if kind != state.kind:
         raise ValueError(f"state built for kind {state.kind!r}, stepped as {kind!r}")
     if param.shape != grad.shape:
         raise T.ShapeError(f"grad shape {grad.shape} does not match param shape {param.shape}")
-    p, g = param.data, grad.data
+    new, state = _update(kind, state, param, grad)
+    T._check_finite(new, f"the {kind} step")
+    return new, state
+
+
+def _update(kind: str, state: OptimizerState, p: np.ndarray, g: np.ndarray):
     hp = state.hp
 
     if kind == "sgd":
-        return Tensor(p - hp["eta"] * g), state.with_slots()
+        return p - hp["eta"] * g, state.with_slots()
 
     if kind == "momentum":
         # optional higher-order feature map on the memory input, off by default
@@ -167,7 +172,7 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         elif hp["feature_map"] != "identity":
             raise ValueError(f"unknown feature map {hp['feature_map']!r}")
         m = hp["beta"] * state.slots["m"] - hp["eta"] * g
-        return Tensor(p + m), state.with_slots(m=m)
+        return p + m, state.with_slots(m=m)
 
     if kind == "adam":
         if hp["ema"]:
@@ -186,7 +191,7 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         denom = np.sqrt(hhat) + hp["eps"]
         update = np.divide(mhat, denom, out=np.zeros_like(mhat), where=denom != 0.0)
         new_p = p - hp["eta"] * hp["weight_decay"] * p - hp["eta"] * update
-        return Tensor(new_p), state.with_slots(m=m, h=h)
+        return new_p, state.with_slots(m=m, h=h)
 
     if kind == "adam_am":
         # closed-form optimal readout of the gradient-to-variance memory:
@@ -197,7 +202,7 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         target = np.sqrt(h)
         denom = h + hp["lam"]
         readout = np.divide(m * target, denom, out=np.zeros_like(m), where=denom != 0.0)
-        return Tensor(p - hp["eta"] * readout), state.with_slots(m=m, h=h)
+        return p - hp["eta"] * readout, state.with_slots(m=m, h=h)
 
     if kind == "adagrad_m":
         flat = g.reshape(-1)
@@ -206,13 +211,13 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         vals, vecs = np.linalg.eigh(h + hp["lam"] * np.eye(h.shape[0]))
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         update = (inv_sqrt @ m).reshape(p.shape)
-        return Tensor(p - hp["eta"] * update), state.with_slots(m=m, h=h)
+        return p - hp["eta"] * update, state.with_slots(m=m, h=h)
 
     if kind == "muon":
         if p.ndim != 2:
             raise UnsupportedShape(f"muon needs a matrix-shaped parameter, got {p.shape}")
         m = hp["beta"] * state.slots["m"] - hp["eta"] * g
-        return Tensor(p + _ns_or_zero(m, hp["ns_iters"])), state.with_slots(m=m)
+        return p + _ns_or_zero(m, hp["ns_iters"]), state.with_slots(m=m)
 
     if kind == "delta_momentum":
         flat = g.reshape(-1)
@@ -223,7 +228,7 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
             m = hp["beta"] * m - hp["eta_inner"] * (m @ ghat) * ghat - hp["eta"] * flat
         else:
             m = hp["beta"] * m
-        return Tensor(p + m.reshape(p.shape)), state.with_slots(m=m)
+        return p + m.reshape(p.shape), state.with_slots(m=m)
 
     if kind == "dmgd":
         flat = g.reshape(-1)
@@ -233,15 +238,15 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         z = proj @ flat
         mem = Memory.mlp2(state.slots["w1"], state.slots["w2"])
         if np.any(z):
-            g1, g2 = mlp2_l2_gradients(mem, Tensor(z), Tensor(-z))
-            w1 = hp["beta"] * state.slots["w1"] - hp["eta_inner"] * g1.data
-            w2 = hp["beta"] * state.slots["w2"] - hp["eta_inner"] * g2.data
+            g1, g2 = mlp2_l2_gradients(mem, z, -z)
+            w1 = hp["beta"] * state.slots["w1"] - hp["eta_inner"] * g1
+            w2 = hp["beta"] * state.slots["w2"] - hp["eta_inner"] * g2
         else:
             w1 = hp["beta"] * state.slots["w1"]
             w2 = hp["beta"] * state.slots["w2"]
         correction = w1 @ T._silu(w2 @ z)
         update = (proj.T @ correction).reshape(p.shape)
-        return Tensor(p + hp["eta"] * update), state.with_slots(w1=w1, w2=w2)
+        return p + hp["eta"] * update, state.with_slots(w1=w1, w2=w2)
 
     if kind == "m3":
         if p.ndim != 2:
@@ -267,6 +272,6 @@ def step(kind: str, state: OptimizerState, param: Tensor, grad: Tensor):
         window = window + g
         o1 = _ns_or_zero(m1, hp["ns_iters"])
         update = (o1 + hp["alpha"] * o2) / np.sqrt(v + hp["eps"])
-        return Tensor(p - hp["eta"] * update), state.with_slots(m1=m1, m2=m2, v=v, window=window, o2=o2)
+        return p - hp["eta"] * update, state.with_slots(m1=m1, m2=m2, v=v, window=window, o2=o2)
 
     raise ValueError(f"unknown optimizer kind {kind!r}")

@@ -318,7 +318,7 @@ class _Core:
                 prods[inp] = T._bmm(stack, cols[inp], partial)
             (*gate_reads, k, v), saves1 = _reads(self.reads1, ws, cols, prods, partial)
             qvk, norms = np.concatenate([T._batch_major(wq @ xc, batch)[samples], v, k]).reshape(3, b, d, n), None
-            if cfg.normalize:  # columns scaled as `tensor.l2_normalize_columns_safe` scales them
+            if cfg.normalize:  # columns scaled as `tensor.l2_normalize_columns` scales them
                 norms = T._safe_row_norms(qvk.swapaxes(-1, -2))[..., None, :]
                 qvk /= norms
             v, k = qvk[_V], qvk[_K]

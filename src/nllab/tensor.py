@@ -1,10 +1,11 @@
-"""Dense float64 tensors with a recording tape for reverse-mode differentiation.
+"""A recording tape for reverse-mode differentiation of float64 arrays.
 
-Design constraints: row-major storage, no broadcasting beyond scalar-tensor,
-explicit ops only.  Tensors are immutable values; a Tape owns a single forward
-recording and permits exactly one backward pass.  A central finite-difference
-oracle (`finite_diff_grad`) is kept deliberately independent of the tape so it
-can verify every primitive's backward rule.
+Design constraints: row-major storage, no broadcasting beyond scalar-array,
+explicit ops only.  Values are plain float64 numpy arrays, the one value type
+of the package; a Tape records one forward pass as nodes over them and
+permits exactly one backward pass.  A central finite-difference oracle
+(`finite_diff_grad`) is kept deliberately independent of the tape so it can
+verify every primitive's backward rule.
 """
 
 from __future__ import annotations
@@ -34,44 +35,6 @@ class TapeError(RuntimeError):
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
-
-
-class Tensor:
-    """Immutable dense array of finite values; the universal value type of the package."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.array(data, dtype=_DEFAULT_DTYPE, order="C")
-        _check_finite(arr, "Tensor construction")
-        if any(n <= 0 for n in arr.shape):
-            raise ShapeError(f"tensor extents must be positive, got {arr.shape}")
-        arr.setflags(write=False)
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, data={self.data!r})"
-
-
-def as_array(x) -> np.ndarray:
-    """Value view of a Tensor, Node, ndarray, or python scalar."""
-    if isinstance(x, Tensor):
-        return x.data
-    if isinstance(x, Node):
-        return x.value
-    return np.asarray(x, dtype=_DEFAULT_DTYPE)
 
 
 class Node:
@@ -132,7 +95,7 @@ class Tape:
 
     def _leaf(self, x, param_name=None) -> Node:
         # a C-order copy: BLAS-backed ops round strided operands differently
-        value = np.array(as_array(x), dtype=_DEFAULT_DTYPE, order="C")
+        value = np.array(x, dtype=_DEFAULT_DTYPE, order="C")
         _check_finite(value, "constant" if param_name is None else f"param {param_name!r}")
         op = "const" if param_name is None else "param"
         node = Node(self._proxy, len(self.nodes), value, (), None, op, param_name)
@@ -148,8 +111,9 @@ class Tape:
         node = self.params[name] = self._leaf(x, name)
         return node
 
-    def backward(self, loss: Node) -> dict[str, Tensor]:
-        """Gradients of a scalar loss for every registered parameter."""
+    def backward(self, loss: Node) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss for every registered parameter, each a
+        C-order float64 copy; a non-finite one raises NonFiniteError naming it."""
         if self._backward_done:
             raise TapeError("backward already run once on this tape")
         if loss.tape is not self._proxy:
@@ -159,17 +123,15 @@ class Tape:
         self._backward_done = True
 
         grads: dict[int, np.ndarray] = {loss.idx: np.asarray(1.0, dtype=loss.value.dtype)}
-        reached: dict[str, Tensor] = {}
+        reached: dict[str, np.ndarray] = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
             g = grads.pop(node.idx, None)
             if g is None:
                 continue
             if node.param_name is not None:
                 # every consumer of a leaf comes after it, so its gradient is complete here
-                try:
-                    reached[node.param_name] = Tensor(g)
-                except NonFiniteError:
-                    raise NonFiniteError(f"non-finite values in gradient of {node.param_name!r}") from None
+                reached[node.param_name] = g = np.array(g, dtype=_DEFAULT_DTYPE, order="C")
+                _check_finite(g, f"gradient of {node.param_name!r}")
                 continue
             if node.vjp is None:
                 continue
@@ -180,7 +142,7 @@ class Tape:
                 grads[parent.idx] = pg if acc is None else acc + pg
 
         return {
-            name: reached[name] if name in reached else Tensor(np.zeros_like(node.value))
+            name: reached[name] if name in reached else np.zeros_like(node.value)
             for name, node in self.params.items()
         }
 
@@ -364,34 +326,6 @@ def silu_grad(a: Node) -> Node:
     return _unary(a, _silu_prime, lambda v, o: _silu_second(v), "silu_grad")
 
 
-def _normalize_columns(x: Node, norms_of: Callable, op: str) -> Node:
-    """Each column of a matrix divided by its entry of `norms_of(x)`."""
-    if x.value.ndim != 2:
-        raise ShapeError(f"{op}: need a matrix, got {x.value.shape}")
-    saved = []  # the value and the norms, left by `unit` for the VJP
-
-    def unit(a):
-        norms = norms_of(a)
-        saved[:] = a / norms, norms
-        return saved[0]
-
-    def vjp(g):
-        return (_unit_grad(*saved, g),)
-
-    return x.tape._record(unit, (x,), vjp, op)
-
-
-def _column_norms(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("l2_normalize_columns: zero column")
-    return norms
-
-
-def l2_normalize_columns(x: Node) -> Node:
-    return _normalize_columns(x, _column_norms, "l2_normalize_columns")
-
-
 def _safe_row_norms(rows: np.ndarray) -> np.ndarray:
     # one dot product per row, the sum np.linalg.norm forms for a contiguous
     # vector, so each norm is np.linalg.norm(row) bit for bit; a zero row divides by 1
@@ -405,10 +339,22 @@ def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
     return g if norms is None else (g - out * (out * g).sum(axis=-2, keepdims=True)) / norms
 
 
-def l2_normalize_columns_safe(x: Node) -> Node:
-    """Each column scaled to unit norm, bit for bit `col / np.linalg.norm(col)`
+def l2_normalize_columns(x: Node) -> Node:
+    """Each column of a matrix scaled to unit norm, bit for bit `col / np.linalg.norm(col)`
     of the contiguous column; a zero column stays zero and passes its gradient through."""
-    return _normalize_columns(x, lambda v: _safe_row_norms(v.T), "l2_normalize_columns_safe")
+    if x.value.ndim != 2:
+        raise ShapeError(f"l2_normalize_columns: need a matrix, got {x.value.shape}")
+    saved = []  # the value and the norms, left by `unit` for the VJP
+
+    def unit(a):
+        norms = _safe_row_norms(a.T)
+        saved[:] = a / norms, norms
+        return saved[0]
+
+    def vjp(g):
+        return (_unit_grad(*saved, g),)
+
+    return x.tape._record(unit, (x,), vjp, "l2_normalize_columns")
 
 
 def causal_softmax_columns(s: Node) -> Node:
@@ -968,21 +914,21 @@ def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
 # finite-difference oracle
 
 
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> Tensor:
+def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function; independent of the tape."""
     if h <= 0:
         raise ValueError(f"finite_diff_grad: step must be positive, got {h}")
-    base = np.array(x.data, dtype=np.float64)
+    base = np.array(x, dtype=np.float64)
     flat = base.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = float(f(Tensor(base)))
+        fp = float(f(base.copy()))
         flat[i] = orig - h
-        fm = float(f(Tensor(base)))
+        fm = float(f(base.copy()))
         flat[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NonFiniteError("finite_diff_grad: non-finite function value")
         grad[i] = (fp - fm) / (2.0 * h)
-    return Tensor(grad.reshape(base.shape))
+    return grad.reshape(base.shape)

@@ -25,7 +25,7 @@ from .memory import LINEAR, MLP2, Memory, RuleKind, dgd_proximal_step, gd_oracle
 from .optim import contribution_curve, init_state, newton_schulz, step
 from .srt import SLOTS, SrtConfig, SrtState, init_srt, linear_attention_config, srt_forward_nodes
 from .tasks import TaskSpec, evaluate, generate, vocabulary
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 
 @dataclass
@@ -80,14 +80,14 @@ def _rule_oracle_error(rule: RuleKind, objective: str, faults: set) -> float:
         d_out = int(rng.integers(2, 17))
         d_k = d_out if rule is RuleKind.OJA else int(rng.integers(2, 17))
         mem = Memory.linear(rng.normal(size=(d_out, d_k)))
-        k = Tensor(rng.normal(size=d_k))
-        v = Tensor(rng.normal(size=d_out))
+        k = rng.normal(size=d_k)
+        v = rng.normal(size=d_out)
         eta = float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        closed = rule_step(rule, mem, k, v, eta, alpha).matrix.data
+        closed = rule_step(rule, mem, k, v, eta, alpha).matrix
         if rule is RuleKind.HEBBIAN and "hebbian-sign" in faults:
             closed = -closed
-        oracle = gd_oracle_step(objective, mem, k, v, eta, alpha).matrix.data
+        oracle = gd_oracle_step(objective, mem, k, v, eta, alpha).matrix
         worst = max(worst, float(np.abs(closed - oracle).max()))
     return worst
 
@@ -124,7 +124,7 @@ def check_dgd(faults=frozenset(), out_dir=None) -> CheckResult:
         lhs = np.outer(k, k) + np.eye(d) / eta
         rhs = np.outer(v, k) + w0 / eta
         direct = np.linalg.solve(lhs.T, rhs.T).T
-        closed = dgd_proximal_step(Memory.linear(w0), Tensor(k), Tensor(v), eta).matrix.data
+        closed = dgd_proximal_step(Memory.linear(w0), k, v, eta).matrix
         worst = max(worst, float(np.abs(closed - direct).max()))
     return CheckResult("dgd-proximal-argmin", worst < 1e-8, worst, "rank-one closed form vs direct solve, 100 instances")
 
@@ -139,15 +139,14 @@ def check_adam_am(faults=frozenset(), out_dir=None) -> CheckResult:
     for seed in range(50):
         rng = np.random.default_rng(seed)
         for shape in ((1,), (4, 4)):
-            p_a = Tensor(rng.normal(size=shape))
-            p_b = Tensor(p_a.data)
+            p_a = p_b = rng.normal(size=shape)
             st_a = init_state("adam", shape, eta=0.05, beta1=0.9, beta2=0.999, eps=0.0)
             st_b = init_state("adam_am", shape, eta=0.05, beta1=0.9, beta2=0.999, lam=0.0)
             for _ in range(20):
-                g = Tensor(rng.normal(size=shape))
+                g = rng.normal(size=shape)
                 p_a, st_a = step("adam", st_a, p_a, g)
                 p_b, st_b = step("adam_am", st_b, p_b, g)
-                worst = max(worst, float(np.abs(p_a.data - p_b.data).max()))
+                worst = max(worst, float(np.abs(p_a - p_b).max()))
     return CheckResult("adam-am-equivalence", worst < 1e-12, worst, "direct recurrence vs closed-form readout, 50 seeds x 20 steps")
 
 
@@ -157,11 +156,10 @@ def check_ftrl(faults=frozenset(), out_dir=None) -> CheckResult:
     eta = 0.37
     w1 = rng.normal(size=(3, 2))
     st = init_state("momentum", (3, 2), eta=eta, beta=1.0)
-    p = Tensor(w1)
     acc = np.zeros_like(w1)
     for _ in range(100):
         g = rng.normal(size=(3, 2))
-        _, st = step("momentum", st, p, Tensor(g))
+        _, st = step("momentum", st, w1, g)
         acc = acc + eta * g
     err = float(np.abs((w1 + st.slots["m"]) - (w1 - acc)).max())
     return CheckResult("momentum-ftrl-identity", err == 0.0, err, "unrolled memory vs accumulated-gradient solution, 100 steps")
@@ -176,10 +174,10 @@ def check_ns(faults=frozenset(), out_dir=None) -> CheckResult:
         u, _, vt = np.linalg.svd(rng.normal(size=(8, 8)))
         sv = rng.uniform(1.0, 10.0, size=8)  # condition number <= 10
         g = (u * sv) @ vt
-        out = newton_schulz(g, 10).data
+        out = newton_schulz(g, 10)
         out_sv = np.linalg.svd(out, compute_uv=False)
         worst_sv = max(worst_sv, float(np.abs(out_sv - 1.0).max()))
-        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i).data for i in range(1, 11)]
+        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i) for i in range(1, 11)]
         errs = [np.linalg.norm(x.T @ x - np.eye(8)) for x in iterates]
         # strict decrease until the error reaches the float64 floor
         monotone = monotone and all(b < a or a < 1e-12 for a, b in zip(errs, errs[1:]))
@@ -221,19 +219,19 @@ def check_m3(faults=frozenset(), out_dir=None) -> CheckResult:
         expected.append(theta.copy())
 
     st = init_state("m3", (3, 3), eta=eta, beta1=b1, beta2=b2, beta3=b3, alpha=alpha, eps=eps, ns_iters=iters, slow_freq=f)
-    p = Tensor(theta0)
+    p = theta0
     worst = 0.0
     for g, exp in zip(gs, expected):
-        p, st = step("m3", st, p, Tensor(g))
-        worst = max(worst, float(np.abs(p.data - exp).max()))
+        p, st = step("m3", st, p, g)
+        worst = max(worst, float(np.abs(p - exp).max()))
 
     # slow momentum changes only at boundaries
     st2 = init_state("m3", (4, 4), slow_freq=3)
-    p2 = Tensor(rng.normal(size=(4, 4)))
+    p2 = rng.normal(size=(4, 4))
     prev = st2.slots["m2"].copy()
     boundary_ok = True
     for t in range(1, 13):
-        p2, st2 = step("m3", st2, p2, Tensor(rng.normal(size=(4, 4))))
+        p2, st2 = step("m3", st2, p2, rng.normal(size=(4, 4)))
         if (t - 1) % 3 == 0:
             prev = st2.slots["m2"].copy()
         else:
@@ -266,15 +264,15 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
         level_nodes = cms_mod.register_nodes(chain, tape)
         out = cms_mod.forward_with_nodes(chain, level_nodes, tape.constant(x))
         grads = tape.backward(_mse(out, tape.constant(y)))
-        cms_mod.cms_accumulate(chain, [(grads["cms.level0.w1"].data, grads["cms.level0.w2"].data)])
+        cms_mod.cms_accumulate(chain, [(grads["cms.level0.w1"], grads["cms.level0.w2"])])
         cms_mod.cms_tick(chain, i)
 
         tape = Tape()
         w1n, w2n = tape.param("w1", w1), tape.param("w2", w2)
         out = T.add(tape.constant(x), T.matmul(w1n, T.silu(T.matmul(w2n, tape.constant(x)))))
         g = tape.backward(_mse(out, tape.constant(y)))
-        w1 = w1 - lr * g["w1"].data
-        w2 = w2 - lr * g["w2"].data
+        w1 = w1 - lr * g["w1"]
+        w2 = w2 - lr * g["w2"]
         worst = max(worst, float(np.abs(chain.levels[0].w1 - w1).max()))
 
     # off-boundary bit-freeze for a chunk-4 level
@@ -304,7 +302,7 @@ def _elements(cfg: SrtConfig, boundary: dict, wq, x, xkv, slots, widths) -> dict
         return read_node(boundary[slot], cols, cfg.kinds[slot], widths)
 
     def norm(cols):
-        return T.l2_normalize_columns_safe(cols) if cfg.normalize else cols
+        return T.l2_normalize_columns(cols) if cfg.normalize else cols
 
     q = norm(T.matmul(wq, x))
     v = norm(read("v", xkv))
@@ -400,7 +398,7 @@ def _probed(run, vals: dict, probes: list, grads: bool = True):
         loss = T.add(loss, T.dot(o, tape.constant(p)))
     if not grads:
         return float(loss.value)
-    return [o.value for o in outs], {name: g.data for name, g in tape.backward(loss).items()}
+    return [o.value for o in outs], tape.backward(loss)
 
 
 _SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
@@ -484,7 +482,7 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
         probe = rng.normal(size=(3, 3))
         _, grads = _probed(fused, vals, [probe])
         for name in _SCAN_INPUTS:
-            fd = T.finite_diff_grad(lambda x: _probed(fused, {**vals, name: x.data}, [probe], False), Tensor(vals[name])).data
+            fd = T.finite_diff_grad(lambda x: _probed(fused, {**vals, name: x}, [probe], False), vals[name])
             scale = max(np.abs(fd).max(), np.abs(grads[name]).max(), 1e-12)
             fd_worst = max(fd_worst, float(np.abs(fd - grads[name]).max()) / scale)
         # ragged batches: full, one-column and empty samples; samples of C-1 and 2 columns
@@ -601,9 +599,9 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
     direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
     along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
     fd = T.finite_diff_grad(
-        lambda s: _probed(core, {key: v + float(s.data[0]) * direction[key] for key, v in vals.items()}, probes, False), Tensor([0.0])
+        lambda s: _probed(core, {key: v + float(s[0]) * direction[key] for key, v in vals.items()}, probes, False), np.zeros(1)
     )
-    fd_err = abs(float(fd.data[0]) - along) / max(abs(float(fd.data[0])), abs(along), 1e-12)
+    fd_err = abs(float(fd[0]) - along) / max(abs(float(fd[0])), abs(along), 1e-12)
     passed = exact and worst <= 1e-12 and fd_err < 1e-6 and carried and ordered
     return CheckResult(
         "srt-fused-core",
@@ -672,7 +670,7 @@ def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> Chec
             worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
             # one random direction per input keeps the check to two forwards each
             direction = rng.normal(size=vals[name].shape)
-            fd = T.finite_diff_grad(lambda s: _probed(block, {**vals, name: vals[name] + s.data[0] * direction}, [probe], False), Tensor([0.0])).data[0]
+            fd = T.finite_diff_grad(lambda s: _probed(block, {**vals, name: vals[name] + s[0] * direction}, [probe], False), np.zeros(1))[0]
             analytic = float((g_fast[name] * direction).sum())
             fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
     passed = worst <= 1e-12 and fd_worst < 1e-6
@@ -703,17 +701,17 @@ def check_hope_gradients(faults=frozenset(), out_dir=None) -> CheckResult:
 
         def f(x):
             perturbed = base.reshape(-1).copy()
-            perturbed[flat_idx] = x.data[0]
+            perturbed[flat_idx] = x[0]
             model.set_parameter(name, perturbed.reshape(base.shape))
             t2 = Tape()
             val = float(model.build_loss(t2, batch).value)
             model.set_parameter(name, base)
             return val
 
-        fd = T.finite_diff_grad(f, Tensor([base.reshape(-1)[flat_idx]]), h=1e-6)
-        analytic = grads[name].data.reshape(-1)[flat_idx]
-        denom = max(abs(analytic), abs(float(fd.data[0])), 1e-8)
-        worst = max(worst, abs(analytic - float(fd.data[0])) / denom)
+        fd = float(T.finite_diff_grad(f, base.reshape(-1)[flat_idx : flat_idx + 1], h=1e-6)[0])
+        analytic = grads[name].reshape(-1)[flat_idx]
+        denom = max(abs(analytic), abs(fd), 1e-8)
+        worst = max(worst, abs(analytic - fd) / denom)
     return CheckResult("hope-gradient-integrity", worst < 1e-4, worst, "full-model gradient vs central differences, 20 parameters")
 
 
@@ -723,7 +721,7 @@ _BATCH_LENGTHS = (4, 2, 3)
 def _batch_loss_and_grads(model: HopeModel, batch: list) -> tuple:
     tape = Tape()
     loss = model.build_loss(tape, batch, with_penalty=True)
-    return float(loss.value), {name: g.data for name, g in tape.backward(loss).items()}
+    return float(loss.value), tape.backward(loss)
 
 
 @register("batched-build-loss")
@@ -747,13 +745,13 @@ def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
 
         def f(s):
             for name, value in base.items():
-                model.set_parameter(name, value + s.data[0] * direction[name])
+                model.set_parameter(name, value + s[0] * direction[name])
             out = float(model.build_loss(Tape(), batch, with_penalty=True).value)
             for name, value in base.items():
                 model.set_parameter(name, value)
             return out
 
-        fd = float(T.finite_diff_grad(f, Tensor([0.0])).data[0])
+        fd = float(T.finite_diff_grad(f, np.zeros(1))[0])
         analytic = sum(float((grads[name] * direction[name]).sum()) for name in base)
         fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
 

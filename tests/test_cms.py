@@ -5,7 +5,7 @@ from nllab import cms as C
 from nllab import optim
 from nllab import tensor as T
 from nllab.cms import CmsChain, CmsLevel, cms_accumulate, cms_tick, make_chain
-from nllab.tensor import Tape, Tensor
+from nllab.tensor import Tape
 from nllab.verify import _mse
 
 
@@ -27,7 +27,7 @@ def loss_and_grads(chain, x, target):
     out = forward_nodes(chain, tape, x)
     loss = _mse(out, tape.constant(target))
     grads = tape.backward(loss)
-    pairs = [(grads[f"cms.level{i}.w1"].data, grads[f"cms.level{i}.w2"].data) for i in range(len(chain.levels))]
+    pairs = [(grads[f"cms.level{i}.w1"], grads[f"cms.level{i}.w2"]) for i in range(len(chain.levels))]
     return float(loss.value), pairs
 
 
@@ -94,9 +94,9 @@ def test_substituted_level_optimizer_buffers_its_own_step_at_rate_one(optimizer)
         for i, lv in enumerate(chain.levels):
             assert lv.eta == 1.0
             parts = zip(states[i], (lv.w1, lv.w2), grads[i])
-            stepped = [optim.step(optimizer, s, Tensor(w), Tensor(g)) for s, w, g in parts]
+            stepped = [optim.step(optimizer, s, w, g) for s, w, g in parts]
             states[i] = tuple(state for _, state in stepped)
-            expect[i] = tuple(acc + (w - new.data) for acc, w, (new, _) in zip(expect[i], (lv.w1, lv.w2), stepped))
+            expect[i] = tuple(acc + (w - new) for acc, w, (new, _) in zip(expect[i], (lv.w1, lv.w2), stepped))
         cms_accumulate(chain, grads)
     for lv, (acc1, acc2), pair in zip(chain.levels, expect, states):
         assert np.array_equal(lv.acc1, acc1) and np.array_equal(lv.acc2, acc2)
@@ -145,8 +145,8 @@ def test_c1_single_level_matches_plain_sgd():
         w1n, w2n = tape.param("w1", w1_sgd), tape.param("w2", w2_sgd)
         out = T.add(tape.constant(x), T.matmul(w1n, T.silu(T.matmul(w2n, tape.constant(x)))))
         g = tape.backward(_mse(out, tape.constant(y)))
-        w1_sgd = w1_sgd - lr * g["w1"].data
-        w2_sgd = w2_sgd - lr * g["w2"].data
+        w1_sgd = w1_sgd - lr * g["w1"]
+        w2_sgd = w2_sgd - lr * g["w2"]
     assert np.abs(chain.levels[0].w1 - w1_sgd).max() < 1e-12
     assert np.abs(chain.levels[0].w2 - w2_sgd).max() < 1e-12
 

@@ -435,6 +435,24 @@ def test_cli_nonfinite_evaluation_is_a_divergence(tmp_path, capsys):
     assert caught == []  # no numpy warning reaches the user ahead of the report
 
 
+def test_cli_nonfinite_optimizer_step_is_a_divergence(tmp_path, capsys):
+    # the first momentum step is finite; the second overflows in some parameter
+    train = {"optimizer": "momentum", "opt_hp": {"eta": 1e10, "beta": 1e300}, "eval_every": 0, "train_samples": 64, "eval_samples": 8}
+    for name, steps in (("run", 5), ("one", 1)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"train": {**train, "steps": steps}, "out_dir": str(tmp_path / name)}))
+        assert main(["train", str(cfg_path)]) == (1 if steps > 1 else 0)
+    out, err = capsys.readouterr()
+    records = read_runlog(str(tmp_path / "run" / "runlog.jsonl"))
+    assert [(r["step"], r.get("event")) for r in records] == [(0, None), (1, None), (2, "diverged")]
+    assert records[-1]["detail"].startswith("non-finite values in the momentum step of '")
+    assert err == f"error: training diverged at step 2: {records[-1]['detail']}\n"
+    # no update of the diverged step is committed: the checkpoint is the one-step run's
+    got = checkpoint.load(str(tmp_path / "run" / "checkpoint.nlck"))
+    want = checkpoint.load(str(tmp_path / "one" / "checkpoint.nlck"))
+    assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
+
+
 def test_cli_partial_adam_hyperparameters_keep_the_other_defaults(tmp_path):
     logs = []
     for i, opt_hp in enumerate([{"eta": 0.01}, {}]):
@@ -493,6 +511,8 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
         ({"train": {"optimizer": "sgd", "opt_hp": {"eta": "big"}}}, "$.train.opt_hp", ""),
         # read only when the gradient is non-zero
         ({"train": {"optimizer": "delta_momentum", "opt_hp": {"eta_inner": "x"}}}, "$.train.opt_hp", ""),
+        # a first step that overflows: the norm gains of 1 step to -2e308
+        ({"train": {"opt_hp": {"eta": 1e308, "weight_decay": 1.0}}}, "$.train.opt_hp", "non-finite values in the adam step"),
         # $.task and $.model values that failed late, with a traceback, or were read wrongly
         ({"task": {"kind": "parity", "bin0": [2]}}, "$.task.bin0", "two integers"),
         ({"task": {"kind": "parity", "bin1": [90, 80]}}, "$.task.bin1", "lo <= hi"),
@@ -588,8 +608,8 @@ def test_cli_bad_path_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
-def _eval_checkpoint(tmp_path, edit) -> tuple[int, str]:
-    cfg = {"task": {"kind": "parity"}, "model": {"dim": 8}, "train": {"eval_samples": 4}, "out_dir": str(tmp_path / "run")}
+def _eval_checkpoint(tmp_path, edit, core="srt") -> tuple[int, str]:
+    cfg = {"task": {"kind": "parity"}, "model": {"dim": 8, "core": core}, "train": {"eval_samples": 4}, "out_dir": str(tmp_path / "run")}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     tensors = build_model(resolve(cfg)).named_parameters()
@@ -617,6 +637,13 @@ def test_cli_eval_mismatched_checkpoint_exits_2(tmp_path, capsys, edit):
 
 def test_cli_eval_fitting_checkpoint_exits_0(tmp_path, capsys):
     assert _eval_checkpoint(tmp_path, lambda t: None) == 0
+    assert "accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("core", ["srt", "attention", "linear_attention"])
+def test_cli_eval_zero_gain_checkpoint_exits_0(tmp_path, capsys, core):
+    # a zero RMS gain zeroes every query and key column, which stay zero when normalized
+    assert _eval_checkpoint(tmp_path, lambda t: t.update({"b0.norm1": np.zeros_like(t["b0.norm1"])}), core) == 0
     assert "accuracy" in capsys.readouterr().out
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from nllab import memory as M
 from nllab.memory import Memory, RuleKind, gd_oracle_step, rule_step
-from nllab.tensor import Tape, Tensor
+from nllab.tensor import Tape
 from nllab import tensor as T
 
 
@@ -14,14 +14,14 @@ def random_linear(rng, d_out=None, d_k=None):
 
 
 def test_hebbian_single_outer_product():
-    m = rule_step(RuleKind.HEBBIAN, Memory.linear(np.zeros((2, 2))), Tensor([1.0, 0.0]), Tensor([0.0, 1.0]), 1.0, 1.0)
-    assert np.array_equal(m.matrix.data, [[0.0, 0.0], [1.0, 0.0]])
+    m = rule_step(RuleKind.HEBBIAN, Memory.linear(np.zeros((2, 2))), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, 1.0)
+    assert np.array_equal(m.matrix, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_delta_fixed_point_on_fitted_pair():
     m = Memory.linear(np.eye(2))
-    out = rule_step(RuleKind.DELTA, m, Tensor([1.0, 0.0]), Tensor([1.0, 0.0]), 0.37, 1.0)
-    assert np.array_equal(out.matrix.data, np.eye(2))
+    out = rule_step(RuleKind.DELTA, m, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.37, 1.0)
+    assert np.array_equal(out.matrix, np.eye(2))
 
 
 def test_dgd_equals_proximal_argmin_direct_solve():
@@ -39,7 +39,7 @@ def test_dgd_equals_proximal_argmin_direct_solve():
         lhs = np.outer(k, k) + np.eye(d) / eta
         rhs = np.outer(v, k) + w0 / eta
         expect = np.linalg.solve(lhs.T, rhs.T).T
-        got = M.dgd_proximal_step(Memory.linear(w0), Tensor(k), Tensor(v), eta).matrix.data
+        got = M.dgd_proximal_step(Memory.linear(w0), k, v, eta).matrix
         assert np.abs(got - expect).max() < 1e-8
 
 
@@ -53,20 +53,20 @@ def test_rule_equals_autodiff_oracle_100_instances(rule, objective):
         d_out = int(rng.integers(2, 17))
         d_k = d_out if rule is RuleKind.OJA else int(rng.integers(2, 17))
         mem = Memory.linear(rng.normal(size=(d_out, d_k)))
-        k = Tensor(rng.normal(size=d_k))
-        v = Tensor(rng.normal(size=d_out))
+        k = rng.normal(size=d_k)
+        v = rng.normal(size=d_out)
         eta = float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        a = rule_step(rule, mem, k, v, eta, alpha).matrix.data
-        b = gd_oracle_step(objective, mem, k, v, eta, alpha).matrix.data
+        a = rule_step(rule, mem, k, v, eta, alpha).matrix
+        b = gd_oracle_step(objective, mem, k, v, eta, alpha).matrix
         assert np.abs(a - b).max() < 1e-12
 
 
 def test_oracle_dot_from_zero_matches_hebbian_example():
     mem = Memory.linear(np.zeros((3, 3)))
-    k, v = Tensor([1.0, 0.0, 0.0]), Tensor([0.0, 1.0, 0.0])
-    a = rule_step(RuleKind.HEBBIAN, mem, k, v, 1.0, 1.0).matrix.data
-    b = gd_oracle_step("dot", mem, k, v, 1.0, 1.0).matrix.data
+    k, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    a = rule_step(RuleKind.HEBBIAN, mem, k, v, 1.0, 1.0).matrix
+    b = gd_oracle_step("dot", mem, k, v, 1.0, 1.0).matrix
     assert np.array_equal(a, b)
 
 
@@ -75,28 +75,28 @@ def test_mlp2_hand_gradients_match_tape():
         rng = np.random.default_rng(seed)
         d, h = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         mem = Memory.mlp2(rng.normal(size=(d, h)), rng.normal(size=(h, d)))
-        k = Tensor(rng.normal(size=d))
-        v = Tensor(rng.normal(size=d))
+        k = rng.normal(size=d)
+        v = rng.normal(size=d)
         g1, g2 = M.mlp2_l2_gradients(mem, k, v)
         oracle = gd_oracle_step("l2", mem, k, v, 1.0, 1.0)
-        assert np.abs((mem.weights[0].data - g1.data) - oracle.weights[0].data).max() < 1e-12
-        assert np.abs((mem.weights[1].data - g2.data) - oracle.weights[1].data).max() < 1e-12
+        assert np.abs((mem.weights[0] - g1) - oracle.weights[0]).max() < 1e-12
+        assert np.abs((mem.weights[1] - g2) - oracle.weights[1]).max() < 1e-12
 
 
 def test_mlp2_rejects_hebbian_and_oja():
     mem = Memory.mlp2(np.zeros((3, 2)), np.zeros((2, 3)))
     with pytest.raises(M.UnsupportedCombination):
-        rule_step(RuleKind.HEBBIAN, mem, Tensor([1.0, 0, 0]), Tensor([1.0, 0, 0]), 0.1, 1.0)
+        rule_step(RuleKind.HEBBIAN, mem, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.1, 1.0)
     with pytest.raises(M.UnsupportedCombination):
-        rule_step(RuleKind.OJA, mem, Tensor([1.0, 0, 0]), Tensor([1.0, 0, 0]), 0.1, 1.0)
+        rule_step(RuleKind.OJA, mem, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.1, 1.0)
 
 
 def test_gate_domain_errors():
     mem = Memory.linear(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        rule_step(RuleKind.HEBBIAN, mem, Tensor([1.0, 0]), Tensor([1.0, 0]), -0.1, 1.0)
+        rule_step(RuleKind.HEBBIAN, mem, np.array([1.0, 0]), np.array([1.0, 0]), -0.1, 1.0)
     with pytest.raises(ValueError):
-        rule_step(RuleKind.HEBBIAN, mem, Tensor([1.0, 0]), Tensor([1.0, 0]), 0.1, 1.2)
+        rule_step(RuleKind.HEBBIAN, mem, np.array([1.0, 0]), np.array([1.0, 0]), 0.1, 1.2)
 
 
 def test_hebbian_prefix_sum_identity():
@@ -106,9 +106,9 @@ def test_hebbian_prefix_sum_identity():
     acc = np.zeros((d, d))
     for _ in range(20):
         k, v = rng.normal(size=d), rng.normal(size=d)
-        mem = rule_step(RuleKind.HEBBIAN, mem, Tensor(k), Tensor(v), 1.0, 1.0)
+        mem = rule_step(RuleKind.HEBBIAN, mem, k, v, 1.0, 1.0)
         acc += np.outer(v, k)
-        assert np.array_equal(mem.matrix.data, acc)
+        assert np.array_equal(mem.matrix, acc)
 
 
 def test_delta_never_increases_residual():
@@ -119,9 +119,9 @@ def test_delta_never_increases_residual():
         k = rng.normal(size=d)
         v = rng.normal(size=d)
         eta = float(rng.uniform(1e-4, 1.0)) / (k @ k)
-        before = np.linalg.norm(mem.matrix.data @ k - v)
-        after = rule_step(RuleKind.DELTA, mem, Tensor(k), Tensor(v), eta, 1.0)
-        assert np.linalg.norm(after.matrix.data @ k - v) <= before + 1e-12
+        before = np.linalg.norm(mem.matrix @ k - v)
+        after = rule_step(RuleKind.DELTA, mem, k, v, eta, 1.0)
+        assert np.linalg.norm(after.matrix @ k - v) <= before + 1e-12
 
 
 def test_dgd_identity_update_limit():
@@ -129,8 +129,8 @@ def test_dgd_identity_update_limit():
     mem = random_linear(rng, 6, 6)
     k = rng.normal(size=6)
     v = rng.normal(size=6)
-    out = rule_step(RuleKind.DGD, mem, Tensor(k), Tensor(v), 1e-12, 1.0)
-    assert np.abs(out.matrix.data - mem.matrix.data).max() < 1e-9
+    out = rule_step(RuleKind.DGD, mem, k, v, 1e-12, 1.0)
+    assert np.abs(out.matrix - mem.matrix).max() < 1e-9
 
 
 def test_read_linear_and_mlp2():

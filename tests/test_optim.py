@@ -3,7 +3,6 @@ import pytest
 
 from nllab import optim, tensor as T
 from nllab.optim import contribution_curve, init_state, newton_schulz, step
-from nllab.tensor import Tensor
 
 
 def _state_for(kind, shape, **hp):
@@ -14,9 +13,9 @@ def _state_for(kind, shape, **hp):
 def test_zero_gradient_fresh_state_leaves_param_unchanged(kind):
     shape = (3, 3) if kind in ("muon", "m3") else (5,)
     st = _state_for(kind, shape)
-    p = Tensor(np.random.default_rng(0).normal(size=shape))
-    new_p, _ = step(kind, st, p, Tensor(np.zeros(shape)))
-    assert np.array_equal(new_p.data, p.data)
+    p = np.random.default_rng(0).normal(size=shape)
+    new_p, _ = step(kind, st, p, np.zeros(shape))
+    assert np.array_equal(new_p, p)
 
 
 @pytest.mark.parametrize("kind", optim.KINDS)
@@ -24,12 +23,14 @@ def test_step_is_pure(kind):
     shape = (3, 3) if kind in ("muon", "m3") else (4,)
     rng = np.random.default_rng(1)
     st = _state_for(kind, shape)
-    p = Tensor(rng.normal(size=shape))
-    g = Tensor(rng.normal(size=shape))
+    p = rng.normal(size=shape)
+    g = rng.normal(size=shape)
     before = {k: v.copy() for k, v in st.slots.items()}
+    p_bytes, g_bytes = p.tobytes(), g.tobytes()
     p1, st1 = step(kind, st, p, g)
     p2, st2 = step(kind, st, p, g)
-    assert np.array_equal(p1.data, p2.data)
+    assert np.array_equal(p1, p2)
+    assert p.tobytes() == p_bytes and g.tobytes() == g_bytes
     for k in before:
         assert np.array_equal(st.slots[k], before[k])
     for k in st1.slots:
@@ -38,18 +39,18 @@ def test_step_is_pure(kind):
 
 def test_grad_shape_mismatch_and_nan_grad_rejected():
     st = init_state("sgd", (3,))
-    p = Tensor([1.0, 2.0, 3.0])
+    p = np.array([1.0, 2.0, 3.0])
     with pytest.raises(T.ShapeError):
-        step("sgd", st, p, Tensor([1.0, 2.0]))
-    with pytest.raises(T.NonFiniteError):
-        Tensor([np.nan, 0.0, 0.0])  # so no NaN gradient reaches a step
+        step("sgd", st, p, np.array([1.0, 2.0]))
+    with pytest.raises(T.NonFiniteError, match="sgd step"):
+        step("sgd", st, p, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_adam_scalar_hand_value():
     # additive accumulators: m = 2, h = 4, update = -eta*m/sqrt(h) = -0.1
     st = init_state("adam", (1,), eta=0.1, beta1=1.0, beta2=1.0, eps=0.0)
-    new_p, st = step("adam", st, Tensor([0.0]), Tensor([2.0]))
-    assert abs(new_p.data[0] - (-0.1)) < 1e-15
+    new_p, st = step("adam", st, np.array([0.0]), np.array([2.0]))
+    assert abs(new_p[0] - (-0.1)) < 1e-15
     assert np.array_equal(st.slots["m"], [2.0])
     assert np.array_equal(st.slots["h"], [4.0])
 
@@ -59,15 +60,14 @@ def test_adam_am_equals_adam_50_trajectories():
         rng = np.random.default_rng(seed)
         for shape in ((), (4, 4)):
             shape = shape or (1,)
-            p_a = Tensor(rng.normal(size=shape))
-            p_b = Tensor(p_a.data)
+            p_a = p_b = rng.normal(size=shape)
             st_a = init_state("adam", shape, eta=0.05, beta1=0.9, beta2=0.999, eps=0.0)
             st_b = init_state("adam_am", shape, eta=0.05, beta1=0.9, beta2=0.999, lam=0.0)
             for _ in range(20):
-                g = Tensor(rng.normal(size=shape))
+                g = rng.normal(size=shape)
                 p_a, st_a = step("adam", st_a, p_a, g)
                 p_b, st_b = step("adam_am", st_b, p_b, g)
-                assert np.abs(p_a.data - p_b.data).max() < 1e-12
+                assert np.abs(p_a - p_b).max() < 1e-12
 
 
 def test_momentum_ftrl_identity_100_steps():
@@ -75,11 +75,11 @@ def test_momentum_ftrl_identity_100_steps():
     eta = 0.37
     w1 = rng.normal(size=(3, 2))
     st = init_state("momentum", (3, 2), eta=eta, beta=1.0)
-    p = Tensor(w1)
+    p = w1
     acc = np.zeros_like(w1)
     for _ in range(100):
         g = rng.normal(size=(3, 2))
-        _, st = step("momentum", st, p, Tensor(g))
+        _, st = step("momentum", st, p, g)
         acc = acc + eta * g
     # the unrolled memory equals the accumulated-gradient solution W1 - eta*sum(g)
     assert np.array_equal(w1 + st.slots["m"], w1 - acc)
@@ -89,9 +89,9 @@ def test_momentum_beta_zero_is_sgd():
     rng = np.random.default_rng(10)
     p0 = rng.normal(size=4)
     g = rng.normal(size=4)
-    p_m, _ = step("momentum", init_state("momentum", (4,), eta=0.2, beta=0.0), Tensor(p0), Tensor(g))
-    p_s, _ = step("sgd", init_state("sgd", (4,), eta=0.2), Tensor(p0), Tensor(g))
-    assert np.allclose(p_m.data, p_s.data, atol=0, rtol=0)
+    p_m, _ = step("momentum", init_state("momentum", (4,), eta=0.2, beta=0.0), p0, g)
+    p_s, _ = step("sgd", init_state("sgd", (4,), eta=0.2), p0, g)
+    assert np.allclose(p_m, p_s, atol=0, rtol=0)
 
 
 def test_muon_t0_degenerates_to_momentum():
@@ -99,12 +99,12 @@ def test_muon_t0_degenerates_to_momentum():
     p0 = rng.normal(size=(4, 4))
     st_mu = init_state("muon", (4, 4), eta=0.1, beta=0.9, ns_iters=0)
     st_mo = init_state("momentum", (4, 4), eta=0.1, beta=0.9)
-    p_mu, p_mo = Tensor(p0), Tensor(p0)
+    p_mu, p_mo = p0, p0
     for _ in range(7):
-        g = Tensor(rng.normal(size=(4, 4)))
+        g = rng.normal(size=(4, 4))
         p_mu, st_mu = step("muon", st_mu, p_mu, g)
         p_mo, st_mo = step("momentum", st_mo, p_mo, g)
-        assert np.array_equal(p_mu.data, p_mo.data)
+        assert np.array_equal(p_mu, p_mo)
 
 
 def test_muon_rejects_vector_params():
@@ -117,12 +117,12 @@ def test_muon_rejects_vector_params():
 def test_newton_schulz_fixed_point_on_rotation():
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    out = newton_schulz(rot, 5).data
+    out = newton_schulz(rot, 5)
     assert np.abs(out - rot).max() < 1e-9
 
 
 def test_newton_schulz_diag_and_monotone_decrease():
-    out = newton_schulz(np.diag([2.0, 0.5]), 10).data
+    out = newton_schulz(np.diag([2.0, 0.5]), 10)
     sv = np.linalg.svd(out, compute_uv=False)
     assert np.all(sv >= 0.97) and np.all(sv <= 1.03)
 
@@ -130,7 +130,7 @@ def test_newton_schulz_diag_and_monotone_decrease():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i).data for i in range(1, 9)]
+        iterates = [g / np.linalg.norm(g)] + [newton_schulz(g, i) for i in range(1, 9)]
         errs = [np.linalg.norm(x.T @ x - np.eye(4)) for x in iterates]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -142,7 +142,7 @@ def test_newton_schulz_against_svd_polar_factor():
         u, _, vt = np.linalg.svd(rng.normal(size=(8, 8)))
         sv = rng.uniform(1.0, 10.0, size=8)
         g = (u * sv) @ vt
-        out = newton_schulz(g, 10).data
+        out = newton_schulz(g, 10)
         out_sv = np.linalg.svd(out, compute_uv=False)
         assert np.all(out_sv >= 0.95) and np.all(out_sv <= 1.05)
         polar = u @ vt
@@ -161,7 +161,7 @@ def test_newton_schulz_domain_errors_and_gd_mode():
     zeta = 0.25
     x = g0 = g / np.linalg.norm(g)
     got = x - zeta * (x - g0 + 2.0 * x @ (x.T @ x - np.eye(3)))
-    assert np.abs(got - newton_schulz(g, 1).data).max() < 1e-12
+    assert np.abs(got - newton_schulz(g, 1)).max() < 1e-12
 
 
 def test_contribution_curve_values_and_limits():
@@ -214,20 +214,20 @@ def test_m3_hand_executed_three_step_trace():
         expected.append(theta.copy())
 
     st = init_state("m3", (3, 3), eta=eta, beta1=b1, beta2=b2, beta3=b3, alpha=alpha, eps=eps, ns_iters=T_ns, slow_freq=f)
-    p = Tensor(theta0)
+    p = theta0
     for g, exp in zip(gs, expected):
-        p, st = step("m3", st, p, Tensor(g))
-        assert np.abs(p.data - exp).max() < 1e-14
+        p, st = step("m3", st, p, g)
+        assert np.abs(p - exp).max() < 1e-14
 
 
 def test_m3_slow_momentum_changes_only_at_boundaries():
     rng = np.random.default_rng(15)
     f = 4
     st = init_state("m3", (3, 3), slow_freq=f)
-    p = Tensor(rng.normal(size=(3, 3)))
+    p = rng.normal(size=(3, 3))
     prev_m2 = st.slots["m2"].copy()
     for t in range(1, 17):
-        p, st = step("m3", st, p, Tensor(rng.normal(size=(3, 3))))
+        p, st = step("m3", st, p, rng.normal(size=(3, 3)))
         if t % f == 1 and t > 1:
             prev_m2 = st.slots["m2"].copy()
         else:
@@ -239,10 +239,10 @@ def test_m3_alpha_zero_is_inner_loop_only():
     gs = [rng.normal(size=(3, 3)) for _ in range(6)]
     p0 = rng.normal(size=(3, 3))
 
-    p_a = Tensor(p0)
+    p_a = p0
     st_a = init_state("m3", (3, 3), alpha=0.0, slow_freq=2)
     for g in gs:
-        p_a, st_a = step("m3", st_a, p_a, Tensor(g))
+        p_a, st_a = step("m3", st_a, p_a, g)
 
     # inner loop alone: additive momentum + additive variance + NS, no slow branch
     hp = st_a.hp
@@ -252,9 +252,9 @@ def test_m3_alpha_zero_is_inner_loop_only():
     for g in gs:
         m1 = m1 + hp["beta1"] * g
         v = v + hp["beta2"] * g * g
-        o1 = newton_schulz(m1, hp["ns_iters"]).data
+        o1 = newton_schulz(m1, hp["ns_iters"])
         theta = theta - hp["eta"] * o1 / np.sqrt(v + hp["eps"])
-    assert np.abs(p_a.data - theta).max() < 1e-14
+    assert np.abs(p_a - theta).max() < 1e-14
 
 
 def test_adagrad_m_dimension_cap_and_ridge():
@@ -264,43 +264,43 @@ def test_adagrad_m_dimension_cap_and_ridge():
         init_state("adagrad_m", (4,), lam=0.0)
     st = init_state("adagrad_m", (3,), eta=1.0, beta1=1.0, beta2=1.0)
     g = np.array([2.0, 0.0, 0.0])
-    p, st = step("adagrad_m", st, Tensor(np.zeros(3)), Tensor(g))
-    assert np.isfinite(p.data).all()
-    assert p.data[0] < 0
+    p, st = step("adagrad_m", st, np.zeros(3), g)
+    assert np.isfinite(p).all()
+    assert p[0] < 0
 
 
 def test_adagrad_m_matches_direct_inverse_sqrt():
     # oracle: explicit eigendecomposition of the accumulated H, recomputed here
     rng = np.random.default_rng(19)
     st = init_state("adagrad_m", (4,), eta=0.3, beta1=0.7, beta2=0.9, lam=1e-6)
-    p = Tensor(np.zeros(4))
+    p = np.zeros(4)
     m_acc = np.zeros(4)
     h_acc = np.zeros((4, 4))
     for _ in range(5):
         g = rng.normal(size=4)
-        p_prev = p.data.copy()
-        p, st = step("adagrad_m", st, p, Tensor(g))
+        p_prev = p.copy()
+        p, st = step("adagrad_m", st, p, g)
         m_acc = m_acc + 0.7 * g
         h_acc = h_acc + 0.9 * np.outer(g, g)
         vals, vecs = np.linalg.eigh(h_acc + 1e-6 * np.eye(4))
         expect = p_prev - 0.3 * (vecs @ np.diag(vals**-0.5) @ vecs.T @ m_acc)
-        assert np.abs(p.data - expect).max() < 1e-10
+        assert np.abs(p - expect).max() < 1e-10
 
 
 def test_dmgd_structural_and_projection_roundtrip():
     rng = np.random.default_rng(18)
     st = init_state("dmgd", (6,), proj_dim=8, hidden=5, seed=3)
-    p = Tensor(rng.normal(size=6))
-    g = Tensor(rng.normal(size=6))
+    p = rng.normal(size=6)
+    g = rng.normal(size=6)
     p1, st1 = step("dmgd", st, p, g)
     assert p1.shape == p.shape
     assert st1.slots["w1"].shape == (8, 5)
     # repeated identical gradients build up a consistent descent direction
-    p_cur, st_cur = Tensor(p.data), st
+    p_cur, st_cur = p, st
     for _ in range(30):
         p_cur, st_cur = step("dmgd", st_cur, p_cur, g)
-    moved = p_cur.data - p.data
-    assert moved @ g.data < 0  # net displacement descends along the repeated gradient
+    moved = p_cur - p
+    assert moved @ g < 0  # net displacement descends along the repeated gradient
 
 
 def test_unknown_kind_and_hyper_rejected():
@@ -310,17 +310,17 @@ def test_unknown_kind_and_hyper_rejected():
         init_state("sgd", (3,), gamma=0.1)
     st = init_state("sgd", (3,))
     with pytest.raises(ValueError):
-        step("momentum", st, Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]))
+        step("momentum", st, np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 0.0]))
 
 
 def test_momentum_square_feature_map():
     st = init_state("momentum", (3,), eta=0.5, beta=0.4, feature_map="square")
-    p = Tensor([0.0, 0.0, 0.0])
-    g = Tensor([2.0, -3.0, 0.0])
+    p = np.array([0.0, 0.0, 0.0])
+    g = np.array([2.0, -3.0, 0.0])
     p1, st1 = step("momentum", st, p, g)
-    assert np.allclose(p1.data, [-2.0, -4.5, 0.0], atol=0, rtol=0)
+    assert np.allclose(p1, [-2.0, -4.5, 0.0], atol=0, rtol=0)
     p2, _ = step("momentum", st1, p1, g)
-    expect_m = 0.4 * st1.slots["m"] - 0.5 * g.data**2
-    assert np.array_equal(p2.data, p1.data + expect_m)
+    expect_m = 0.4 * st1.slots["m"] - 0.5 * g**2
+    assert np.array_equal(p2, p1 + expect_m)
     with pytest.raises(ValueError):
         step("momentum", init_state("momentum", (3,), feature_map="cubic"), p, g)

@@ -12,7 +12,6 @@ from nllab.memory import LINEAR, MLP2, Memory, RuleKind, gd_oracle_step, rule_st
 from nllab import verify as V
 from nllab.hope import HopeConfig, HopeModel
 from nllab.srt import SrtConfig, init_srt, linear_attention_config
-from nllab.tensor import Tensor
 from test_tensor import assert_records_bit_identically
 
 
@@ -76,25 +75,25 @@ def test_linear_update_matches_oracle_composition():
     state = init_srt(cfg, seed=3)
     weights = {slot: (rng.normal(size=(d, d)),) for slot in S.SLOTS}
     state = replace(state, weights=weights)
-    x = Tensor(rng.normal(size=d))
-    _, new_weights = V._srt_values(state, x.data[:, None], chunk=1)
+    x = rng.normal(size=d)
+    _, new_weights = V._srt_values(state, x[:, None], chunk=1)
 
     # recompute the elements by hand from the pre-update memories
-    q = state.wq @ x.data
+    q = state.wq @ x
     q /= np.linalg.norm(q)
-    k = weights["k"][0] @ x.data
+    k = weights["k"][0] @ x
     k /= np.linalg.norm(k)
-    v = weights["v"][0] @ x.data
+    v = weights["v"][0] @ x
     v /= np.linalg.norm(v)
-    eta = np.logaddexp(0.0, (weights["eta"][0] @ x.data).mean() + cfg.eta_bias)
-    alpha = 1.0 / (1.0 + np.exp(-((weights["alpha"][0] @ x.data).mean() + cfg.alpha_bias)))
+    eta = np.logaddexp(0.0, (weights["eta"][0] @ x).mean() + cfg.eta_bias)
+    alpha = 1.0 / (1.0 + np.exp(-((weights["alpha"][0] @ x).mean() + cfg.alpha_bias)))
 
     for slot in S.SLOTS:
         vhat = weights[slot][0] @ v
         m = Memory.linear(weights[slot][0])
         # oracle: autodiff gradient of the l2 objective, then the retention factor
-        grad_step = gd_oracle_step("l2", m, Tensor(k), Tensor(vhat), 1.0, 0.0).matrix.data  # = -grad
-        retain = m.matrix.data @ (alpha * np.eye(d) - eta * np.outer(k, k))
+        grad_step = gd_oracle_step("l2", m, k, vhat, 1.0, 0.0).matrix  # = -grad
+        retain = m.matrix @ (alpha * np.eye(d) - eta * np.outer(k, k))
         expect = retain + eta * grad_step
         assert np.abs(new_weights[slot][0] - expect).max() < 1e-12
 
@@ -257,12 +256,12 @@ def test_closed_form_recurrence_equals_generic_path():
     rng = np.random.default_rng(21)
     d = 7
     m = Memory.linear(rng.normal(size=(d, d)))
-    k = Tensor(_unit(rng.normal(size=d)))
-    vhat = Tensor(rng.normal(size=d))
+    k = _unit(rng.normal(size=d))
+    vhat = rng.normal(size=d)
     eta, alpha = 0.3, 0.9
-    closed = rule_step(RuleKind.DGD, m, k, vhat, eta, alpha).matrix.data
-    grad_step = gd_oracle_step("l2", m, k, vhat, 1.0, 0.0).matrix.data  # -grad
-    expect = m.matrix.data @ (alpha * np.eye(d) - eta * np.outer(k.data, k.data)) + eta * grad_step
+    closed = rule_step(RuleKind.DGD, m, k, vhat, eta, alpha).matrix
+    grad_step = gd_oracle_step("l2", m, k, vhat, 1.0, 0.0).matrix  # -grad
+    expect = m.matrix @ (alpha * np.eye(d) - eta * np.outer(k, k)) + eta * grad_step
     assert np.abs(closed - expect).max() < 1e-12
 
 
@@ -274,7 +273,7 @@ def test_closed_form_l2_fitted_pair_is_pure_retention():
     k /= np.linalg.norm(k)
     v = m @ k  # fitted
     eta, alpha = 0.5, 0.8
-    out = rule_step(RuleKind.DGD, Memory.linear(m), Tensor(k), Tensor(v), eta, alpha).matrix.data
+    out = rule_step(RuleKind.DGD, Memory.linear(m), k, v, eta, alpha).matrix
     expect = m @ (alpha * np.eye(d) - eta * np.outer(k, k))
     assert np.abs(out - expect).max() < 1e-14
 
@@ -345,7 +344,7 @@ def test_padded_samples_keep_their_own_fast_weights_bit_for_bit(chunk, d, extra)
         y, _ = forward(tape, cfg, weights, tape.param("wq", state.wq), tape.param("x", x), conv_kernel=kernel, lengths=lengths)
         assert np.all(y.value[:, padded] == 0.0)
         grads = tape.backward(T.dot(y, rng.normal(size=y.value.shape) * padded))
-        assert all(np.all(g.data == 0.0) for g in grads.values()), forward
+        assert all(np.all(g == 0.0) for g in grads.values()), forward
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -429,10 +428,10 @@ def test_stacked_linear_slots_match_the_per_slot_route(name, d, lengths):
     assert_records_bit_identically(lambda: run("stacked")[0])
     grads, oracle = tape.backward(loss), oracle_tape.backward(oracle_loss)
     for pname, g in oracle.items():
-        assert np.abs(grads[pname].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), pname
-    along = sum(float((grads[f"{slot}.0"].data * direction[slot]).sum()) for slot in linear)
-    fd = T.finite_diff_grad(lambda t: float(run("stacked", float(t.data[0]))[2].value), Tensor([0.0]))
-    assert abs(fd.data[0] - along) <= 1e-6 * abs(along)
+        assert np.abs(grads[pname] - g).max() <= 1e-12 * np.abs(g).max(), pname
+    along = sum(float((grads[f"{slot}.0"] * direction[slot]).sum()) for slot in linear)
+    fd = T.finite_diff_grad(lambda t: float(run("stacked", float(t[0]))[2].value), np.array([0.0]))
+    assert abs(fd[0] - along) <= 1e-6 * abs(along)
 
 
 @st.composite
@@ -502,7 +501,7 @@ def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
     assert_records_bit_identically(lambda: run(S.srt_forward_nodes)[0])
     grads = tape.backward(loss)
     for name, g in oracle.items():
-        assert np.abs(grads[name].data - g.data).max() <= 1e-12 * np.abs(g.data).max(), name
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
 def test_finite_checks_do_not_grow_with_the_chunk_count(monkeypatch):

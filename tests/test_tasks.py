@@ -15,7 +15,7 @@ from nllab.tasks import (
     stream_task_loss,
     vocabulary,
 )
-from nllab.tensor import Tensor, finite_diff_grad
+from nllab.tensor import finite_diff_grad
 
 
 def decode(kind, tokens):
@@ -132,9 +132,9 @@ def test_psi_trivial_points_and_finite_diff():
     for _ in range(100):
         r, th = rng.normal(size=2) * 3
         _, g = psi(r, th)
-        fd = finite_diff_grad(lambda t: psi(t.data[0], t.data[1])[0], Tensor([r, th]), h=1e-6)
+        fd = finite_diff_grad(lambda t: psi(t[0], t[1])[0], np.array([r, th]), h=1e-6)
         denom = max(np.abs(g).max(), 1.0)
-        assert np.abs(fd.data - g).max() / denom < 1e-6
+        assert np.abs(fd - g).max() / denom < 1e-6
 
 
 def direction(task):
