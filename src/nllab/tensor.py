@@ -914,7 +914,7 @@ def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
 # finite-difference oracle
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function; independent of the tape."""
     if h <= 0:
         raise ValueError(f"finite_diff_grad: step must be positive, got {h}")

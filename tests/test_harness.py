@@ -442,7 +442,7 @@ def test_cli_nonfinite_optimizer_step_is_a_divergence(tmp_path, capsys):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps({"train": {**train, "steps": steps}, "out_dir": str(tmp_path / name)}))
         assert main(["train", str(cfg_path)]) == (1 if steps > 1 else 0)
-    out, err = capsys.readouterr()
+    err = capsys.readouterr().err
     records = read_runlog(str(tmp_path / "run" / "runlog.jsonl"))
     assert [(r["step"], r.get("event")) for r in records] == [(0, None), (1, None), (2, "diverged")]
     assert records[-1]["detail"].startswith("non-finite values in the momentum step of '")
