@@ -79,6 +79,66 @@ class HopeConfig:
         return SrtConfig(**shared, hidden=self.mem_hidden, update_slots=update)
 
 
+class _Attention:
+    """Value function and VJP of one attention core over time-major (d, L*B)
+    columns, recorded as one tape node (op "attention_core" or
+    "linear_attention_core").
+
+    The parents are the normed input xn and wq, wk, wv.  Each sample forms
+    its own (d, L) matrices, so it sees only its own tokens: unit-norm
+    columns q = wq xn and k = wk xn, and v = wv xn, then Y = V mix with
+
+        attention:         mix = causal_softmax(sqrt(d) K^T Q)
+        linear attention:  mix = triu(K^T Q) / (t+1)
+
+    The second is the linear-attention baseline M_t = M_{t-1} + v_t k_t^T
+    read after the update as y_t = M_t q_t / (t+1), in closed form; verify's
+    linear-attention-closed-form check holds it to the per-token prefix-sum
+    graph.  The value takes the numpy steps of the per-op graph
+    (`verify._attention_oracle`) on operands of the same layout, and the VJP
+    replays its chain rule, adding xn's terms from v, k and q in that order as
+    the tape does, so both match it bit for bit.  Only v's projection is
+    finite-checked inside: an overflow in q's or k's is nan in its unit
+    column and every score it meets, the scores of unit columns lie in
+    [-1, 1], and a column of v may meet only zero weights.
+    """
+
+    def __init__(self, linear: bool, dim: int, batch: int):
+        self.linear, self.scale, self.batch = linear, math.sqrt(dim), batch
+        self.saved = ()
+
+    def value(self, xn, wq, wk, wv):
+        batch = self.batch
+        (q, nq), (k, nk) = T._unit_columns(wq @ xn), T._unit_columns(wk @ xn)
+        v = wv @ xn
+        T._check_finite(v, "v's projection")
+        qb, kb, vb = (T._batch_major(a, batch) for a in (q, k, v))
+        kt = np.swapaxes(kb, -1, -2).copy()
+        scores = kt @ qb
+        if self.linear:
+            n = scores.shape[-1]
+            weight = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+            mix = scores * weight
+        else:
+            weight = self.scale
+            mix = T._causal_softmax(scores * weight)
+        self.saved = (xn, wq, wk, wv, q, nq, k, nk, qb, vb, kt, weight, mix)
+        return T._time_major(vb @ mix)
+
+    def vjp(self, g):
+        xn, wq, wk, wv, q, nq, k, nk, qb, vb, kt, weight, mix = self.saved
+        self.saved = ()  # a tape runs one backward pass
+        gy = T._batch_major(g, self.batch)
+        gv, gmix = gy @ np.swapaxes(mix, -1, -2), np.swapaxes(vb, -1, -2) @ gy
+        gs = gmix * weight if self.linear else T._softmax_grad(mix, gmix) * weight
+        gkt, gq = gs @ np.swapaxes(qb, -1, -2), np.swapaxes(kt, -1, -2) @ gs
+        gv = T._time_major(gv)
+        gk = T._unit_grad(k, nk, T._time_major(np.swapaxes(gkt, -1, -2)))
+        gq = T._unit_grad(q, nq, T._time_major(gq))
+        gxn = (wv.T @ gv + wk.T @ gk) + wq.T @ gq
+        return gxn, gq @ xn.T, gk @ xn.T, gv @ xn.T
+
+
 class HopeModel:
     """Parameter dict + per-block chain state; all methods deterministic.  `build_loss`
     records on the caller's tape; each value-level head (`score` included) records one forward."""
@@ -139,16 +199,11 @@ class HopeModel:
                 nodes[f"b{b}.cms"] = cms_mod.register_nodes(chain, tape, f"b{b}.cms.")
         return nodes
 
-    def _rms(self, x: Node, gain: Node) -> Node:
-        m = T.mean_axis0(T.mul(x, x))
-        r = T.reciprocal(T.sqrt(T.add(m, 1e-6)))
-        return T.scale_rows(T.scale_columns(x, r), gain)
-
     def _block(self, tape: Tape, nodes: dict, b: int, x: Node, lengths: Sequence[int], collect_penalty=None) -> Node:
         """Block `b` over time-major (d, L*B) columns of B sequences of the given lengths."""
         cfg = self.config
         batch = len(lengths)
-        xn = self._rms(x, nodes[f"b{b}.norm1"])
+        xn = T.rms_norm(x, nodes[f"b{b}.norm1"])
         if cfg.core == "srt":
             weights = {
                 slot: (
@@ -168,26 +223,12 @@ class HopeModel:
                     for w in ws:
                         collect_penalty.append(T.mean_all(T.mul(w, w)))
         else:
-            # the attention cores form one (d, L) matrix per sample, so each
-            # sample sees only its own tokens
-            q = T.sample_stack(T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wq"], xn)), batch)
-            k = T.sample_stack(T.l2_normalize_columns(T.matmul(nodes[f"b{b}.wk"], xn)), batch)
-            v = T.sample_stack(T.matmul(nodes[f"b{b}.wv"], xn), batch)
-            scores = T.matmul(T.transpose(k), q)
-            if cfg.core == "attention":
-                mix = T.causal_softmax_columns(T.mul(scores, math.sqrt(cfg.dim)))
-            else:
-                # linear attention baseline: M_t = M_{t-1} + v_t k_t^T read after
-                # the update as y_t = M_t q_t / (t+1), i.e. V (triu(K^T Q) / (t+1))
-                # in closed form; verify's linear-attention-closed-form check
-                # holds it to the per-token prefix-sum graph
-                n = scores.value.shape[-1]
-                mask = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
-                mix = T.mul(scores, tape.constant(np.broadcast_to(mask, scores.value.shape)))
-            out = T.time_major(T.matmul(v, mix))
+            core = _Attention(cfg.core == "linear_attention", cfg.dim, batch)
+            parents = (xn, nodes[f"b{b}.wq"], nodes[f"b{b}.wk"], nodes[f"b{b}.wv"])
+            out = tape._record(core.value, parents, core.vjp, f"{cfg.core}_core")
         if not cfg.use_cms:
             return out
-        on = self._rms(out, nodes[f"b{b}.norm2"])
+        on = T.rms_norm(out, nodes[f"b{b}.norm2"])
         return cms_mod.forward_with_nodes(self.chains[b], nodes[f"b{b}.cms"], on, agg_node=nodes.get(f"b{b}.cms.agg"))
 
     def _hidden(self, tape: Tape, nodes: dict, sequences: Sequence[Sequence[int]], collect_penalty=None) -> Node:

@@ -123,6 +123,10 @@ def newton_schulz(g: np.ndarray, iters: int) -> np.ndarray:
     if g.ndim != 2:
         raise UnsupportedShape(f"newton_schulz needs a matrix, got shape {g.shape}")
     norm = np.linalg.norm(g)
+    if norm == 0.0 and np.any(g):
+        # the squares of a tiny nonzero matrix underflow; the polar factor does not depend on scale
+        g = g / np.abs(g).max()
+        norm = np.linalg.norm(g)
     if norm == 0.0:
         raise ValueError("newton_schulz is undefined for the zero matrix")
     x = g / norm

@@ -58,9 +58,14 @@ def read_runlog(path: str) -> list[dict]:
 
 
 def emit_plot_series(records: list[dict], out_dir: str) -> list[str]:
-    """One CSV per numeric metric: step,value rows for every record carrying it."""
-    os.makedirs(out_dir, exist_ok=True)
+    """One CSV per numeric metric, `<metric>.csv` in `out_dir`: step,value rows for
+    every record carrying it.  A metric name that is not a file name raises
+    RunlogError before anything is written."""
     metrics = sorted({k for rec in records for k, v in rec.items() if k not in ("step", "version") and isinstance(v, (int, float))})
+    for metric in metrics:
+        if os.sep in metric or "\0" in metric:
+            raise RunlogError(f"metric name {metric!r} is not a file name")
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for metric in metrics:
         path = os.path.join(out_dir, f"{metric}.csv")

@@ -339,6 +339,12 @@ def _unit_grad(out: np.ndarray, norms, g: np.ndarray) -> np.ndarray:
     return g if norms is None else (g - out * (out * g).sum(axis=-2, keepdims=True)) / norms
 
 
+def _unit_columns(a: np.ndarray) -> tuple:
+    """The columns of a matrix scaled to unit norm, and the norms `_unit_grad` divides by."""
+    norms = _safe_row_norms(a.T)
+    return a / norms, norms
+
+
 def l2_normalize_columns(x: Node) -> Node:
     """Each column of a matrix scaled to unit norm, bit for bit `col / np.linalg.norm(col)`
     of the contiguous column; a zero column stays zero and passes its gradient through."""
@@ -347,14 +353,27 @@ def l2_normalize_columns(x: Node) -> Node:
     saved = []  # the value and the norms, left by `unit` for the VJP
 
     def unit(a):
-        norms = _safe_row_norms(a.T)
-        saved[:] = a / norms, norms
+        saved[:] = _unit_columns(a)
         return saved[0]
 
     def vjp(g):
         return (_unit_grad(*saved, g),)
 
     return x.tape._record(unit, (x,), vjp, "l2_normalize_columns")
+
+
+def _causal_softmax(v: np.ndarray) -> np.ndarray:
+    """`causal_softmax_columns`'s value for square (...,L,L) scores."""
+    mask = np.triu(np.ones(v.shape[-2:], dtype=bool))  # [i, j] valid iff i <= j
+    m = np.where(mask, v, -np.inf)
+    m = m - m.max(axis=-2, keepdims=True)
+    e = np.exp(m)
+    return e / e.sum(axis=-2, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of column-softmax scores from that of their softmax `out`."""
+    return out * (g - (out * g).sum(axis=-2, keepdims=True))
 
 
 def causal_softmax_columns(s: Node) -> Node:
@@ -367,18 +386,11 @@ def causal_softmax_columns(s: Node) -> Node:
     v = s.value
     if v.ndim not in (2, 3) or v.shape[-1] != v.shape[-2]:
         raise ShapeError(f"causal_softmax_columns: need square matrices, got {v.shape}")
-    mask = np.triu(np.ones(v.shape[-2:], dtype=bool))  # [i, j] valid iff i <= j
-
-    def softmax(v):
-        m = np.where(mask, v, -np.inf)
-        m = m - m.max(axis=-2, keepdims=True)
-        e = np.exp(m)
-        return e / e.sum(axis=-2, keepdims=True)
 
     def vjp(g):
-        return (out * (g - (out * g).sum(axis=-2, keepdims=True)),)
+        return (_softmax_grad(out, g),)
 
-    node = s.tape._record(softmax, (s,), vjp, "causal_softmax_columns")
+    node = s.tape._record(_causal_softmax, (s,), vjp, "causal_softmax_columns")
     out = node.value  # the VJP reads the recorded value
     return node
 
@@ -468,6 +480,42 @@ def scale_rows(x: Node, s) -> Node:
         return (g * vs[:, None], (g * vx).sum(axis=1))
 
     return t._record(lambda a, b: a * b[:, None], (x, s), vjp, "scale_rows")
+
+
+def _rms_grad(g: np.ndarray, x: np.ndarray, gain: np.ndarray, saved: tuple) -> tuple:
+    """Gradients of `rms_norm`'s x and gain: the per-op chain rule (scale_rows, scale_columns,
+    reciprocal, sqrt, mean_axis0, then x*x), with x's three terms summed in the tape's order."""
+    s, r, xs = saved
+    gs = g * gain[:, None]
+    gr = (gs * x).sum(axis=0)
+    term = x * ((gr * (-r * r) * (0.5 / s)) / len(x))  # x*x's gradient, once per factor
+    return (gs * r + term) + term, (g * xs).sum(axis=1)
+
+
+def rms_norm(x: Node, gain: Node) -> Node:
+    """x[:, j] / sqrt(mean(x[:, j]**2) + 1e-6) * gain for a (d,L) matrix and a (d,) gain.
+
+    One node, bit for bit the graph mul, mean_axis0, add, sqrt, reciprocal,
+    scale_columns, scale_rows (`verify._rms_oracle`).  A finite column whose
+    mean square overflows would come out as zeros, so the mean square is
+    checked where it is made."""
+    vx, vg = x.value, gain.value
+    if vx.ndim != 2 or vg.shape != vx.shape[:1]:
+        raise ShapeError(f"rms_norm: got {vx.shape} and gain {vg.shape}")
+    saved = []  # s = 1/r, r and x*r, left by `value` for the VJP
+
+    def value(a, gain):
+        m = (a * a).mean(axis=0)
+        _check_finite(m, "the mean square")
+        s = np.sqrt(m + 1e-6)
+        r = 1.0 / s
+        saved[:] = s, r, a * r
+        return saved[2] * gain[:, None]
+
+    def vjp(g):
+        return _rms_grad(g, vx, vg, tuple(saved))
+
+    return x.tape._record(value, (x, gain), vjp, "rms_norm")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ same functions; the CLI adds filtering and a deliberate fault injection hook
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -385,6 +386,28 @@ def _srt_forward_oracle(tape, cfg, weights, wq, x, conv_kernel=None, lengths=Non
     return T.mul(y, np.broadcast_to(real.reshape(-1), y.value.shape).astype(float)), cur
 
 
+def _rms_oracle(x, gain):
+    """The per-op graph that `tensor.rms_norm` records as one node."""
+    m = T.mean_axis0(T.mul(x, x))
+    r = T.reciprocal(T.sqrt(T.add(m, 1e-6)))
+    return T.scale_rows(T.scale_columns(x, r), gain)
+
+
+def _attention_oracle(tape, linear: bool, dim: int, xn, wq, wk, wv, batch: int):
+    """The per-op graph that the attention core (`hope._Attention`) records as one node."""
+    q = T.sample_stack(T.l2_normalize_columns(T.matmul(wq, xn)), batch)
+    k = T.sample_stack(T.l2_normalize_columns(T.matmul(wk, xn)), batch)
+    v = T.sample_stack(T.matmul(wv, xn), batch)
+    scores = T.matmul(T.transpose(k), q)
+    if linear:
+        n = scores.value.shape[-1]
+        mask = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+        mix = T.mul(scores, tape.constant(np.broadcast_to(mask, scores.value.shape)))
+    else:
+        mix = T.causal_softmax_columns(T.mul(scores, math.sqrt(dim)))
+    return T.time_major(T.matmul(v, mix))
+
+
 def _probed(run, vals: dict, probes: list, grads: bool = True):
     """Register `vals` as the parameters of a fresh tape, record the outputs
     `run(tape, nodes)` lists and sum each one's contraction with its probe:
@@ -632,7 +655,7 @@ _LA_INPUTS = ("x", "b0.norm1", "b0.wq", "b0.wk", "b0.wv")
 def _linear_attention_oracle(model: HopeModel, tape: Tape, nodes: dict) -> list:
     """`_probed`'s run of the per-token graph that the closed-form linear-attention
     block replaces: M_t = M_{t-1} + v_t k_t^T, read after the update as y_t = M_t q_t / (t+1)."""
-    xn = model._rms(nodes["x"], nodes["b0.norm1"])
+    xn = _rms_oracle(nodes["x"], nodes["b0.norm1"])
     q = T.l2_normalize_columns(T.matmul(nodes["b0.wq"], xn))
     k = T.l2_normalize_columns(T.matmul(nodes["b0.wk"], xn))
     v = T.matmul(nodes["b0.wv"], xn)
@@ -679,6 +702,62 @@ def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> Chec
         passed,
         worst,
         f"closed form vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}",
+    )
+
+
+def _attention_block_oracle(model: HopeModel, tape: Tape, nodes: dict, b: int, x, lengths: list):
+    """`HopeModel._block` of an attention core without the CMS tail, as the per-op graph."""
+    cfg = model.config
+    weights = (nodes[f"b{b}.{name}"] for name in ("wq", "wk", "wv"))
+    return _attention_oracle(tape, cfg.core == "linear_attention", cfg.dim, _rms_oracle(x, nodes[f"b{b}.norm1"]), *weights, len(lengths))
+
+
+def _blocks_run(model: HopeModel, block, lengths: list):
+    """`_probed`'s run of the model's blocks over the input columns "x", each block run by `block`."""
+
+    def run(tape, nodes):
+        x = nodes["x"]
+        for b in range(model.config.blocks):
+            x = block(tape, nodes, b, x, lengths)
+        return [x]
+
+    return run
+
+
+@register("attention-fused-core")
+def check_attention_core(faults=frozenset(), out_dir=None) -> CheckResult:
+    worst = 0.0  # fused nodes vs per-op graph: every gradient, relative to its largest entry
+    exact = True  # forward bit-identical
+    fd_worst = 0.0  # one directional derivative per core vs central differences, relative
+    rng = np.random.default_rng(30)
+    d = 4
+    for core in ("attention", "linear_attention"):
+        # two blocks: the second block's RMS norm reads the first one's core
+        model = HopeModel(HopeConfig(vocab=2, dim=d, blocks=2, core=core, use_cms=False), seed=0)
+        vals = {f"b{b}.{name}": rng.normal(size=(d, d)) for b in range(2) for name in ("wq", "wk", "wv")}
+        vals.update({f"b{b}.norm1": rng.uniform(0.5, 1.5, size=d) for b in range(2)})
+        for lengths in ([5, 3], [4]):  # a ragged batch and a single sequence
+            vals["x"] = rng.normal(size=(d, max(lengths) * len(lengths)))
+            probes = [rng.normal(size=vals["x"].shape)]
+            fused = _blocks_run(model, model._block, lengths)
+            (y,), grads = _probed(fused, vals, probes)
+            (y_graph,), g_graph = _probed(_blocks_run(model, partial(_attention_block_oracle, model), lengths), vals, probes)
+            exact = exact and np.array_equal(y, y_graph)
+            for key, g in g_graph.items():
+                worst = max(worst, float(np.abs(grads[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
+        # along every input at once, on the single sequence
+        direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
+        along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
+        fd = T.finite_diff_grad(
+            lambda s: _probed(fused, {key: v + float(s[0]) * direction[key] for key, v in vals.items()}, probes, False), np.zeros(1)
+        )
+        fd_worst = max(fd_worst, abs(float(fd[0]) - along) / max(abs(float(fd[0])), abs(along), 1e-12))
+    passed = exact and worst <= 1e-12 and fd_worst < 1e-6
+    return CheckResult(
+        "attention-fused-core",
+        passed,
+        worst,
+        f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_worst:.2e}",
     )
 
 

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -347,6 +349,50 @@ def test_cli_emit_plots_rejects_a_malformed_runlog(tmp_path, capsys, line):
     assert err.startswith("error: line 2") and err.count("\n") == 1, err
 
 
+_RUNLOG = [{"version": 1, "step": step, "loss": 1.0 / (step + 1), "grad_norm": 2.0} for step in range(4)]
+# a metric name is a file name: draw some from the characters paths are made of
+_KEY = st.sampled_from(["version", "step", "loss"]) | st.text(max_size=6) | st.text(".a/\x00", max_size=6)
+_JSON_VALUE = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+# one line of a valid run log: left alone, deleted, cut short, replaced by bytes, or its record with keys set
+_LINE_EDIT = st.one_of(
+    st.just(("keep",)),
+    st.just(("delete",)),
+    st.tuples(st.just("cut"), st.integers(0, 60)),
+    st.tuples(st.just("bytes"), st.binary(max_size=12)),
+    st.tuples(st.just("set"), st.dictionaries(_KEY, _JSON_VALUE, max_size=3)),
+)
+
+
+def _edited(record: dict, edit: tuple) -> bytes:
+    line = json.dumps(record).encode()
+    if edit[0] == "delete":
+        return b""
+    if edit[0] == "cut":
+        return line[: edit[1]] + b"\n"
+    if edit[0] == "bytes":
+        return edit[1] + b"\n"
+    if edit[0] == "set":
+        line = json.dumps({**record, **edit[1]}).encode()
+    return line + b"\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_LINE_EDIT, min_size=len(_RUNLOG), max_size=len(_RUNLOG)))
+def test_cli_emit_plots_on_any_edited_runlog_writes_or_prints_one_error(tmp_path_factory, edits):
+    root = tmp_path_factory.mktemp("plots")
+    path = root / "runlog.jsonl"
+    path.write_bytes(b"".join(_edited(record, edit) for record, edit in zip(_RUNLOG, edits)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["emit-plots", str(path), "--out", str(root / "out")])
+    if code == 0:
+        assert err.getvalue() == ""
+        # every series lands inside the output directory
+        assert all(p.parent == root / "out" for p in (root / "out").rglob("*") if p.is_file())
+    else:
+        assert code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
 def test_emit_plots_per_metric(tmp_path):
     records = [
         {"step": 1, "loss": 1.0, "grad_norm": 2.0, "accuracy": 0.5},
@@ -451,6 +497,17 @@ def test_cli_nonfinite_optimizer_step_is_a_divergence(tmp_path, capsys):
     got = checkpoint.load(str(tmp_path / "run" / "checkpoint.nlck"))
     want = checkpoint.load(str(tmp_path / "one" / "checkpoint.nlck"))
     assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("optimizer", ["muon", "m3"])
+def test_cli_train_with_a_tiny_clip_norm(tmp_path, optimizer):
+    # clipping to 1e-200 leaves momentum whose Frobenius norm underflows to 0
+    train = {"optimizer": optimizer, "clip_norm": 1e-200, "steps": 1, "eval_every": 0, "train_samples": 8, "eval_samples": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"blocks": 0}, "train": train, "out_dir": str(tmp_path / "run")}))
+    assert main(["train", str(cfg_path)]) == 0
+    assert [r["step"] for r in read_runlog(str(tmp_path / "run" / "runlog.jsonl"))] == [0, 1]
+    assert all(np.isfinite(v).all() for v in checkpoint.load(str(tmp_path / "run" / "checkpoint.nlck")).values())
 
 
 def test_cli_partial_adam_hyperparameters_keep_the_other_defaults(tmp_path):
@@ -737,6 +794,16 @@ def _fault_linear_attention_mask(monkeypatch):
     monkeypatch.setattr(hope, "np", SimpleNamespace(**{**vars(np), "triu": lambda m: np.triu(m) * _OFF}))
 
 
+def _fault_attention_vjp(monkeypatch):
+    vjp = hope._Attention.vjp
+    monkeypatch.setattr(hope._Attention, "vjp", lambda self, g: tuple(x * _OFF for x in vjp(self, g)))
+
+
+def _fault_rms_vjp(monkeypatch):
+    rms_grad = tensor._rms_grad
+    monkeypatch.setattr(tensor, "_rms_grad", lambda *args: tuple(x * _OFF for x in rms_grad(*args)))
+
+
 def _fault_buffered_step(monkeypatch):
     accumulate = cms.cms_accumulate
     monkeypatch.setattr(cms, "cms_accumulate", lambda chain, grads: accumulate(chain, [(g1 * _OFF, g2 * _OFF) for g1, g2 in grads]))
@@ -748,8 +815,10 @@ def _fault_buffered_step(monkeypatch):
         (verify.check_decay_scan, _fault_closed_vjp),
         (verify.check_linear_attention_closed_form, _fault_linear_attention_mask),
         (verify.check_cms, _fault_buffered_step),
+        (verify.check_attention_core, _fault_attention_vjp),
+        (verify.check_attention_core, _fault_rms_vjp),
     ],
-    ids=["srt-decay-scan", "linear-attention-closed-form", "cms-frequency-and-sgd"],
+    ids=["srt-decay-scan", "linear-attention-closed-form", "cms-frequency-and-sgd", "attention-fused-core-vjp", "attention-fused-core-rms"],
 )
 def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(monkeypatch, check, fault):
     assert check().passed

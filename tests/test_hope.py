@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nllab import tensor as T
 from nllab.hope import DivergenceError, HopeConfig, HopeModel, train
 from nllab.srt import SLOTS
 from nllab.tensor import Tape, finite_diff_grad
+from nllab.verify import SMOKE_SETTINGS, _attention_block_oracle
 from test_tensor import assert_records_bit_identically
 
 
@@ -538,6 +540,36 @@ def test_build_loss_records_one_fused_core_node_per_block(chunk):
     assert ops.count("unpack") == cfg.blocks * 7
 
 
+# the per-op RMS norm and attention-core graph, which verify keeps as the oracle only
+PER_OP_GRAPH_OPS = ("sqrt", "reciprocal", "scale_columns", "scale_rows", "sample_stack", "causal_softmax_columns", "time_major")
+
+
+@pytest.mark.parametrize("core, total", [("srt", 63), ("attention", 32), ("linear_attention", 40)])
+def test_char_lm_step_records_one_core_node_and_two_rms_nodes_per_block(core, total):
+    # the char-LM smoke model and batch size of each core
+    cfg = HopeConfig(vocab=len(tasks.vocabulary("char_lm")), dim=24, core=core, chunk=8, cms_chunks=(1, 4), cms_hidden=12, mem_hidden=24)
+    data = tasks.generate(tasks.TaskSpec("char_lm", seed=7, params={"window": 48}), 8)
+    tape = Tape()
+    HopeModel(cfg, seed=1).build_loss(tape, data[: SMOKE_SETTINGS[core]["batch_size"]], with_penalty=True)
+    ops = Counter(node.op for node in tape.nodes)
+    assert ops[f"{core}_core"] == cfg.blocks and ops["rms_norm"] == 2 * cfg.blocks
+    assert not any(ops[op] for op in PER_OP_GRAPH_OPS), ops
+    assert len(tape.nodes) == total, ops
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("core", ["attention", "linear_attention"])
+def test_attention_core_raises_where_its_per_op_graph_raises(core):
+    # v = wv xn overflows; q's zero columns give linear attention all-zero weights
+    cfg = tiny_lm_config(core=core, use_cms=False)
+    model = HopeModel(cfg, seed=0)
+    model.params.update({"b0.norm1": np.ones(cfg.dim), "b0.wq": np.zeros((cfg.dim, cfg.dim)), "b0.wv": np.full((cfg.dim, cfg.dim), 1e308)})
+    for block, where in ((model._block, f"{core}_core .*v's projection"), (lambda *args: _attention_block_oracle(model, *args), "matmul")):
+        tape = Tape()
+        with pytest.raises(T.NonFiniteError, match=where):
+            block(tape, model._register(tape), 0, tape.constant(np.ones((cfg.dim, 3))), [3])
+
+
 COPY_ONLY_OPS = {
     "element", "slice_columns", "sample_stack", "time_major", "transpose",
     "broadcast_batch", "concat_columns", "unpack",
@@ -547,7 +579,8 @@ COPY_ONLY_OPS = {
 def test_a_training_step_checks_each_value_once_where_it_is_made(monkeypatch):
     # the char-LM attention step: copy-only ops move values their inputs' ops
     # already checked, so only the other ops, the leaves and the parameter
-    # gradients are finite-checked
+    # gradients are finite-checked; and, inside the fused nodes, each RMS
+    # norm's mean square and the attention core's v projection
     cfg = HopeConfig(vocab=12, dim=8, core="attention", chunk=4, cms_chunks=(1, 4), cms_hidden=4)
     model = HopeModel(cfg, seed=30)
     rng = np.random.default_rng(31)
@@ -561,4 +594,6 @@ def test_a_training_step_checks_each_value_once_where_it_is_made(monkeypatch):
     copies = sum(node.value.size for node in tape.nodes if node.op in COPY_ONLY_OPS)
     made = sum(node.value.size for node in tape.nodes if node.op not in COPY_ONLY_OPS)
     assert copies > 0
-    assert sum(counted) == made + sum(node.value.size for node in tape.params.values())
+    inner = sum(node.value.shape[1] for node in tape.nodes if node.op == "rms_norm")
+    inner += sum(node.value.size for node in tape.nodes if node.op == "attention_core")
+    assert sum(counted) == made + inner + sum(node.value.size for node in tape.params.values())

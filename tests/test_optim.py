@@ -149,6 +149,14 @@ def test_newton_schulz_against_svd_polar_factor():
         assert np.abs(out - polar).max() < 0.05
 
 
+def test_newton_schulz_of_a_matrix_whose_norm_underflows():
+    rng = np.random.default_rng(14)
+    g = rng.normal(size=(5, 3))
+    tiny = 1e-200 * g
+    assert np.linalg.norm(tiny) == 0.0
+    assert np.abs(newton_schulz(tiny, 5) - newton_schulz(g, 5)).max() < 1e-12
+
+
 def test_newton_schulz_domain_errors_and_gd_mode():
     with pytest.raises(ValueError):
         newton_schulz(np.eye(2), 0)

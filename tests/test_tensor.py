@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nllab import tensor as T
-from nllab.verify import _decay_scan_oracle
+from nllab.verify import _decay_scan_oracle, _rms_oracle
 from nllab.tensor import Tape, finite_diff_grad
 
 
@@ -211,6 +211,7 @@ _VJP_CASES = {
     "matmul": (lambda r, i, c: [(r, i), (i, c)], T.matmul),
     "l2_normalize_columns": (lambda r, i, c: [(r, c)], T.l2_normalize_columns),
     "mean_axis0": (lambda r, i, c: [(r, c)], T.mean_axis0),
+    "rms_norm": (lambda r, i, c: [(r, c), (r,)], T.rms_norm),
 }
 
 
@@ -504,6 +505,18 @@ def test_nonfinite_value_names_the_op_that_made_it():
     with pytest.raises(T.NonFiniteError, match=r"reciprocal \(node 1\)"):
         T.reciprocal(x)
     assert len(tape.nodes) == 1  # the bad value is not recorded
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rms_norm_raises_where_its_mean_square_overflows():
+    # the per-op graph raises at x*x; in one node the inf mean square would zero the column
+    x = np.ones((3, 2))
+    x[1, 0] = 1e200
+    for rms, where in ((T.rms_norm, r"rms_norm \(node 2\).*mean square"), (_rms_oracle, r"mul \(node 2\)")):
+        tape = Tape()
+        with pytest.raises(T.NonFiniteError, match=where):
+            rms(tape.constant(x), tape.constant(np.ones(3)))
+        assert len(tape.nodes) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
