@@ -3,14 +3,17 @@
 Token tasks emit samples of the form {"tokens": [...], "label": int, "bin": 0|1}
 with deterministic balanced sampling per seed.  Length bins: bin 0 covers the
 training range, bin 1 strictly longer extrapolation lengths.  Membership labels
-are defined by the reference recognizers in this module; the test suite holds
-them against independently written recognizers.
+come from one left-to-right automaton per language (`prefix_membership`); the
+test suite holds them against independently written recognizers.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,45 +57,67 @@ def vocabulary(kind: str) -> list[str]:
     if kind == "niah_toy":
         return [f"f{i}" for i in range(8)] + [f"k{i}" for i in range(4)] + [f"v{i}" for i in range(4)] + ["?"]
     if kind == "char_lm":
-        return sorted(set(load_corpus()))
+        return list(_char_lm_vocabulary())
     raise ValueError(f"{kind!r} has no token vocabulary")
 
 
 # ---------------------------------------------------------------------------
-# reference recognizers
+# membership: one left-to-right automaton (start, step, accept) per language,
+# over token ids; id len(alphabet) stands for a character outside the alphabet
+
+
+def _periodic(word: tuple):
+    """(word)*: the count of ids read while they repeat word; -1 once they stray."""
+    return 0, lambda q, i: q + 1 if q >= 0 and i == word[q % len(word)] else -1, lambda q: int(q >= 0 and q % len(word) == 0)
+
+
+def _runs(letters: int):
+    """a^n b^n ...: each letter's count while the letters come in order; None once they do not."""
+
+    def step(q, i):
+        return None if q is None or i >= letters or any(q[i + 1 :]) else q[:i] + (q[i] + 1,) + q[i + 1 :]
+
+    return (0,) * letters, step, lambda q: int(q is not None and len(set(q)) == 1)
+
+
+def _depths(q, i):
+    """shuffle2's two bracket depths, moved by the ids of ( ) [ ]; None once one goes below 0."""
+    q = None if q is None or i > 3 else (q[0] + (1, -1, 0, 0)[i], q[1] + (0, 0, 1, -1)[i])
+    return None if q is None or min(q) < 0 else q
+
+
+_AUTOMATA = {
+    # bit 0 of the ids' xor counts the ones mod 2; the outside id, 2, leaves it alone
+    "parity": (0, operator.xor, (1).__and__),
+    "aa_star": _periodic((0, 0)),  # "aa" over "ab"
+    "abab_star": _periodic((0, 1, 0, 1)),  # "abab" over "ab"
+    "anbn": _runs(2),
+    "anbncn": _runs(3),
+    "shuffle2": ((0, 0), _depths, lambda q: int(q == (0, 0))),
+}
+
+
+def prefix_membership(kind: str, ids: Sequence[int]) -> list[int]:
+    """Membership (1 or 0) of every prefix of token ids, the empty prefix first; for parity, 1 means odd."""
+    if kind not in _AUTOMATA:
+        raise ValueError(f"no recognizer for kind {kind!r}")
+    start, step, accept = _AUTOMATA[kind]
+    return list(map(accept, itertools.accumulate(ids, step, initial=start)))
 
 
 def recognize(kind: str, s: str) -> bool:
-    """Membership of a string; for parity, True means an odd number of ones."""
-    if kind == "parity":
-        return s.count("1") % 2 == 1
-    if kind == "aa_star":
-        return set(s) <= {"a"} and len(s) % 2 == 0
-    if kind == "abab_star":
-        return len(s) % 4 == 0 and s == "abab" * (len(s) // 4)
-    if kind == "anbn":
-        n = len(s) // 2
-        return len(s) % 2 == 0 and s == "a" * n + "b" * n
-    if kind == "anbncn":
-        n = len(s) // 3
-        return len(s) % 3 == 0 and s == "a" * n + "b" * n + "c" * n
-    if kind == "shuffle2":
-        c1 = c2 = 0
-        for ch in s:
-            if ch == "(":
-                c1 += 1
-            elif ch == ")":
-                c1 -= 1
-            elif ch == "[":
-                c2 += 1
-            elif ch == "]":
-                c2 -= 1
-            else:
-                return False
-            if c1 < 0 or c2 < 0:
-                return False
-        return c1 == 0 and c2 == 0
-    raise ValueError(f"no recognizer for kind {kind!r}")
+    """Membership of a string: the last entry of its kind's membership scan, `prefix_membership`."""
+    return bool(prefix_membership(kind, token_ids(ALPHABETS.get(kind, ""), s))[-1])
+
+
+@functools.cache
+def _id_table(vocab: str) -> bytes:
+    return bytes(vocab.index(chr(b)) if chr(b) in vocab else len(vocab) for b in range(256))
+
+
+def token_ids(vocab: str, text: str) -> bytes:
+    """Token ids of `text` over a latin-1 `vocab`, one byte each; any other character gets id len(vocab)."""
+    return text.encode("latin-1", "replace").translate(_id_table(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +126,23 @@ def recognize(kind: str, s: str) -> bool:
 
 def _length_in(rng, lo, hi, multiple=1, minimum=None):
     lo = max(lo, minimum or lo)
-    choices = [n for n in range(lo, hi + 1) if n % multiple == 0]
+    choices = range(-(-lo // multiple) * multiple, hi + 1, multiple)
     if not choices:
         raise ValueError(f"no lengths in [{lo},{hi}] divisible by {multiple}")
-    return int(rng.choice(choices))
+    return choices[int(rng.integers(0, len(choices)))]
+
+
+def _parity(rng, lo: int, hi: int, odd: bool) -> str:
+    length = _length_in(rng, lo, hi)
+    bits = rng.integers(0, 2, size=length).tolist()
+    if sum(bits) % 2 != odd:  # force an odd or even number of ones
+        bits[int(rng.integers(0, length))] ^= 1
+    return bytes(bits).hex()[1::2]  # each bit as "00" or "01"
 
 
 def _positive(kind: str, rng, lo: int, hi: int) -> str:
     if kind == "parity":
-        length = _length_in(rng, lo, hi)
-        bits = rng.integers(0, 2, size=length)
-        if bits.sum() % 2 == 0:  # force odd number of ones
-            bits[int(rng.integers(0, length))] ^= 1
-        return "".join("01"[b] for b in bits)
+        return _parity(rng, lo, hi, True)
     if kind == "aa_star":
         return "a" * _length_in(rng, lo, hi, multiple=2, minimum=2)
     if kind == "abab_star":
@@ -128,66 +157,46 @@ def _positive(kind: str, rng, lo: int, hi: int) -> str:
         length = _length_in(rng, lo, hi, multiple=2, minimum=2)
         n1 = 2 * int(rng.integers(0, length // 2 + 1))
         parts = [_dyck(rng, n1), _dyck(rng, length - n1, brackets="[]")]
-        out = []
-        i = j = 0
+        out, at = [], [0, 0]
         for _ in range(length):
-            take_first = j >= len(parts[1]) or (i < len(parts[0]) and rng.random() < 0.5)
-            if take_first:
-                out.append(parts[0][i])
-                i += 1
-            else:
-                out.append(parts[1][j])
-                j += 1
+            side = 0 if at[1] >= len(parts[1]) or (at[0] < len(parts[0]) and rng.random() < 0.5) else 1
+            out.append(parts[side][at[side]])
+            at[side] += 1
         return "".join(out)
     raise ValueError(kind)
 
 
 def _dyck(rng, length: int, brackets: str = "()") -> str:
     """Balanced single-type bracket string of the given even length."""
-    opens = length // 2
-    closes = length // 2
+    opens = closes = length // 2  # left to place; the depth is closes - opens
     out = []
-    depth = 0
-    while opens or closes:
-        if opens and (depth == 0 or rng.random() < opens / (opens + closes)):
+    while closes:
+        if opens and (opens == closes or rng.random() < opens / (opens + closes)):
             out.append(brackets[0])
             opens -= 1
-            depth += 1
         else:
             out.append(brackets[1])
             closes -= 1
-            depth -= 1
     return "".join(out)
 
 
 def _negative(kind: str, rng, lo: int, hi: int) -> str:
     if kind == "parity":
-        length = _length_in(rng, lo, hi)
-        bits = rng.integers(0, 2, size=length)
-        if bits.sum() % 2 == 1:  # force even number of ones
-            bits[int(rng.integers(0, length))] ^= 1
-        return "".join("01"[b] for b in bits)
+        return _parity(rng, lo, hi, False)
     alphabet = ALPHABETS[kind]
     for _ in range(200):
         if kind == "aa_star":
             s = "a" * _length_in(rng, lo, hi)
-        elif rng.random() < 0.5:
-            # corrupt a positive at one coordinate
+        elif rng.random() < 0.5:  # corrupt a positive at one coordinate
             base = list(_positive(kind, rng, lo, hi))
             pos = int(rng.integers(0, len(base)))
             base[pos] = alphabet[int(rng.integers(0, len(alphabet)))]
             s = "".join(base)
         else:
-            length = _length_in(rng, lo, hi)
-            s = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
+            s = "".join(map(alphabet.__getitem__, rng.integers(0, len(alphabet), size=_length_in(rng, lo, hi)).tolist()))
         if not recognize(kind, s):
             return s
-    raise RuntimeError(f"could not sample a negative string for {kind}")
-
-
-def _encode(kind: str, s: str) -> list[int]:
-    vocab = {ch: i for i, ch in enumerate(vocabulary(kind))}
-    return [vocab[ch] for ch in s]
+    raise ValueError(f"could not sample a negative {kind} string with length in [{lo}, {hi}]")
 
 
 def _int_param(spec: TaskSpec, key: str, default: int, low: int, high: float) -> int:
@@ -198,27 +207,20 @@ def _int_param(spec: TaskSpec, key: str, default: int, low: int, high: float) ->
 
 
 def generate(spec: TaskSpec, count: int) -> list[dict]:
-    """Deterministic dataset of `count` samples; balanced labels for languages."""
+    """Deterministic dataset of `count` samples; balanced labels for languages, whose
+    label and prefix_labels (the dense training signal) come from one membership scan."""
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
     rng = np.random.default_rng(spec.seed)
     samples = []
     if spec.kind in LANGUAGE_KINDS:
+        alphabet, bin1_fraction = ALPHABETS[spec.kind], spec.params.get("bin1_fraction", 0.0)
         for i in range(count):
-            bin_id = int(rng.random() < spec.params.get("bin1_fraction", 0.0))
-            lo, hi = spec.bin1 if bin_id else spec.bin0
-            positive = i % 2 == 0
-            s = _positive(spec.kind, rng, lo, hi) if positive else _negative(spec.kind, rng, lo, hi)
-            samples.append(
-                {
-                    "tokens": _encode(spec.kind, s),
-                    "label": int(recognize(spec.kind, s)),
-                    # per-prefix membership: dense training signal whose last
-                    # entry is the sequence label
-                    "prefix_labels": [int(recognize(spec.kind, s[: j + 1])) for j in range(len(s))],
-                    "bin": bin_id,
-                }
-            )
+            bin_id = int(rng.random() < bin1_fraction)
+            s = (_negative if i % 2 else _positive)(spec.kind, rng, *(spec.bin1 if bin_id else spec.bin0))
+            tokens = list(token_ids(alphabet, s))
+            labels = prefix_membership(spec.kind, tokens)
+            samples.append({"tokens": tokens, "label": labels[-1], "prefix_labels": labels[1:], "bin": bin_id})
         return samples
     if spec.kind == "copy_recall":
         n_pairs = _int_param(spec, "pairs", 4, 1, 8)
@@ -235,22 +237,20 @@ def generate(spec: TaskSpec, count: int) -> list[dict]:
     if spec.kind == "niah_toy":
         length = _int_param(spec, "length", 24, 2, math.inf)
         for _ in range(count):
-            tokens = list(rng.integers(0, 8, size=length))
+            tokens = rng.integers(0, 8, size=length).tolist()
             key = 8 + int(rng.integers(0, 4))
             value = 12 + int(rng.integers(0, 4))
             pos = int(rng.integers(0, length - 1))
             tokens[pos : pos + 2] = [key, value]
             tokens += [16, key]
-            samples.append({"tokens": [int(t) for t in tokens], "label": value, "bin": 0})
+            samples.append({"tokens": tokens, "label": value, "bin": 0})
         return samples
     if spec.kind == "char_lm":
-        corpus = load_corpus()
-        vocab = {ch: i for i, ch in enumerate(vocabulary("char_lm"))}
-        ids = np.array([vocab[ch] for ch in corpus], dtype=np.int64)
+        ids = np.frombuffer(token_ids(_char_lm_vocabulary(), load_corpus()), dtype=np.uint8)
         window = _int_param(spec, "window", 64, 1, len(ids) - 2)
         for _ in range(count):
             at = int(rng.integers(0, len(ids) - window - 1))
-            samples.append({"tokens": [int(t) for t in ids[at : at + window + 1]], "label": None, "bin": 0})
+            samples.append({"tokens": ids[at : at + window + 1].tolist(), "label": None, "bin": 0})
         return samples
     raise ValueError(f"{spec.kind!r} is not a token-dataset task; use its dedicated stream constructor")
 
@@ -332,11 +332,11 @@ def evaluate(model, dataset: Sequence[dict]) -> dict:
     }
 
 
-_CORPUS_CACHE = None
-
-
+@functools.cache
 def load_corpus() -> str:
-    global _CORPUS_CACHE
-    if _CORPUS_CACHE is None:
-        _CORPUS_CACHE = importlib.resources.files("nllab").joinpath("data/corpus.txt").read_text(encoding="utf-8")
-    return _CORPUS_CACHE
+    return importlib.resources.files("nllab").joinpath("data/corpus.txt").read_text(encoding="utf-8")
+
+
+@functools.cache
+def _char_lm_vocabulary() -> str:
+    return "".join(sorted(set(load_corpus())))

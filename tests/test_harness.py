@@ -510,6 +510,37 @@ def test_cli_train_with_a_tiny_clip_norm(tmp_path, optimizer):
     assert all(np.isfinite(v).all() for v in checkpoint.load(str(tmp_path / "run" / "checkpoint.nlck")).values())
 
 
+def _train_in(root: Path, task: dict, **train) -> tuple:
+    """Exit code and stderr of `nllab train` on a blocks-0 model for one step on `task`."""
+    train = {"steps": 1, "eval_every": 0, "train_samples": 8, "eval_samples": 4, **train}
+    (root / "cfg.json").write_text(json.dumps({"task": task, "model": {"blocks": 0}, "train": train, "out_dir": str(root / "run")}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", str(root / "cfg.json")])
+    return code, err.getvalue()
+
+
+def test_cli_train_on_a_bin_without_negatives(tmp_path):
+    # [2, 2] admits only "aa", which is in (aa)*
+    code, err = _train_in(tmp_path, {"kind": "aa_star", "bin0": [2, 2], "bin1": [3, 4]})
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "$.task" in err and "aa_star" in err and "[2, 2]" in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(config._CHOICES[("task", "kind")]),
+    # four sorted ends make bin0 = [a, b] and bin1 = [c, d]: mostly ordered bins, often one length wide
+    ends=st.lists(st.integers(1, 90), min_size=4, max_size=4).map(sorted),
+    fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_cli_train_on_any_task_bins_runs_or_prints_one_error(tmp_path_factory, kind, ends, fractions):
+    params = {"bin1_fraction": fractions[0]} if kind in LANGUAGE_KINDS else {}
+    task = {"kind": kind, "bin0": ends[:2], "bin1": ends[2:], "params": params}
+    code, err = _train_in(tmp_path_factory.mktemp("task"), task, eval_bin1_fraction=fractions[1])
+    assert (code, err) == (0, "") or code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+
 def test_cli_partial_adam_hyperparameters_keep_the_other_defaults(tmp_path):
     logs = []
     for i, opt_hp in enumerate([{"eta": 0.01}, {}]):
