@@ -202,8 +202,7 @@ def cmd_emit_plots(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    faults = set(args.inject_fault or [])
-    results = verify.run_checks(pattern=args.filter, faults=faults, out_dir=args.out)
+    results = verify.run_checks(pattern=args.filter, faults=args.inject_fault, out_dir=args.out)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     p.add_argument(
         "--inject-fault",
         action="append",
-        choices=["hebbian-sign"],
+        choices=sorted(verify.FAULTS),
         help="deliberately corrupt a check (negative control for the harness)",
     )
     p.set_defaults(fn=cmd_verify)

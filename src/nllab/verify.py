@@ -1,24 +1,28 @@
 """Registered oracle-equivalence and invariant checks.
 
-Every check returns a CheckResult with the measured error so failures are
-diagnosable from the verify output alone.  The acceptance test module runs the
-same functions; the CLI adds filtering and a deliberate fault injection hook
-("hebbian-sign") that proves the harness can fail.
+A check returns `(passed, measured, detail)` from its artifact directory, and
+`register` names it once; the measured error makes a failure diagnosable from
+the verify output alone.  The acceptance tests run the same checks.  Each
+entry of `FAULTS` patches one route a check holds to its oracle, so that the
+check fails: `run_checks(faults=...)` and the CLI's `--inject-fault` apply it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import bench, checkpoint, config as config_mod, runlog as runlog_mod
 from . import cms as cms_mod
+from . import hope as hope_mod
 from . import tensor as T
 from .hope import HopeConfig, HopeModel, train
 from . import srt as srt_mod
@@ -41,9 +45,16 @@ _REGISTRY: list[tuple[str, Callable, bool]] = []
 
 
 def register(name: str, slow: bool = False):
+    """Register `fn(out_dir) -> (passed, measured, detail)` as the check `name`
+    and return it as `check(out_dir=None) -> CheckResult`."""
+
     def wrap(fn):
-        _REGISTRY.append((name, fn, slow))
-        return fn
+        def check(out_dir=None) -> CheckResult:
+            passed, measured, detail = fn(out_dir)
+            return CheckResult(name, bool(passed), float(measured), detail)
+
+        _REGISTRY.append((name, check, slow))
+        return check
 
     return wrap
 
@@ -52,29 +63,77 @@ def registered_checks() -> list[tuple[str, bool]]:
     return [(name, slow) for name, _, slow in _REGISTRY]
 
 
-def run_checks(pattern: Optional[str] = None, faults: Optional[set] = None, out_dir: Optional[str] = None) -> list[CheckResult]:
-    """Run the registered checks whose names contain `pattern`; their artifacts
-    go to `out_dir`, or to a temporary directory removed once they have run."""
+def run_checks(pattern: Optional[str] = None, faults: Optional[Iterable[str]] = None, out_dir: Optional[str] = None) -> list[CheckResult]:
+    """Run the registered checks whose names contain `pattern`, with the named
+    `FAULTS` patched in; their artifacts go to `out_dir`, or to a temporary
+    directory removed once they have run."""
+    faults = list(faults or ())
+    unknown = sorted(set(faults) - FAULTS.keys())
+    if unknown:
+        raise ValueError(f"unknown faults {unknown}; known: {sorted(FAULTS)}")
     if not out_dir:
         with tempfile.TemporaryDirectory(prefix="nllab-verify-") as tmp:
             return run_checks(pattern, faults, tmp)
-    faults = faults or set()
     results = []
-    for name, fn, _slow in _REGISTRY:
-        if pattern and pattern not in name:
-            continue
-        try:
-            results.append(fn(faults=faults, out_dir=out_dir))
-        except Exception as exc:  # a crashing check is a failing check
-            results.append(CheckResult(name, False, float("nan"), f"raised {type(exc).__name__}: {exc}"))
+    with _injected(faults):
+        for name, check, _slow in _REGISTRY:
+            if pattern and pattern not in name:
+                continue
+            try:
+                results.append(check(out_dir))
+            except Exception as exc:  # a crashing check is a failing check
+                results.append(CheckResult(name, False, float("nan"), f"raised {type(exc).__name__}: {exc}"))
     return results
+
+
+@contextlib.contextmanager
+def _injected(faults: list):
+    """Set `object.attribute = wrap(original)` for each named fault, and put the originals back."""
+    patched = []
+    try:
+        for fault in faults:
+            _check, obj, attr, wrap = FAULTS[fault]
+            original = getattr(obj, attr)
+            setattr(obj, attr, wrap(original))
+            patched.append((obj, attr, original))
+        yield
+    finally:
+        for obj, attr, original in reversed(patched):
+            setattr(obj, attr, original)
+
+
+_OFF = 1 + 1e-9  # a fault far below what central differences resolve, far above the oracles' 1e-12
+
+
+def _scaled(fn):
+    return lambda *args: tuple(x * _OFF for x in fn(*args))
+
+
+# fault name -> (the check it fails, object, attribute, wrap)
+FAULTS = {
+    "hebbian-sign": (
+        "rule-oracle-hebbian", sys.modules[__name__], "rule_step",
+        lambda fn: lambda rule, *args: Memory.linear(-fn(rule, *args).matrix) if rule is RuleKind.HEBBIAN else fn(rule, *args),
+    ),
+    "decay-scan-vjp": ("srt-decay-scan", T, "_closed_vjp", _scaled),
+    "cms-accumulate": (
+        "cms-frequency-and-sgd", cms_mod, "cms_accumulate",
+        lambda fn: lambda chain, grads: fn(chain, [(g1 * _OFF, g2 * _OFF) for g1, g2 in grads]),
+    ),
+    "linear-attention-value": (
+        "linear-attention-closed-form", hope_mod._Attention, "value",
+        lambda fn: lambda self, *args: fn(self, *args) * _OFF if self.linear else fn(self, *args),
+    ),
+    "attention-vjp": ("attention-fused-core", hope_mod._Attention, "vjp", _scaled),
+    "rms-norm-vjp": ("attention-fused-core", T, "_rms_grad", _scaled),
+}
 
 
 # ---------------------------------------------------------------------------
 # 1. learning-rule / autodiff-oracle equivalence
 
 
-def _rule_oracle_error(rule: RuleKind, objective: str, faults: set) -> float:
+def _rule_oracle(rule: RuleKind, objective: str, out_dir) -> tuple:
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -86,33 +145,18 @@ def _rule_oracle_error(rule: RuleKind, objective: str, faults: set) -> float:
         eta = float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(0.0, 1.0))
         closed = rule_step(rule, mem, k, v, eta, alpha).matrix
-        if rule is RuleKind.HEBBIAN and "hebbian-sign" in faults:
-            closed = -closed
         oracle = gd_oracle_step(objective, mem, k, v, eta, alpha).matrix
         worst = max(worst, float(np.abs(closed - oracle).max()))
-    return worst
+    return worst < 1e-12, worst, "closed form vs tape gradient, 100 instances"
 
 
-@register("rule-oracle-hebbian")
-def check_hebbian(faults=frozenset(), out_dir=None) -> CheckResult:
-    err = _rule_oracle_error(RuleKind.HEBBIAN, "dot", set(faults))
-    return CheckResult("rule-oracle-hebbian", err < 1e-12, err, "closed form vs tape gradient, 100 instances")
-
-
-@register("rule-oracle-delta")
-def check_delta(faults=frozenset(), out_dir=None) -> CheckResult:
-    err = _rule_oracle_error(RuleKind.DELTA, "l2", set())
-    return CheckResult("rule-oracle-delta", err < 1e-12, err, "closed form vs tape gradient, 100 instances")
-
-
-@register("rule-oracle-oja")
-def check_oja(faults=frozenset(), out_dir=None) -> CheckResult:
-    err = _rule_oracle_error(RuleKind.OJA, "oja", set())
-    return CheckResult("rule-oracle-oja", err < 1e-12, err, "closed form vs tape gradient, 100 instances")
+check_hebbian = register("rule-oracle-hebbian")(partial(_rule_oracle, RuleKind.HEBBIAN, "dot"))
+check_delta = register("rule-oracle-delta")(partial(_rule_oracle, RuleKind.DELTA, "l2"))
+check_oja = register("rule-oracle-oja")(partial(_rule_oracle, RuleKind.OJA, "oja"))
 
 
 @register("dgd-proximal-argmin")
-def check_dgd(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_dgd(out_dir) -> tuple:
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -127,7 +171,7 @@ def check_dgd(faults=frozenset(), out_dir=None) -> CheckResult:
         direct = np.linalg.solve(lhs.T, rhs.T).T
         closed = dgd_proximal_step(Memory.linear(w0), k, v, eta).matrix
         worst = max(worst, float(np.abs(closed - direct).max()))
-    return CheckResult("dgd-proximal-argmin", worst < 1e-8, worst, "rank-one closed form vs direct solve, 100 instances")
+    return worst < 1e-8, worst, "rank-one closed form vs direct solve, 100 instances"
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +179,7 @@ def check_dgd(faults=frozenset(), out_dir=None) -> CheckResult:
 
 
 @register("adam-am-equivalence")
-def check_adam_am(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_adam_am(out_dir) -> tuple:
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -148,11 +192,11 @@ def check_adam_am(faults=frozenset(), out_dir=None) -> CheckResult:
                 p_a, st_a = step("adam", st_a, p_a, g)
                 p_b, st_b = step("adam_am", st_b, p_b, g)
                 worst = max(worst, float(np.abs(p_a - p_b).max()))
-    return CheckResult("adam-am-equivalence", worst < 1e-12, worst, "direct recurrence vs closed-form readout, 50 seeds x 20 steps")
+    return worst < 1e-12, worst, "direct recurrence vs closed-form readout, 50 seeds x 20 steps"
 
 
 @register("momentum-ftrl-identity")
-def check_ftrl(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_ftrl(out_dir) -> tuple:
     rng = np.random.default_rng(0)
     eta = 0.37
     w1 = rng.normal(size=(3, 2))
@@ -163,11 +207,11 @@ def check_ftrl(faults=frozenset(), out_dir=None) -> CheckResult:
         _, st = step("momentum", st, w1, g)
         acc = acc + eta * g
     err = float(np.abs((w1 + st.slots["m"]) - (w1 - acc)).max())
-    return CheckResult("momentum-ftrl-identity", err == 0.0, err, "unrolled memory vs accumulated-gradient solution, 100 steps")
+    return err == 0.0, err, "unrolled memory vs accumulated-gradient solution, 100 steps"
 
 
 @register("newton-schulz-polar")
-def check_ns(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_ns(out_dir) -> tuple:
     worst_sv = 0.0
     monotone = True
     for seed in range(20):
@@ -183,11 +227,11 @@ def check_ns(faults=frozenset(), out_dir=None) -> CheckResult:
         # strict decrease until the error reaches the float64 floor
         monotone = monotone and all(b < a or a < 1e-12 for a, b in zip(errs, errs[1:]))
     passed = worst_sv <= 0.05 and monotone
-    return CheckResult("newton-schulz-polar", passed, worst_sv, f"max |sv-1|={worst_sv:.2e}, monotone-above-floor={monotone}")
+    return passed, worst_sv, f"max |sv-1|={worst_sv:.2e}, monotone-above-floor={monotone}"
 
 
 @register("m3-structure")
-def check_m3(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_m3(out_dir) -> tuple:
     rng = np.random.default_rng(1)
     f = 2
     gs = [rng.normal(size=(3, 3)) for _ in range(3)]
@@ -238,7 +282,7 @@ def check_m3(faults=frozenset(), out_dir=None) -> CheckResult:
         else:
             boundary_ok = boundary_ok and np.array_equal(st2.slots["m2"], prev)
     passed = worst < 1e-14 and boundary_ok
-    return CheckResult("m3-structure", passed, worst, f"hand trace err={worst:.2e}, boundary-only slow updates={boundary_ok}")
+    return passed, worst, f"hand trace err={worst:.2e}, boundary-only slow updates={boundary_ok}"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +295,7 @@ def _mse(out, target):
 
 
 @register("cms-frequency-and-sgd")
-def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_cms(out_dir) -> tuple:
     rng = np.random.default_rng(2)
     lr = 0.05
     chain = cms_mod.make_chain(4, 3, [1], seed=3, eta=lr)
@@ -285,7 +329,7 @@ def check_cms(faults=frozenset(), out_dir=None) -> CheckResult:
         cms_mod.cms_tick(chain4, i)
         bitfrozen = bitfrozen and np.array_equal(chain4.levels[0].w1, frozen)
     passed = worst < 1e-12 and bitfrozen
-    return CheckResult("cms-frequency-and-sgd", passed, worst, f"C=1 vs SGD err={worst:.2e}, off-boundary bit-frozen={bitfrozen}")
+    return passed, worst, f"C=1 vs SGD err={worst:.2e}, off-boundary bit-frozen={bitfrozen}"
 
 
 def _permute(x, order, batch: int):
@@ -424,6 +468,33 @@ def _probed(run, vals: dict, probes: list, grads: bool = True):
     return [o.value for o in outs], tape.backward(loss)
 
 
+def _rel(a, b, floor: float = 1e-12):
+    return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def _against_graph(fused, graph, vals: dict, probes: list) -> tuple:
+    """`_probed`'s runs of a fused route and of its per-op `graph`: whether every
+    output is bit-identical, the worst gradient error relative to the graph
+    gradient's largest entry, and the fused route's gradients."""
+    outs, grads = _probed(fused, vals, probes)
+    graph_outs, graph_grads = _probed(graph, vals, probes)
+    worst = 0.0
+    for key, g in graph_grads.items():
+        worst = max(worst, float(np.abs(grads[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
+    return all(np.array_equal(a, b) for a, b in zip(outs, graph_outs)), worst, grads
+
+
+def _directional_error(run, vals: dict, probes: list, grads: dict, direction: dict) -> float:
+    """The gradients' derivative of `_probed`'s sum along `direction`, a step of
+    some or all of the inputs, against central differences; relative."""
+    along = sum(float((grads[key] * d).sum()) for key, d in direction.items())
+    fd = T.finite_diff_grad(
+        lambda s: _probed(run, {key: v + float(s[0]) * direction[key] if key in direction else v for key, v in vals.items()}, probes, False),
+        np.zeros(1),
+    )
+    return _rel(float(fd[0]), along)
+
+
 _SCAN_INPUTS = ("m0", "keys", "u", "eta", "alpha")
 
 
@@ -484,7 +555,7 @@ def _batched_scan(rng, retention: bool, cols: int, widths: list) -> tuple:
 
 
 @register("srt-decay-scan")
-def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_decay_scan(out_dir) -> tuple:
     worst = 0.0  # fused primitive vs per-token graph: forward and every VJP, d=6, and ragged batches at d=3
     exact = True  # partly padded samples bit-identical to their own-width scans
     fd_worst = 0.0  # fused VJP vs central differences, relative, d=3 and C=3
@@ -513,12 +584,9 @@ def check_decay_scan(faults=frozenset(), out_dir=None) -> CheckResult:
             err, same = _batched_scan(rng, retention, cols, widths)
             worst, exact = max(worst, err), exact and same
     passed = worst <= 1e-12 and fd_worst < 1e-6 and exact
-    return CheckResult(
-        "srt-decay-scan",
-        passed,
-        worst,
+    return passed, worst, (
         f"fused vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}, "
-        f"partly padded samples bit-identical={exact}",
+        f"partly padded samples bit-identical={exact}"
     )
 
 
@@ -578,7 +646,7 @@ def _carried(state: SrtState, x: np.ndarray, chunk: int, cuts, carry: bool = Tru
 
 
 @register("srt-fused-core")
-def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_fused_core(out_dir) -> tuple:
     worst = 0.0  # fused core vs per-op graph: every gradient, relative to its largest entry
     exact = True  # forward bit-identical
     carried = ordered = True  # the carry and order rows, bit for bit
@@ -599,13 +667,10 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
                 rng.normal(size=(len(lengths),) + vals[f"{slot}.{j}"].shape) for slot in SLOTS for j in range(1 if cfg.kinds[slot] == LINEAR else 2)
             ]
             core = _core_run(srt_forward_nodes, cfg, chunk, lengths)
-            fused, g_fused = _probed(core, vals, probes)
-            graph, g_graph = _probed(_core_run(_srt_forward_oracle, cfg, chunk, lengths), vals, probes)
-            exact = exact and all(np.array_equal(a, b) for a, b in zip(fused, graph))
-            for key, g in g_graph.items():
-                worst = max(worst, float(np.abs(g_fused[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
+            same, err, grads = _against_graph(core, _core_run(_srt_forward_oracle, cfg, chunk, lengths), vals, probes)
+            exact, worst = exact and same, max(worst, err)
             if (name, chunk) == ("conv", 3):
-                fd_case = (core, dict(vals), probes, g_fused)
+                fd_case = (core, dict(vals), probes, grads)
         # the rows start from the same snapshots, on inputs drawn from their own generators
         weights = {slot: tuple(vals[f"{slot}.{j}"] for j in range(len(ws))) for slot, ws in state.weights.items()}
         state = replace(state, weights=weights, conv_kernel=vals.get("conv"))
@@ -619,24 +684,16 @@ def check_fused_core(faults=frozenset(), out_dir=None) -> CheckResult:
         ordered = ordered and all(_bit_identical(runs[0], run) for run in runs[1:])
     # one directional derivative against central differences, along every input at once
     core, vals, probes, grads = fd_case
-    direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
-    along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
-    fd = T.finite_diff_grad(
-        lambda s: _probed(core, {key: v + float(s[0]) * direction[key] for key, v in vals.items()}, probes, False), np.zeros(1)
-    )
-    fd_err = abs(float(fd[0]) - along) / max(abs(float(fd[0])), abs(along), 1e-12)
+    fd_err = _directional_error(core, vals, probes, grads, {key: rng.normal(size=v.shape) for key, v in vals.items()})
     passed = exact and worst <= 1e-12 and fd_err < 1e-6 and carried and ordered
-    return CheckResult(
-        "srt-fused-core",
-        passed,
-        worst,
+    return passed, worst, (
         f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_err:.2e}, "
-        f"carried weights bit-identical={carried}, element_order bit-identical={ordered}",
+        f"carried weights bit-identical={carried}, element_order bit-identical={ordered}"
     )
 
 
 @register("linear-attention-recovery")
-def check_linear_attention(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_linear_attention(out_dir) -> tuple:
     rng = np.random.default_rng(4)
     d, L = 6, 24
     state = init_srt(linear_attention_config(d), seed=5)
@@ -646,7 +703,7 @@ def check_linear_attention(faults=frozenset(), out_dir=None) -> CheckResult:
     for t in range(L):
         prefix += np.outer(xs[:, t], xs[:, t])
     err = float(np.abs(after["mem"][0] - prefix).max())
-    return CheckResult("linear-attention-recovery", err < 1e-12, err, "degenerate block vs prefix-sum oracle")
+    return err < 1e-12, err, "degenerate block vs prefix-sum oracle"
 
 
 _LA_INPUTS = ("x", "b0.norm1", "b0.wq", "b0.wk", "b0.wv")
@@ -674,7 +731,7 @@ def _linear_attention_block(model: HopeModel, tape: Tape, nodes: dict) -> list:
 
 
 @register("linear-attention-closed-form")
-def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_linear_attention_closed_form(out_dir) -> tuple:
     d = 6
     model = HopeModel(HopeConfig(vocab=2, dim=d, core="linear_attention", use_cms=False), seed=0)
     block = partial(_linear_attention_block, model)
@@ -692,17 +749,9 @@ def check_linear_attention_closed_form(faults=frozenset(), out_dir=None) -> Chec
         for name in _LA_INPUTS:
             worst = max(worst, float(np.abs(g_fast[name] - g_slow[name]).max()))
             # one random direction per input keeps the check to two forwards each
-            direction = rng.normal(size=vals[name].shape)
-            fd = T.finite_diff_grad(lambda s: _probed(block, {**vals, name: vals[name] + s[0] * direction}, [probe], False), np.zeros(1))[0]
-            analytic = float((g_fast[name] * direction).sum())
-            fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
-    passed = worst <= 1e-12 and fd_worst < 1e-6
-    return CheckResult(
-        "linear-attention-closed-form",
-        passed,
-        worst,
-        f"closed form vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}",
-    )
+            direction = {name: rng.normal(size=vals[name].shape)}
+            fd_worst = max(fd_worst, _directional_error(block, vals, [probe], g_fast, direction))
+    return worst <= 1e-12 and fd_worst < 1e-6, worst, f"closed form vs per-token graph err={worst:.2e}, vs finite differences rel={fd_worst:.2e}"
 
 
 def _attention_block_oracle(model: HopeModel, tape: Tape, nodes: dict, b: int, x, lengths: list):
@@ -725,7 +774,7 @@ def _blocks_run(model: HopeModel, block, lengths: list):
 
 
 @register("attention-fused-core")
-def check_attention_core(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_attention_core(out_dir) -> tuple:
     worst = 0.0  # fused nodes vs per-op graph: every gradient, relative to its largest entry
     exact = True  # forward bit-identical
     fd_worst = 0.0  # one directional derivative per core vs central differences, relative
@@ -740,29 +789,17 @@ def check_attention_core(faults=frozenset(), out_dir=None) -> CheckResult:
             vals["x"] = rng.normal(size=(d, max(lengths) * len(lengths)))
             probes = [rng.normal(size=vals["x"].shape)]
             fused = _blocks_run(model, model._block, lengths)
-            (y,), grads = _probed(fused, vals, probes)
-            (y_graph,), g_graph = _probed(_blocks_run(model, partial(_attention_block_oracle, model), lengths), vals, probes)
-            exact = exact and np.array_equal(y, y_graph)
-            for key, g in g_graph.items():
-                worst = max(worst, float(np.abs(grads[key] - g).max()) / max(float(np.abs(g).max()), 1e-300))
+            same, err, grads = _against_graph(fused, _blocks_run(model, partial(_attention_block_oracle, model), lengths), vals, probes)
+            exact, worst = exact and same, max(worst, err)
         # along every input at once, on the single sequence
         direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
-        along = sum(float((grads[key] * direction[key]).sum()) for key in vals)
-        fd = T.finite_diff_grad(
-            lambda s: _probed(fused, {key: v + float(s[0]) * direction[key] for key, v in vals.items()}, probes, False), np.zeros(1)
-        )
-        fd_worst = max(fd_worst, abs(float(fd[0]) - along) / max(abs(float(fd[0])), abs(along), 1e-12))
-    passed = exact and worst <= 1e-12 and fd_worst < 1e-6
-    return CheckResult(
-        "attention-fused-core",
-        passed,
-        worst,
-        f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_worst:.2e}",
-    )
+        fd_worst = max(fd_worst, _directional_error(fused, vals, probes, grads, direction))
+    detail = f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_worst:.2e}"
+    return exact and worst <= 1e-12 and fd_worst < 1e-6, worst, detail
 
 
 @register("hope-gradient-integrity")
-def check_hope_gradients(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_hope_gradients(out_dir) -> tuple:
     cfg = HopeConfig(vocab=10, dim=8, blocks=1, chunk=2, cms_chunks=(1, 2), cms_hidden=4, mem_hidden=8)
     model = HopeModel(cfg, seed=6)
     batch = [{"tokens": [0, 3, 7, 2, 5, 1], "label": None}]
@@ -788,10 +825,8 @@ def check_hope_gradients(faults=frozenset(), out_dir=None) -> CheckResult:
             return val
 
         fd = float(T.finite_diff_grad(f, base.reshape(-1)[flat_idx : flat_idx + 1], h=1e-6)[0])
-        analytic = grads[name].reshape(-1)[flat_idx]
-        denom = max(abs(analytic), abs(fd), 1e-8)
-        worst = max(worst, abs(analytic - fd) / denom)
-    return CheckResult("hope-gradient-integrity", worst < 1e-4, worst, "full-model gradient vs central differences, 20 parameters")
+        worst = max(worst, _rel(grads[name].reshape(-1)[flat_idx], fd, 1e-8))
+    return worst < 1e-4, worst, "full-model gradient vs central differences, 20 parameters"
 
 
 _BATCH_LENGTHS = (4, 2, 3)
@@ -804,7 +839,7 @@ def _batch_loss_and_grads(model: HopeModel, batch: list) -> tuple:
 
 
 @register("batched-build-loss")
-def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_batched_build_loss(out_dir) -> tuple:
     worst = 0.0  # one ragged batch vs the mean of one-sample calls: loss and every gradient
     fd_worst = 0.0  # batched directional derivative vs central differences, relative
     rng = np.random.default_rng(9)
@@ -831,8 +866,7 @@ def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
             return out
 
         fd = float(T.finite_diff_grad(f, np.zeros(1))[0])
-        analytic = sum(float((grads[name] * direction[name]).sum()) for name in base)
-        fd_worst = max(fd_worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
+        fd_worst = max(fd_worst, _rel(fd, sum(float((grads[name] * direction[name]).sum()) for name in base)))
 
     # padded columns leave each sample's fast weights bit-identical to its own run
     cfg = SrtConfig(dim=4, chunk=3, hidden=4)
@@ -852,12 +886,9 @@ def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
             for w_batch, w_alone in zip(final[slot], alone[slot]):
                 bit_exact = bit_exact and np.array_equal(w_batch.value[b], w_alone)
     passed = worst <= 1e-12 and fd_worst < 1e-6 and bit_exact
-    return CheckResult(
-        "batched-build-loss",
-        passed,
-        worst,
+    return passed, worst, (
         f"ragged batch vs one-sample calls err={worst:.2e}, vs finite differences rel={fd_worst:.2e}, "
-        f"padded fast weights bit-exact={bit_exact}",
+        f"padded fast weights bit-exact={bit_exact}"
     )
 
 
@@ -866,36 +897,36 @@ def check_batched_build_loss(faults=frozenset(), out_dir=None) -> CheckResult:
 
 
 @register("contribution-curve")
-def check_contribution(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_contribution(out_dir) -> tuple:
     report = bench.run_contribution_report(out_dir)
     ok = report["crossings"] == {0.5: 7, 0.99: 44}
     curve = contribution_curve(0.9, 44)
     err = abs(curve[6] - (1 - 0.9**7)) + abs(curve[43] - (1 - 0.9**44))
     detail = f"computed crossings {report['crossings']} vs stated {report['stated']}"
-    return CheckResult("contribution-curve", ok and err < 1e-15, err, detail)
+    return ok and err < 1e-15, err, detail
 
 
 @register("psi-delta-momentum", slow=True)
-def check_psi(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_psi(out_dir) -> tuple:
     results = bench.run_psi_benchmark(out_dir)
     mom = results["momentum"]["steps_to_threshold"]
     dm = results["delta_momentum"]["steps_to_threshold"]
     ok = mom is not None and dm is not None and dm < mom
-    return CheckResult("psi-delta-momentum", ok, float(dm or -1), f"steps to 1e-3: delta={dm}, momentum={mom}")
+    return ok, dm or -1, f"steps to 1e-3: delta={dm}, momentum={mom}"
 
 
 @register("orthogonal-forgetting", slow=True)
-def check_orthogonal(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_orthogonal(out_dir) -> tuple:
     report = bench.run_orthogonal_benchmark(out_dir)
     wins = report["wins_vs_momentum"]
     ok = all(w >= 9 for w in wins.values())
-    return CheckResult("orthogonal-forgetting", ok, float(min(wins.values())), f"wins vs momentum over {bench.ORTHO_SEEDS} seeds: {wins}")
+    return ok, min(wins.values()), f"wins vs momentum over {bench.ORTHO_SEEDS} seeds: {wins}"
 
 
 LANGUAGE_BUDGET = dict(steps=1500, eval_every=250, batch_size=4, target=0.95)
 
 
-def _language_check(kind: str, out_dir) -> tuple[bool, float, str]:
+def _language_check(kind: str, out_dir) -> tuple:
     train_data = generate(TaskSpec(kind, seed=1), 2048)
     eval_data = generate(TaskSpec(kind, seed=99, params={"bin1_fraction": 0.5}), 200)
     cfg = HopeConfig(
@@ -921,16 +952,8 @@ def _language_check(kind: str, out_dir) -> tuple[bool, float, str]:
     return best0 >= budget["target"], best0, detail
 
 
-@register("formal-language-parity", slow=True)
-def check_parity(faults=frozenset(), out_dir=None) -> CheckResult:
-    ok, acc, detail = _language_check("parity", out_dir)
-    return CheckResult("formal-language-parity", ok, acc, detail)
-
-
-@register("formal-language-anbn", slow=True)
-def check_anbn(faults=frozenset(), out_dir=None) -> CheckResult:
-    ok, acc, detail = _language_check("anbn", out_dir)
-    return CheckResult("formal-language-anbn", ok, acc, detail)
+check_parity = register("formal-language-parity", slow=True)(partial(_language_check, "parity"))
+check_anbn = register("formal-language-anbn", slow=True)(partial(_language_check, "anbn"))
 
 
 SMOKE_SETTINGS = {
@@ -941,7 +964,7 @@ SMOKE_SETTINGS = {
 
 
 @register("char-lm-smoke", slow=True)
-def check_smoke(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_smoke(out_dir) -> tuple:
     data = generate(TaskSpec("char_lm", seed=7, params={"window": 48}), 512)
     vocab = len(vocabulary("char_lm"))
     drops = {}
@@ -953,7 +976,7 @@ def check_smoke(faults=frozenset(), out_dir=None) -> CheckResult:
         drops[core] = 1.0 - final / log[0]["loss"]
     ok = all(d >= 0.30 for d in drops.values())
     detail = ", ".join(f"{k}: {v * 100:.1f}%" for k, v in drops.items())
-    return CheckResult("char-lm-smoke", ok, min(drops.values()), f"loss drop within 500 steps ({detail})")
+    return ok, min(drops.values()), f"loss drop within 500 steps ({detail})"
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +984,7 @@ def check_smoke(faults=frozenset(), out_dir=None) -> CheckResult:
 
 
 @register("checkpoint-roundtrip")
-def check_checkpoint(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_checkpoint(out_dir) -> tuple:
     rng = np.random.default_rng(8)
     tensors = {"a": rng.normal(size=(3, 4)), "b.c": rng.normal(size=7)}
     path = os.path.join(out_dir, "roundtrip.nlck")
@@ -971,24 +994,24 @@ def check_checkpoint(faults=frozenset(), out_dir=None) -> CheckResult:
     with open(path, "rb") as f1, open(path + ".2", "rb") as f2:
         identical = f1.read() == f2.read()
     values_ok = all(np.array_equal(tensors[k], loaded[k]) for k in tensors)
-    return CheckResult("checkpoint-roundtrip", identical and values_ok, 0.0 if identical else 1.0, f"save-load-save byte-identical={identical}")
+    return identical and values_ok, 0.0 if identical else 1.0, f"save-load-save byte-identical={identical}"
 
 
 @register("config-roundtrip")
-def check_config(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_config(out_dir) -> tuple:
     resolved = config_mod.resolve({"task": {"kind": "anbn"}, "train": {"steps": 7}})
     path = os.path.join(out_dir, "config.json")
     config_mod.write_json_atomic(path, resolved)
     reloaded = config_mod.load_config(path)
     ok = reloaded == resolved
-    return CheckResult("config-roundtrip", ok, 0.0 if ok else 1.0, "resolved config reloads to an equal object")
+    return ok, 0.0 if ok else 1.0, "resolved config reloads to an equal object"
 
 
 @register("runlog-schema")
-def check_runlog(faults=frozenset(), out_dir=None) -> CheckResult:
+def check_runlog(out_dir) -> tuple:
     path = os.path.join(out_dir, "log.jsonl")
     records = [{"step": 1, "loss": 1.0}, {"step": 2, "loss": 0.5, "accuracy": 0.7}]
     runlog_mod.write_runlog(path, records)
     loaded = runlog_mod.read_runlog(path)
     ok = [r["step"] for r in loaded] == [1, 2] and all(r["version"] == 1 for r in loaded)
-    return CheckResult("runlog-schema", ok, 0.0 if ok else 1.0, "JSONL records versioned with increasing steps")
+    return ok, 0.0 if ok else 1.0, "JSONL records versioned with increasing steps"

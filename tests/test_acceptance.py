@@ -12,7 +12,7 @@ from nllab import verify
 
 def _run(check_fn, tmp_path, budget_seconds=None):
     start = time.time()
-    result = check_fn(faults=set(), out_dir=str(tmp_path))
+    result = check_fn(str(tmp_path))
     elapsed = time.time() - start
     status = "PASS" if result.passed else "FAIL"
     print(f"\n[acceptance] {status} {result.name} measured={result.measured:.3e} ({elapsed:.1f}s) {result.detail}")

@@ -9,14 +9,13 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nllab import bench, checkpoint, cms, config, hope, tensor, verify
+from nllab import bench, checkpoint, config, verify
 from nllab.cli import build_model, main
 from nllab.config import ConfigError, load_config, resolve, write_json_atomic
 from nllab.fileio import write_atomic
@@ -807,54 +806,22 @@ def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "runlog-schema" in out
 
-    assert main(["verify", "--filter", "hebbian", "--out", str(tmp_path), "--inject-fault", "hebbian-sign"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    for fault, (check, *_patch) in verify.FAULTS.items():
+        assert main(["verify", "--filter", check, "--out", str(tmp_path), "--inject-fault", fault]) == 1, fault
+        assert f"FAIL  {check}  " in capsys.readouterr().out, fault
 
 
-_OFF = 1 + 1e-9  # a fault far below what central differences resolve, far above the oracles' 1e-12
+def test_verify_refuses_an_unknown_fault():
+    with pytest.raises(ValueError, match="hebbian-sing.*hebbian-sign"):
+        verify.run_checks(pattern="hebbian", faults={"hebbian-sing"})
 
 
-def _fault_closed_vjp(monkeypatch):
-    closed_vjp = tensor._closed_vjp
-    monkeypatch.setattr(tensor, "_closed_vjp", lambda *args: tuple(g * _OFF for g in closed_vjp(*args)))
-
-
-def _fault_linear_attention_mask(monkeypatch):
-    # the closed-form block makes its mask with hope's np.triu
-    monkeypatch.setattr(hope, "np", SimpleNamespace(**{**vars(np), "triu": lambda m: np.triu(m) * _OFF}))
-
-
-def _fault_attention_vjp(monkeypatch):
-    vjp = hope._Attention.vjp
-    monkeypatch.setattr(hope._Attention, "vjp", lambda self, g: tuple(x * _OFF for x in vjp(self, g)))
-
-
-def _fault_rms_vjp(monkeypatch):
-    rms_grad = tensor._rms_grad
-    monkeypatch.setattr(tensor, "_rms_grad", lambda *args: tuple(x * _OFF for x in rms_grad(*args)))
-
-
-def _fault_buffered_step(monkeypatch):
-    accumulate = cms.cms_accumulate
-    monkeypatch.setattr(cms, "cms_accumulate", lambda chain, grads: accumulate(chain, [(g1 * _OFF, g2 * _OFF) for g1, g2 in grads]))
-
-
-@pytest.mark.parametrize(
-    "check, fault",
-    [
-        (verify.check_decay_scan, _fault_closed_vjp),
-        (verify.check_linear_attention_closed_form, _fault_linear_attention_mask),
-        (verify.check_cms, _fault_buffered_step),
-        (verify.check_attention_core, _fault_attention_vjp),
-        (verify.check_attention_core, _fault_rms_vjp),
-    ],
-    ids=["srt-decay-scan", "linear-attention-closed-form", "cms-frequency-and-sgd", "attention-fused-core-vjp", "attention-fused-core-rms"],
-)
-def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(monkeypatch, check, fault):
-    assert check().passed
-    fault(monkeypatch)
-    result = check()
+@pytest.mark.parametrize("fault", [fault for fault in verify.FAULTS if fault != "hebbian-sign"], ids=lambda fault: verify.FAULTS[fault][0])
+def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(fault):
+    check = verify.FAULTS[fault][0]
+    (clean,) = verify.run_checks(pattern=check)
+    assert clean.passed, clean
+    (result,) = verify.run_checks(pattern=check, faults=[fault])
     # the oracle error, not a crash or the finite differences, fails the check
     assert not result.passed and 1e-12 < result.measured < 1e-6, result
 
@@ -863,6 +830,7 @@ def test_per_token_oracles_catch_a_small_fault_in_the_fast_route(monkeypatch, ch
 def test_every_fast_verify_check_passes(tmp_path, name):
     (result,) = [r for r in verify.run_checks(pattern=name, out_dir=str(tmp_path)) if r.name == name]
     assert result.passed, result
+    assert type(result.passed) is bool and type(result.measured) is float, result
 
 
 def test_verify_without_an_out_dir_leaves_no_directory_behind(tmp_path, monkeypatch):
