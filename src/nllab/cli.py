@@ -87,8 +87,8 @@ def check_optimizers(cfg: dict, model: HopeModel) -> None:
     """
     kind, hp = cfg["train"]["optimizer"], cfg["train"]["opt_hp"]
     try:
-        for name, state in outer_optimizer_states(model, kind, hp).items():
-            optim.step(kind, state, model.params[name], np.ones_like(model.params[name]))
+        for _names, param, state in outer_optimizer_states(model, kind, hp):
+            optim.step(kind, state, param, np.ones_like(param))
     except (TypeError, ValueError, ArithmeticError) as exc:
         key = "optimizer" if not hp or isinstance(exc, optim.UnsupportedShape) else "opt_hp"
         raise ConfigError(f"invalid optimizer setting at $.train.{key}: {exc}") from exc
@@ -202,7 +202,11 @@ def cmd_emit_plots(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_checks(pattern=args.filter, faults=args.inject_fault, out_dir=args.out)
+    try:
+        results = verify.run_checks(pattern=args.filter, faults=args.inject_fault, out_dir=args.out)
+    except ValueError as exc:  # a fault whose check the filter leaves out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2

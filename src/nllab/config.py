@@ -20,6 +20,9 @@ from .optim import KINDS as OPTIMIZER_KINDS
 from .srt import OBJECTIVES, SLOTS
 from .tasks import KINDS as TASK_KINDS, LANGUAGE_KINDS
 
+# the longest sample a length bin may ask for; every config, check and benchmark stays within 80
+MAX_LENGTH = 1024
+
 _TASK_DEFAULTS = {
     "kind": "parity",
     "seed": 0,
@@ -134,9 +137,9 @@ def _check_model(model: dict) -> None:
 def _check_task(task: dict) -> None:
     for key in ("bin0", "bin1"):
         lo_hi = task[key]
-        pair = isinstance(lo_hi, list) and len(lo_hi) == 2 and all(_is_int(n) and n >= 1 for n in lo_hi)
+        pair = isinstance(lo_hi, list) and len(lo_hi) == 2 and all(_is_int(n) and 1 <= n <= MAX_LENGTH for n in lo_hi)
         if not pair or lo_hi[0] > lo_hi[1]:
-            raise ConfigError(f"$.task.{key} must be two integers 1 <= lo <= hi, got {lo_hi!r}")
+            raise ConfigError(f"$.task.{key} must be two integers 1 <= lo <= hi <= {MAX_LENGTH}, got {lo_hi!r}")
     if not _is_int(task["seed"]):
         raise ConfigError(f"$.task.seed must be an integer, got {task['seed']!r}")
     params = task["params"]

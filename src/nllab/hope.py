@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,8 +116,7 @@ class _Attention:
         kt = np.swapaxes(kb, -1, -2).copy()
         scores = kt @ qb
         if self.linear:
-            n = scores.shape[-1]
-            weight = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+            weight = _linear_weight(scores.shape[-1])
             mix = scores * weight
         else:
             weight = self.scale
@@ -137,6 +136,65 @@ class _Attention:
         gq = T._unit_grad(q, nq, T._time_major(gq))
         gxn = (wv.T @ gv + wk.T @ gk) + wq.T @ gq
         return gxn, gq @ xn.T, gk @ xn.T, gv @ xn.T
+
+
+@lru_cache(maxsize=64)
+def _linear_weight(n: int) -> np.ndarray:
+    """The linear-attention mix of n tokens, triu(1) / (t+1) per query column t; shared, read-only."""
+    weight = np.triu(np.ones((n, n))) / np.arange(1, n + 1)
+    weight.setflags(write=False)
+    return weight
+
+
+class _LossHead:
+    """Value function and VJP of the loss head of a time-major (d, L*B) batch,
+    recorded as one tape node (op "loss_head").
+
+    The parents are the hidden columns h and the head matrix W.  Sample b's
+    loss is the mean cross-entropy of W h[:, cols[b]], its next-token,
+    per-prefix or last-token columns, against its targets; the value is the
+    mean of the B losses.  It takes the numpy steps of the per-op graph
+    (`verify._loss_head_oracle`): one product per sample on a contiguous copy
+    of its columns, then one log-softmax over all the logits, which is
+    column-wise, except that a one-column sample gets its own, as numpy sums
+    a lone column in another order.  The VJP sums W's gradient last sample
+    first, as the tape does.  The logits are finite-checked inside, where the
+    per-op graph checks them.
+    """
+
+    def __init__(self, cols: list, targets: np.ndarray):
+        self.cols, self.targets = cols, targets
+        self.saved = ()
+
+    def value(self, h, w):
+        xs = [h[:, c].copy() for c in self.cols]
+        parts = [w @ x for x in xs]
+        logits = np.concatenate(parts, axis=1)
+        T._check_finite(logits, "the logits")
+        ls = T._log_softmax(logits)
+        stops = np.cumsum([x.shape[1] for x in xs])
+        if len(xs) > 1:
+            for part, stop in zip(parts, stops):
+                if part.shape[1] == 1:
+                    ls[:, stop - 1 : stop] = T._log_softmax(part)
+        picked = ls[self.targets, np.arange(len(self.targets))]
+        losses = [-picked[stop - x.shape[1] : stop].mean() for x, stop in zip(xs, stops)]
+        self.saved = (h.shape, w, xs, ls, stops)
+        return (1.0 / len(losses)) * reduce(np.add, losses)
+
+    def vjp(self, g):
+        shape, w, xs, ls, stops = self.saved
+        self.saved = ()  # a tape runs one backward pass
+        g = g * (1.0 / len(xs))
+        grad = np.exp(ls)
+        grad[self.targets, np.arange(len(self.targets))] -= 1.0
+        gh, gws = np.zeros(shape), []
+        for c, x, stop in zip(self.cols, xs, stops):
+            n = x.shape[1]
+            gl = g * grad[:, stop - n : stop] / n
+            gws.append(gl @ x.T)
+            gh[:, c] = w.T @ gl
+        return gh, reduce(np.add, reversed(gws))
 
 
 class HopeModel:
@@ -242,24 +300,28 @@ class HopeModel:
             x = self._block(tape, nodes, b, x, lengths, collect_penalty=collect_penalty)
         return x  # readout applied by the heads
 
-    def _sample_loss(self, nodes: dict, h: Node, sample: dict, b: int = 0, batch: int = 1) -> Node:
-        """Loss of sample `b` of a time-major batch from its real columns of `h`:
-        next-token, per-prefix or last-token head."""
-        tokens = sample["tokens"]
-        head = nodes["head"]
-        if not self.config.num_classes:
-            if len(tokens) < 2:
-                raise ValueError("next-token loss needs sequences of length >= 2")
-            logits = T.matmul(head, T.slice_columns(h, b, (len(tokens) - 1) * batch, batch))
-            return T.cross_entropy_columns(logits, list(tokens[1:]))
-        prefix = sample.get("prefix_labels")
-        if prefix is not None:
-            logits = T.matmul(head, T.slice_columns(h, b, len(tokens) * batch, batch))
-            return T.cross_entropy_columns(logits, prefix)
-        if sample["label"] is None:
-            raise ValueError("a classifier's loss needs a label")
-        last = (len(tokens) - 1) * batch + b
-        return T.cross_entropy_columns(T.matmul(head, T.slice_columns(h, last, last + 1)), [sample["label"]])
+    def _loss_head(self, h: Node, head: Node, samples: Sequence[dict]) -> Node:
+        """Mean loss of a time-major batch's samples from their real columns of `h`,
+        as one `_LossHead` node: next-token, per-prefix or last-token head."""
+        batch, classes = len(samples), head.value.shape[0]
+        cols, targets = [], []
+        for b, sample in enumerate(samples):
+            n = len(sample["tokens"])
+            if not self.config.num_classes:
+                if n < 2:
+                    raise ValueError("next-token loss needs sequences of length >= 2")
+                col, width, target = slice(b, (n - 1) * batch, batch), n - 1, list(sample["tokens"][1:])
+            elif sample.get("prefix_labels") is not None:
+                col, width, target = slice(b, n * batch, batch), n, sample["prefix_labels"]
+            elif sample["label"] is None:
+                raise ValueError("a classifier's loss needs a label")
+            else:
+                last = (n - 1) * batch + b
+                col, width, target = slice(last, last + 1), 1, [sample["label"]]
+            cols.append(col)
+            targets.append(T._targets(target, classes, width))
+        node = _LossHead(cols, np.concatenate(targets))
+        return h.tape._record(node.value, (h, head), node.vjp, "loss_head")
 
     def build_loss(self, tape: Tape, batch: Sequence[dict], with_penalty: bool = False) -> Node:
         """Mean loss over a batch of samples ({"tokens", "label"} dicts), from one forward graph.
@@ -272,8 +334,7 @@ class HopeModel:
         nodes = self._register(tape)
         penalties = [] if (with_penalty and self.config.core == "srt" and self.config.fast_weight_penalty > 0) else None
         h = self._hidden(tape, nodes, [sample["tokens"] for sample in batch], collect_penalty=penalties)
-        losses = [self._sample_loss(nodes, h, sample, b, len(batch)) for b, sample in enumerate(batch)]
-        total = T.mul(1.0 / len(losses), reduce(T.add, losses))
+        total = self._loss_head(h, nodes["head"], batch)
         if penalties:
             total = T.add(total, T.mul(self.config.fast_weight_penalty / len(penalties), reduce(T.add, penalties)))
         return total
@@ -294,7 +355,7 @@ class HopeModel:
     def score(self, tokens: Sequence[int], label=None) -> tuple[int, float]:
         """(predicted label or next token, loss) from one forward."""
         _, nodes, h, prediction = self._forward(tokens)
-        return prediction, float(self._sample_loss(nodes, h, {"tokens": tokens, "label": label}).value)
+        return prediction, float(self._loss_head(h, nodes["head"], [{"tokens": tokens, "label": label}]).value)
 
     def loss(self, tokens: Sequence[int], label=None) -> float:
         return self.score(tokens, label)[1]
@@ -345,10 +406,30 @@ def _global_grad_norm(grads: dict) -> float:
     return math.sqrt(total)
 
 
-def outer_optimizer_states(model: HopeModel, opt_kind: str, opt_hp: Optional[dict] = None) -> dict:
-    """Fresh outer optimizer state for every array of `model.params`, which train() steps with it."""
+def outer_optimizer_states(model: HopeModel, opt_kind: str, opt_hp: Optional[dict] = None) -> list:
+    """Fresh outer optimizer groups that train() steps `model.params` with, as
+    (names, packed parameter, state) triples: for a kind in `optim.ELEMENTWISE`
+    one group of every array in sorted-name order, otherwise one group per array."""
     hp = {**(ADAM_HP if opt_kind == "adam" else {}), **(opt_hp or {})}
-    return {name: optim.init_state(opt_kind, value.shape, **hp) for name, value in model.params.items()}
+    names = sorted(model.params)
+    groups = [names] if opt_kind in optim.ELEMENTWISE else [[name] for name in names]
+    packed = [_packed(model.params, group) for group in groups]
+    return [(group, p, optim.init_state(opt_kind, p.shape, **hp)) for group, p in zip(groups, packed)]
+
+
+def _packed(arrays: dict, names: list) -> np.ndarray:
+    """The named arrays as one: a lone array as it is, several raveled and concatenated."""
+    if len(names) == 1:
+        return arrays[names[0]]
+    return np.concatenate([arrays[name].ravel() for name in names])
+
+
+def _unpacked(packed: np.ndarray, like: dict, names: list) -> dict:
+    """`_packed`'s inverse: views of `packed` shaped as the named arrays of `like`."""
+    if len(names) == 1:
+        return {names[0]: packed}
+    parts = np.split(packed, np.cumsum([like[name].size for name in names])[:-1])
+    return {name: part.reshape(like[name].shape) for name, part in zip(names, parts)}
 
 
 def train(
@@ -373,7 +454,7 @@ def train(
     `model.params` as the step found them.
     """
     rng = np.random.default_rng(seed)
-    opt_states = outer_optimizer_states(model, opt_kind, opt_hp)
+    groups = outer_optimizer_states(model, opt_kind, opt_hp)
     log: list[dict] = []
     clip = clip_norm if clip_norm and clip_norm > 0 else None
 
@@ -389,26 +470,32 @@ def train(
             log.append({"step": step_idx, "event": "diverged", "detail": str(exc)})
             raise DivergenceError(step_idx, log) from exc
 
-        if clip is not None and gnorm > clip:
-            scale = clip / gnorm
-            grads = {k: v * scale for k, v in grads.items()}
+        scale = clip / gnorm if clip is not None and gnorm > clip else None
 
         # every outer update is computed before any is committed
-        stepped = {}
+        stepped = []
         try:
-            for name in sorted(model.params):
-                where = name
-                stepped[name] = optim.step(opt_kind, opt_states[name], model.params[name], grads[name])
+            for names, p, state in groups:
+                where = names[0] if len(names) == 1 else None  # None: found only if the step fails
+                g = _packed(grads, names)
+                if scale is not None:
+                    g = g * scale
+                stepped.append(optim.step(opt_kind, state, p, g))
             for b, chain in enumerate(model.chains):
                 if chain is not None:
                     where = f"b{b}.cms"
-                    levels = [f"b{b}.cms.level{i}" for i in range(len(chain.levels))]
-                    cms_accumulate(chain, [(grads[f"{key}.w1"], grads[f"{key}.w2"]) for key in levels])
+                    keys = [f"b{b}.cms.level{i}" for i in range(len(chain.levels))]
+                    levels = [(grads[f"{key}.w1"], grads[f"{key}.w2"]) for key in keys]
+                    cms_accumulate(chain, levels if scale is None else [(g1 * scale, g2 * scale) for g1, g2 in levels])
         except T.NonFiniteError as exc:
+            if where is None:  # the first array that the step over several made non-finite
+                new = _unpacked(optim._update(opt_kind, state, p, g)[0], model.params, names)
+                where = next(name for name in names if not np.isfinite(new[name]).all())
             log.append({"step": step_idx, "event": "diverged", "detail": f"{exc} of {where!r}"})
             raise DivergenceError(step_idx, log) from exc
-        for name, (value, state) in stepped.items():
-            model.params[name], opt_states[name] = value, state
+        groups = [(names, p, state) for (names, _, _), (p, state) in zip(groups, stepped)]
+        for names, p, _ in groups:
+            model.params.update(_unpacked(p, model.params, names))
 
         tokens_used = sum(len(s["tokens"]) for s in batch)
         for b, chain in enumerate(model.chains):

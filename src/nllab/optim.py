@@ -37,6 +37,10 @@ KINDS = (
     "m3",
 )
 
+# the kinds whose step reads and writes each coordinate alone: one step over the
+# concatenation of several parameters is each parameter's own step, bit for bit
+ELEMENTWISE = ("sgd", "momentum", "adam", "adam_am")
+
 _DEFAULTS = {
     "sgd": dict(eta=0.1),
     "momentum": dict(eta=0.1, beta=0.9, feature_map="identity"),

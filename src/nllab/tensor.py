@@ -362,10 +362,17 @@ def l2_normalize_columns(x: Node) -> Node:
     return x.tape._record(unit, (x,), vjp, "l2_normalize_columns")
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(n: int) -> np.ndarray:
+    """(n,n) bool, [i, j] true iff i <= j: key i is visible to query j; shared, read-only."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def _causal_softmax(v: np.ndarray) -> np.ndarray:
     """`causal_softmax_columns`'s value for square (...,L,L) scores."""
-    mask = np.triu(np.ones(v.shape[-2:], dtype=bool))  # [i, j] valid iff i <= j
-    m = np.where(mask, v, -np.inf)
+    m = np.where(_causal_mask(v.shape[-1]), v, -np.inf)
     m = m - m.max(axis=-2, keepdims=True)
     e = np.exp(m)
     return e / e.sum(axis=-2, keepdims=True)
@@ -933,17 +940,22 @@ def _log_softmax(v: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=0))
 
 
+def _targets(targets: Sequence[int], classes: int, columns: int) -> np.ndarray:
+    """One integer target per logit column, each a row of the (classes, columns) logits."""
+    targets = _int_ids(targets, "cross_entropy_columns: target")
+    if targets.ndim != 1 or targets.shape[0] != columns:
+        raise ShapeError(f"cross_entropy_columns: {targets.size} targets for {columns} columns")
+    if np.any(targets < 0) or np.any(targets >= classes):
+        raise ValueError("cross_entropy_columns: target id out of range")
+    return targets
+
+
 def cross_entropy_columns(logits: Node, targets: Sequence[int]) -> Node:
     """Mean cross-entropy of a (vocab,L) logit matrix against L integer targets."""
     v = logits.value
-    targets = _int_ids(targets, "cross_entropy_columns: target")
     if v.ndim != 2:
         raise ShapeError(f"cross_entropy_columns: need a logit matrix, got {v.shape}")
-    if targets.ndim != 1 or targets.shape[0] != v.shape[1]:
-        raise ShapeError(f"cross_entropy_columns: {targets.shape[0]} targets for {v.shape[1]} columns")
-    if np.any(targets < 0) or np.any(targets >= v.shape[0]):
-        raise ValueError("cross_entropy_columns: target id out of range")
-    picked, n = (targets, np.arange(v.shape[1])), v.shape[1]
+    picked, n = (_targets(targets, *v.shape), np.arange(v.shape[1])), v.shape[1]
     saved = []  # the log-softmax, left by `value` for the VJP
 
     def value(a):

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -71,6 +71,9 @@ def run_checks(pattern: Optional[str] = None, faults: Optional[Iterable[str]] = 
     unknown = sorted(set(faults) - FAULTS.keys())
     if unknown:
         raise ValueError(f"unknown faults {unknown}; known: {sorted(FAULTS)}")
+    missed = sorted(fault for fault in faults if pattern and pattern not in FAULTS[fault][0])
+    if missed:  # a negative control that cannot fail
+        raise ValueError(f"faults {missed} break checks that filter {pattern!r} leaves out")
     if not out_dir:
         with tempfile.TemporaryDirectory(prefix="nllab-verify-") as tmp:
             return run_checks(pattern, faults, tmp)
@@ -126,6 +129,7 @@ FAULTS = {
     ),
     "attention-vjp": ("attention-fused-core", hope_mod._Attention, "vjp", _scaled),
     "rms-norm-vjp": ("attention-fused-core", T, "_rms_grad", _scaled),
+    "loss-head-vjp": ("loss-head", hope_mod._LossHead, "vjp", _scaled),
 }
 
 
@@ -796,6 +800,65 @@ def check_attention_core(out_dir) -> tuple:
         fd_worst = max(fd_worst, _directional_error(fused, vals, probes, grads, direction))
     detail = f"forward bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_worst:.2e}"
     return exact and worst <= 1e-12 and fd_worst < 1e-6, worst, detail
+
+
+def _loss_head_oracle(model: HopeModel, h, head, samples: list):
+    """The per-op graph that `HopeModel._loss_head` records as one node: per
+    sample its columns of `h`, one head matmul and its cross entropy, then the
+    mean of the losses."""
+    batch = len(samples)
+    losses = []
+    for b, sample in enumerate(samples):
+        n = len(sample["tokens"])
+        if not model.config.num_classes:
+            cols, target = T.slice_columns(h, b, (n - 1) * batch, batch), list(sample["tokens"][1:])
+        elif sample.get("prefix_labels") is not None:
+            cols, target = T.slice_columns(h, b, n * batch, batch), sample["prefix_labels"]
+        else:
+            last = (n - 1) * batch + b
+            cols, target = T.slice_columns(h, last, last + 1), [sample["label"]]
+        losses.append(T.cross_entropy_columns(T.matmul(head, cols), target))
+    return T.mul(1.0 / batch, reduce(T.add, losses))
+
+
+def _head_run(model: HopeModel, head, batch: list):
+    """`_probed`'s run of a blocks-0 model's loss on `batch`, its head recorded by
+    `head`: `HopeModel._loss_head` or its per-op graph."""
+
+    def run(tape, nodes):
+        h = model._hidden(tape, nodes, [sample["tokens"] for sample in batch])
+        return [head(h, nodes["emb" if model.config.tie_readout else "readout"], batch)]
+
+    return run
+
+
+@register("loss-head")
+def check_loss_head(out_dir) -> tuple:
+    worst = 0.0  # head node vs per-op graph: every gradient, relative to its largest entry
+    exact = True  # loss bit-identical
+    rng = np.random.default_rng(40)
+    # next-token (tied and not), per-prefix and last-token heads on ragged batches;
+    # 40 logit rows, where numpy often sums a lone column to other bits than a
+    # column of a wider matrix, and two one-column samples per batch
+    for classes, tie, target in ((0, False, None), (0, True, None), (40, False, "prefix_labels"), (40, False, "label")):
+        model = HopeModel(HopeConfig(vocab=40, dim=4, blocks=0, num_classes=classes, tie_readout=tie), seed=0)
+        batch = []
+        for n in (5, 1, 3, 1) if classes else (5, 2, 3, 2):
+            sample = {"tokens": [int(t) for t in rng.integers(0, 40, size=n)], "label": None}
+            if target:
+                labels = [int(c) for c in rng.integers(0, classes, size=n)]
+                sample[target] = labels if target == "prefix_labels" else labels[-1]
+            batch.append(sample)
+        vals = {name: rng.normal(size=value.shape) for name, value in model.params.items()}
+        probes = [rng.normal()]
+        node = _head_run(model, model._loss_head, batch)
+        same, err, grads = _against_graph(node, _head_run(model, partial(_loss_head_oracle, model), batch), vals, probes)
+        exact, worst = exact and same, max(worst, err)
+        if tie:  # along every input, where the embedding table is the head too
+            direction = {key: rng.normal(size=v.shape) for key, v in vals.items()}
+            fd_err = _directional_error(node, vals, probes, grads, direction)
+    detail = f"loss bit-identical={exact}, gradients vs per-op graph rel={worst:.2e}, vs finite differences rel={fd_err:.2e}"
+    return exact and worst == 0.0 and fd_err < 1e-6, worst, detail
 
 
 @register("hope-gradient-integrity")

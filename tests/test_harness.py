@@ -660,6 +660,20 @@ def test_cli_rejects_invalid_config(tmp_path, capsys, monkeypatch):
     assert [lv.chunk for lv in build_model(cfg).chains[0].levels] == [1, None]
 
 
+def test_a_length_bin_beyond_the_cap_is_refused_before_any_data_is_made(tmp_path, capsys, monkeypatch):
+    from nllab import cli
+
+    monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("task data made for a refused config"))
+    for key, bins in (("bin1", [41, 10**9]), ("bin0", [config.MAX_LENGTH + 1, config.MAX_LENGTH + 1])):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"task": {key: bins}, "out_dir": str(tmp_path / key)}))
+        assert main(["train", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"$.task.{key}" in err and f"<= {config.MAX_LENGTH}" in err, err
+        assert not (tmp_path / key).exists()
+    assert resolve({"task": {"bin1": [41, config.MAX_LENGTH]}})["task"]["bin1"] == [41, config.MAX_LENGTH]
+
+
 def _bad_path_args(tmp_path) -> dict:
     cfg = {"task": {"kind": "parity"}, "model": {"dim": 8}, "train": {"train_samples": 4, "eval_samples": 4}}
     good = tmp_path / "cfg.json"
@@ -814,6 +828,15 @@ def test_cli_verify_filter_and_fault_injection(tmp_path, capsys):
 def test_verify_refuses_an_unknown_fault():
     with pytest.raises(ValueError, match="hebbian-sing.*hebbian-sign"):
         verify.run_checks(pattern="hebbian", faults={"hebbian-sing"})
+
+
+def test_verify_refuses_a_fault_whose_check_the_filter_leaves_out(tmp_path, capsys):
+    # a negative control that cannot fail would read as a pass
+    with pytest.raises(ValueError, match=r"hebbian-sign.*'runlog'"):
+        verify.run_checks(pattern="runlog", faults=["hebbian-sign"])
+    assert main(["verify", "--filter", "runlog", "--out", str(tmp_path), "--inject-fault", "hebbian-sign"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("fault", [fault for fault in verify.FAULTS if fault != "hebbian-sign"], ids=lambda fault: verify.FAULTS[fault][0])

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nllab import tasks
+from nllab import optim, tasks
 from nllab import tensor as T
 from nllab.hope import DivergenceError, HopeConfig, HopeModel, train
 from nllab.srt import SLOTS
@@ -60,6 +60,8 @@ def test_non_integer_token_ids_and_labels_raise_naming_them():
         model.score([1, 2], 1.5)
     with pytest.raises(ValueError, match=r"target 0\.5 is not an integer"):
         model.build_loss(Tape(), [{"tokens": [1, 2], "label": 0, "prefix_labels": [1, 0.5]}])
+    with pytest.raises(T.ShapeError, match="1 targets for 2 columns"):
+        model.build_loss(Tape(), [{"tokens": [1, 2], "label": 0, "prefix_labels": 1}])
 
 
 def test_an_empty_batch_is_rejected_by_name():
@@ -376,6 +378,42 @@ def test_nonfinite_evaluation_ends_training_as_a_divergence():
     assert last["event"] == "diverged" and "probe (node 1)" in last["detail"] and "loss" in last
 
 
+def _flat_and_per_parameter_runs(kind, hp, monkeypatch) -> list:
+    """(log, parameter bytes, optim.step calls) of train() stepping every parameter
+    at once, then of train() stepping one parameter per call."""
+    data = tasks.generate(tasks.TaskSpec("char_lm", seed=7, params={"window": 12}), 16)
+    cfg = tiny_lm_config(vocab=len(tasks.vocabulary("char_lm")), core="attention", cms_variant="independent")
+    calls = []
+    steps = optim.step
+    monkeypatch.setattr(optim, "step", lambda *args: calls.append(1) or steps(*args))
+    runs = []
+    for elementwise in (optim.ELEMENTWISE, ()):
+        monkeypatch.setattr(optim, "ELEMENTWISE", elementwise)
+        model = HopeModel(cfg, seed=1)
+        try:
+            log = train(model, data, opt_kind=kind, steps=4, seed=2, batch_size=3, opt_hp=hp, clip_norm=0.5)
+        except DivergenceError as exc:
+            log = exc.log
+        runs.append((log, {name: value.tobytes() for name, value in model.params.items()}, len(calls)))
+        calls.clear()
+    return runs
+
+
+@pytest.mark.parametrize("kind, hp", [("sgd", None), ("momentum", {"feature_map": "square"}), ("adam", None), ("adam_am", None)])
+def test_one_elementwise_step_per_training_step_is_the_per_parameter_steps(kind, hp, monkeypatch):
+    (flat_log, flat_params, flat_calls), (log, params, calls) = _flat_and_per_parameter_runs(kind, hp, monkeypatch)
+    assert flat_log == log and flat_params == params
+    assert flat_calls == len(log) and calls == len(log) * len(params)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nonfinite_elementwise_step_names_the_parameter_the_per_parameter_steps_name(monkeypatch):
+    # the first momentum step is finite; the second overflows
+    (flat_log, flat_params, _), (log, params, _) = _flat_and_per_parameter_runs("momentum", {"eta": 1e10, "beta": 1e300}, monkeypatch)
+    assert [r["step"] for r in log] == [1, 2] and log[-1]["detail"].startswith("non-finite values in the momentum step of '")
+    assert flat_log == log and flat_params == params
+
+
 def test_independent_blend_weights_take_the_outer_optimizer_step():
     model = HopeModel(tiny_lm_config(cms_variant="independent"), seed=0)
     # a non-zero head, so the loss reaches the blend weights
@@ -487,8 +525,8 @@ def test_batch_tape_is_the_longest_samples_tape_plus_a_head_per_sample():
         tape = Tape()
         model.build_loss(tape, samples)
         counts.append(len(tape.nodes))
-    # per extra sample: its head's column, matmul, cross entropy and one add into the total
-    assert counts[0] <= counts[1] + 4 * (len(batch) - 1)
+    # the heads of all samples are one node
+    assert counts[0] == counts[1]
 
 
 def test_train_ticks_each_chain_once_per_step(monkeypatch):
@@ -544,7 +582,7 @@ def test_build_loss_records_one_fused_core_node_per_block(chunk):
 PER_OP_GRAPH_OPS = ("sqrt", "reciprocal", "scale_columns", "scale_rows", "sample_stack", "causal_softmax_columns", "time_major")
 
 
-@pytest.mark.parametrize("core, total", [("srt", 63), ("attention", 32), ("linear_attention", 40)])
+@pytest.mark.parametrize("core, total", [("srt", 55), ("attention", 24), ("linear_attention", 24)])
 def test_char_lm_step_records_one_core_node_and_two_rms_nodes_per_block(core, total):
     # the char-LM smoke model and batch size of each core
     cfg = HopeConfig(vocab=len(tasks.vocabulary("char_lm")), dim=24, core=core, chunk=8, cms_chunks=(1, 4), cms_hidden=12, mem_hidden=24)
@@ -580,8 +618,10 @@ def test_a_training_step_checks_each_value_once_where_it_is_made(monkeypatch):
     # the char-LM attention step: copy-only ops move values their inputs' ops
     # already checked, so only the other ops, the leaves and the parameter
     # gradients are finite-checked; and, inside the fused nodes, each RMS
-    # norm's mean square and the attention core's v projection
-    cfg = HopeConfig(vocab=12, dim=8, core="attention", chunk=4, cms_chunks=(1, 4), cms_hidden=4)
+    # norm's mean square, the attention core's v projection and the loss
+    # head's logits
+    # (the independent chain reads its blend weights through copy-only `element` ops)
+    cfg = HopeConfig(vocab=12, dim=8, core="attention", chunk=4, cms_chunks=(1, 4), cms_hidden=4, cms_variant="independent")
     model = HopeModel(cfg, seed=30)
     rng = np.random.default_rng(31)
     batch = [{"tokens": [int(t) for t in rng.integers(0, cfg.vocab, size=n)], "label": None} for n in (9, 6)]
@@ -596,4 +636,5 @@ def test_a_training_step_checks_each_value_once_where_it_is_made(monkeypatch):
     assert copies > 0
     inner = sum(node.value.shape[1] for node in tape.nodes if node.op == "rms_norm")
     inner += sum(node.value.size for node in tape.nodes if node.op == "attention_core")
+    inner += cfg.vocab * sum(len(sample["tokens"]) - 1 for sample in batch)
     assert sum(counted) == made + inner + sum(node.value.size for node in tape.params.values())

@@ -332,3 +332,38 @@ def test_momentum_square_feature_map():
     assert np.array_equal(p2, p1 + expect_m)
     with pytest.raises(ValueError):
         step("momentum", init_state("momentum", (3,), feature_map="cubic"), p, g)
+
+
+@pytest.mark.parametrize(
+    "kind, hp",
+    [
+        ("sgd", {}),
+        ("momentum", {}),
+        ("momentum", {"feature_map": "square"}),
+        ("adam", {}),
+        ("adam", {"ema": True}),
+        ("adam", {"ema": True, "bias_correction": True, "eps": 1e-8}),
+        ("adam", {"ema": True, "bias_correction": True, "weight_decay": 0.01}),
+        ("adam", {"weight_decay": 0.1}),
+        ("adam_am", {}),
+        ("adam_am", {"lam": 1e-3}),
+    ],
+    ids=lambda x: x if isinstance(x, str) else "-".join(f"{k}={v}" for k, v in x.items()) or "defaults",
+)
+def test_an_elementwise_step_over_concatenated_parameters_is_each_ones_own_step(kind, hp):
+    assert kind in optim.ELEMENTWISE
+    rng = np.random.default_rng(2)
+    shapes = [(3, 4), (5,), (2, 2), (1,)]
+    params = [rng.normal(size=shape) for shape in shapes]
+    states = [init_state(kind, shape, **hp) for shape in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    flat_state = init_state(kind, flat.shape, **hp)
+    for _ in range(50):
+        # exact zeros too, where adam's denominator vanishes
+        grads = [rng.normal(size=shape) * (rng.random(shape) < 0.8) for shape in shapes]
+        stepped = [step(kind, st, p, g) for st, p, g in zip(states, params, grads)]
+        params, states = [p for p, _ in stepped], [st for _, st in stepped]
+        flat, flat_state = step(kind, flat_state, flat, np.concatenate([g.ravel() for g in grads]))
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+        for slot, value in flat_state.slots.items():
+            assert value.tobytes() == np.concatenate([st.slots[slot].ravel() for st in states]).tobytes(), slot
