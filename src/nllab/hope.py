@@ -126,7 +126,6 @@ class _Attention:
 
     def vjp(self, g):
         xn, wq, wk, wv, q, nq, k, nk, qb, vb, kt, weight, mix = self.saved
-        self.saved = ()  # a tape runs one backward pass
         gy = T._batch_major(g, self.batch)
         gv, gmix = gy @ np.swapaxes(mix, -1, -2), np.swapaxes(vb, -1, -2) @ gy
         gs = gmix * weight if self.linear else T._softmax_grad(mix, gmix) * weight
@@ -184,7 +183,6 @@ class _LossHead:
 
     def vjp(self, g):
         shape, w, xs, ls, stops = self.saved
-        self.saved = ()  # a tape runs one backward pass
         g = g * (1.0 / len(xs))
         grad = np.exp(ls)
         grad[self.targets, np.arange(len(self.targets))] -= 1.0

@@ -32,7 +32,9 @@ run on the same input.  Y is 0 at every padded column and takes no gradient
 there.
 
 On the tape, a block's whole chunk loop is one node (`_Core`) whose VJP is
-written by hand and runs the chunks backwards.  The oracle,
+written by hand and runs the chunks backwards.  Each of its reads, a slot's
+own weight or the row stack over the inputs it takes, goes through one
+forward (`_read`) and one VJP (`_read_grad`).  The oracle,
 `verify._srt_forward_oracle`, is the plain per-slot graph: every slot its own
 fast weight, every read a `memory.read_node`, one decay_scan per weight of
 each updated slot.  The core matches it bit for bit: each row block of a
@@ -133,73 +135,76 @@ def _layout(cfg: SrtConfig, x: Node, lengths) -> tuple:
     if d != cfg.dim:
         raise T.ShapeError(f"token width {d} does not match configured width {cfg.dim}")
     lengths = [width] if lengths is None else [int(n) for n in lengths]
-    batch = len(lengths)
-    L = width // batch
-    if width % batch or min(lengths) < 1 or max(lengths) > L:
-        raise T.ShapeError(f"{width} columns do not hold {batch} sequences of lengths {lengths}")
+    if not lengths or width % len(lengths) or min(lengths) < 1 or max(lengths) > width // len(lengths):
+        raise T.ShapeError(f"{width} columns do not hold {len(lengths)} sequences of lengths {lengths}")
+    L = width // len(lengths)
     return lengths, L, min(lengths) < L
 
 
 _X, _KV = 0, 1  # the first stage's inputs: token columns, conv columns
 _Q, _V, _K = 0, 1, 2  # the second stage's: unit q, v and k, one (3,b,d,C) stack
-
-
-def _sigmoids(parts: list) -> list:
-    """`tensor._sigmoid` of each array in parts, from one call over their
-    concatenation: the sigmoid is elementwise, so each is its own call's bits."""
-    flat, out, start = T._sigmoid(np.concatenate(parts, axis=None)), [], 0
-    for p in parts:
-        out.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
-    return out
+_STACK = len(SLOTS)  # the row stack's index among the core's weights, after the slots'
 
 
 def _pick(at: tuple):
-    """Index of the second-stage inputs `at` (ascending): a view when they are adjacent."""
+    """Index of the inputs `at` (ascending) of a stage: a view when they are adjacent."""
     return slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else list(at)
 
 
-def _reads(specs: list, ws: list, cols: list, prods: list, partial) -> tuple:
-    """The first stage's reads, (B,p,C) each.  A spec (slot, input, rows, mlp)
-    reads the rows of a row-stack product in `prods` (rows not None), its own
-    linear weight in `ws`, or its own residual MLP.  Returns the outputs and
-    each MLP read's (z, s, h)."""
-    # a spec's weight index is 1 for an MLP2 read (its pre-activation first), 0 for a linear one
-    outs = [prods[inp][:, rows] if rows is not None else T._bmm(ws[i][mlp], cols[inp], partial) for i, inp, rows, mlp in specs]
-    mlps, saves = [r for r, spec in enumerate(specs) if spec[3]], []
-    for r, s in zip(mlps, _sigmoids([outs[r] for r in mlps]) if mlps else ()):
-        (i, inp, _, _), z = specs[r], outs[r]
-        h = z * s
-        outs[r] = cols[inp] + T._bmm(ws[i][0], h, partial)
-        saves.append((z, s, h))
-    return outs, saves
+def _read(reads: list, mlps: list, ws: list, xs: np.ndarray, partial, pre) -> tuple:
+    """The reads of one stage from its (m,b,n,C) input stack xs.  A read
+    (i, at, pick, adv) is weight i, a slot's own or the row stack, over the
+    inputs `at` (`pick` indexes them), one product per layer over the leading
+    axis, so each input's rows are that input's own product.  `mlps` lists
+    the MLP2 reads, whose weight's last layer is the pre-activation one.  One
+    `tensor._sigmoid` call covers every MLP pre-activation and the (G,b,C) gate
+    pre-activations in `pre` (a list of at most one), so each keeps its own
+    call's bits.  Returns the (m,b,p,C) outputs, each MLP2 read's
+    (z, s, h, silu'(z)), and the gates' sigmoid (None without gates)."""
+    outs = [T._bmm(ws[i][-1], xs[pick], partial) for i, _, pick, _ in reads]
+    saves, gsig = [None] * len(reads), None
+    if mlps or pre:
+        flat, start = T._sigmoid(np.concatenate([outs[r] for r in mlps] + pre, axis=None)), 0
+        for r in mlps:
+            (i, _, pick, _), z = reads[r], outs[r]
+            s = flat[start : start + z.size].reshape(z.shape)
+            start += z.size
+            h = z * s
+            outs[r] = xs[pick] + T._bmm(ws[i][0], h, partial)
+            saves[r] = (z, s, h, T._silu_prime(z, s))
+        gsig = flat[start:].reshape(pre[0].shape) if pre else None
+    return outs, saves, gsig
 
 
-def _reads_grad(specs: list, ws: list, cols: list, saves: list, gs: list, grads: list, gcols: list, gprod: list, rows: int) -> None:
-    """Backward of `_reads` from the outputs' gradients `gs` (None: no gradient):
-    adds to the slots' weight gradients `grads`, the inputs' `gcols` and the
-    (B,rows,C) row-stack products' `gprod`."""
-    saves = iter(saves)
-    for (i, inp, block, mlp), g in zip(specs, gs):
-        saved = next(saves) if mlp else None
-        if g is None:
-            continue
-        if block is not None:
-            if gprod[inp] is None:
-                gprod[inp] = np.zeros((len(g), rows, g.shape[2]))
-            gprod[inp][:, block] += g
-            continue
-        w, gw = ws[i], grads[i]
-        if mlp:
-            z, s, h = saved
-            gw[0] += T._bmm_dw(g, h)
-            gz = T._bmm_dx(w[0], g) * T._silu_prime(z, s)
-            gw[1] += T._bmm_dw(gz, cols[inp])
-            g = g + T._bmm_dx(w[1], gz)
-        else:
-            gw[0] += T._bmm_dw(g, cols[inp])
-            g = T._bmm_dx(w[0], g)
-        gcols[inp] = g if gcols[inp] is None else gcols[inp] + g
+def _read_grad(w: tuple, gw: list, xs: np.ndarray, saved, gout, extra=None) -> np.ndarray:
+    """VJP of one read of `_read` from the (m,b,p,C) gradient `gout` of its first
+    m outputs (None: m = 0): adds to the weight gradients `gw`, last input first,
+    and returns the gradients of its inputs xs.  An updated MLP2 slot's scans
+    add `extra` = (gx, gh, gz) at its last input, that input's hidden layer and
+    its pre-activation; the input's gradient adds them before the read's own."""
+    if saved is None:
+        for dw in T._bmm_dw(gout, xs)[::-1]:
+            gw[0] += dw
+        return T._bmm_dx(w[0], gout)
+    (w1, w2), (z, s, h, sp) = w, saved
+    m, plain = 0 if gout is None else len(gout), len(z) - (extra is not None)
+    gz = np.empty_like(z)
+    if m:
+        dx1, dw1 = T._bmm_dx(w1, gout), T._bmm_dw(gout, h[:m])
+        np.multiply(dx1[:plain], sp[:plain], out=gz[:plain])
+    if extra is not None:
+        gx, gh, gzx = extra
+        gz[-1] = gzx + (gh + dx1[-1] if m > plain else gh) * sp[-1]
+    dw2, dx = T._bmm_dw(gz, xs), T._bmm_dx(w2, gz)
+    for j in reversed(range(len(z))):
+        if j < m:
+            gw[0] += dw1[j]
+        gw[1] += dw2[j]
+    if m:  # the residual
+        dx[:plain] += gout[:plain]
+    if extra is not None:
+        dx[-1] += gx + gout[-1] if m > plain else gx
+    return dx
 
 
 def _index(rows: list):
@@ -227,18 +232,28 @@ class _Core:
     `tensor.bmatmul` multiplies them, and time-major (d, C*B) columns where
     the graph has them (the wq product, column norms, gate means).
 
-    The configuration and the batch's lengths are resolved once, here: which
-    slots stack, which weight serves each read, the gates and the flags; and
-    per chunk, the b samples with a real column in it, longest first, and
-    those of them that end inside it.  A chunk is then straight-line code over
-    locals in two stages.  The first reads k, v and the gates from the token
-    (or conv) columns.  After the unit norms, q, v and k form one (3,b,d,C)
-    stack, and each weight of the second stage (the row stack, each updated
-    MLP2 slot, a frozen MLP2 mem) reads the inputs it takes with one product
-    over a leading axis.  One `tensor._sigmoid` call covers every MLP
-    pre-activation of that stage and both gate pre-activations; the VJP reads
-    eta's sigmoid from it.  The VJP runs the chunks backwards over the saved
-    intermediates, forming the same products and sums, in the same order.
+    The configuration and the batch's lengths are resolved once, here: the
+    read table, the gates and the flags; and per chunk, the b samples with a
+    real column in it, longest first, and those of them that end inside it.
+    A chunk is then straight-line code over locals in two stages, each a
+    table of reads of one input stack (see `_read`).  The weights are the
+    slots' own and, last, the row stack of the updated linear slots; a weight
+    reads at most once per stage.  The first stage reads the learned gates
+    from the token columns and k and v from the token (or conv) columns; a
+    stacked slot's read is its rows of the stack's product.  After the unit
+    norms, q, v and k form the second stage's stack: the row stack reads q
+    (mem's rows), v (the targets) and k (the l2 residual), an updated MLP2
+    slot q (if mem), v and k (its update), a frozen mem q.  The second
+    stage's one `tensor._sigmoid` call also covers both gate pre-activations;
+    the VJP reads eta's sigmoid from it.
+
+    The VJP runs the chunks backwards over the saved intermediates, forming
+    the same products and sums in the per-slot graph's order: a weight's
+    gradient adds its inputs' products last input first; the token and conv
+    columns' gradients add the own reads' in read order, then the stack's
+    (last in the first stage's table); k's adds the stack's update (first in
+    the second's), then each MLP2 slot's; v's adds the MLP2 slots' targets,
+    then the stack's.
 
     The fast weights the loop carries shrink to the first b rows when samples
     end, at most B - 1 times; in the VJP the samples join again at their last
@@ -264,120 +279,117 @@ class _Core:
             if longest_first[b - 1] <= start:
                 held, b = b, sum(length > start for length in longest_first)
                 self.ends.insert(0, (c - 1, slice(b, held)))
-            # each sample's real columns, if some end inside the chunk
-            widths = [min(length - start, n) for length in longest_first[:b]] if longest_first[b - 1] < start + n else None
-            span = slice(start * batch, (start + n) * batch)
-            self.chunks.append((start, n, span, b, firsts[b], T._partial(widths, n), T._live_columns(widths, b, n)))
+            partial, live = (), None
+            if longest_first[b - 1] < start + n:  # each sample's real columns, as some end inside the chunk
+                widths = [min(length - start, n) for length in longest_first[:b]]
+                partial, live = T._partial(widths, n), T._live_columns(widths, b, n)
+            self.chunks.append((start, n, slice(start * batch, (start + n) * batch), b, firsts[b], partial, live))
         self.ends.insert(0, (len(self.chunks) - 1, slice(0, b)))
         index = {slot: i for i, slot in enumerate(SLOTS)}
         self.mem, l2, sv = index["mem"], cfg.objective == "l2", cfg.self_values
         updated = [i for i, slot in enumerate(SLOTS) if slot in cfg.update_slots]
-        mlp = [cfg.kinds[slot] == MLP2 for slot in SLOTS]
+        mlp = [cfg.kinds[slot] == MLP2 for slot in SLOTS] + [False]
         # the updated linear slots share a row stack; the updated MLP2 slots advance on their own
         self.stacked = [i for i in updated if not mlp[i]]
         self.rows = {i: slice(j * d, (j + 1) * d) for j, i in enumerate(self.stacked)}
-        # first stage: the learned gates' reads (their means shifted by a bias), then k and v
-        learned = [(index[slot], bias) for slot, fixed, bias in (("eta", cfg.fixed_eta, cfg.eta_bias), ("alpha", cfg.fixed_alpha, cfg.alpha_bias)) if fixed is None]
-        self.biases = np.array([[[bias]] for _, bias in learned])
+        # first stage: the learned gates' reads (their means shifted by a bias), then k and v, each
+        # used as (read, its input's position, rows): rows of the stack's product, None for an own read
+        first = [(index[slot], _X, bias) for slot, fixed, bias in (("eta", cfg.fixed_eta, cfg.eta_bias), ("alpha", cfg.fixed_alpha, cfg.alpha_bias)) if fixed is None]
+        self.biases = np.array([[[bias]] for *_, bias in first])
         kv = _KV if conv else _X
-        self.reads1 = [(i, inp, self.rows.get(i), mlp[i]) for i, inp in [(i, _X) for i, _ in learned] + [(index["k"], kv), (index["v"], kv)]]
-        self.prods1 = sorted({inp for _, inp, rows, _ in self.reads1 if rows is not None}, reverse=True)  # backward order
+        first += [(index["k"], kv, None), (index["v"], kv, None)]
+        own = [(i, (inp,), False) for i, inp, _ in first if i not in self.rows]
+        at = tuple(sorted({inp for i, inp, _ in first if i in self.rows}))
+        self.uses1 = [(own.index((i, (inp,), False)), 0, None) if i not in self.rows else (len(own), at.index(inp), self.rows[i]) for i, inp, _ in first]
+        table1 = own + [(_STACK, at, False)] * bool(at)
         # second stage: the row stack reads q (mem's rows), v (its targets) and k (the l2 residual);
-        # an updated MLP2 slot reads q (mem), v (its target) and k (its update); a frozen MLP2 mem reads q
-        self.stack_at = tuple(inp for inp, on in ((_Q, self.mem in self.rows), (_V, sv), (_K, l2)) if on) if self.stacked else ()
-        groups = [(i, (_Q,) * (i == self.mem) + (_V,) * sv + (_K,), True) for i in updated if mlp[i]]
-        groups += [(self.mem, (_Q,), False)] * (mlp[self.mem] and self.mem not in updated)
-        self.groups = [(i, at, _pick(at), adv) for i, at, adv in groups]
-        self.pick_s = _pick(self.stack_at) if self.stack_at else None
-        self.y_group = next((g for g, (i, *_) in enumerate(groups) if i == self.mem), None)
+        # an updated MLP2 slot reads q (mem), v (its target) and k (its update); a frozen mem reads q
+        self.stack_at = tuple([inp for inp, on in ((_Q, self.mem in self.rows), (_V, sv), (_K, l2)) if on]) if self.stacked else ()
+        table2 = [(_STACK, self.stack_at, False)] * bool(self.stack_at)
+        table2 += [(i, (_Q,) * (i == self.mem) + (_V,) * sv + (_K,), True) for i in updated if mlp[i]]
+        table2 += [(self.mem, (_Q,), False)] * (self.mem not in updated)
+        self.y_read = ([i for i, *_ in table2].index(_STACK if self.mem in self.rows else self.mem), self.rows.get(self.mem, slice(None)))
+        # each stage's reads (weight, inputs, their index, advances) and which of them are MLP2 reads
+        self.stages = [([(i, at, _pick(at), adv) for i, at, adv in table], [r for r, (i, *_) in enumerate(table) if mlp[i]]) for table in (table1, table2)]
         self.advanced = bool(updated)
         self.saved = []
 
     # -- forward ----------------------------------------------------------
 
     def value(self, *values) -> np.ndarray:
-        cfg, batch, d, stacked, mem, at_s = self.cfg, self.batch, self.cfg.dim, self.stacked, self.mem, self.stack_at
+        cfg, batch, d, stacked, at_s = self.cfg, self.batch, self.cfg.dim, self.stacked, self.stack_at
         l2, sv = cfg.objective == "l2", cfg.self_values
         it = iter(values)
         snaps = [tuple(next(it) for _ in range(1 if cfg.kinds[slot] == LINEAR else 2)) for slot in SLOTS]
         wq, x = next(it), next(it)
         xkv = next(it) if self.conv else None
-        # each snapshot (the stacked ones as one) repeated along the batch axis
+        # each weight (the stacked slots' as one, last) repeated along the batch axis
         ws = [None if i in self.rows else tuple(np.repeat(w[None], batch, 0) for w in snap) for i, snap in enumerate(snaps)]
-        stack = np.repeat(np.concatenate([snaps[i][0] for i in stacked])[None], batch, 0) if stacked else None
-        ys, pres, chunks, after, held = [], [], [], [], batch
+        ws.append((np.repeat(np.concatenate([snaps[i][0] for i in stacked])[None], batch, 0),) if stacked else None)
+        # Y as (d, L, B): token t of sample b in [:, t, b]
+        ys, pres, chunks, after, held = np.zeros((d, len(x[0]) // batch, batch)), [], [], [], batch
         for start, n, span, b, samples, partial, live in self.chunks:
             if b < held:  # the samples that have ended leave; their weights after their last chunk are in `after`
-                stack = stack[:b] if stacked else None
                 ws = [None if w is None else tuple(a[:b] for a in w) for w in ws]
                 held = b
             xc = x[:, span].copy()
-            cols = [T._batch_major(xc, batch)[samples], T._batch_major(xkv[:, span].copy(), batch)[samples] if self.conv else None]
-            prods = [None, None]
-            for inp in self.prods1:
-                prods[inp] = T._bmm(stack, cols[inp], partial)
-            (*gate_reads, k, v), saves1 = _reads(self.reads1, ws, cols, prods, partial)
+            xs = T._batch_major(xc, batch)[samples][None]
+            if self.conv:
+                xs = np.array([xs[0], T._batch_major(xkv[:, span].copy(), batch)[samples]])
+            outs, saves1, _ = _read(*self.stages[0], ws, xs, partial, [])
+            *gate_reads, k, v = [outs[r][j] if rows is None else outs[r][j][:, rows] for r, j, rows in self.uses1]
             qvk, norms = np.concatenate([T._batch_major(wq @ xc, batch)[samples], v, k]).reshape(3, b, d, n), None
             if cfg.normalize:  # columns scaled as `tensor.l2_normalize_columns` scales them
                 norms = T._safe_row_norms(qvk.swapaxes(-1, -2))[..., None, :]
                 qvk /= norms
             v, k = qvk[_V], qvk[_K]
-            pre = []
-            if gate_reads:  # the (G,b,C) gate means, bit for bit `mean_axis0` of each gate's time-major reads,
-                # which numpy sums over d pairwise in a one-column chunk and row by row in a wider one, as here
-                pre = [np.array(gate_reads).sum(axis=2) / d + self.biases]
-            prod = T._bmm(stack, qvk[self.pick_s], partial) if at_s else None
-            zs = [T._bmm(ws[i][1], qvk[pick], partial) for i, _, pick, _ in self.groups]
-            sigs, hs, outs, sps = _sigmoids(zs + pre) if zs or pre else [], [], [], []
-            for (i, _, pick, _), z, s in zip(self.groups, zs, sigs):
-                hs.append(z * s)
-                outs.append(qvk[pick] + T._bmm(ws[i][0], hs[-1], partial))
-                sps.append(T._silu_prime(z, s))
-            gsig = sigs[-1] if pre else None  # eta's (if learned), then alpha's
+            # the (G,b,C) gate means, bit for bit `mean_axis0` of each gate's time-major reads,
+            # which numpy sums over d pairwise in a one-column chunk and row by row in a wider one, as here
+            pre = [np.array(gate_reads).sum(axis=2) / d + self.biases] if gate_reads else []
+            outs, saves2, gsig = _read(*self.stages[1], ws, qvk, partial, pre)
             eta = np.full((b, n), cfg.fixed_eta) if cfg.fixed_eta is not None else T._softplus(pre[0][0])
             alpha = np.full((b, n), cfg.fixed_alpha) if cfg.fixed_alpha is not None else gsig[-1]
             eb, ab = T._pinned(eta, alpha, live)  # shared by every scan of the chunk
-            # mem reads q in its MLP2 group, as rows of the stack's product, or as a frozen linear weight
-            y = outs[self.y_group][0] if self.y_group is not None else prod[0][:, self.rows[mem]] if mem in self.rows else None
-            y = T._bmm(ws[mem][0], qvk[_Q], partial) if y is None else y
-            m, state, advanced = stack, ws, [None]
+            y = outs[self.y_read[0]][0][:, self.y_read[1]]
+            state, ws, advanced = ws, list(ws), [None]
             if stacked:
-                vhat = prod[at_s.index(_V)] if sv else np.concatenate([v] * len(stacked), axis=1)
-                u = prod[-1] - vhat if l2 else -vhat
-                stack, advanced[0] = T._scan_value(m, k, u, eb, ab, cfg.retention, partial)
-            ws = list(ws)
-            for (i, at, _, adv), h, sp, out in zip(self.groups, hs, sps, outs):
-                if adv:  # the weight-space gradient of the residual MLP read, no retention factor
-                    w1, w2 = state[i]
-                    vhat = out[at.index(_V)] if sv else v
-                    r = out[-1] - vhat if l2 else -vhat
-                    t = T._bmm(w1.transpose(0, 2, 1).copy(), r, partial)
-                    out1, s1 = T._scan_value(w1, h[-1], r, eb, ab, False, partial)
-                    out2, s2 = T._scan_value(w2, k, t * sp[-1], eb, ab, False, partial)
-                    ws[i] = (out1, out2)
-                    advanced.append((r, t, s1, s2))
+                vhat = outs[0][at_s.index(_V)] if sv else np.concatenate([v] * len(stacked), axis=1)
+                u = outs[0][-1] - vhat if l2 else -vhat
+                m, advanced[0] = T._scan_value(state[_STACK][0], k, u, eb, ab, cfg.retention, partial)
+                ws[_STACK] = (m,)
+            for (i, at, _, adv), out, saved in zip(self.stages[1][0], outs, saves2):
+                if not adv:
+                    continue
+                # the weight-space gradient of the residual MLP read, no retention factor
+                (w1, w2), (_, _, h, sp) = state[i], saved
+                vhat = out[at.index(_V)] if sv else v
+                r = out[-1] - vhat if l2 else -vhat
+                t = T._bmm(w1.transpose(0, 2, 1).copy(), r, partial)
+                out1, s1 = T._scan_value(w1, h[-1], r, eb, ab, False, partial)
+                out2, s2 = T._scan_value(w2, k, t * sp[-1], eb, ab, False, partial)
+                ws[i] = (out1, out2)
+                advanced.append((r, t, s1, s2))
             if live is not None:  # Y is 0 at the padded columns of the samples that end here
                 y = np.where(live[:, None], y, 0.0)
-            ys.append(_scatter(y, batch, samples))
+            ys[:, start : start + n, samples] = y.transpose(1, 2, 0)
             pres.append(pre)
-            after.append((stack, ws))
-            chunks.append((span, b, samples, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig))
+            after.append(ws)
+            chunks.append((span, b, samples, live, xc, xs, state, qvk, norms, saves1, saves2, advanced, alpha, gsig))
         # the final (B,p,n) fast weights per slot, each sample's rows of the weights
         # after its last chunk; a stacked slot's are its rows of the stack
         ends = [(after[c], rows) for c, rows in self.ends]
         final = []
         for i in range(len(SLOTS)):
-            pieces = [(m[rows, self.rows[i]],) if i in self.rows else tuple(w[rows] for w in state[i]) for (m, state), rows in ends]
+            pieces = [(ws[_STACK][0][rows, self.rows[i]],) if i in self.rows else tuple(w[rows] for w in ws[i]) for ws, rows in ends]
             final += [np.concatenate(block)[self.inv] for block in zip(*pieces)]
-        y = np.concatenate(ys, axis=1)
-        packed = np.concatenate([y.reshape(-1)] + [w.reshape(-1) for w in final])
+        packed = np.concatenate([ys.reshape(-1)] + [w.reshape(-1) for w in final])
         # one finite check per forward, a search only when it fails: a non-finite
         # entry of a fast weight stays non-finite through every later update, so
         # the final weights stand for the weights after each chunk
         gate_pres = [p for ps in pres for p in ps]
         if not (np.isfinite(packed).all() and (not gate_pres or np.isfinite(np.concatenate(gate_pres, axis=None)).all())):
-            moving = [i for i, _, _, adv in self.groups if adv]
-            made = ([y, *ps, *([m] if stacked else [])] + [w for i in moving for w in s[i]] for y, ps, (m, s) in zip(ys, pres, after))
+            moving = [i for i, *_, adv in self.stages[1][0] if adv] + [_STACK] * bool(stacked)
+            made = ([ys[:, start : start + n], *ps] + [w for i in moving for w in ws[i]] for (start, n, *_), ps, ws in zip(self.chunks, pres, after))
             c = next(c for c, arrays in enumerate(made) if not all(np.isfinite(a).all() for a in arrays))
             start, n, *_ = self.chunks[c]
             raise T.NonFiniteError(f"at chunk {c} (tokens {start} to {start + n - 1})")
@@ -389,24 +401,23 @@ class _Core:
     def vjp(self, g: np.ndarray) -> tuple:
         cfg, batch, d, stacked, mem, at_s = self.cfg, self.batch, self.cfg.dim, self.stacked, self.mem, self.stack_at
         l2, sv = cfg.objective == "l2", cfg.self_values
+        (table1, _), (table2, _) = self.stages
         snaps, wq, x, chunks = self.saved
-        # a tape runs one backward pass: free the saved arrays once it has run
-        self.saved = []
         gy = g[: x.size].reshape(x.shape)
         # the gradients of the final weights, longest sample first, as the loop holds them
         parts = iter(np.split(g, np.cumsum([x.size] + [batch * w.size for snap in snaps for w in snap]))[1:])
         gfinal = [[next(parts).reshape((batch,) + w.shape)[self.order] for w in snap] for snap in snaps]
-        gfinal_stack = np.concatenate([gfinal[i][0] for i in stacked], axis=1) if stacked else None
+        # a stacked slot's gradients are its rows of the stack's
+        gfinal.append([np.concatenate([gfinal[i].pop() for i in stacked], axis=1)] if stacked else [])
         # gradients of the weights at the current chunk boundary, and of the frozen
         # ones; a sample joins them at its last chunk with its final weights' gradient
-        grads, gstack, held = [[gw[:0] for gw in gws] for gws in gfinal], gfinal_stack[:0] if stacked else None, 0
+        grads, held = [[gw[:0] for gw in gws] for gws in gfinal], 0
         gwq, gx = np.zeros_like(wq), np.zeros_like(x)
         gxkv = np.zeros_like(x) if self.conv else None
         while chunks:
-            span, b, samples, live, xc, cols, m, state, qvk, norms, saves1, zs, sigs, hs, sps, advanced, alpha, gsig = chunks.pop()
+            span, b, samples, live, xc, xs, state, qvk, norms, saves1, saves2, advanced, alpha, gsig = chunks.pop()
             if held < b:
                 grads = [[np.concatenate([gw, gf[held:b]]) for gw, gf in zip(gws, gfs)] for gws, gfs in zip(grads, gfinal)]
-                gstack = np.concatenate([gstack, gfinal_stack[held:b]]) if stacked else None
                 held = b
             k = qvk[_K]
             gyc = T._batch_major(gy[:, span], batch)[samples]
@@ -415,7 +426,8 @@ class _Core:
             gk = ge = ga = 0.0
             gq = gv = gv_stack = None
             if stacked:
-                gm, gks, gu, ges, gas = T._scan_grad(gstack, advanced[0], cfg.retention, live)
+                gm, gks, gu, ges, gas = T._scan_grad(grads[_STACK][0], advanced[0], cfg.retention, live)
+                grads[_STACK] = [gm]
                 if not sv:
                     gv = (-gu).reshape(b, len(stacked), d, -1).sum(axis=1)
                 if at_s:  # the gradients of the stack's products at q (mem's rows), v and k
@@ -423,81 +435,59 @@ class _Core:
                     if _Q in at_s:
                         parts.insert(0, np.zeros_like(gu))
                         parts[0][:, self.rows[mem]] += gyc
-                    gprod = np.array(parts)
-                    dx = T._bmm_dx(m, gprod)
-                    for dw in T._bmm_dw(gprod, qvk[self.pick_s])[::-1]:  # k's, v's, then q's, as the per-slot graph adds them
-                        gm += dw
+                    dx = _read_grad(state[_STACK], grads[_STACK], qvk[table2[0][2]], None, np.array(parts))
                     gks = gks + dx[-1] if l2 else gks
                     gq = dx[0] if _Q in at_s else None
                     gv_stack = dx[at_s.index(_V)] if sv else None
-                gstack, gk, ge, ga = gm, gk + gks, ge + ges, ga + gas
+                gk, ge, ga = gk + gks, ge + ges, ga + gas
             adv_saves = iter(advanced[1:])
-            for (i, at, pick, adv), z, s, h, sp in zip(self.groups, zs, sigs, hs, sps):
-                w1, w2 = state[i]
+            for (i, at, pick, adv), saved in zip(table2[bool(at_s) :], saves2[bool(at_s) :]):
+                parts, extra = [gyc] * (_Q in at), None
                 if adv:
                     r, t, s1, s2 = next(adv_saves)
+                    (w1, _), (z, s, _, sp) = state[i], saved
                     g1, gh, gr, ge1, ga1 = T._scan_grad(grads[i][0], s1, False, live)
                     g2, gkm, gu2, ge2, ga2 = T._scan_grad(grads[i][1], s2, False, live)
                     gt = gu2 * sp[-1]
-                    gzk = gu2 * t * T._silu_second(z[-1], s[-1])
-                    g1 = g1 + T._bmm_dw(gt, r).transpose(0, 2, 1)
+                    extra = (gkm, gh, gu2 * t * T._silu_second(z[-1], s[-1]))
+                    grads[i] = [g1 + T._bmm_dw(gt, r).transpose(0, 2, 1), g2]
                     gr = gr + w1 @ gt
-                    ngr = -gr
-                else:
-                    g1, g2 = grads[i]
+                    parts += [-gr] * sv + [gr] * l2
                 # the gradients of the read outputs at q (y), v (the target) and k (the l2 residual)
-                parts = [gyc] * (_Q in at) + ([ngr] * sv + [gr] * l2 if adv else [])
-                reads = len(at) - adv  # the positions other than the update's k
-                gz = np.empty_like(z)
-                if parts:
-                    gout = np.array(parts)
-                    dx1, dw1 = T._bmm_dx(w1, gout), T._bmm_dw(gout, h[: len(parts)])
-                    np.multiply(dx1[:reads], sp[:reads], out=gz[:reads])
-                if adv:
-                    if l2:
-                        gkm = gkm + gr
-                        g1 += dw1[-1]
-                        gh = gh + dx1[-1]
-                    gzk += gh * sp[-1]
-                    gz[-1] = gzk
-                dw2, dx2 = T._bmm_dw(gz, qvk[pick]), T._bmm_dx(w2, gz)
-                if adv:
-                    g2 = g2 + dw2[-1]
-                    gkm = gkm + dx2[-1]
-                for j in reversed(range(reads)):  # after k's: v's, then q's
-                    g1 += dw1[j]
-                    g2 += dw2[j]
+                gout = parts[0][None] if len(parts) == 1 else np.array(parts) if parts else None
+                dx = _read_grad(state[i], grads[i], qvk[pick], saved, gout, extra)
                 if _Q in at:
-                    gq = gyc + dx2[0]
+                    gq = dx[0]
                 if adv:
-                    gvi = ngr + dx2[at.index(_V)] if sv else ngr
+                    gvi = dx[at.index(_V)] if sv else -gr
                     gv = gvi if gv is None else gv + gvi
-                    grads[i] = [g1, g2]
-                    gk, ge, ga = gk + gkm, ge + (ge1 + ge2), ga + (ga1 + ga2)
+                    gk, ge, ga = gk + dx[-1], ge + (ge1 + ge2), ga + (ga1 + ga2)
             if gv_stack is not None:
                 gv = gv_stack if gv is None else gv + gv_stack
-            if gq is None:  # a frozen linear mem
-                grads[mem][0] += T._bmm_dw(gyc, qvk[_Q])
-                gq = T._bmm_dx(state[mem][0], gyc)
             if not self.advanced:
                 gk = np.zeros_like(k)
-            gates = [ge * gsig[0] / d] if cfg.fixed_eta is None else []
+            # a gate's (b,1,C) gradient is the same on every row of its read
+            gates = [(ge * gsig[0] / d)[:, None]] if cfg.fixed_eta is None else []
             if cfg.fixed_alpha is None:
-                gates.append(ga * (alpha * (1.0 - alpha)) / d)
-            # a gate's gradient is the same on every row of its read: a stacked read adds it by broadcasting
-            gs = [g[:, None, :] if block is not None else np.repeat(g[:, None, :], d, axis=1) for g, (_, _, block, _) in zip(gates, self.reads1)]
+                gates.append((ga * (alpha * (1.0 - alpha)) / d)[:, None])
             # q's, v's (zero if nothing read v) and k's column gradients, through the unit norms in one stack
             gqvk = T._unit_grad(qvk, norms, np.array([gq, np.zeros_like(gk) if gv is None else gv, gk]))
-            gs += [gqvk[_K], None if gv is None else gqvk[_V]]
+            # the first stage's output gradients: a row block of the stack's adds a gate's by broadcasting
+            gouts = [None] * len(table1)
+            if table1[-1][0] == _STACK:
+                gouts[-1] = np.zeros((len(table1[-1][1]), b, len(stacked) * d, k.shape[-1]))
+            for (r, j, rows), g in zip(self.uses1, gates + [gqvk[_K], None if gv is None else gqvk[_V]]):
+                if rows is not None:
+                    gouts[r][j][:, rows] += g
+                elif g is not None:
+                    gouts[r] = (g if g.shape == k.shape else np.repeat(g, d, axis=1))[None]
+            gcols = [None, None]
+            for (i, at, pick, _), saved, gout in zip(table1, saves1, gouts):
+                if gout is not None:
+                    for inp, gc in zip(at, _read_grad(state[i], grads[i], xs[pick], saved, gout)):
+                        gcols[inp] = gc if gcols[inp] is None else gcols[inp] + gc
             # the time-major products over the whole chunk, zero at the ended samples' columns
             gqt = _scatter(gqvk[_Q], batch, samples)
-            gcols, gprod = [None, None], [None, None]
-            _reads_grad(self.reads1, state, cols, saves1, gs, grads, gcols, gprod, len(stacked) * d)
-            for inp in self.prods1:
-                if gprod[inp] is not None:
-                    gstack += T._bmm_dw(gprod[inp], cols[inp])
-                    gc = T._bmm_dx(m, gprod[inp])
-                    gcols[inp] = gc if gcols[inp] is None else gcols[inp] + gc
             gxc = wq.T @ gqt
             if gcols[_X] is not None:
                 gxc += _scatter(gcols[_X], batch, samples)
@@ -507,11 +497,9 @@ class _Core:
                 gxkv[:, span] += _scatter(gcols[_KV], batch, samples)
         # the batch summed in sample order
         snap_grads = [[gw[self.inv].sum(axis=0) for gw in gws] for gws in grads]
-        if stacked:
-            total = gstack[self.inv].sum(axis=0)
-            for i in stacked:
-                snap_grads[i] = [total[self.rows[i]]]
-        return tuple(gw for gws in snap_grads for gw in gws) + (gwq, gx) + ((gxkv,) if self.conv else ())
+        for i in stacked:
+            snap_grads[i] = [snap_grads[_STACK][0][self.rows[i]]]
+        return tuple(gw for gws in snap_grads[:_STACK] for gw in gws) + (gwq, gx) + ((gxkv,) if self.conv else ())
 
 
 def srt_forward_nodes(

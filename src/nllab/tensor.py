@@ -125,6 +125,8 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.idx: np.asarray(1.0, dtype=loss.value.dtype)}
         reached: dict[str, np.ndarray] = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
+            # one backward pass: a node's VJP, and the intermediates it holds, go once it is reached
+            vjp, node.vjp = node.vjp, None
             g = grads.pop(node.idx, None)
             if g is None:
                 continue
@@ -133,9 +135,9 @@ class Tape:
                 reached[node.param_name] = g = np.array(g, dtype=_DEFAULT_DTYPE, order="C")
                 _check_finite(g, f"gradient of {node.param_name!r}")
                 continue
-            if node.vjp is None:
+            if vjp is None:
                 continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
+            for parent, pg in zip(node.parents, vjp(g)):
                 if pg is None:
                     continue
                 acc = grads.get(parent.idx)
@@ -849,11 +851,7 @@ def decay_scan(m0, keys, u, eta, alpha, retention: bool, widths=None) -> Node:
     # the closures capture little: every object they keep alive is one more
     # object per tape node for the cyclic garbage collector to scan
     def vjp(g):
-        arrays = tuple(saved)
-        # a tape runs one backward pass: free the saved arrays now rather than
-        # when the caller drops the tape
-        saved.clear()
-        g, gk, gu, ge, ga = _scan_grad(g if stacked else g[None], arrays, retention, live)
+        g, gk, gu, ge, ga = _scan_grad(g if stacked else g[None], saved, retention, live)
         return (g if stacked else g[0], _time_major(gk), _time_major(gu), ge.T.reshape(-1), ga.T.reshape(-1))
 
     return t._record(scan, (m0, keys, u, eta, alpha), vjp, "decay_scan")

@@ -119,6 +119,7 @@ FAULTS = {
         lambda fn: lambda rule, *args: Memory.linear(-fn(rule, *args).matrix) if rule is RuleKind.HEBBIAN else fn(rule, *args),
     ),
     "decay-scan-vjp": ("srt-decay-scan", T, "_closed_vjp", _scaled),
+    "srt-read-vjp": ("srt-fused-core", srt_mod, "_read_grad", lambda fn: lambda *args: fn(*args) * _OFF),
     "cms-accumulate": (
         "cms-frequency-and-sgd", cms_mod, "cms_accumulate",
         lambda fn: lambda chain, grads: fn(chain, [(g1 * _OFF, g2 * _OFF) for g1, g2 in grads]),

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -368,9 +369,10 @@ def test_batch_lengths_must_fit_the_columns():
     tape = T.Tape()
     weights, wq, _ = constants(tape, state)
     x = tape.constant(np.ones((4, 6)))
-    for lengths in ([3, 4], [3, 0], [2, 2, 2, 2]):
-        with pytest.raises(T.ShapeError):
-            S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=lengths)
+    for lengths in ([3, 4], [3, 0], [2, 2, 2, 2], []):
+        for forward in (S.srt_forward_nodes, V._srt_forward_oracle):
+            with pytest.raises(T.ShapeError):
+                forward(tape, cfg, weights, wq, x, lengths=lengths)
     with pytest.raises(ValueError):
         V._srt_forward_oracle(tape, cfg, weights, wq, x, lengths=[3, 2], element_order=[1, 0])
 
@@ -463,6 +465,11 @@ def _srt_cases(draw):
 @given(_srt_cases())
 # an order that is not its own inverse, on a chunk long enough to tell
 @example((SrtConfig(dim=3, chunk=3), [6], [1, 2, 0], 7))
+# every read kind of both stages: MLP2 reads of the token and the conv columns,
+# a frozen linear mem, a frozen MLP2 mem with fixed gates
+@example((SrtConfig(dim=3, hidden=2, kinds={slot: MLP2 for slot in S.SLOTS}, chunk=2, conv=True), [5, 2], None, 8))
+@example((all_linear_config(3, chunk=2, update_slots=("k", "v", "eta", "alpha")), [5, 3], None, 9))
+@example((SrtConfig(dim=3, chunk=2, update_slots=("k", "v"), fixed_eta=0.4, fixed_alpha=0.8), [4, 4], None, 10))
 def test_fused_core_matches_the_per_op_graph_on_random_configs(case):
     cfg, lengths, order, seed = case
     d, batch = cfg.dim, len(lengths)
@@ -557,3 +564,17 @@ def test_one_sigmoid_call_per_chunk(monkeypatch):
     forward = len(calls)
     tape.backward(T.dot(y, x))
     assert (forward, len(calls) - forward) == (length, 0)
+
+
+def test_backward_drops_every_vjp_and_the_core_it_holds():
+    # the saved intermediates live until the tape's one backward pass has run each VJP
+    cfg = SrtConfig(dim=4, chunk=2)
+    tape = T.Tape()
+    weights, wq, _ = constants(tape, init_srt(cfg, seed=0))
+    x = tape.param("x", np.random.default_rng(6).normal(size=(4, 10)))
+    y, _ = S.srt_forward_nodes(tape, cfg, weights, wq, x, lengths=[5, 3])
+    (node,) = [node for node in tape.nodes if node.op == "srt_core"]
+    core = weakref.ref(node.vjp.__self__)
+    tape.backward(T.dot(y, x))
+    assert all(node.vjp is None for node in tape.nodes)
+    assert core() is None
